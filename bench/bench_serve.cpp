@@ -79,7 +79,7 @@ private:
 };
 
 struct PassResult {
-  LatencyHistogram latency;  ///< client-observed round-trip latency
+  Log2Histogram latency;  ///< client-observed round-trip latency
   double wallMs = 0.0;
   std::uint64_t errors = 0;
 };
@@ -98,7 +98,7 @@ PassResult runPass(std::uint16_t port, const JobPool& pool,
     clients.emplace_back([&, c] {
       artifact::JsonlClient client = artifact::JsonlClient::connectTcp(port);
       ZipfSampler zipf(pool.lines.size(), seedBase + static_cast<unsigned>(c));
-      LatencyHistogram local;
+      Log2Histogram local;
       std::uint64_t localErrors = 0;
       std::string line;
       for (int i = 0; i < kRequestsPerClient; ++i) {

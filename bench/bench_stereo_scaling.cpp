@@ -8,7 +8,7 @@
 // mesh sizes (cycles and best composition), illustrating when the paper's
 // "9 PEs best" regime appears.
 #include "bench_common.hpp"
-#include "sched/analysis.hpp"
+#include "sched/metrics.hpp"
 
 int main() {
   using namespace cgra;
@@ -68,7 +68,8 @@ int main() {
     for (unsigned n : {4u, 9u, 16u}) {
       const Composition comp = makeMesh(n);
       const Schedule sched = Scheduler(comp).schedule(ScheduleRequest(graph)).orThrow().schedule;
-      row.push_back(std::to_string(analyzeSchedule(sched, comp).peakParallelism));
+      row.push_back(
+          std::to_string(computeScheduleQuality(sched, comp).peakParallelism));
     }
     par.addRow(row);
   }

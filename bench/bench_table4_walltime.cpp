@@ -55,7 +55,7 @@ int main() {
 
   auto wallMs = [&](std::size_t job, const Composition& comp) -> double {
     const SweepJobResult& r = sweep.results[job];
-    if (!r.ok) throw Error("table4: scheduling failed: " + r.error);
+    if (!r.ok) throw Error("table4: scheduling failed: " + r.failure.message);
     std::map<VarId, std::int32_t> liveIns;
     for (const LiveBinding& lb : r.schedule.liveIns)
       liveIns[lb.var] = setup.workload.initialLocals[lb.var];

@@ -1423,27 +1423,4 @@ std::string Service::metricsText() const {
   return impl_->registry.renderPrometheus();
 }
 
-// ---------------------------------------------------------------------------
-// Thin wrappers over the class (the PR-4 entry points).
-
-ServiceStats serveJsonl(std::istream& in, std::ostream& out,
-                        ArtifactStore& store, const ServiceOptions& options) {
-  Service service(store, options);
-  service.serveStream(in, out);
-  return service.stats();
-}
-
-ServiceStats serveUnixSocket(const std::string& path, ArtifactStore& store,
-                             const ServiceOptions& options,
-                             std::uint64_t maxConnections) {
-  ServiceOptions opts = options;
-  opts.maxConnections = maxConnections;
-  Service service(store, opts);
-  service.addUnixListener(path);
-  service.start();
-  service.waitDone();
-  service.stop();
-  return service.stats();
-}
-
 }  // namespace cgra::artifact

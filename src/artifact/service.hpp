@@ -53,8 +53,6 @@
 //     (in-flight jobs finish; not-yet-started ones answer
 //     `"error":{"code":"shutdown"}`), flushes and closes every connection,
 //     then `waitDone()` returns.
-//
-// The PR-4 free functions remain as thin wrappers over the class.
 #pragma once
 
 #include <cstdint>
@@ -209,18 +207,5 @@ private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Thin wrapper: serves JSONL requests from `in` until EOF, streaming
-/// responses to `out` in request order, on a one-shot Service.
-ServiceStats serveJsonl(std::istream& in, std::ostream& out,
-                        ArtifactStore& store, const ServiceOptions& options);
-
-/// Thin wrapper: binds a unix domain socket at `path` (refusing to unlink
-/// anything that is not a socket) and serves connections concurrently until
-/// `maxConnections` sessions were accepted and finished (0 = forever).
-/// Throws cgra::Error on socket errors.
-ServiceStats serveUnixSocket(const std::string& path, ArtifactStore& store,
-                             const ServiceOptions& options,
-                             std::uint64_t maxConnections = 0);
 
 }  // namespace cgra::artifact

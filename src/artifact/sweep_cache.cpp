@@ -42,7 +42,6 @@ SweepJobResult resultFromArtifact(const SweepJob& job,
     if (keepSchedule) r.schedule = art.schedule;
   } else {
     r.failure = art.failure;
-    r.error = r.failure.message;
   }
   if (trace.enabled) {
     Trace t(trace);

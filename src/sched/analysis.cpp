@@ -7,37 +7,6 @@
 
 namespace cgra {
 
-ScheduleAnalysis analyzeSchedule(const Schedule& sched,
-                                 const Composition& comp) {
-  ScheduleAnalysis out;
-  out.perPE.resize(comp.numPEs());
-  std::vector<unsigned> inFlight(std::max(1u, sched.length), 0);
-  for (PEId p = 0; p < comp.numPEs(); ++p) out.perPE[p].pe = p;
-
-  for (const ScheduledOp& op : sched.ops) {
-    PEUtilization& pe = out.perPE[op.pe];
-    pe.busyCycles += op.duration;
-    ++pe.opsIssued;
-    ++out.totalOps;
-    if (op.node == kNoNode) {
-      ++pe.copsIssued;
-      ++out.insertedOps;
-    }
-    for (unsigned c = op.start; c <= op.lastCycle(); ++c) ++inFlight[c];
-  }
-  double totalUtil = 0.0;
-  for (PEUtilization& pe : out.perPE) {
-    pe.utilization =
-        sched.length ? static_cast<double>(pe.busyCycles) / sched.length : 0.0;
-    totalUtil += pe.utilization;
-  }
-  out.avgUtilization = comp.numPEs() ? totalUtil / comp.numPEs() : 0.0;
-  out.peakParallelism =
-      *std::max_element(inFlight.begin(), inFlight.end());
-  out.cboxBusyCycles = static_cast<unsigned>(sched.cboxOps.size());
-  return out;
-}
-
 namespace {
 
 char opSymbol(const ScheduledOp& op) {

@@ -1,5 +1,6 @@
-// Schedule analysis: utilization statistics, a textual Gantt rendering, and
-// minimum-initiation-interval (MII) bounds per loop.
+// Schedule analysis: a textual Gantt rendering and minimum-initiation-
+// interval (MII) bounds per loop. Utilization statistics live in
+// ScheduleQuality (sched/metrics.hpp).
 //
 // The MII analysis is the groundwork for the paper's future work ("we want
 // to improve the scheduler to employ modulo scheduling", §VII): for every
@@ -21,28 +22,6 @@
 #include "sched/schedule.hpp"
 
 namespace cgra {
-
-/// Per-PE occupancy statistics.
-struct PEUtilization {
-  PEId pe = 0;
-  unsigned busyCycles = 0;    ///< cycles with an op in flight
-  unsigned opsIssued = 0;
-  unsigned copsIssued = 0;    ///< scheduler-inserted MOVE/CONST
-  double utilization = 0.0;   ///< busyCycles / schedule length
-};
-
-/// Whole-schedule statistics.
-struct ScheduleAnalysis {
-  std::vector<PEUtilization> perPE;
-  double avgUtilization = 0.0;
-  unsigned peakParallelism = 0;  ///< max ops in flight in one cycle
-  unsigned cboxBusyCycles = 0;
-  unsigned totalOps = 0;
-  unsigned insertedOps = 0;
-};
-
-ScheduleAnalysis analyzeSchedule(const Schedule& sched,
-                                 const Composition& comp);
 
 /// Text Gantt chart: one row per PE, one column per context. `.` idle,
 /// lowercase letter = op class (a=alu, c=const/move, m=mul, d=dma, ?=cmp),

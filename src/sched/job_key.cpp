@@ -85,10 +85,6 @@ void hashOptions(Sha256& h, const SchedulerOptions& o) {
 
 }  // namespace
 
-std::string compositionDigest(const std::string& compJson) {
-  return ArchModel::digestCompositionJson(compJson);
-}
-
 std::string compositionDigest(const Composition& comp) {
   // Served from the composition's memoized ArchModel: digesting the same
   // Composition instance twice hashes its JSON only once.
@@ -116,27 +112,12 @@ std::string scheduleJobKeyWithDigests(const std::string& compDigest,
   return h.hex();
 }
 
-std::string scheduleJobKeyWithCompDigest(const std::string& compDigest,
-                                         const Cdfg& graph,
-                                         const SchedulerOptions& options,
-                                         const std::string& salt) {
-  return scheduleJobKeyWithDigests(compDigest, cdfgDigest(graph), options,
-                                   salt);
-}
-
-std::string scheduleJobKeyWithCompJson(const std::string& compJson,
-                                       const Cdfg& graph,
-                                       const SchedulerOptions& options,
-                                       const std::string& salt) {
-  return scheduleJobKeyWithCompDigest(compositionDigest(compJson), graph,
-                                      options, salt);
-}
-
 std::string scheduleJobKey(const Composition& comp, const Cdfg& graph,
                            const SchedulerOptions& options,
                            const std::string& salt) {
-  return scheduleJobKeyWithCompJson(comp.toJson().dump(), graph, options,
-                                    salt);
+  return scheduleJobKeyWithDigests(
+      ArchModel::digestCompositionJson(comp.toJson().dump()),
+      cdfgDigest(graph), options, salt);
 }
 
 }  // namespace cgra

@@ -23,7 +23,9 @@ namespace cgra {
 inline constexpr const char* kSchedulerVersionSalt = "cgra-sched-salt-2";
 
 /// 64-hex-char SHA-256 over (salt, composition JSON, CDFG content, options).
-/// Deterministic across platforms, processes and library versions.
+/// Deterministic across platforms, processes and library versions. Hashes
+/// `comp.toJson()` directly instead of building the composition's ArchModel,
+/// so keying a request that the store then answers costs no model build.
 std::string scheduleJobKey(const Composition& comp, const Cdfg& graph,
                            const SchedulerOptions& options,
                            const std::string& salt = kSchedulerVersionSalt);
@@ -32,7 +34,6 @@ std::string scheduleJobKey(const Composition& comp, const Cdfg& graph,
 /// contribution to a job key is this digest: sweeps and services hash many
 /// jobs against few compositions and compute it once per composition.
 std::string compositionDigest(const Composition& comp);
-std::string compositionDigest(const std::string& compJson);
 
 /// SHA-256 hex over the CDFG content alone (nodes, edges, variables,
 /// conditions, loops). The CDFG contribution to a job key is this digest:
@@ -40,29 +41,13 @@ std::string compositionDigest(const std::string& compJson);
 /// graphs and hash each graph once instead of once per job.
 std::string cdfgDigest(const Cdfg& graph);
 
-/// Variant taking a precomputed compositionDigest(): only the CDFG and
-/// options are hashed per call.
-std::string scheduleJobKeyWithCompDigest(const std::string& compDigest,
-                                         const Cdfg& graph,
-                                         const SchedulerOptions& options,
-                                         const std::string& salt =
-                                             kSchedulerVersionSalt);
-
 /// Variant taking both precomputed digests — the cheapest per-job form;
-/// only the options are hashed per call. Every scheduleJobKey* overload
-/// funnels into this recipe, so keys agree across all layers.
+/// only the options are hashed per call. scheduleJobKey funnels into this
+/// recipe, so keys agree across all layers.
 std::string scheduleJobKeyWithDigests(const std::string& compDigest,
                                       const std::string& cdfgDigest,
                                       const SchedulerOptions& options,
                                       const std::string& salt =
                                           kSchedulerVersionSalt);
-
-/// Variant reusing an already-serialized composition document
-/// (`comp.toJson().dump()`).
-std::string scheduleJobKeyWithCompJson(const std::string& compJson,
-                                       const Cdfg& graph,
-                                       const SchedulerOptions& options,
-                                       const std::string& salt =
-                                           kSchedulerVersionSalt);
 
 }  // namespace cgra

@@ -77,10 +77,12 @@ ScheduleQuality computeScheduleQuality(const Schedule& sched,
   q.perPE.resize(comp.numPEs());
   for (PEId p = 0; p < comp.numPEs(); ++p) q.perPE[p].pe = p;
 
-  // Per-PE busy masks and per-context issue occupancy in one pass.
-  std::vector<std::vector<std::uint8_t>> busy(comp.numPEs());
-  for (auto& b : busy) b.assign(std::max(1u, sched.length), 0);
-  std::vector<std::uint8_t> ctxIssues(std::max(1u, sched.length), 0);
+  // Per-PE busy masks (PE-major, one row of `slots` per PE), per-context
+  // issue occupancy and ops in flight in one pass.
+  const unsigned slots = std::max(1u, sched.length);
+  std::vector<std::uint8_t> busy(std::size_t{comp.numPEs()} * slots, 0);
+  std::vector<std::uint8_t> ctxIssues(slots, 0);
+  std::vector<unsigned> inFlight(slots, 0);
   std::vector<unsigned> lastCycle(comp.numPEs(), 0);
   std::vector<std::uint8_t> hasOps(comp.numPEs(), 0);
   for (const ScheduledOp& op : sched.ops) {
@@ -92,7 +94,10 @@ ScheduleQuality computeScheduleQuality(const Schedule& sched,
       ++q.insertedOps;
     }
     ctxIssues[op.start] = 1;
-    for (unsigned c = op.start; c <= op.lastCycle(); ++c) busy[op.pe][c] = 1;
+    for (unsigned c = op.start; c <= op.lastCycle(); ++c) {
+      busy[std::size_t{op.pe} * slots + c] = 1;
+      q.peakParallelism = std::max(q.peakParallelism, ++inFlight[c]);
+    }
     hasOps[op.pe] = 1;
     lastCycle[op.pe] = std::max(lastCycle[op.pe], op.lastCycle());
   }
@@ -100,7 +105,8 @@ ScheduleQuality computeScheduleQuality(const Schedule& sched,
   double utilSum = 0.0;
   for (PEId p = 0; p < comp.numPEs(); ++p) {
     PEQuality& pq = q.perPE[p];
-    for (unsigned c = 0; c < sched.length; ++c) pq.busyCycles += busy[p][c];
+    for (unsigned c = 0; c < sched.length; ++c)
+      pq.busyCycles += busy[std::size_t{p} * slots + c];
     pq.utilization =
         sched.length > 0 ? static_cast<double>(pq.busyCycles) / sched.length
                          : 0.0;
@@ -139,6 +145,7 @@ json::Value ScheduleQuality::toJson() const {
   o["fusedRatio"] = fusedRatio;
   o["cboxSlotsUsed"] = static_cast<std::int64_t>(cboxSlotsUsed);
   o["cboxBusyCycles"] = static_cast<std::int64_t>(cboxBusyCycles);
+  o["peakParallelism"] = static_cast<std::int64_t>(peakParallelism);
   json::Array pes;
   for (const PEQuality& pq : perPE) {
     json::Object e;

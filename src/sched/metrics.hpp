@@ -97,6 +97,7 @@ struct ScheduleQuality {
   double fusedRatio = 0.0;         ///< fusedWrites / totalOps (0 if unknown)
   unsigned cboxSlotsUsed = 0;
   unsigned cboxBusyCycles = 0;     ///< contexts with a C-Box entry
+  unsigned peakParallelism = 0;    ///< max ops in flight in one context
   std::vector<PEQuality> perPE;
 
   /// Nested JSON with lexicographically sorted keys (byte-stable).

@@ -31,7 +31,6 @@ SweepJobResult runJob(const SweepJob& job, bool keepSchedule,
     ScheduleReport report = scheduler.schedule(request);
     out.ok = report.ok;
     out.failure = std::move(report.failure);
-    out.error = out.failure.message;
     out.stats = report.stats;
     out.metrics = report.metrics;
     out.trace = std::move(report.trace);
@@ -49,7 +48,6 @@ SweepJobResult runJob(const SweepJob& job, bool keepSchedule,
     out.ok = false;
     out.failure.reason = FailureReason::Internal;
     out.failure.message = e.what();
-    out.error = out.failure.message;
   }
   return out;
 }
@@ -227,7 +225,7 @@ json::Value SweepReport::toJson(bool includeVolatile) const {
       j["staticUtilization"] = r.staticUtilization;
       j["metrics"] = r.metrics.toJson(includeVolatile);
     } else {
-      j["error"] = r.error;
+      j["error"] = r.failure.message;
       j["failureReason"] = failureReasonName(r.failure.reason);
     }
     jobs.emplace_back(std::move(j));

@@ -51,7 +51,6 @@ struct SweepJobResult {
   /// True when this result was copied from an identical job in the same
   /// sweep (in-sweep dedup) or served from a persistent artifact store.
   bool fromCache = false;
-  std::string error;             ///< failure.message mirror (legacy field)
   ScheduleFailure failure;       ///< typed reason + message when !ok
   Schedule schedule;             ///< empty when !ok or !keepSchedules
   ScheduleStats stats;           ///< valid when ok

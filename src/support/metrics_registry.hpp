@@ -5,9 +5,9 @@
 // Two histogram flavours share one bucket layout (bucket i covers
 // [2^i, 2^(i+1)) µs, bucket 0 covers 0–1 µs, 40 buckets ≈ 2^40 µs):
 //
-//  - `Log2Histogram` is the plain single-writer structure (the former
-//    `LatencyHistogram`): O(1) record, a few hundred bytes, never allocates,
-//    mergeable across threads that each own a local copy. Quantiles are
+//  - `Log2Histogram` is the plain single-writer structure: O(1) record, a
+//    few hundred bytes, never allocates, mergeable across threads that
+//    each own a local copy. Quantiles are
 //    estimated by linear interpolation inside the containing bucket —
 //    exact enough for p50/p99 reporting and, unlike a reservoir, never
 //    degrades under millions of samples.
@@ -106,10 +106,6 @@ private:
   std::uint64_t sumUs_ = 0;
   std::uint64_t maxUs_ = 0;
 };
-
-/// Transitional alias: `LatencyHistogram` was the pre-registry name for the
-/// single-writer log2 histogram; existing call sites keep compiling.
-using LatencyHistogram = Log2Histogram;
 
 /// Multi-writer histogram: record() is lock-free (relaxed atomics), safe to
 /// call concurrently from every worker thread on every request.

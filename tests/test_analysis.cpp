@@ -1,5 +1,5 @@
-// Tests for schedule analysis: utilization accounting, Gantt rendering,
-// and the MII lower bounds (ResMII/RecMII) that quantify modulo-scheduling
+// Tests for schedule analysis: utilization accounting (ScheduleQuality),
+// Gantt rendering, and the MII lower bounds (ResMII/RecMII) that quantify modulo-scheduling
 // headroom (paper §VII future work).
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include "arch/factory.hpp"
 #include "kir/lower_cdfg.hpp"
 #include "sched/analysis.hpp"
+#include "sched/metrics.hpp"
 #include "sched/scheduler.hpp"
 
 namespace cgra {
@@ -26,31 +27,31 @@ Prepared prepare(const apps::Workload& w, Composition comp) {
 
 TEST(Analysis, UtilizationAccountingIsConsistent) {
   const Prepared p = prepare(apps::makeAdpcm(8, 1), makeMesh(4));
-  const ScheduleAnalysis a = analyzeSchedule(p.schedule, p.comp);
+  const ScheduleQuality q = computeScheduleQuality(p.schedule, p.comp);
 
-  ASSERT_EQ(a.perPE.size(), 4u);
+  ASSERT_EQ(q.perPE.size(), 4u);
   unsigned busySum = 0, opSum = 0;
-  for (const PEUtilization& pe : a.perPE) {
+  for (const PEQuality& pe : q.perPE) {
     EXPECT_LE(pe.utilization, 1.0);
     EXPECT_GE(pe.utilization, 0.0);
     busySum += pe.busyCycles;
     opSum += pe.opsIssued;
   }
-  EXPECT_EQ(opSum, a.totalOps);
-  EXPECT_EQ(a.totalOps, p.schedule.ops.size());
-  EXPECT_GE(a.peakParallelism, 1u);
-  EXPECT_LE(a.peakParallelism, 4u);
-  EXPECT_NEAR(a.avgUtilization,
+  EXPECT_EQ(opSum, q.totalOps);
+  EXPECT_EQ(q.totalOps, p.schedule.ops.size());
+  EXPECT_GE(q.peakParallelism, 1u);
+  EXPECT_LE(q.peakParallelism, 4u);
+  EXPECT_NEAR(q.staticUtilization,
               static_cast<double>(busySum) / (4.0 * p.schedule.length), 1e-9);
-  EXPECT_EQ(a.cboxBusyCycles, p.schedule.cboxOps.size());
+  EXPECT_EQ(q.cboxBusyCycles, p.schedule.cboxOps.size());
 }
 
 TEST(Analysis, BiggerArraysLowerAverageUtilization) {
   const apps::Workload w = apps::makeAdpcm(8, 1);
   const Prepared small = prepare(w, makeMesh(4));
   const Prepared large = prepare(w, makeMesh(16));
-  EXPECT_GT(analyzeSchedule(small.schedule, small.comp).avgUtilization,
-            analyzeSchedule(large.schedule, large.comp).avgUtilization);
+  EXPECT_GT(computeScheduleQuality(small.schedule, small.comp).staticUtilization,
+            computeScheduleQuality(large.schedule, large.comp).staticUtilization);
 }
 
 TEST(Analysis, GanttChartShape) {

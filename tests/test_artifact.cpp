@@ -199,20 +199,16 @@ TEST(JobKey, SensitiveToEveryInputAndSalt) {
 }
 
 TEST(JobKey, PrecomputedDigestVariantsAgree) {
-  // Every overload funnels into the double-digest recipe, so keys computed
-  // by the sweep engine (precomputed per-graph digests), the cache layer
-  // (comp digest only) and the CLI (full recompute) must be identical.
+  // scheduleJobKey funnels into the double-digest recipe, so keys computed
+  // by the sweep engine (precomputed digests) and by the service and CLI
+  // (full recompute) must be identical.
   const Composition mesh4 = makeMesh(4);
   const Cdfg gcd = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
   const SchedulerOptions defaults;
 
-  const std::string base = scheduleJobKey(mesh4, gcd, defaults);
-  EXPECT_EQ(scheduleJobKeyWithCompDigest(compositionDigest(mesh4), gcd,
-                                         defaults),
-            base);
-  EXPECT_EQ(scheduleJobKeyWithDigests(compositionDigest(mesh4),
-                                      cdfgDigest(gcd), defaults),
-            base);
+  EXPECT_EQ(scheduleJobKey(mesh4, gcd, defaults),
+            scheduleJobKeyWithDigests(compositionDigest(mesh4),
+                                      cdfgDigest(gcd), defaults));
   EXPECT_EQ(cdfgDigest(gcd).size(), 64u) << "SHA-256 hex";
   EXPECT_EQ(cdfgDigest(gcd), cdfgDigest(gcd)) << "deterministic";
 }

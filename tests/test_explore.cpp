@@ -3,12 +3,13 @@
 // semantics, evaluator memoization, and the Explorer's acceptance
 // properties — byte-identical stable reports across thread counts and
 // repeats for a fixed seed, every front member non-dominated, exact
-// budget accounting, and warm artifact-store re-runs with hits > 0 and
-// an identical front.
+// budget accounting, warm artifact-store re-runs with hits > 0 and an
+// identical front, and front members that run every kernel bit-exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,7 +19,10 @@
 #include "explore/explorer.hpp"
 #include "explore/operators.hpp"
 #include "explore/space.hpp"
+#include "kir/interp.hpp"
 #include "kir/lower_cdfg.hpp"
+#include "sched/scheduler.hpp"
+#include "sim/simulator.hpp"
 #include "support/rng.hpp"
 
 namespace cgra::explore {
@@ -397,6 +401,50 @@ TEST(Explorer, WarmStoreRerunHitsCacheAndKeepsTheFront) {
     EXPECT_EQ(report.counters.storeHits, coldMisses)
         << "every cold miss must be a warm hit";
     EXPECT_EQ(report.toJson(false).dump(), coldStable);
+  }
+}
+
+TEST(Explorer, FrontMembersRunEveryKernelBitExact) {
+  // The front answers "which compositions fit this kernel domain" (paper
+  // §VII): every member must run every kernel correctly, and its quality
+  // axis must be the weighted context count.
+  const std::vector<apps::Workload> workloads{apps::makeEwmaClip(8, 3),
+                                              apps::makeBubbleSort(6, 4)};
+  std::vector<Cdfg> graphs;
+  for (const apps::Workload& w : workloads)
+    graphs.push_back(kir::lowerToCdfg(w.fn).graph);
+  const std::vector<ExploreKernel> set{
+      ExploreKernel{workloads[0].name, &graphs[0], 1.0},
+      ExploreKernel{workloads[1].name, &graphs[1], 2.0}};
+
+  Explorer explorer(tinySpace(), set, smallOptions("genetic", 42));
+  const ExploreReport report = explorer.run();
+  ASSERT_FALSE(report.front.empty());
+  for (const CandidateEval& e : report.front) {
+    const Composition comp = e.genotype.materialize();
+    ASSERT_EQ(e.kernels.size(), set.size()) << e.key;
+    double weighted = 0.0;
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      const apps::Workload& w = workloads[i];
+      ASSERT_TRUE(e.kernels[i].ok) << e.key << " " << w.name;
+      weighted += set[i].weight * e.kernels[i].contexts;
+
+      HostMemory goldenHeap = w.heap;
+      const auto golden =
+          kir::Interpreter().run(w.fn, w.initialLocals, goldenHeap);
+      const ScheduleReport r =
+          Scheduler(comp).schedule(ScheduleRequest(graphs[i])).orThrow();
+      EXPECT_EQ(r.stats.contextsUsed, e.kernels[i].contexts) << e.key;
+      std::map<VarId, std::int32_t> liveIns;
+      for (const LiveBinding& lb : r.schedule.liveIns)
+        liveIns[lb.var] = w.initialLocals[lb.var];
+      HostMemory heap = w.heap;
+      const SimResult sr = Simulator(comp, r.schedule).run(liveIns, heap);
+      EXPECT_TRUE(heap == goldenHeap) << e.key << " " << w.name;
+      for (const auto& [var, value] : sr.liveOuts)
+        EXPECT_EQ(value, golden.locals[var]) << e.key << " " << w.name;
+    }
+    EXPECT_EQ(e.weightedLength, weighted) << e.key;
   }
 }
 

@@ -67,9 +67,9 @@ std::vector<json::Value> runService(const std::string& requests,
                                     artifact::ServiceStats* statsOut = nullptr) {
   std::istringstream in(requests);
   std::ostringstream out;
-  const artifact::ServiceStats stats =
-      artifact::serveJsonl(in, out, store, options);
-  if (statsOut != nullptr) *statsOut = stats;
+  artifact::Service service(store, std::move(options));
+  service.serveStream(in, out);
+  if (statsOut != nullptr) *statsOut = service.stats();
   return parseLines(out.str());
 }
 
@@ -502,9 +502,6 @@ TEST(Service, RefusesToUnlinkNonSocketFiles) {
   artifact::Service service(store);
   EXPECT_THROW(service.addUnixListener(path), Error);
   EXPECT_TRUE(sfs::exists(path)) << "the non-socket file must survive";
-  // The wrapper goes through the same guard.
-  EXPECT_THROW(artifact::serveUnixSocket(path, store, {}, 1), Error);
-  EXPECT_TRUE(sfs::exists(path));
 }
 
 TEST(Service, ReplacesStaleSocketFiles) {
@@ -734,19 +731,16 @@ TEST(Service, ShedResponsesHonorThePerConnectionCap) {
       << "every line is answered once the pause lifts";
 }
 
-TEST(Service, UnixSocketWrapperServesConcurrentClients) {
-  TempDir dir("wrapper");
+TEST(Service, UnixListenerStopsAfterMaxConnections) {
+  TempDir dir("maxconn");
   const std::string path = (dir.path / "serve.sock").string();
   artifact::ArtifactStore store;
   artifact::ServiceOptions options;
   options.threads = 2;
-
-  artifact::ServiceStats stats;
-  std::thread server([&] {
-    stats = artifact::serveUnixSocket(path, store, options,
-                                      /*maxConnections=*/2);
-  });
-  ASSERT_TRUE(eventually([&] { return sfs::exists(path); }));
+  options.maxConnections = 2;
+  artifact::Service service(store, options);
+  service.addUnixListener(path);
+  service.start();
 
   auto runClient = [&path](int base) {
     artifact::JsonlClient c = artifact::JsonlClient::connectUnix(path);
@@ -766,8 +760,10 @@ TEST(Service, UnixSocketWrapperServesConcurrentClients) {
   std::thread c2([&] { runClient(200); });
   c1.join();
   c2.join();
-  server.join();  // maxConnections=2 reached: the wrapper returns
+  service.waitDone();  // maxConnections=2 reached: the sessions are done
+  service.stop();
 
+  const artifact::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests, 6u);
   EXPECT_EQ(stats.connectionsAccepted, 2u);
   EXPECT_EQ(stats.scheduled, 1u) << "one cold job; the rest hit or dedupe";

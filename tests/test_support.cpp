@@ -277,8 +277,8 @@ TEST(ParallelFor, CoversEachIndexExactlyOnce) {
   }
 }
 
-TEST(LatencyHistogram, EmptyHistogramReportsZeros) {
-  LatencyHistogram h;
+TEST(Log2Histogram, EmptyHistogramReportsZeros) {
+  Log2Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.maxUs(), 0u);
   EXPECT_EQ(h.meanUs(), 0.0);
@@ -286,8 +286,8 @@ TEST(LatencyHistogram, EmptyHistogramReportsZeros) {
   EXPECT_EQ(h.quantileUs(0.99), 0.0);
 }
 
-TEST(LatencyHistogram, ExactStatsAndMonotoneQuantiles) {
-  LatencyHistogram h;
+TEST(Log2Histogram, ExactStatsAndMonotoneQuantiles) {
+  Log2Histogram h;
   for (std::uint64_t us = 1; us <= 1000; ++us) h.record(us);
   EXPECT_EQ(h.count(), 1000u);
   EXPECT_EQ(h.maxUs(), 1000u);
@@ -306,8 +306,8 @@ TEST(LatencyHistogram, ExactStatsAndMonotoneQuantiles) {
   EXPECT_DOUBLE_EQ(h.quantileUs(1.0), 1000.0);
 }
 
-TEST(LatencyHistogram, SkewedTailSeparatesP50FromP99) {
-  LatencyHistogram h;
+TEST(Log2Histogram, SkewedTailSeparatesP50FromP99) {
+  Log2Histogram h;
   for (int i = 0; i < 99; ++i) h.record(100);    // fast bulk
   h.record(1u << 20);                            // one ~1 s straggler
   const double p50 = h.quantileUs(0.50);
@@ -317,10 +317,10 @@ TEST(LatencyHistogram, SkewedTailSeparatesP50FromP99) {
   EXPECT_EQ(h.maxUs(), 1u << 20);
 }
 
-TEST(LatencyHistogram, MergeMatchesCombinedRecording) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  LatencyHistogram both;
+TEST(Log2Histogram, MergeMatchesCombinedRecording) {
+  Log2Histogram a;
+  Log2Histogram b;
+  Log2Histogram both;
   for (std::uint64_t us : {3u, 17u, 200u}) {
     a.record(us);
     both.record(us);
@@ -337,19 +337,19 @@ TEST(LatencyHistogram, MergeMatchesCombinedRecording) {
   EXPECT_DOUBLE_EQ(a.quantileUs(0.99), both.quantileUs(0.99));
 }
 
-TEST(LatencyHistogram, HugeSamplesClampIntoTheLastBucket) {
-  LatencyHistogram h;
+TEST(Log2Histogram, HugeSamplesClampIntoTheLastBucket) {
+  Log2Histogram h;
   h.record(~0ull);  // must not index out of bounds
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.maxUs(), ~0ull);
   EXPECT_GT(h.quantileUs(0.5), 0.0);
 }
 
-TEST(LatencyHistogram, MergeWithEmptyIsIdentityBothWays) {
-  LatencyHistogram h;
-  LatencyHistogram empty;
+TEST(Log2Histogram, MergeWithEmptyIsIdentityBothWays) {
+  Log2Histogram h;
+  Log2Histogram empty;
   for (std::uint64_t us : {5u, 77u, 1900u}) h.record(us);
-  LatencyHistogram merged = h;
+  Log2Histogram merged = h;
   merged.merge(empty);
   EXPECT_EQ(merged.count(), h.count());
   EXPECT_EQ(merged.maxUs(), h.maxUs());
@@ -359,10 +359,10 @@ TEST(LatencyHistogram, MergeWithEmptyIsIdentityBothWays) {
   EXPECT_DOUBLE_EQ(empty.meanUs(), h.meanUs());
 }
 
-TEST(LatencyHistogram, SingleBucketQuantilesInterpolateWithinSpan) {
+TEST(Log2Histogram, SingleBucketQuantilesInterpolateWithinSpan) {
   // All samples land in bucket 5 ([32, 63] µs): every quantile must stay
   // inside that bucket's span and never exceed the observed max.
-  LatencyHistogram h;
+  Log2Histogram h;
   for (std::uint64_t us = 32; us <= 60; ++us) h.record(us);
   for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
     const double v = h.quantileUs(q);
@@ -372,19 +372,19 @@ TEST(LatencyHistogram, SingleBucketQuantilesInterpolateWithinSpan) {
   EXPECT_LE(h.quantileUs(0.5), h.quantileUs(0.99));
 }
 
-TEST(LatencyHistogram, QuantileClampsOutOfRangeArguments) {
-  LatencyHistogram h;
+TEST(Log2Histogram, QuantileClampsOutOfRangeArguments) {
+  Log2Histogram h;
   h.record(10);
   h.record(40);
   EXPECT_DOUBLE_EQ(h.quantileUs(-1.0), h.quantileUs(0.0));
   EXPECT_DOUBLE_EQ(h.quantileUs(2.0), h.quantileUs(1.0));
 }
 
-TEST(LatencyHistogram, SaturatingSumSurvivesHugeSampleMerges) {
+TEST(Log2Histogram, SaturatingSumSurvivesHugeSampleMerges) {
   // Two near-max samples overflow the 64-bit sum (wrapping, by design —
   // unsigned arithmetic); count, max, and quantiles must stay sane.
-  LatencyHistogram a;
-  LatencyHistogram b;
+  Log2Histogram a;
+  Log2Histogram b;
   a.record(~0ull);
   b.record(~0ull - 1);
   a.merge(b);
@@ -396,7 +396,7 @@ TEST(LatencyHistogram, SaturatingSumSurvivesHugeSampleMerges) {
 
 TEST(AtomicHistogram, SnapshotMatchesSingleThreadedRecording) {
   AtomicHistogram ah;
-  LatencyHistogram expect;
+  Log2Histogram expect;
   for (std::uint64_t us : {1u, 2u, 3u, 100u, 5000u, 5000u}) {
     ah.record(us);
     expect.record(us);

@@ -137,7 +137,7 @@ TEST(Sweep, RecordsFailuresWithoutAborting) {
   const SweepReport report = runSweep(jobs, opts);
   EXPECT_EQ(report.failures, 1u);
   EXPECT_FALSE(report.results[0].ok);
-  EXPECT_FALSE(report.results[0].error.empty());
+  EXPECT_FALSE(report.results[0].failure.message.empty());
   EXPECT_TRUE(report.results[1].ok);
   EXPECT_EQ(report.aggregate.runs, 1u);
 

@@ -26,8 +26,6 @@
 //                       [--csv r.csv]              static schedule-quality
 //                       report (utilization, occupancy, slack, heatmap)
 //                       without running the simulator
-//   cgra-tool synthesize --kernels adpcm,fir,gcd [--area-weight 0.25]
-//                       [--threads 4]
 //   cgra-tool sweep     --comps mesh4,mesh9,A --kernels adpcm,gcd
 //                       [--unroll 2] [--threads 4] [--metrics out.json]
 //                       [--trace tracedir] [--cache cachedir] [--seed 42]
@@ -45,7 +43,9 @@
 //                       design-space auto-tuner: search the composition
 //                       space for the Pareto front over modeled area vs.
 //                       schedule quality; deterministic under --seed,
-//                       cache-accelerated across generations and runs
+//                       cache-accelerated across generations and runs;
+//                       given an application domain's kernels it finds
+//                       the compositions that fit them (paper §VII)
 //   cgra-tool serve     [--cache cachedir] [--threads 4] [--socket p.sock]
 //                       [--tcp 0] [--max-clients 32] [--queue-bound 256]
 //                       concurrent batch compile server: JSONL schedule
@@ -101,6 +101,7 @@
 #include "kir/random_kernel.hpp"
 #include "sched/analysis.hpp"
 #include "sched/job_key.hpp"
+#include "sched/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/sweep.hpp"
 #include "sched/validate.hpp"
@@ -109,7 +110,6 @@
 #include "support/fs.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
-#include "synth/synthesis.hpp"
 #include "vgen/verilog.hpp"
 
 namespace {
@@ -181,11 +181,7 @@ constexpr FlagSpec kFlagTable[] = {
     {"metrics", true, false, "PATH",
      "write the aggregated sweep-metrics JSON report (sweep) or the final "
      "Prometheus exposition (serve, explore)"},
-    {"area-weight", true, false, "W",
-     "synthesis score weight of LUT area (default 0.25)"},
-    {"out", true, false, "PATH",
-     "write the result JSON: winning composition (synthesize) or "
-     "Pareto-front report (explore)"},
+    {"out", true, false, "PATH", "write the Pareto-front report JSON"},
     {"space", true, false, "PATH",
      "composition-space spec JSON bounding the explore search (omit for "
      "the built-in space)"},
@@ -316,10 +312,6 @@ public:
     const auto it = values_.find(key);
     return it == values_.end() ? fallback
                                : static_cast<unsigned>(std::stoul(it->second));
-  }
-  double getDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
   }
 
 private:
@@ -679,9 +671,9 @@ int cmdSchedule(const Args& args) {
     std::cout << " (cache hit " << key.substr(0, 12) << ")";
   std::cout << "\n";
 
-  const ScheduleAnalysis analysis = analyzeSchedule(result.schedule, comp);
-  std::cout << "avg PE utilization " << fmt(analysis.avgUtilization * 100, 1)
-            << "%, peak parallelism " << analysis.peakParallelism << "\n";
+  const ScheduleQuality q = computeScheduleQuality(result.schedule, comp);
+  std::cout << "avg PE utilization " << fmt(q.staticUtilization * 100, 1)
+            << "%, peak parallelism " << q.peakParallelism << "\n";
 
   if (args.has("gantt"))
     std::cout << "\n" << ganttChart(result.schedule, comp);
@@ -912,7 +904,7 @@ int cmdSweep(const Args& args) {
   for (const SweepJobResult& r : report.results)
     table.addRow({r.label,
                   r.ok ? std::to_string(r.stats.contextsUsed)
-                       : "FAIL: " + r.error.substr(0, 40),
+                       : "FAIL: " + r.failure.message.substr(0, 40),
                   r.ok ? fmt(r.staticUtilization * 100, 1) + "%" : "-",
                   r.ok ? std::to_string(r.metrics.copiesInserted) : "-",
                   r.ok ? std::to_string(r.metrics.probeRejections) : "-",
@@ -1141,41 +1133,6 @@ int cmdServe(const Args& args) {
   return 0;
 }
 
-int cmdSynthesize(const Args& args) {
-  std::vector<apps::Workload> workloads;
-  for (const std::string& name :
-       splitCsv(args.get("kernels", "adpcm,fir,gcd")))
-    workloads.push_back(resolveKernel(name));
-
-  std::vector<Cdfg> graphs;
-  for (const apps::Workload& w : workloads)
-    graphs.push_back(kir::lowerToCdfg(w.fn).graph);
-  std::vector<DomainKernel> kernels;
-  for (std::size_t i = 0; i < graphs.size(); ++i)
-    kernels.push_back(DomainKernel{&graphs[i], 1.0, workloads[i].name});
-
-  SynthesisOptions opts;
-  opts.areaWeight = args.getDouble("area-weight", 0.25);
-  opts.threads = args.getUnsigned("threads", 0);
-  const SynthesisReport report = synthesizeComposition(kernels, opts);
-
-  std::cout << "domain: " << fmt(report.profile.mulFraction * 100, 1)
-            << "% IMUL, " << fmt(report.profile.memFraction * 100, 1)
-            << "% memory ops, ILP " << fmt(report.profile.avgIlp, 2) << "\n";
-  TextTable table({"Candidate", "Score", "Weighted length", "LUTs"});
-  for (const CandidateResult& c : report.candidates)
-    if (c.feasible)
-      table.addRow({c.name, fmt(c.score, 0), fmt(c.weightedLength, 0),
-                    fmt(c.lutArea, 0)});
-  table.print(std::cout);
-  std::cout << "winner: " << report.best.name() << "\n";
-  if (args.has("out")) {
-    json::writeFile(args.get("out"), report.best.toJson());
-    std::cout << "wrote " << args.get("out") << "\n";
-  }
-  return 0;
-}
-
 int cmdAnalyze(const Args& args) {
   const Composition comp = resolveComposition(args.get("comp", "mesh4"));
   Prepared p = prepareKernel(args);
@@ -1186,16 +1143,16 @@ int cmdAnalyze(const Args& args) {
   std::cout << "== " << p.workload.name << " on " << comp.name() << " ==\n\n"
             << ganttChart(result.schedule, comp) << "\n";
 
-  const ScheduleAnalysis a = analyzeSchedule(result.schedule, comp);
+  const ScheduleQuality q = computeScheduleQuality(result.schedule, comp);
   TextTable util({"PE", "busy cycles", "utilization", "ops", "inserted"});
-  for (const PEUtilization& pe : a.perPE)
+  for (const PEQuality& pe : q.perPE)
     util.addRow({std::to_string(pe.pe), std::to_string(pe.busyCycles),
                  fmt(pe.utilization * 100, 1) + "%",
                  std::to_string(pe.opsIssued),
-                 std::to_string(pe.copsIssued)});
+                 std::to_string(pe.insertedOps)});
   util.print(std::cout);
-  std::cout << "peak parallelism " << a.peakParallelism << ", C-Box busy "
-            << a.cboxBusyCycles << " cycles\n\n";
+  std::cout << "peak parallelism " << q.peakParallelism << ", C-Box busy "
+            << q.cboxBusyCycles << " cycles\n\n";
 
   TextTable mii({"Loop", "Depth", "Achieved II", "ResMII", "RecMII",
                  "Headroom"});
@@ -1237,8 +1194,6 @@ const CommandSpec kCommands[] = {
     {"analyze", "utilization, Gantt chart and loop-II bounds of a schedule",
      {"comp", "kernel", "kernel-file", "local", "array", "unroll", "cse"},
      cmdAnalyze},
-    {"synthesize", "rank candidate compositions for a kernel domain",
-     {"kernels", "area-weight", "threads", "out"}, cmdSynthesize},
     {"sweep", "schedule every (composition x kernel) pair in parallel",
      {"comps", "kernels", "kernel-dir", "unroll", "threads", "metrics",
       "max-contexts", "trace", "trace-capacity", "stable", "cache",

@@ -2,6 +2,7 @@
 # Regenerates every checked-in golden from the current scheduler output:
 #   tests/golden/sweep_stable_seed.json        (--stable sweep metrics)
 #   tests/golden/explore_stable_seed.json      (--stable explore front)
+#   tests/golden/explore_domain_seed.json      (EXPERIMENTS domain search)
 #   tests/golden/explain_adpcm_mesh9.txt       (decision transcript)
 #   tests/golden/explain_gcd_irregularD.txt    (decision transcript)
 #   tests/golden/random_kernel_fingerprints.txt (60-seed schedule corpus)
@@ -30,6 +31,11 @@ echo "== stable explore front"
 "$tool" explore --kernels dotprod,gcd --strategy genetic --seed 42 \
   --budget 12 --population 4 --threads 2 --stable \
   --out "$golden/explore_stable_seed.json" >/dev/null
+
+echo "== explore domain search"
+"$tool" explore --kernels adpcm,fir,ewma --strategy genetic --seed 42 \
+  --budget 48 --population 8 --threads 2 --stable \
+  --out "$golden/explore_domain_seed.json" >/dev/null
 
 echo "== explain transcripts"
 "$tool" explain --comp mesh9 --kernel adpcm \
