@@ -25,12 +25,6 @@ using namespace cgra::bench;
 constexpr int kRounds = 3;
 constexpr unsigned kJobs = 64;
 
-double msSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 }  // namespace
 
 int main() {
@@ -91,8 +85,9 @@ int main() {
   }
 
   const double setupPerJobMs =
-      first.aggregate.runs > 0 ? first.aggregate.setupMs / first.aggregate.runs
-                               : 0.0;
+      first.aggregate.runs > 0
+          ? first.aggregate.passAnalysisMs / first.aggregate.runs
+          : 0.0;
 
   std::cout << "jobs: " << jobs.size() << " on " << comp.name()
             << " (deduped " << first.dedupedJobs << ")\n"

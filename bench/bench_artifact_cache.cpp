@@ -31,12 +31,6 @@ using namespace cgra::bench;
 
 constexpr int kRounds = 3;
 
-double msSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 }  // namespace
 
 int main() {

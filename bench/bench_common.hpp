@@ -26,6 +26,7 @@
 #include "sched/scheduler.hpp"
 #include "sim/report.hpp"
 #include "sim/simulator.hpp"
+#include "support/clock.hpp"
 #include "support/table.hpp"
 
 namespace cgra::bench {
@@ -93,9 +94,7 @@ public:
     o["schema"] = "cgra-bench-v1";
     o["name"] = name_;
     o["gitRev"] = gitRev();
-    o["wallMs"] = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count();
+    o["wallMs"] = msSince(start_);
     o["metrics"] = std::move(metrics_);
     o["timings"] = std::move(timings_);
     o["info"] = std::move(info_);
@@ -155,7 +154,7 @@ inline AdpcmRun runAdpcmOn(const AdpcmSetup& setup, const Composition& comp,
 
   out.contexts = result.schedule.length;
   out.maxRfEntries = alloc.maxRfEntries();
-  out.schedulingMs = result.stats.wallTimeMs;
+  out.schedulingMs = result.metrics.totalMs;
   out.resources = estimateResources(comp);
 
   std::map<VarId, std::int32_t> liveIns;

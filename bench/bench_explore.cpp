@@ -21,12 +21,6 @@ namespace {
 using namespace cgra;
 using namespace cgra::bench;
 
-double msSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 }  // namespace
 
 int main() {

@@ -134,7 +134,7 @@ int main() {
     const kir::LoweringResult lowered = kir::lowerToCdfg(norm);
     const ScheduleReport sched =
         Scheduler(comp).schedule(ScheduleRequest(lowered.graph)).orThrow();
-    schedulingMs += sched.stats.wallTimeMs;
+    schedulingMs += sched.metrics.totalMs;
 
     std::map<VarId, std::int32_t> liveIns;
     for (const LiveBinding& lb : sched.schedule.liveIns)

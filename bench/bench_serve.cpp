@@ -120,9 +120,7 @@ PassResult runPass(std::uint16_t port, const JobPool& pool,
     });
   }
   for (std::thread& t : clients) t.join();
-  result.wallMs = std::chrono::duration<double, std::milli>(Clock::now() -
-                                                            start)
-                      .count();
+  result.wallMs = msSince(start);
   return result;
 }
 

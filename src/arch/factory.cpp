@@ -276,6 +276,17 @@ Composition makeTopology(const std::string& name, const std::string& topology,
                      opts.contextMemoryLength, opts.cboxSlots);
 }
 
+Composition resolveComposition(const std::string& name) {
+  if (name.rfind("mesh", 0) == 0)
+    return makeMesh(static_cast<unsigned>(std::stoul(name.substr(4))));
+  if (name.size() == 1 && name[0] >= 'A' && name[0] <= 'F')
+    return makeIrregular(name[0]);
+  if (name.find(".json") != std::string::npos)
+    return Composition::fromJsonFile(name);
+  throw Error("unknown composition \"" + name +
+              "\" (expected meshN, A..F, or a .json path)");
+}
+
 const std::vector<unsigned>& meshSizes() {
   static const std::vector<unsigned> kSizes{4, 6, 8, 9, 12, 16};
   return kSizes;

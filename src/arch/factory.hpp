@@ -68,6 +68,12 @@ Composition makeTopology(const std::string& name, const std::string& topology,
                          const std::vector<PEId>& dmaPEs,
                          const std::vector<PEId>& mulPEs = {});
 
+/// Resolves a composition name as the CLI and the compile service accept
+/// it: `meshN` (makeMesh), a letter `A`..`F` (makeIrregular), or a path
+/// containing `.json` (Composition::fromJsonFile). Throws cgra::Error on
+/// any other name.
+Composition resolveComposition(const std::string& name);
+
 /// All Fig. 13 mesh sizes in paper order: {4, 6, 8, 9, 12, 16}.
 const std::vector<unsigned>& meshSizes();
 

@@ -298,7 +298,6 @@ json::Value statsToJson(const ScheduleStats& s) {
   o["copiesInserted"] = static_cast<std::int64_t>(s.copiesInserted);
   o["constsInserted"] = static_cast<std::int64_t>(s.constsInserted);
   o["fusedWrites"] = static_cast<std::int64_t>(s.fusedWrites);
-  // wallTimeMs is volatile by definition and intentionally not persisted.
   return o;
 }
 
@@ -403,10 +402,8 @@ ScheduleArtifact ScheduleArtifact::fromReport(std::string key,
   a.key = std::move(key);
   a.ok = report.ok;
   a.stats = report.stats;
-  a.stats.wallTimeMs = 0.0;
   a.metrics = report.metrics;
-  a.metrics.setupMs = a.metrics.planMs = a.metrics.finalizeMs =
-      a.metrics.totalMs = a.metrics.loopCloseMs = a.metrics.placementMs = 0.0;
+  a.metrics.clearTimings();
   if (report.ok) {
     a.schedule = report.schedule;
     a.fingerprint = report.schedule.fingerprint();

@@ -38,7 +38,7 @@ struct ScheduleArtifact {
   std::string key;  ///< content-addressed cache key (sched/job_key.hpp)
   bool ok = false;
   Schedule schedule;             ///< valid when ok
-  ScheduleStats stats;           ///< wallTimeMs zeroed (volatile)
+  ScheduleStats stats;
   SchedulerMetrics metrics;      ///< counters only; timings zeroed
   ScheduleFailure failure;       ///< valid when !ok
   std::uint64_t fingerprint = 0; ///< Schedule::fingerprint() when ok

@@ -21,7 +21,7 @@
 #include "ctx/serialize.hpp"
 #include "kir/lower_cdfg.hpp"
 #include "kir/parser.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/pipeline.hpp"
 #include "sched/job_key.hpp"
 #include "sched/scheduler.hpp"
 #include "support/metrics_registry.hpp"
@@ -90,8 +90,7 @@ struct Request {
   std::string comp;
   std::string kernel;      ///< bundled kernel name
   std::string kernelFile;  ///< or a KIR file path (wins when both set)
-  unsigned unroll = 1;
-  bool cse = false;
+  kir::FrontendOptions frontend;  ///< "unroll" and "cse"
   unsigned maxContexts = 0;
   bool wantArtifact = false;
 };
@@ -110,8 +109,8 @@ Request parseRequest(const json::Value& doc, bool includeArtifact) {
   if (r.kernel.empty() && r.kernelFile.empty())
     throw Error("request misses \"kernel\" (or \"kernelFile\")");
   if (const json::Value* v = o.find("unroll"))
-    r.unroll = static_cast<unsigned>(v->asInt());
-  if (const json::Value* v = o.find("cse")) r.cse = v->asBool();
+    r.frontend.unrollFactor = static_cast<unsigned>(v->asInt());
+  if (const json::Value* v = o.find("cse")) r.frontend.cse = v->asBool();
   if (const json::Value* v = o.find("maxContexts"))
     r.maxContexts = static_cast<unsigned>(v->asInt());
   if (const json::Value* v = o.find("artifact"))
@@ -119,34 +118,17 @@ Request parseRequest(const json::Value& doc, bool includeArtifact) {
   return r;
 }
 
-Composition resolveComposition(const std::string& name) {
-  if (name.rfind("mesh", 0) == 0)
-    return makeMesh(static_cast<unsigned>(std::stoul(name.substr(4))));
-  if (name.size() == 1 && name[0] >= 'A' && name[0] <= 'F')
-    return makeIrregular(name[0]);
-  if (name.find(".json") != std::string::npos)
-    return Composition::fromJsonFile(name);
-  throw Error("unknown composition \"" + name +
-              "\" (expected meshN, A..F, or a .json path)");
-}
-
+/// Loads the requested kernel and runs it through the same frontend
+/// normalization pipeline as `cgra-tool schedule`, so served KIR files may
+/// use break/continue/return, switch and && / ||.
 Cdfg resolveGraph(const Request& r) {
-  kir::Function fn("");
-  if (!r.kernelFile.empty()) {
-    fn = kir::parseKernelFile(r.kernelFile);
-  } else {
-    bool found = false;
-    for (apps::Workload& w : apps::allWorkloads())
-      if (w.name == r.kernel) {
-        fn = std::move(w.fn);
-        found = true;
-        break;
-      }
-    if (!found) throw Error("unknown kernel \"" + r.kernel + "\"");
-  }
-  if (r.cse) fn = kir::eliminateCommonSubexpressions(fn);
-  if (r.unroll >= 2) fn = kir::unrollLoops(fn, r.unroll, true);
-  return kir::lowerToCdfg(fn).graph;
+  const auto lower = [&r](const kir::Function& fn) {
+    return kir::lowerToCdfg(kir::runFrontendPipeline(fn, r.frontend).fn).graph;
+  };
+  if (!r.kernelFile.empty()) return lower(kir::parseKernelFile(r.kernelFile));
+  for (const apps::Workload& w : apps::allWorkloads())
+    if (w.name == r.kernel) return lower(w.fn);
+  throw Error("unknown kernel \"" + r.kernel + "\"");
 }
 
 /// Tracks one key being scheduled right now so identical concurrent
@@ -815,15 +797,9 @@ struct Service::Impl {
       return errorResponse(id, WireError::Parse, e.what());
     }
     Composition comp;
-    try {
-      comp = resolveComposition(req.comp);
-    } catch (const std::exception& e) {
-      mParseErrors.inc();
-      sp.outcome = "unknown_comp";
-      return errorResponse(id, WireError::UnknownComp, e.what());
-    }
     Cdfg graph;
     try {
+      comp = resolveComposition(req.comp);
       graph = resolveGraph(req);
     } catch (const std::exception& e) {
       mParseErrors.inc();
@@ -867,7 +843,6 @@ struct Service::Impl {
             const Clock::time_point tSched = Clock::now();
             const Scheduler scheduler(comp, schedOpts);
             ScheduleRequest sreq(graph);
-            sreq.options = schedOpts;
             // Sampled cold runs carry the PR 2 decision trace and land as
             // one Chrome-JSON file per request under options.traceDir.
             const std::uint64_t seq =

@@ -1,24 +1,15 @@
 #include "artifact/sweep_cache.hpp"
 
 #include <chrono>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "arch/arch_model.hpp"
-#include "sched/job_key.hpp"
+#include "support/clock.hpp"
 
 namespace cgra::artifact {
 
 namespace {
-
-/// Strips the volatile (wall-time) fields so the artifact's content is a
-/// pure function of the scheduling inputs.
-SchedulerMetrics stripTimings(SchedulerMetrics m) {
-  m.setupMs = m.planMs = m.finalizeMs = m.totalMs = 0.0;
-  m.loopCloseMs = m.placementMs = 0.0;
-  return m;
-}
 
 /// Rehydrates a SweepJobResult from a stored artifact. Fingerprint and
 /// staticUtilization are recomputed from the deserialized schedule — not
@@ -51,13 +42,15 @@ SweepJobResult resultFromArtifact(const SweepJob& job,
   return r;
 }
 
+/// Volatile wall times are zeroed so the artifact's content is a pure
+/// function of the scheduling inputs.
 ScheduleArtifact artifactFromResult(const SweepJobResult& r) {
   ScheduleArtifact art;
   art.key = r.cacheKey;
   art.ok = r.ok;
   art.stats = r.stats;
-  art.stats.wallTimeMs = 0.0;
-  art.metrics = stripTimings(r.metrics);
+  art.metrics = r.metrics;
+  art.metrics.clearTimings();
   if (r.ok) {
     art.schedule = r.schedule;
     art.fingerprint = r.fingerprint;
@@ -90,44 +83,33 @@ SweepReport runCachedSweep(const std::vector<SweepJob>& jobs,
   std::vector<std::size_t> missIndex;  ///< miss position → job index
   std::size_t duplicateHits = 0;
   {
-    std::unordered_map<const Cdfg*, std::string> graphDigests;
+    const std::vector<std::string> keys = sweepJobKeys(jobs);
     std::unordered_set<std::string> seenKeys;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].comp == nullptr || jobs[i].graph == nullptr) {
-        missJobs.push_back(jobs[i]);  // uncacheable; runJob records failure
-        missIndex.push_back(i);
-        continue;
-      }
-      // Same per-graph digest memo as runSweep's dedup loop: hash each
-      // distinct kernel graph once, not once per (comp × kernel) job.
-      std::string& graphDigest = graphDigests[jobs[i].graph];
-      if (graphDigest.empty()) graphDigest = cdfgDigest(*jobs[i].graph);
-      const std::string key = scheduleJobKeyWithDigests(
-          ArchModel::get(*jobs[i].comp)->digest(), graphDigest,
-          jobs[i].options);
-      const bool duplicate = !seenKeys.insert(key).second;
-      if (const auto art = store.lookup(key)) {
-        report.results[i] =
-            resultFromArtifact(jobs[i], *art, options.keepSchedules, trace);
-        ++report.cacheHits;
-        // Keep dedupedJobs a pure function of the job list: a duplicate
-        // served from the store on a warm run counts the same as one the
-        // inner sweep deduped on the cold run — so the stable JSON of cold
-        // and warm sweeps stays byte-identical.
-        if (duplicate) ++duplicateHits;
-      } else {
+      const std::string& key = keys[i];
+      // An empty key marks a malformed job: uncacheable, and runJob
+      // records its failure.
+      const auto art = key.empty() ? nullptr : store.lookup(key);
+      if (art == nullptr) {
         // A duplicate of a missed key also misses here (the first
         // occurrence is not inserted until after the inner sweep) and is
         // counted by the inner sweep's own dedup.
         missJobs.push_back(jobs[i]);
         missIndex.push_back(i);
-        ++report.cacheMisses;
+        if (!key.empty()) ++report.cacheMisses;
+        continue;
       }
+      report.results[i] =
+          resultFromArtifact(jobs[i], *art, options.keepSchedules, trace);
+      ++report.cacheHits;
+      // Keep dedupedJobs a pure function of the job list: a duplicate
+      // served from the store on a warm run counts the same as one the
+      // inner sweep deduped on the cold run — so the stable JSON of cold
+      // and warm sweeps stays byte-identical.
+      if (!seenKeys.insert(key).second) ++duplicateHits;
     }
   }
-  const double keyMs = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - keyStart)
-                           .count();
+  const double keyMs = msSince(keyStart);
 
   // Schedule the misses on the regular engine. keepSchedules is forced on
   // so artifacts can be built; the caller's preference is applied after.
@@ -143,12 +125,7 @@ SweepReport runCachedSweep(const std::vector<SweepJob>& jobs,
   // inner sweep's miss-only tally. The volatile build counters cover the
   // whole cached sweep: keying above builds any model the memo was missing,
   // so the inner sweep's own tally alone would under-report.
-  {
-    std::unordered_set<const ArchModel*> models;
-    for (const SweepJob& job : jobs)
-      if (job.comp != nullptr) models.insert(ArchModel::get(*job.comp).get());
-    report.routingCacheEntries = models.size();
-  }
+  report.routingCacheEntries = countArchModels(jobs);
   report.archModelBuilds =
       static_cast<std::size_t>(ArchModel::buildsPerformed() - buildsBefore);
   report.archModelBuildMs = keyMs + missReport.archModelBuildMs;
@@ -163,26 +140,10 @@ SweepReport runCachedSweep(const std::vector<SweepJob>& jobs,
     if (!options.keepSchedules) r.schedule = Schedule{};
     report.results[missIndex[m]] = std::move(r);
   }
-
-  report.aggregate.runs = 0;
-  double utilSum = 0.0;
-  std::size_t okCount = 0;
-  for (const SweepJobResult& r : report.results) {
-    if (r.ok) {
-      report.aggregate.merge(r.metrics);
-      utilSum += r.staticUtilization;
-      ++okCount;
-    } else {
-      ++report.failures;
-      report.failuresByReason[static_cast<std::size_t>(r.failure.reason)]++;
-    }
-  }
-  if (okCount > 0) report.meanStaticUtilization = utilSum / okCount;
+  report.tallyResults();
 
   report.cacheEvictions = store.counters().evictions - evictionsBefore;
-  report.wallTimeMs = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - wallStart)
-                          .count();
+  report.wallTimeMs = msSince(wallStart);
   return report;
 }
 

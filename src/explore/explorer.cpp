@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "explore/operators.hpp"
+#include "support/clock.hpp"
 
 namespace cgra::explore {
 
@@ -14,12 +15,6 @@ namespace {
 /// (support/rng.hpp): workload data and random kernels use other ids, so
 /// `--seed 42` everywhere never aliases streams.
 constexpr std::uint64_t kExploreStream = 0xE07;
-
-double millisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// Scalar collapse of the two objectives, used only for ranking parents
 /// and the hillclimb pivot (the report itself stays bi-objective). The
@@ -245,7 +240,7 @@ ExploreReport Explorer::run() {
     stats.frontSize = front.size();
     stats.dominated = feasible - front.size();
     stats.infeasible = archive_.size() - feasible;
-    stats.wallMs = millisSince(genStart);
+    stats.wallMs = msSince(genStart);
     stats.storeHits = after.storeHits - before.storeHits;
     report.generations.push_back(stats);
 
@@ -274,7 +269,7 @@ ExploreReport Explorer::run() {
   report.dominatedCount = feasible - front.size();
   report.infeasibleCount = archive_.size() - feasible;
   report.counters = evaluator_.counters();
-  report.wallTimeMs = millisSince(runStart);
+  report.wallTimeMs = msSince(runStart);
   return report;
 }
 

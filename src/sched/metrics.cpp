@@ -4,6 +4,30 @@
 
 namespace cgra {
 
+namespace {
+
+/// The wall-time fields and their JSON keys — the one list merge,
+/// clearTimings and toJson walk.
+struct TimingField {
+  const char* key;
+  double SchedulerMetrics::*field;
+};
+
+constexpr TimingField kTimingFields[] = {
+    {"totalMs", &SchedulerMetrics::totalMs},
+    {"passAnalysisMs", &SchedulerMetrics::passAnalysisMs},
+    {"passCandidateMs", &SchedulerMetrics::passCandidateMs},
+    {"passCostModelMs", &SchedulerMetrics::passCostModelMs},
+    {"passPlacementMs", &SchedulerMetrics::passPlacementMs},
+    {"passRoutingMs", &SchedulerMetrics::passRoutingMs},
+    {"passFusingMs", &SchedulerMetrics::passFusingMs},
+    {"passCboxMs", &SchedulerMetrics::passCboxMs},
+    {"passLoopMs", &SchedulerMetrics::passLoopMs},
+    {"passFinalizeMs", &SchedulerMetrics::passFinalizeMs},
+};
+
+}  // namespace
+
 void SchedulerMetrics::merge(const SchedulerMetrics& other) {
   nodesScheduled += other.nodesScheduled;
   copiesInserted += other.copiesInserted;
@@ -15,22 +39,12 @@ void SchedulerMetrics::merge(const SchedulerMetrics& other) {
   candidateIterations += other.candidateIterations;
   placementAttempts += other.placementAttempts;
   probeRejections += other.probeRejections;
-  setupMs += other.setupMs;
-  planMs += other.planMs;
-  finalizeMs += other.finalizeMs;
-  totalMs += other.totalMs;
-  loopCloseMs += other.loopCloseMs;
-  placementMs += other.placementMs;
-  passAnalysisMs += other.passAnalysisMs;
-  passCandidateMs += other.passCandidateMs;
-  passCostModelMs += other.passCostModelMs;
-  passPlacementMs += other.passPlacementMs;
-  passRoutingMs += other.passRoutingMs;
-  passFusingMs += other.passFusingMs;
-  passCboxMs += other.passCboxMs;
-  passLoopMs += other.passLoopMs;
-  passFinalizeMs += other.passFinalizeMs;
+  for (const TimingField& t : kTimingFields) this->*t.field += other.*t.field;
   runs += other.runs;
+}
+
+void SchedulerMetrics::clearTimings() {
+  for (const TimingField& t : kTimingFields) this->*t.field = 0.0;
 }
 
 json::Value SchedulerMetrics::toJson(bool includeTimings) const {
@@ -45,23 +59,8 @@ json::Value SchedulerMetrics::toJson(bool includeTimings) const {
   o["candidateIterations"] = candidateIterations;
   o["placementAttempts"] = placementAttempts;
   o["probeRejections"] = probeRejections;
-  if (includeTimings) {
-    o["setupMs"] = setupMs;
-    o["planMs"] = planMs;
-    o["finalizeMs"] = finalizeMs;
-    o["totalMs"] = totalMs;
-    o["loopCloseMs"] = loopCloseMs;
-    o["placementMs"] = placementMs;
-    o["passAnalysisMs"] = passAnalysisMs;
-    o["passCandidateMs"] = passCandidateMs;
-    o["passCostModelMs"] = passCostModelMs;
-    o["passPlacementMs"] = passPlacementMs;
-    o["passRoutingMs"] = passRoutingMs;
-    o["passFusingMs"] = passFusingMs;
-    o["passCboxMs"] = passCboxMs;
-    o["passLoopMs"] = passLoopMs;
-    o["passFinalizeMs"] = passFinalizeMs;
-  }
+  if (includeTimings)
+    for (const TimingField& t : kTimingFields) o[t.key] = this->*t.field;
   o["runs"] = runs;
   return json::sortKeys(json::Value(std::move(o)));
 }

@@ -1,11 +1,11 @@
-// Scheduler metrics: counters and per-phase wall time of one scheduling run.
+// Scheduler metrics: counters and per-pass wall time of one scheduling run.
 //
 // The composition-sweep engine aggregates these across N (composition ×
 // kernel) jobs and exports them as JSON (`cgra-tool sweep --metrics`), so
 // many-config explorations can be profiled without re-instrumenting the
-// scheduler: where does the wall time go (planning vs. setup), how many
-// candidate-loop iterations and rejected placement probes
-// does a composition cost, how much copy/const/C-Box traffic it induces.
+// scheduler: which pass the wall time goes to, how many candidate-loop
+// iterations and rejected placement probes does a composition cost, how
+// much copy/const/C-Box traffic it induces.
 #pragma once
 
 #include <cstdint>
@@ -30,21 +30,16 @@ struct SchedulerMetrics {
   std::uint64_t candidateIterations = 0; ///< candidate-loop iterations
   std::uint64_t placementAttempts = 0;   ///< candidate × PE placements tried
   std::uint64_t probeRejections = 0;     ///< probes rejected (rolled back)
-  // Per-phase wall time (milliseconds).
-  double setupMs = 0.0;     ///< validation + state/routing-table setup
-  double planMs = 0.0;      ///< main scheduling loop
-  double finalizeMs = 0.0;  ///< finalize + stats
+  // Wall time (milliseconds), volatile: present in `--metrics` JSON,
+  // excluded from the `--stable` form and zeroed in stored artifacts.
+  // totalMs spans the whole run, from graph validation to the end of
+  // finalize. The nine pass times are the PassTimer's exclusive self-times
+  // (DESIGN.md §13): each nanosecond inside a pass scope is attributed to
+  // exactly one pass (the innermost active one), so nested calls — a
+  // placement probe dipping into routing, fusing and the C-Box — never
+  // double-count. totalMs minus their sum is the pipeline driver's own
+  // bookkeeping. Gateable via bench_compare --gate-timing.
   double totalMs = 0.0;
-  // Per-pass breakdown of the planning loop (sums to ~planMs; the
-  // remainder is loop bookkeeping). Volatile like every wall time: present
-  // in `--metrics` JSON, excluded from the `--stable` form.
-  double loopCloseMs = 0.0;  ///< tryCloseLoops: loop closure + invalidation
-  double placementMs = 0.0;  ///< planStep: candidate × PE placement probes
-  // Exclusive per-pass self-times from the PassTimer (DESIGN.md §13): each
-  // nanosecond of the instrumented run is attributed to exactly one of the
-  // nine passes (the innermost active scope), so nested calls — a placement
-  // probe dipping into routing, fusing and the C-Box — never double-count.
-  // Volatile like every wall time; gateable via bench_compare --gate-timing.
   double passAnalysisMs = 0.0;
   double passCandidateMs = 0.0;
   double passCostModelMs = 0.0;
@@ -60,6 +55,10 @@ struct SchedulerMetrics {
 
   /// Element-wise accumulation (wall times add; `runs` adds).
   void merge(const SchedulerMetrics& other);
+
+  /// Zeroes every wall-time field — exactly the keys `toJson(false)` omits
+  /// — so what remains is a pure function of the scheduling inputs.
+  void clearTimings();
 
   /// Flat JSON object, keys matching the field names above, sorted.
   /// `includeTimings = false` omits the wall-time fields — the byte-stable

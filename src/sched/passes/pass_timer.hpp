@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "sched/metrics.hpp"
+#include "support/clock.hpp"
 #include "support/small_vector.hpp"
 
 namespace cgra::passes {
@@ -60,8 +61,10 @@ public:
     return static_cast<double>(ns_[static_cast<std::size_t>(p)]) * 1e-6;
   }
 
-  /// Copies the nine accumulated self-times into the run's metrics.
-  void flushInto(SchedulerMetrics& m) const {
+  /// Copies the nine accumulated self-times into the run's metrics, plus
+  /// the whole run's wall time since `runStart` as totalMs.
+  void flushInto(SchedulerMetrics& m, Clock::time_point runStart) const {
+    m.totalMs = msSince(runStart);
     m.passAnalysisMs = ms(PassId::Analysis);
     m.passCandidateMs = ms(PassId::Candidate);
     m.passCostModelMs = ms(PassId::CostModel);
@@ -76,7 +79,7 @@ public:
 private:
   /// Charges the lap since the last transition to the innermost active
   /// pass (no-op between scopes — that time belongs to the pipeline
-  /// driver, reported as planMs minus the pass sum).
+  /// driver: totalMs minus the pass sum).
   void charge(Clock::time_point now) {
     if (!stack_.empty())
       ns_[static_cast<std::size_t>(stack_.back())] +=

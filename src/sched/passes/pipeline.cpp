@@ -1,6 +1,5 @@
 #include "sched/passes/pipeline.hpp"
 
-#include <chrono>
 #include <string>
 
 #include "sched/passes/analysis_pass.hpp"
@@ -56,15 +55,10 @@ namespace {
 ScheduleReport runPipeline(const ArchModel& model, const Composition& comp,
                            const SchedulerOptions& opts, const Cdfg& g,
                            Trace* trace) {
-  using Clock = std::chrono::steady_clock;
-  const auto ms = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double, std::milli>(b - a).count();
-  };
-
+  // The PassTimer is the run's only clock: it attributes time to the nine
+  // passes and, at flush, measures the whole run from this start.
   ScheduleReport report;
-  const auto wallStart = Clock::now();
-  auto setupEnd = wallStart;
-  auto planEnd = wallStart;
+  const PassTimer::Clock::time_point runStart = PassTimer::Clock::now();
 
   // Malformed graphs are programmer errors: validate() throws past the
   // report path on purpose.
@@ -85,32 +79,24 @@ ScheduleReport runPipeline(const ArchModel& model, const Composition& comp,
       runAnalysisPass(model, st);
     }
     CGRA_TRACE(st.trace, PhaseEnd, .detail = "setup");
-    setupEnd = Clock::now();
 
     openPhase = "plan";
     CGRA_TRACE(st.trace, PhaseBegin, .detail = "plan");
     while (st.scheduledCount < g.numNodes() || st.loopStack.size() > 1) {
       if (st.t >= st.limit) failUnmappable(st);
       CGRA_TRACE(st.trace, StepBegin, .cycle = st.t);
-      // Per-pass breakdown of the planning loop: two clock reads per step
-      // (~ns each) against steps that cost microseconds.
-      const auto stepStart = Clock::now();
       {
         PassScope scope(st.passTimer, PassId::Loop);
         tryCloseLoops(model, st);
       }
-      const auto loopsClosed = Clock::now();
       {
         PassScope scope(st.passTimer, PassId::Placement);
         planStep(model, st);
       }
-      st.metrics.loopCloseMs += ms(stepStart, loopsClosed);
-      st.metrics.placementMs += ms(loopsClosed, Clock::now());
       ++st.metrics.steps;
       ++st.t;
     }
     CGRA_TRACE(st.trace, PhaseEnd, .detail = "plan");
-    planEnd = Clock::now();
 
     openPhase = "finalize";
     CGRA_TRACE(st.trace, PhaseBegin, .detail = "finalize");
@@ -134,20 +120,12 @@ ScheduleReport runPipeline(const ArchModel& model, const Composition& comp,
                  .detail = TraceLiteral::fromStatic(openPhase));
   }
 
-  const auto wallEnd = Clock::now();
-  if (setupEnd == wallStart) setupEnd = wallEnd;  // failed during setup
-  if (planEnd < setupEnd) planEnd = wallEnd;      // failed during planning
-  st.stats.wallTimeMs = ms(wallStart, wallEnd);
-  st.metrics.setupMs = ms(wallStart, setupEnd);
-  st.metrics.planMs = ms(setupEnd, planEnd);
-  st.metrics.finalizeMs = ms(planEnd, wallEnd);
-  st.metrics.totalMs = st.stats.wallTimeMs;
+  st.passTimer.flushInto(st.metrics, runStart);
   st.metrics.copiesInserted = st.stats.copiesInserted;
   st.metrics.constsInserted = st.stats.constsInserted;
   st.metrics.fusedWrites = st.stats.fusedWrites;
   st.metrics.cboxOps = st.sched.cboxOps.size();
   st.metrics.branches = st.sched.branches.size();
-  st.passTimer.flushInto(st.metrics);
   report.stats = st.stats;
   report.metrics = st.metrics;
   if (report.ok) report.schedule = std::move(st.sched);

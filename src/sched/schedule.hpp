@@ -130,13 +130,13 @@ struct Schedule {
 };
 
 /// Scheduler statistics reported alongside the schedule (Table I metrics).
+/// Wall time is reported in SchedulerMetrics.
 struct ScheduleStats {
   unsigned contextsUsed = 0;
   unsigned cboxSlotsUsed = 0;
   unsigned copiesInserted = 0;
   unsigned constsInserted = 0;
   unsigned fusedWrites = 0;
-  double wallTimeMs = 0.0;
 };
 
 }  // namespace cgra

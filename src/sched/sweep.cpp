@@ -2,13 +2,13 @@
 
 #include <chrono>
 #include <filesystem>
-#include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "arch/arch_model.hpp"
 #include "sched/job_key.hpp"
+#include "support/clock.hpp"
 #include "support/thread_pool.hpp"
 
 namespace cgra {
@@ -86,46 +86,27 @@ SweepReport runSweep(const std::vector<SweepJob>& jobs,
   {
     const auto buildStart = std::chrono::steady_clock::now();
     const std::uint64_t buildsBefore = ArchModel::buildsPerformed();
-    std::set<const ArchModel*> distinctModels;
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      if (jobs[i].comp != nullptr)
-        distinctModels.insert(ArchModel::get(*jobs[i].comp).get());
-    report.routingCacheEntries = distinctModels.size();
+    report.routingCacheEntries = countArchModels(jobs);
     report.archModelBuilds =
         static_cast<std::size_t>(ArchModel::buildsPerformed() - buildsBefore);
-    report.archModelBuildMs = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - buildStart)
-                                  .count();
+    report.archModelBuildMs = msSince(buildStart);
   }
 
   // In-sweep dedup: the scheduler is a pure function of (composition,
   // graph, options), so jobs with equal content keys produce bit-identical
   // results — schedule each distinct key once and fan the result out.
-  // Composition digests are memoized on the ArchModel and CDFG digests per
-  // graph instance below, so an N-comp × M-kernel matrix hashes each
-  // composition JSON and each kernel graph once — not once per job (the
-  // per-job hashCdfg was the single hottest sweep-engine function).
-  std::vector<std::string> keys(jobs.size());
+  const std::vector<std::string> keys = sweepJobKeys(jobs);
   std::vector<std::size_t> representative(jobs.size());
   std::vector<std::size_t> uniqueJobs;
   {
-    std::unordered_map<const Cdfg*, std::string> graphDigests;
     std::unordered_map<std::string, std::size_t> firstByKey;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].comp == nullptr || jobs[i].graph == nullptr) {
-        // Malformed job: never dedup — runJob records the failure per job.
-        representative[i] = i;
-        uniqueJobs.push_back(i);
-        continue;
-      }
-      std::string& graphDigest = graphDigests[jobs[i].graph];
-      if (graphDigest.empty()) graphDigest = cdfgDigest(*jobs[i].graph);
-      keys[i] = scheduleJobKeyWithDigests(
-          ArchModel::get(*jobs[i].comp)->digest(), graphDigest,
-          jobs[i].options);
-      const auto [keyIt, inserted] = firstByKey.emplace(keys[i], i);
-      representative[i] = keyIt->second;
-      if (inserted) uniqueJobs.push_back(i);
+      // A malformed job (empty key) never dedups: runJob records the
+      // failure per job.
+      const bool first =
+          keys[i].empty() || firstByKey.emplace(keys[i], i).second;
+      representative[i] = first ? i : firstByKey.at(keys[i]);
+      if (first) uniqueJobs.push_back(i);
     }
   }
 
@@ -144,21 +125,7 @@ SweepReport runSweep(const std::vector<SweepJob>& jobs,
     report.results[i].fromCache = true;
     ++report.dedupedJobs;
   }
-
-  report.aggregate.runs = 0;
-  double utilSum = 0.0;
-  std::size_t okCount = 0;
-  for (const SweepJobResult& r : report.results) {
-    if (r.ok) {
-      report.aggregate.merge(r.metrics);
-      utilSum += r.staticUtilization;
-      ++okCount;
-    } else {
-      ++report.failures;
-      report.failuresByReason[static_cast<std::size_t>(r.failure.reason)]++;
-    }
-  }
-  if (okCount > 0) report.meanStaticUtilization = utilSum / okCount;
+  report.tallyResults();
 
   // Trace files are written serially after the parallel section: job order
   // (and content — logical timestamps only) is deterministic, so the set of
@@ -174,10 +141,48 @@ SweepReport runSweep(const std::vector<SweepJob>& jobs,
     }
   }
 
-  report.wallTimeMs = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - wallStart)
-                          .count();
+  report.wallTimeMs = msSince(wallStart);
   return report;
+}
+
+std::vector<std::string> sweepJobKeys(const std::vector<SweepJob>& jobs) {
+  std::vector<std::string> keys(jobs.size());
+  std::unordered_map<const Cdfg*, std::string> graphDigests;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (jobs[i].comp == nullptr || jobs[i].graph == nullptr) continue;
+    std::string& graphDigest = graphDigests[jobs[i].graph];
+    if (graphDigest.empty()) graphDigest = cdfgDigest(*jobs[i].graph);
+    keys[i] = scheduleJobKeyWithDigests(
+        ArchModel::get(*jobs[i].comp)->digest(), graphDigest, jobs[i].options);
+  }
+  return keys;
+}
+
+std::size_t countArchModels(const std::vector<SweepJob>& jobs) {
+  std::unordered_set<const ArchModel*> models;
+  for (const SweepJob& job : jobs)
+    if (job.comp != nullptr) models.insert(ArchModel::get(*job.comp).get());
+  return models.size();
+}
+
+void SweepReport::tallyResults() {
+  aggregate = SchedulerMetrics{};
+  aggregate.runs = 0;
+  failures = 0;
+  failuresByReason.fill(0);
+  double utilSum = 0.0;
+  std::size_t okCount = 0;
+  for (const SweepJobResult& r : results) {
+    if (r.ok) {
+      aggregate.merge(r.metrics);
+      utilSum += r.staticUtilization;
+      ++okCount;
+    } else {
+      ++failures;
+      failuresByReason[static_cast<std::size_t>(r.failure.reason)]++;
+    }
+  }
+  meanStaticUtilization = okCount > 0 ? utilSum / okCount : 0.0;
 }
 
 json::Value SweepReport::toJson(bool includeVolatile) const {

@@ -113,6 +113,10 @@ struct SweepReport {
   std::size_t cacheMisses = 0;
   std::size_t cacheEvictions = 0;
 
+  /// Fills aggregate (merged over successful jobs), failures,
+  /// failuresByReason and meanStaticUtilization from `results`.
+  void tallyResults();
+
   /// {"threads": .., "wallTimeMs": .., "aggregate": {...}, "jobs": [...]}
   /// — the `cgra-tool sweep --metrics` schema (see DESIGN.md). Keys are
   /// sorted at every level. `includeVolatile = false` omits the fields that
@@ -126,5 +130,15 @@ struct SweepReport {
 /// wall time only, never the schedules.
 SweepReport runSweep(const std::vector<SweepJob>& jobs,
                      const SweepOptions& options = {});
+
+/// Content key of every job (sched/job_key.hpp), in job order; empty for a
+/// malformed job (null composition or graph). Composition digests come
+/// memoized from the ArchModel and each distinct graph is hashed once, so
+/// an N-comp × M-kernel matrix hashes each input once — not once per job.
+std::vector<std::string> sweepJobKeys(const std::vector<SweepJob>& jobs);
+
+/// Number of distinct ArchModels behind the jobs' compositions, building
+/// any the memo still lacks.
+std::size_t countArchModels(const std::vector<SweepJob>& jobs);
 
 }  // namespace cgra

@@ -397,6 +397,23 @@ TEST(Factory, MakeTopologyRejectsDegenerateInputs) {
   EXPECT_THROW(makeTopology("rf", "mesh", 2, 2, tinyRf, {0}), Error);
 }
 
+TEST(Factory, ResolveCompositionAcceptsEveryNameForm) {
+  EXPECT_EQ(resolveComposition("mesh9").toJson().dump(),
+            makeMesh(9).toJson().dump());
+  for (const char label : irregularLabels())
+    EXPECT_EQ(resolveComposition(std::string(1, label)).toJson().dump(),
+              makeIrregular(label).toJson().dump())
+        << label;
+
+  const std::string path = ::testing::TempDir() + "/resolve_comp.json";
+  const Composition ring = makeRing(5);
+  json::writeFile(path, ring.toJson());
+  EXPECT_EQ(resolveComposition(path).toJson().dump(), ring.toJson().dump());
+
+  for (const char* bad : {"nope99", "G", "torus9"})
+    EXPECT_THROW(resolveComposition(bad), Error) << bad;
+}
+
 TEST(Composition, RejectsOpLessPE) {
   // A PE whose op set is empty can never host an operation or a route
   // endpoint; Composition::validate() must reject it with a typed error

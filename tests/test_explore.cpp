@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -24,28 +23,10 @@
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace cgra::explore {
 namespace {
-
-namespace sfs = std::filesystem;
-
-/// Fresh per-test scratch directory, removed on destruction.
-struct TempDir {
-  sfs::path path;
-  explicit TempDir(const std::string& tag) {
-    path = sfs::temp_directory_path() /
-           ("cgra_explore_test_" + tag + "_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-    sfs::remove_all(path);
-    sfs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    sfs::remove_all(path, ec);
-  }
-  std::string str() const { return path.string(); }
-};
 
 /// Small two-kernel workload shared by the search tests; graphs are owned
 /// here so ExploreKernel pointers stay valid for the Explorer's lifetime.

@@ -218,7 +218,7 @@ TEST(Scheduler, StatsAreConsistent) {
   const ScheduleReport r = Scheduler(comp).schedule(ScheduleRequest(graph)).orThrow();
   EXPECT_EQ(r.stats.contextsUsed, r.schedule.length);
   EXPECT_EQ(r.stats.cboxSlotsUsed, r.schedule.cboxSlotsUsed);
-  EXPECT_GE(r.stats.wallTimeMs, 0.0);
+  EXPECT_GE(r.metrics.totalMs, 0.0);
   unsigned moveCount = 0, constCount = 0;
   for (const ScheduledOp& op : r.schedule.ops) {
     if (op.node != kNoNode) continue;

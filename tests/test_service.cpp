@@ -17,11 +17,17 @@
 #include <thread>
 #include <vector>
 
+#include "arch/factory.hpp"
 #include "artifact/artifact.hpp"
 #include "artifact/client.hpp"
 #include "artifact/service.hpp"
 #include "artifact/store.hpp"
 #include "json/json.hpp"
+#include "kir/lower_cdfg.hpp"
+#include "kir/parser.hpp"
+#include "kir/passes/pipeline.hpp"
+#include "sched/scheduler.hpp"
+#include "temp_dir.hpp"
 
 #ifdef __unix__
 #include <sys/stat.h>
@@ -31,23 +37,6 @@ namespace cgra {
 namespace {
 
 namespace sfs = std::filesystem;
-
-/// Fresh per-test scratch directory, removed on destruction.
-struct TempDir {
-  sfs::path path;
-  explicit TempDir(const std::string& tag) {
-    path = sfs::temp_directory_path() /
-           ("cgra_service_test_" + tag + "_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-    sfs::remove_all(path);
-    sfs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    sfs::remove_all(path, ec);
-  }
-  std::string str() const { return path.string(); }
-};
 
 std::vector<json::Value> parseLines(const std::string& text) {
   std::vector<json::Value> docs;
@@ -214,6 +203,30 @@ TEST(Service, AttachesDeserializableArtifactsOnRequest) {
             o.at("fingerprint").asString());
   EXPECT_TRUE(art.contexts.has_value())
       << "attached artifacts carry deployable context images";
+}
+
+TEST(Service, KernelFilesRunTheFrontendPipeline) {
+  // string_search.kir uses break, so it only lowers after the frontend
+  // normalization pipeline — the same one `cgra-tool schedule` runs.
+  const std::string path = std::string(CGRA_KERNEL_DIR) + "/string_search.kir";
+  artifact::ArtifactStore store;
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  const std::vector<json::Value> responses = runService(
+      "{\"id\":1,\"comp\":\"mesh9\",\"kernelFile\":\"" + path + "\"}\n",
+      store, options);
+  ASSERT_EQ(responses.size(), 1u);
+  const json::Object& o = responses[0].asObject();
+  ASSERT_TRUE(o.at("ok").asBool()) << responses[0].dump();
+
+  const Composition comp = makeMesh(9);
+  const Cdfg graph =
+      kir::lowerToCdfg(kir::runFrontendPipeline(kir::parseKernelFile(path)).fn)
+          .graph;
+  const ScheduleReport report =
+      Scheduler(comp).schedule(ScheduleRequest(graph)).orThrow();
+  EXPECT_EQ(o.at("fingerprint").asString(),
+            std::to_string(report.schedule.fingerprint()));
 }
 
 TEST(Service, TinyInFlightWindowPreservesOrderUnderBackpressure) {

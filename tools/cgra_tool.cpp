@@ -319,17 +319,6 @@ private:
   std::map<std::string, std::vector<std::string>> repeated_;
 };
 
-Composition resolveComposition(const std::string& name) {
-  if (name.rfind("mesh", 0) == 0)
-    return makeMesh(static_cast<unsigned>(std::stoul(name.substr(4))));
-  if (name.size() == 1 && name[0] >= 'A' && name[0] <= 'F')
-    return makeIrregular(name[0]);
-  if (name.find(".json") != std::string::npos)
-    return Composition::fromJsonFile(name);
-  throw Error("unknown composition \"" + name +
-              "\" (expected meshN, A..F, or a .json path)");
-}
-
 std::vector<std::string> splitCsv(const std::string& list) {
   std::vector<std::string> out;
   std::size_t pos = 0;
@@ -471,6 +460,23 @@ kir::FrontendOptions frontendOptions(const Args& args) {
   return fo;
 }
 
+/// Runs every --kernels entry (default `defaultList`) through the frontend
+/// pipeline and the CDFG lowering. The deque keeps element addresses
+/// stable for the non-owning graph pointers of sweep jobs and explore
+/// kernels.
+std::deque<std::pair<std::string, Cdfg>> loadKernelGraphs(
+    const Args& args, const std::string& defaultList) {
+  const kir::FrontendOptions fo = frontendOptions(args);
+  const std::uint64_t seed = parseSeed(args);
+  std::deque<std::pair<std::string, Cdfg>> graphs;
+  for (const std::string& name : expandKernelList(args, defaultList)) {
+    apps::Workload w = resolveKernel(name, seed);
+    const kir::Function fn = kir::runFrontendPipeline(w.fn, fo).fn;
+    graphs.emplace_back(w.name, kir::lowerToCdfg(fn).graph);
+  }
+  return graphs;
+}
+
 int cmdList(const Args&) {
   std::cout << "kernels:\n";
   for (const apps::Workload& w : apps::allWorkloads())
@@ -561,14 +567,8 @@ apps::Workload loadUserKernel(const Args& args) {
   for (const std::string& spec : args.repeated("array")) {
     const auto [name, csv] = splitEq(spec);
     std::vector<std::int32_t> values;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-      const std::size_t comma = csv.find(',', pos);
-      values.push_back(static_cast<std::int32_t>(
-          std::stol(csv.substr(pos, comma - pos))));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
+    for (const std::string& v : splitCsv(csv))
+      values.push_back(static_cast<std::int32_t>(std::stol(v)));
     w.initialLocals[w.fn.localByName(name)] = w.heap.alloc(std::move(values));
   }
   for (const std::string& spec : args.repeated("local")) {
@@ -666,7 +666,7 @@ int cmdSchedule(const Args& args) {
   for (unsigned r : images.physRegsUsed) maxRf = std::max(maxRf, r);
   std::cout << maxRf << ", " << result.stats.copiesInserted
             << " copies, " << result.stats.fusedWrites << " fused writes, "
-            << fmt(result.stats.wallTimeMs, 2) << " ms";
+            << fmt(result.metrics.totalMs, 2) << " ms";
   if (cached)
     std::cout << " (cache hit " << key.substr(0, 12) << ")";
   std::cout << "\n";
@@ -869,15 +869,7 @@ int cmdSweep(const Args& args) {
   std::deque<Composition> comps;
   for (const std::string& name : splitCsv(args.get("comps", "mesh4,mesh9")))
     comps.push_back(resolveComposition(name));
-
-  const kir::FrontendOptions fo = frontendOptions(args);
-  const std::uint64_t seed = parseSeed(args);
-  std::deque<std::pair<std::string, Cdfg>> graphs;
-  for (const std::string& name : expandKernelList(args, "adpcm")) {
-    apps::Workload w = resolveKernel(name, seed);
-    const kir::Function fn = kir::runFrontendPipeline(w.fn, fo).fn;
-    graphs.emplace_back(w.name, kir::lowerToCdfg(fn).graph);
-  }
+  const auto graphs = loadKernelGraphs(args, "adpcm");
 
   SchedulerOptions jobOpts;
   jobOpts.maxContexts = args.getUnsigned("max-contexts", 0);
@@ -951,22 +943,14 @@ int cmdExplore(const Args& args) {
           ? explore::CompositionSpace::fromJsonFile(args.get("space"))
           : explore::CompositionSpace{};
 
-  const std::uint64_t seed = parseSeed(args);
-  const kir::FrontendOptions fo = frontendOptions(args);
-  // Deque for stable addresses: ExploreKernel carries non-owning pointers.
-  std::deque<std::pair<std::string, Cdfg>> graphs;
-  for (const std::string& name : expandKernelList(args, "dotprod,fir,gcd")) {
-    apps::Workload w = resolveKernel(name, seed);
-    const kir::Function fn = kir::runFrontendPipeline(w.fn, fo).fn;
-    graphs.emplace_back(w.name, kir::lowerToCdfg(fn).graph);
-  }
+  const auto graphs = loadKernelGraphs(args, "dotprod,fir,gcd");
   std::vector<explore::ExploreKernel> kernels;
   for (const auto& [name, graph] : graphs)
     kernels.push_back(explore::ExploreKernel{name, &graph, 1.0});
 
   explore::ExploreOptions opts;
   opts.strategy = args.get("strategy", "genetic");
-  opts.seed = seed;
+  opts.seed = parseSeed(args);
   opts.budget = args.getUnsigned("budget", 64);
   opts.population = args.getUnsigned("population", 8);
   opts.sweep.threads = args.getUnsigned("threads", 0);
