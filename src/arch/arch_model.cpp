@@ -16,9 +16,17 @@ std::mutex g_slotMutex;
 
 std::atomic<std::uint64_t> g_builds{0};
 
+std::string canonicalDigest(const Composition& comp) {
+  return ArchModel::digestCompositionJson(comp.toJson().dump());
+}
+
 }  // namespace
 
 ArchModel ArchModel::build(const Composition& comp) {
+  return build(comp, canonicalDigest(comp));
+}
+
+ArchModel ArchModel::build(const Composition& comp, std::string digest) {
   g_builds.fetch_add(1, std::memory_order_relaxed);
 
   const unsigned n = comp.numPEs();
@@ -26,7 +34,7 @@ ArchModel ArchModel::build(const Composition& comp) {
 
   ArchModel model;
   model.ic_ = ic;
-  model.digest_ = digestCompositionJson(comp.toJson().dump());
+  model.digest_ = std::move(digest);
   model.cboxSlots = comp.cboxSlots();
   model.contextMemoryLength = comp.contextMemoryLength();
 
@@ -71,13 +79,41 @@ ArchModel ArchModel::build(const Composition& comp) {
 }
 
 std::shared_ptr<const ArchModel> ArchModel::get(const Composition& comp) {
+  std::shared_ptr<detail::ArchModelSlot> slot;
+  {
+    std::lock_guard<std::mutex> lock(g_slotMutex);
+    slot = slotOf(comp);
+    if (slot->model) return slot->model;
+  }
+  std::string digest = digestOf(comp);
   std::lock_guard<std::mutex> lock(g_slotMutex);
+  if (!slot->model)
+    slot->model =
+        std::make_shared<const ArchModel>(build(comp, std::move(digest)));
+  return slot->model;
+}
+
+std::shared_ptr<detail::ArchModelSlot> ArchModel::slotOf(
+    const Composition& comp) {
   if (!comp.archModelSlot_)
     comp.archModelSlot_ = std::make_shared<detail::ArchModelSlot>();
-  detail::ArchModelSlot& slot = *comp.archModelSlot_;
-  if (!slot.model)
-    slot.model = std::make_shared<const ArchModel>(build(comp));
-  return slot.model;
+  return comp.archModelSlot_;
+}
+
+std::string ArchModel::digestOf(const Composition& comp) {
+  std::shared_ptr<detail::ArchModelSlot> slot;
+  {
+    std::lock_guard<std::mutex> lock(g_slotMutex);
+    slot = slotOf(comp);
+    if (!slot->digest.empty()) return slot->digest;
+  }
+  // Serialize and hash outside the lock: other compositions' lookups and
+  // builds proceed meanwhile. Racing first callers compute equal digests;
+  // the first to publish wins.
+  std::string digest = canonicalDigest(comp);
+  std::lock_guard<std::mutex> lock(g_slotMutex);
+  if (slot->digest.empty()) slot->digest = std::move(digest);
+  return slot->digest;
 }
 
 std::uint64_t ArchModel::buildsPerformed() {

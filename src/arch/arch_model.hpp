@@ -14,10 +14,11 @@
 // per-architecture connectivity tables, extended to the digest that the
 // seed recomputed per job batch.
 //
-// Thread-safety: `get` memoizes into a slot stored inside the Composition
-// (shared by copies — a composition is immutable after construction) under
-// a global mutex; the returned model is deeply immutable and safe to read
-// from any number of sweep threads without further locking.
+// Thread-safety: `get` and `digestOf` memoize into one slot stored inside
+// the Composition (shared by copies — a composition is immutable after
+// construction) under a global mutex; the returned model is deeply
+// immutable and safe to read from any number of sweep threads without
+// further locking.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +89,15 @@ public:
   /// Returns the composition's model, building it on first use. Copies of
   /// a composition share one cached model; distinct instances (even with
   /// equal content) build their own, mirroring identity-keyed caching.
+  /// The build takes its digest from `digestOf`, so the composition is
+  /// serialized and hashed once per instance however it is first reached.
   static std::shared_ptr<const ArchModel> get(const Composition& comp);
+
+  /// The composition's digest, memoized in the same per-instance slot as
+  /// the model but filled without building one: keying a job the store
+  /// then answers costs one serialization and hash per instance, no
+  /// Floyd–Warshall. Equal to `get(comp)->digest()`.
+  static std::string digestOf(const Composition& comp);
 
   /// Unconditional build (no memoization); exposed for tests and tools
   /// that want a private instance.
@@ -103,14 +112,22 @@ public:
   static std::string digestCompositionJson(const std::string& compJson);
 
 private:
+  static ArchModel build(const Composition& comp, std::string digest);
+  /// The composition's memo slot, created on first use. Requires the
+  /// global slot mutex.
+  static std::shared_ptr<detail::ArchModelSlot> slotOf(const Composition& comp);
+
   Interconnect ic_;
   std::string digest_;
 };
 
 namespace detail {
-/// Memo slot lazily attached to a Composition by ArchModel::get.
+/// Memo slot lazily attached to a Composition by ArchModel::get and
+/// ArchModel::digestOf. Both fields are written once, under the global slot
+/// mutex; `digest` is empty until computed.
 struct ArchModelSlot {
   std::shared_ptr<const ArchModel> model;
+  std::string digest;
 };
 }  // namespace detail
 

@@ -85,7 +85,7 @@ json::Value ExploreReport::toJson(bool includeVolatile) const {
   obj["counters"] = std::move(ctr);
 
   if (includeVolatile) obj["wallTimeMs"] = wallTimeMs;
-  return json::sortKeys(obj);
+  return json::sortKeys(json::Value(std::move(obj)));
 }
 
 Explorer::Explorer(CompositionSpace space, std::vector<ExploreKernel> kernels,

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -37,6 +38,19 @@ const Value* Object::find(const std::string& key) const {
 Value& Object::append(std::string key) {
   entries_.emplace_back(std::move(key), Value());
   return entries_.back().second;
+}
+
+void Object::sortByKey() {
+  std::stable_sort(
+      entries_.begin(), entries_.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  // The stable sort leaves equal keys in insertion order, so keeping the
+  // first of each run keeps the entry find/at answer.
+  entries_.erase(std::unique(entries_.begin(), entries_.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first == b.first;
+                             }),
+                 entries_.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -133,9 +147,13 @@ void Value::dumpTo(std::string& out, int indent, int depth) const {
   } else if (isInt()) {
     out += std::to_string(std::get<std::int64_t>(data_));
   } else if (isDouble()) {
-    std::ostringstream os;
-    os << std::get<double>(data_);
-    out += os.str();
+    // `%g` at precision 6: byte-identical to the default
+    // `std::ostream << double` the format was defined by, without a stream
+    // object per number or a dependence on the global locale.
+    char buf[32];
+    const auto r = std::to_chars(buf, buf + sizeof buf, std::get<double>(data_),
+                                 std::chars_format::general, 6);
+    out.append(buf, r.ptr);
   } else if (isString()) {
     appendEscaped(out, asString());
   } else if (isArray()) {
@@ -206,10 +224,8 @@ private:
         ++col;
       }
     }
-    std::ostringstream os;
-    os << "JSON parse error at line " << line << ", column " << col << ": "
-       << msg;
-    throw Error(os.str());
+    throw Error("JSON parse error at line " + std::to_string(line) +
+                ", column " + std::to_string(col) + ": " + msg);
   }
 
   void skipWs() {
@@ -266,12 +282,23 @@ private:
     }
   }
 
+  /// Counts one level of nesting. A failed parse abandons the counter, so
+  /// only the successful exits of parseObject/parseArray call leave().
+  void enter() {
+    if (++depth_ > kMaxParseDepth)
+      fail("nesting deeper than " + std::to_string(kMaxParseDepth) +
+           " levels");
+  }
+  void leave() { --depth_; }
+
   Value parseObject() {
+    enter();
     expect('{');
     Object obj;
     skipWs();
     if (peek() == '}') {
       ++pos_;
+      leave();
       return Value(std::move(obj));
     }
     while (true) {
@@ -290,15 +317,18 @@ private:
         fail("expected ',' or '}' in object");
       }
     }
+    leave();
     return Value(std::move(obj));
   }
 
   Value parseArray() {
+    enter();
     expect('[');
     Array arr;
     skipWs();
     if (peek() == ']') {
       ++pos_;
+      leave();
       return Value(std::move(arr));
     }
     while (true) {
@@ -311,6 +341,7 @@ private:
         fail("expected ',' or ']' in array");
       }
     }
+    leave();
     return Value(std::move(arr));
   }
 
@@ -418,6 +449,7 @@ private:
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace
@@ -438,23 +470,25 @@ void writeFile(const std::string& path, const Value& value) {
   out << value.dump() << '\n';
 }
 
-Value sortKeys(const Value& value) {
+namespace {
+
+void sortKeysInPlace(Value& value) {
   if (value.isArray()) {
-    Array out;
-    out.reserve(value.asArray().size());
-    for (const Value& v : value.asArray()) out.push_back(sortKeys(v));
-    return out;
+    for (Value& v : value.asArray()) sortKeysInPlace(v);
+  } else if (value.isObject()) {
+    Object& obj = value.asObject();
+    obj.sortByKey();
+    for (auto& entry : obj) sortKeysInPlace(entry.second);
   }
-  if (value.isObject()) {
-    std::vector<std::pair<std::string, const Value*>> entries;
-    for (const auto& [k, v] : value.asObject()) entries.emplace_back(k, &v);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    Object out;
-    for (const auto& [k, v] : entries) out[k] = sortKeys(*v);
-    return out;
-  }
-  return value;
+}
+
+}  // namespace
+
+Value sortKeys(const Value& value) { return sortKeys(Value(value)); }
+
+Value sortKeys(Value&& value) {
+  sortKeysInPlace(value);
+  return std::move(value);
 }
 
 }  // namespace cgra::json

@@ -35,6 +35,9 @@ public:
   /// yet (on a duplicate, find/at keep answering the first entry and dump
   /// emits both).
   Value& append(std::string key);
+  /// Sorts the entries by key in place. Of entries sharing a key only the
+  /// first (the one find/at answer) is kept.
+  void sortByKey();
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
@@ -93,8 +96,15 @@ private:
       data_;
 };
 
+/// Deepest array/object nesting `parse` accepts. Parsing, dumping, sorting
+/// and destroying a value all recurse once per level, so untrusted input
+/// (a served request line) must not choose the depth. Real documents nest
+/// fewer than a dozen levels.
+inline constexpr std::size_t kMaxParseDepth = 512;
+
 /// Parses a complete JSON document; throws cgra::Error with line/column on
-/// malformed input or trailing garbage.
+/// malformed input, trailing garbage, or nesting deeper than
+/// kMaxParseDepth.
 Value parse(const std::string& text);
 
 /// Reads and parses a JSON file; throws cgra::Error when unreadable.
@@ -106,6 +116,11 @@ void writeFile(const std::string& path, const Value& value);
 /// Deep copy with object keys sorted lexicographically at every level
 /// (arrays keep their order). Metrics/counter exports route through this so
 /// reports are byte-stable regardless of insertion order at the call sites.
+/// Of duplicate keys the first is kept, the entry find/at answer.
 Value sortKeys(const Value& value);
+
+/// The same ordering applied in place to a value the caller gives up:
+/// no copy, no new object per level.
+Value sortKeys(Value&& value);
 
 }  // namespace cgra::json

@@ -86,9 +86,7 @@ void hashOptions(Sha256& h, const SchedulerOptions& o) {
 }  // namespace
 
 std::string compositionDigest(const Composition& comp) {
-  // Served from the composition's memoized ArchModel: digesting the same
-  // Composition instance twice hashes its JSON only once.
-  return ArchModel::get(comp)->digest();
+  return ArchModel::digestOf(comp);
 }
 
 std::string cdfgDigest(const Cdfg& graph) {
@@ -115,9 +113,8 @@ std::string scheduleJobKeyWithDigests(const std::string& compDigest,
 std::string scheduleJobKey(const Composition& comp, const Cdfg& graph,
                            const SchedulerOptions& options,
                            const std::string& salt) {
-  return scheduleJobKeyWithDigests(
-      ArchModel::digestCompositionJson(comp.toJson().dump()),
-      cdfgDigest(graph), options, salt);
+  return scheduleJobKeyWithDigests(ArchModel::digestOf(comp),
+                                   cdfgDigest(graph), options, salt);
 }
 
 }  // namespace cgra

@@ -23,14 +23,16 @@ namespace cgra {
 inline constexpr const char* kSchedulerVersionSalt = "cgra-sched-salt-2";
 
 /// 64-hex-char SHA-256 over (salt, composition JSON, CDFG content, options).
-/// Deterministic across platforms, processes and library versions. Hashes
-/// `comp.toJson()` directly instead of building the composition's ArchModel,
-/// so keying a request that the store then answers costs no model build.
+/// Deterministic across platforms, processes and library versions. Reads
+/// the composition digest memoized per instance (`ArchModel::digestOf`)
+/// without building the composition's ArchModel, so keying a request that
+/// the store then answers costs no model build.
 std::string scheduleJobKey(const Composition& comp, const Cdfg& graph,
                            const SchedulerOptions& options,
                            const std::string& salt = kSchedulerVersionSalt);
 
-/// SHA-256 hex of the composition's canonical JSON alone. The composition
+/// SHA-256 hex of the composition's canonical JSON alone, memoized per
+/// instance and computed without an ArchModel build. The composition
 /// contribution to a job key is this digest: sweeps and services hash many
 /// jobs against few compositions and compute it once per composition.
 std::string compositionDigest(const Composition& comp);

@@ -1,12 +1,14 @@
 // Tests for the shared immutable ArchModel: table correctness against the
 // composition it was built from, digest equivalence with the job-key layer,
-// per-instance memoization (copies share, distinct instances do not), and
-// the headline guarantee of the pass-pipeline refactor — a 64-job
-// single-composition sweep performs exactly one model build.
+// per-instance memoization (copies share, distinct instances do not), the
+// digest memo that keying reads without a model build (also from racing
+// threads), and the headline guarantee of the pass-pipeline refactor — a
+// 64-job single-composition sweep performs exactly one model build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <thread>
 #include <vector>
 
 #include "apps/kernels.hpp"
@@ -62,6 +64,67 @@ TEST(ArchModel, DigestMatchesJobKeyLayer) {
   EXPECT_EQ(ArchModel::get(comp)->digest(),
             ArchModel::digestCompositionJson(json));
   EXPECT_EQ(ArchModel::get(comp)->digest(), compositionDigest(comp));
+}
+
+/// The job-key recipe spelled out, with no memo involved.
+std::string recipeKey(const Composition& comp, const Cdfg& graph,
+                      const SchedulerOptions& options) {
+  return scheduleJobKeyWithDigests(
+      ArchModel::digestCompositionJson(comp.toJson().dump()),
+      cdfgDigest(graph), options);
+}
+
+TEST(DigestMemo, KeyingReadsTheMemoWithoutBuildingAModel) {
+  const Composition comp = makeMesh(9);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(12, 18).fn).graph;
+  SchedulerOptions options;
+  options.maxContexts = 64;
+  const std::string expected = recipeKey(comp, graph, options);
+
+  const std::uint64_t before = ArchModel::buildsPerformed();
+  EXPECT_EQ(scheduleJobKey(comp, graph, options), expected);
+  EXPECT_EQ(scheduleJobKey(comp, graph, options), expected) << "memo hit";
+  EXPECT_EQ(compositionDigest(comp),
+            ArchModel::digestCompositionJson(comp.toJson().dump()));
+  EXPECT_EQ(ArchModel::buildsPerformed(), before)
+      << "keying and digesting must not build an ArchModel";
+
+  // The build that follows takes the memoized digest; keys do not move.
+  const auto model = ArchModel::get(comp);
+  EXPECT_EQ(ArchModel::buildsPerformed() - before, 1u);
+  EXPECT_EQ(model->digest(), compositionDigest(comp));
+  EXPECT_EQ(scheduleJobKey(comp, graph, options), expected);
+  EXPECT_EQ(ArchModel::build(comp).digest(), model->digest())
+      << "the unmemoized build computes the same digest";
+}
+
+TEST(DigestMemo, ModelBuiltFirstServesTheSameDigest) {
+  const Composition comp = makeIrregular('B');
+  const Cdfg graph = kir::lowerToCdfg(apps::makeDotProduct(4, 1).fn).graph;
+  const SchedulerOptions options;
+  const std::string expected = recipeKey(comp, graph, options);
+  const auto model = ArchModel::get(comp);
+  const std::uint64_t before = ArchModel::buildsPerformed();
+  EXPECT_EQ(scheduleJobKey(comp, graph, options), expected);
+  EXPECT_EQ(compositionDigest(comp), model->digest());
+  EXPECT_EQ(ArchModel::buildsPerformed(), before);
+}
+
+TEST(DigestMemo, ConcurrentKeyingAgreesOnFreshComposition) {
+  // Four threads race to fill one fresh composition's digest memo.
+  const Composition comp = makeMesh(16);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeFir(8, 3).fn).graph;
+  const SchedulerOptions options;
+  const std::uint64_t before = ArchModel::buildsPerformed();
+  std::vector<std::string> keys(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < keys.size(); ++t)
+    threads.emplace_back(
+        [&, t] { keys[t] = scheduleJobKey(comp, graph, options); });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(ArchModel::buildsPerformed(), before);
+  const std::string expected = recipeKey(comp, graph, options);
+  for (const std::string& key : keys) EXPECT_EQ(key, expected);
 }
 
 TEST(ArchModel, GetMemoizesPerInstance) {

@@ -1,7 +1,11 @@
 // Unit tests for the JSON substrate: full-grammar parsing, error reporting
-// with line/column, serialization round trips, and the order-preserving
-// object semantics the composition files rely on.
+// with line/column, the nesting-depth limit, serialization round trips,
+// number formatting, key sorting, and the order-preserving object semantics
+// the composition files rely on.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <sstream>
 
 #include "json/json.hpp"
 
@@ -63,6 +67,36 @@ TEST(JsonParse, ErrorCarriesLineAndColumn) {
   }
 }
 
+TEST(JsonParse, RejectsNestingDeeperThanTheLimit) {
+  // One request line of a million brackets used to overflow the stack.
+  try {
+    parse(std::string(1000000, '['));
+    FAIL() << "expected parse error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("line 1, column " + std::to_string(kMaxParseDepth + 1)),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("nesting"), std::string::npos) << msg;
+  }
+  std::string deepObject;
+  for (std::size_t i = 0; i <= kMaxParseDepth; ++i) deepObject += "{\"a\":";
+  EXPECT_THROW(parse(deepObject), Error);
+}
+
+TEST(JsonParse, AcceptsNestingAtTheLimit) {
+  const std::string text = std::string(kMaxParseDepth, '[') +
+                           std::string(kMaxParseDepth, ']');
+  const Value v = parse(text);
+  EXPECT_EQ(v.dump(0), text);
+  EXPECT_EQ(sortKeys(v).dump(0), text);
+  // Depth is counted per open container, not per container ever seen.
+  std::string siblings = "[";
+  for (int i = 0; i < 2000; ++i) siblings += i ? ",[[]]" : "[[]]";
+  siblings += "]";
+  EXPECT_EQ(parse(siblings).dump(0), siblings);
+}
+
 TEST(JsonParse, NestedStructures) {
   const Value v = parse(R"({
     "name": "CGRA1",
@@ -121,6 +155,63 @@ TEST(JsonDump, EscapesControlCharacters) {
   const Value v(std::string("a\x01" "b"));
   EXPECT_EQ(v.dump(0), "\"a\\u0001b\"");
   EXPECT_EQ(parse(v.dump()).asString(), std::string("a\x01" "b"));
+}
+
+TEST(JsonDump, DoublesMatchTheDefaultStreamFormat) {
+  // Serialized doubles are defined as `std::ostream << double` output
+  // (precision 6, %g); goldens and job keys depend on every byte.
+  const double table[] = {0.5,
+                          1.0,
+                          2.25,
+                          1e-7,
+                          1e21,
+                          123456.7,
+                          -0.0,
+                          3.14159265,
+                          0.1,
+                          -2.5e-2,
+                          1234567.0,
+                          999999.5,
+                          1e-5,
+                          0.0001,
+                          1e100,
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::lowest(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()};
+  for (const double d : table) {
+    std::ostringstream os;
+    os << d;
+    EXPECT_EQ(Value(d).dump(), os.str()) << "value " << d;
+  }
+}
+
+TEST(JsonSortKeys, SortsEveryLevelAndKeepsArrayOrder) {
+  const Value v =
+      parse(R"({"z":[{"b":1,"a":2},3],"m":{"y":null,"x":[true]},"a":0.5})");
+  const std::string want =
+      R"({"a":0.5,"m":{"x":[true],"y":null},"z":[{"a":2,"b":1},3]})";
+  EXPECT_EQ(sortKeys(v).dump(0), want);
+  EXPECT_EQ(v.asObject().begin()->first, "z") << "the copy leaves v alone";
+  EXPECT_EQ(sortKeys(Value(v)).dump(0), want) << "in-place overload";
+}
+
+TEST(JsonSortKeys, DuplicateKeysKeepTheEntryFindAnswers) {
+  const Value v = parse(R"({"b":1,"a":2,"a":3})");
+  ASSERT_EQ(v.asObject().at("a").asInt(), 2);
+  EXPECT_EQ(sortKeys(v).dump(0), R"({"a":2,"b":1})");
+  EXPECT_EQ(sortKeys(Value(v)).dump(0), R"({"a":2,"b":1})");
+
+  // Wide objects with many duplicates: first occurrence wins throughout.
+  Object wide;
+  for (int i = 0; i < 4000; ++i)
+    wide.append("k" + std::to_string(i % 1000)) = i;
+  const Value sorted = sortKeys(Value(std::move(wide)));
+  ASSERT_EQ(sorted.asObject().size(), 1000u);
+  for (const auto& [k, val] : sorted.asObject())
+    EXPECT_EQ("k" + std::to_string(val.asInt()), k);
 }
 
 TEST(JsonFile, WriteAndParseFile) {

@@ -169,6 +169,35 @@ TEST(Service, ReportsBadLinesWithTypedErrorsWithoutAbortingTheSession) {
   EXPECT_EQ(stats.requests, 5u);
 }
 
+TEST(Service, DeeplyNestedLineIsAParseErrorAndTheConnectionLivesOn) {
+  // A million '[' used to overflow the parser's stack and kill the server.
+  artifact::ArtifactStore store;
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  artifact::Service service(store, options);
+  const std::uint16_t port = service.addTcpListener(0);
+  ASSERT_NE(port, 0u);
+  service.start();
+
+  artifact::JsonlClient client = artifact::JsonlClient::connectTcp(port);
+  client.sendLine(std::string(1000000, '['));
+  client.sendLine("{\"id\":2,\"comp\":\"mesh4\",\"kernel\":\"gcd\"}");
+  client.shutdownWrite();
+  std::string line;
+  ASSERT_TRUE(client.recvLine(line));
+  EXPECT_EQ(errorCode(json::parse(line)), "parse");
+  ASSERT_TRUE(client.recvLine(line));
+  const json::Value ok = json::parse(line);
+  EXPECT_EQ(ok.asObject().at("id").asInt(), 2);
+  EXPECT_TRUE(ok.asObject().at("ok").asBool())
+      << "the request after the deep line is served on the same connection";
+  client.close();
+
+  service.drain();
+  service.stop();
+  EXPECT_EQ(service.stats().parseErrors, 1u);
+}
+
 TEST(Service, UnmappableJobsAnswerWithTypedFailure) {
   artifact::ArtifactStore store;
   artifact::ServiceOptions options;
