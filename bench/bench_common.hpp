@@ -22,7 +22,7 @@
 #include "json/json.hpp"
 #include "kir/lower_bytecode.hpp"
 #include "kir/lower_cdfg.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/unroll_pass.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/report.hpp"
 #include "sim/simulator.hpp"

@@ -14,6 +14,7 @@
 #include "bench_common.hpp"
 #include "kir/interp.hpp"
 #include "kir/parser.hpp"
+#include "kir/passes/pipeline.hpp"
 
 #ifndef CGRA_KERNEL_DIR
 #error "CGRA_KERNEL_DIR must point at examples/kernels"

@@ -21,7 +21,7 @@
 #include "kir/interp.hpp"
 #include "kir/lower_bytecode.hpp"
 #include "kir/lower_cdfg.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/unroll_pass.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
 

@@ -4,7 +4,6 @@
 
 #include "support/assert.hpp"
 
-#ifdef __unix__
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -12,7 +11,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#endif
 
 namespace cgra::artifact {
 
@@ -32,8 +30,6 @@ JsonlClient& JsonlClient::operator=(JsonlClient&& other) noexcept {
   }
   return *this;
 }
-
-#ifdef __unix__
 
 JsonlClient JsonlClient::connectUnix(const std::string& path) {
   if (path.size() >= sizeof(sockaddr_un{}.sun_path))
@@ -114,27 +110,5 @@ void JsonlClient::close() {
     fd_ = -1;
   }
 }
-
-#else  // !__unix__
-
-JsonlClient JsonlClient::connectUnix(const std::string&) {
-  throw Error("unix-socket clients are unavailable on this platform");
-}
-
-JsonlClient JsonlClient::connectTcp(std::uint16_t) {
-  throw Error("TCP clients are unavailable on this platform");
-}
-
-void JsonlClient::sendLine(const std::string&) {
-  throw Error("socket clients are unavailable on this platform");
-}
-
-bool JsonlClient::recvLine(std::string&) { return false; }
-
-void JsonlClient::shutdownWrite() {}
-
-void JsonlClient::close() { fd_ = -1; }
-
-#endif
 
 }  // namespace cgra::artifact

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -27,7 +28,6 @@
 #include "support/metrics_registry.hpp"
 #include "support/thread_pool.hpp"
 
-#ifdef __unix__
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -38,7 +38,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#endif
 
 namespace cgra::artifact {
 
@@ -262,27 +261,6 @@ bool isBlank(const std::string& line) {
   return line.find_first_not_of(" \t\r") == std::string::npos;
 }
 
-#ifdef __unix__
-/// write()-loop over a socket; MSG_NOSIGNAL so a vanished client surfaces
-/// as an error return instead of SIGPIPE. Returns false when the peer is
-/// gone.
-bool sendAll(int fd, const std::string& data) {
-  const char* p = data.data();
-  std::size_t left = data.size();
-  while (left > 0) {
-    const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-#endif
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -306,6 +284,7 @@ struct Service::Impl {
     // worker can never race a close, and a client that stops reading
     // parks bytes here instead of blocking a pool worker in send().
     std::string rbuf;        ///< bytes read but not yet split into lines
+    std::size_t scanned = 0; ///< rbuf prefix known to hold no newline
     std::string obuf;        ///< response bytes not yet on the wire
     std::size_t osent = 0;   ///< obuf prefix already sent
 
@@ -340,12 +319,12 @@ struct Service::Impl {
   mutable std::mutex mu;
   std::condition_variable cv;  ///< completions, drain, waitDone
 
-  // Per-request outcome counters and latency live in the lock-free metrics
-  // registry (DESIGN.md §13): workers bump them without touching `mu`.
-  // Admission-coupled counters (requests, shed, queue depth, connection
-  // lifecycle) stay inside the mu-held admission sections — that is what
-  // makes a stats snapshot see sum(per-connection requests) == totals
-  // exactly — and mirror into registry counters at the same sites.
+  // Every service counter lives once, in the metrics registry (DESIGN.md
+  // §13). Workers bump the per-request outcome counters without touching
+  // `mu`; the admission counters (requests, shed, connection lifecycle) are
+  // bumped inside the mu-held admission sections and read under mu
+  // (statsLocked), which is what makes a stats snapshot see
+  // sum(per-connection requests) == totals exactly.
   MetricsRegistry registry;
   Counter& mRequests =
       registry.counter("cgra_requests_total", "Request lines read");
@@ -399,7 +378,7 @@ struct Service::Impl {
   AccessLog accessLog;
   std::atomic<std::uint64_t> coldSeq{0};  ///< cold runs, for trace sampling
 
-  ServiceStats counters;  ///< mu-guarded slice (see statsSnapshot)
+  std::uint64_t maxQueueDepth = 0;  ///< peak pendingJobs; guarded by mu
   /// Rollup of counters from closed connections, so the per-connection
   /// conservation invariant (sum of live + closed == totals) stays exact
   /// after reaping. Guarded by mu.
@@ -408,7 +387,6 @@ struct Service::Impl {
   std::uint64_t closedShed = 0;
   std::size_t pendingJobs = 0;
   std::unordered_map<std::string, std::shared_ptr<InFlightKey>> inflightKeys;
-  bool draining = false;
   bool ioRunning = false;
   bool ioExited = false;
   std::uint64_t nextConnId = 1;
@@ -428,47 +406,52 @@ struct Service::Impl {
         queueBound(std::max<std::size_t>(1, o.queueBound)),
         pool(o.threads) {
     if (!options.accessLogPath.empty()) accessLog.open(options.accessLogPath);
-#ifdef __unix__
     if (::pipe(wakePipe) == 0) {
       ::fcntl(wakePipe[0], F_SETFL, O_NONBLOCK);
     } else {
       wakePipe[0] = wakePipe[1] = -1;
     }
-#endif
   }
 
   ~Impl() {
-#ifdef __unix__
     for (const Listener& l : listeners)
       if (l.fd >= 0) ::close(l.fd);
     if (wakePipe[0] >= 0) ::close(wakePipe[0]);
     if (wakePipe[1] >= 0) ::close(wakePipe[1]);
-#endif
   }
 
   void wakeIo() {
-#ifdef __unix__
     if (wakePipe[1] >= 0) {
       const char b = 'w';
       [[maybe_unused]] const ssize_t n = ::write(wakePipe[1], &b, 1);
     }
-#endif
   }
 
-  bool drainingNow() const {  // callers may hold mu
-    return draining || drainRequested.load(std::memory_order_relaxed);
+  bool drainingNow() const {
+    return drainRequested.load(std::memory_order_relaxed);
   }
 
-  /// Folds a closing session's counters into the closed-connection rollup
-  /// (mu held): the per-connection conservation invariant stays exact
-  /// across reaping. Also maintains the connection metrics.
-  void retireConnLocked(const Conn& c) {
-    closedRequests += c.requests;
-    closedResponses += c.responses.load(std::memory_order_relaxed);
-    closedShed += c.shed;
+  /// Registers and counts a new session (mu held); fd -1 opens a stream
+  /// session.
+  ConnPtr openSessionLocked(int fd) {
+    auto conn = std::make_shared<Conn>(nextConnId++, fd);
+    (fd >= 0 ? conns : streamConns).push_back(conn);
+    mConnsAccepted.inc();
+    gConnections.add(1);
+    return conn;
+  }
+
+  /// Unregisters a drained session and folds its counters into the
+  /// closed-connection rollup (mu held), so the per-connection conservation
+  /// invariant stays exact across reaping.
+  void retireConnLocked(const ConnPtr& c) {
+    std::vector<ConnPtr>& live = c->fd >= 0 ? conns : streamConns;
+    live.erase(std::find(live.begin(), live.end(), c));
+    closedRequests += c->requests;
+    closedResponses += c->responses.load(std::memory_order_relaxed);
+    closedShed += c->shed;
     mConnsClosed.inc();
-    gConnections.set(
-        static_cast<std::int64_t>(conns.size() + streamConns.size()));
+    gConnections.add(-1);
   }
 
   // -- response plumbing ----------------------------------------------------
@@ -509,7 +492,6 @@ struct Service::Impl {
   /// session cannot end (and serveStream cannot return) mid-write.
   void flushStream(Conn& c) {
     std::lock_guard<std::mutex> wl(c.writeMu);
-    std::size_t released = 0;
     std::vector<std::shared_ptr<Slot>> popped;
     for (;;) {
       std::shared_ptr<Slot> slot;
@@ -519,24 +501,26 @@ struct Service::Impl {
         slot = std::move(c.window.front());
         c.window.pop_front();
       }
-      std::string lineOut = std::move(slot->line);
-      lineOut.push_back('\n');
-      if (!c.broken.load(std::memory_order_relaxed) && c.out != nullptr) {
-        (*c.out) << lineOut;
-        c.out->flush();
-      }
+      slot->line.push_back('\n');
+      (*c.out) << slot->line;
+      c.out->flush();
       popped.push_back(std::move(slot));
-      ++released;
     }
-    if (released > 0) {
-      c.responses.fetch_add(released, std::memory_order_relaxed);
-      mResponses.inc(released);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        c.inflight -= released;
-      }
-      for (const auto& slot : popped) emitAccess(c, *slot);
+    releaseSlots(c, popped);
+  }
+
+  /// Releases the in-flight slots of responses popped off a window toward
+  /// the wire or stream, and logs them. Stream sessions never pause.
+  void releaseSlots(Conn& c, const std::vector<std::shared_ptr<Slot>>& popped) {
+    if (popped.empty()) return;
+    c.responses.fetch_add(popped.size(), std::memory_order_relaxed);
+    mResponses.inc(popped.size());
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      c.inflight -= popped.size();
+      if (c.paused && c.inflight < maxInFlight) c.paused = false;
     }
+    for (const auto& slot : popped) emitAccess(c, *slot);
   }
 
   /// Publishes a finished response. Stream sessions flush right here on
@@ -561,7 +545,6 @@ struct Service::Impl {
     if (conn->fd >= 0) wakeIo();  // the IO thread flushes + resumes reads
   }
 
-#ifdef __unix__
   /// IO thread only: moves completed responses at the window's front into
   /// the connection's output buffer — releasing their in-flight slots —
   /// then sends what the socket will take without blocking. The buffer
@@ -571,7 +554,6 @@ struct Service::Impl {
 
   void pumpConn(const ConnPtr& c) {
     const bool broken = c->broken.load(std::memory_order_relaxed);
-    std::size_t released = 0;
     std::vector<std::shared_ptr<Slot>> popped;
     {
       std::lock_guard<std::mutex> g(c->winMu);
@@ -583,19 +565,9 @@ struct Service::Impl {
         }
         popped.push_back(std::move(c->window.front()));
         c->window.pop_front();
-        ++released;
       }
     }
-    if (released > 0) {
-      c->responses.fetch_add(released, std::memory_order_relaxed);
-      mResponses.inc(released);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        c->inflight -= released;
-        if (c->paused && c->inflight < maxInFlight) c->paused = false;
-      }
-      for (const auto& slot : popped) emitAccess(*c, *slot);
-    }
+    releaseSlots(*c, popped);
     sendObuf(*c);
   }
 
@@ -635,16 +607,16 @@ struct Service::Impl {
       c.osent = 0;
     }
   }
-#endif  // __unix__
 
   // -- admission ------------------------------------------------------------
 
   /// Accepts one request line from a session: count it, then either admit
-  /// it onto the worker pool or shed it with a typed error. Called by the
-  /// IO thread (socket sessions) or the stream reader thread — always
-  /// sequentially per connection, which is what keeps `window` in request
-  /// order.
-  void handleLine(const ConnPtr& conn, std::string line) {
+  /// it onto the worker pool or answer it with a typed error (shed, or a
+  /// line longer than kMaxRequestLineBytes, whose bytes were dropped).
+  /// Called by the IO thread (socket sessions) or the stream reader thread
+  /// — always sequentially per connection, which is what keeps `window` in
+  /// request order.
+  void handleLine(const ConnPtr& conn, std::string line, bool tooLong) {
     const Clock::time_point t0 = Clock::now();
     auto slot = std::make_shared<Slot>();
     slot->spans.t0 = t0;
@@ -652,35 +624,34 @@ struct Service::Impl {
       std::lock_guard<std::mutex> g(conn->winMu);
       conn->window.push_back(slot);
     }
-    enum class Admit { Job, Overloaded, Shutdown } admit;
+    enum class Admit { Job, Overloaded, Shutdown, TooLong } admit;
     {
       std::lock_guard<std::mutex> lock(mu);
-      ++counters.requests;
+      mRequests.inc();
       ++conn->requests;
       // Shed requests hold an in-flight slot too (released when their
       // response leaves the window): a client flooding an overloaded
       // service hits its per-connection cap and stops being read, instead
       // of growing the window without bound.
       ++conn->inflight;
-      if (drainingNow()) {
-        ++counters.shedShutdown;
+      if (tooLong) {
+        mParseErrors.inc();
+        admit = Admit::TooLong;
+      } else if (drainingNow()) {
+        mShedShutdown.inc();
         ++conn->shed;
         admit = Admit::Shutdown;
       } else if (pendingJobs >= queueBound) {
-        ++counters.shedOverload;
+        mShedOverload.inc();
         ++conn->shed;
         admit = Admit::Overloaded;
       } else {
         ++pendingJobs;
-        counters.maxQueueDepth = std::max(
-            counters.maxQueueDepth, static_cast<std::uint64_t>(pendingJobs));
+        maxQueueDepth = std::max<std::uint64_t>(maxQueueDepth, pendingJobs);
         gQueueDepth.set(static_cast<std::int64_t>(pendingJobs));
         admit = Admit::Job;
       }
     }
-    mRequests.inc();
-    if (admit != Admit::Job)
-      (admit == Admit::Overloaded ? mShedOverload : mShedShutdown).inc();
     const Clock::time_point tAdmit = Clock::now();
     slot->spans.admitted = tAdmit;
     slot->spans.admitUs = usBetween(t0, tAdmit);
@@ -689,24 +660,30 @@ struct Service::Impl {
         runJob(conn, slot, line);
       });
     } else {
-      // Shed responses still travel through the window (order!) and are
+      // These responses still travel through the window (order!) and are
       // rendered off the IO thread so a slow client can never stall it.
-      const WireError code = admit == Admit::Overloaded ? WireError::Overloaded
-                                                        : WireError::Shutdown;
-      const char* message = admit == Admit::Overloaded
-                                ? "service overloaded: global queue bound "
-                                  "reached, retry later"
-                                : "service is draining, request not accepted";
-      const char* outcome =
-          admit == Admit::Overloaded ? "shed_overload" : "shed_shutdown";
-      pool.submit([this, conn, slot, line = std::move(line), code, message,
-                   outcome] {
+      struct Answer {
+        WireError code;
+        const char* message;
+        const char* outcome;
+      };
+      static constexpr Answer kAnswers[] = {  // by Admit, after Job
+          {WireError::Overloaded,
+           "service overloaded: global queue bound reached, retry later",
+           "shed_overload"},
+          {WireError::Shutdown, "service is draining, request not accepted",
+           "shed_shutdown"},
+          {WireError::Parse, "request line longer than 1 MiB", "parse"},
+      };
+      const Answer& answer = kAnswers[static_cast<int>(admit) - 1];
+      pool.submit([this, conn, slot, line = std::move(line), &answer] {
         RequestSpans& sp = slot->spans;
         const Clock::time_point tStart = Clock::now();
         sp.queueUs = usBetween(sp.admitted, tStart);
-        sp.outcome = outcome;
+        sp.outcome = answer.outcome;
         sp.id = bestEffortId(line);
-        std::string out = errorResponse(sp.id, code, message).dump(0);
+        std::string out =
+            errorResponse(sp.id, answer.code, answer.message).dump(0);
         sp.serviceUs = usBetween(tStart, Clock::now());
         finishSlot(conn, slot, std::move(out), /*admitted=*/false);
       });
@@ -761,32 +738,22 @@ struct Service::Impl {
     if (doc.isObject())
       if (const json::Value* v = doc.asObject().find("id")) id = *v;
     sp.id = id;
-    if (doc.isObject())
-      if (const json::Value* v = doc.asObject().find("stats");
-          v != nullptr && v->isBool() && v->asBool()) {
-        mStatsRequests.inc();
-        sp.control = true;
-        sp.outcome = "stats";
-        json::Object o;
-        o["v"] = kWireVersion;
-        o["id"] = id;
-        o["ok"] = true;
-        o["stats"] = statsJson();
-        return json::Value(std::move(o));
-      }
-    if (doc.isObject())
-      if (const json::Value* v = doc.asObject().find("metrics");
-          v != nullptr && v->isBool() && v->asBool()) {
-        mMetricsRequests.inc();
-        sp.control = true;
-        sp.outcome = "metrics";
-        json::Object o;
-        o["v"] = kWireVersion;
-        o["id"] = id;
-        o["ok"] = true;
-        o["metrics"] = registry.renderPrometheus();
-        return json::Value(std::move(o));
-      }
+    for (const char* control : {"stats", "metrics"}) {
+      const json::Value* v =
+          doc.isObject() ? doc.asObject().find(control) : nullptr;
+      if (v == nullptr || !v->isBool() || !v->asBool()) continue;
+      const bool stats = std::string_view(control) == "stats";
+      (stats ? mStatsRequests : mMetricsRequests).inc();
+      sp.control = true;
+      sp.outcome = control;
+      json::Object o;
+      o["v"] = kWireVersion;
+      o["id"] = id;
+      o["ok"] = true;
+      o[control] =
+          stats ? statsJson() : json::Value(registry.renderPrometheus());
+      return json::Value(std::move(o));
+    }
 
     Request req;
     try {
@@ -906,15 +873,22 @@ struct Service::Impl {
 
   // -- live metrics ---------------------------------------------------------
 
-  /// Fills the registry-backed slice of a ServiceStats snapshot (outcome
-  /// counters + latency percentiles). Lock-free; the caller supplies the
-  /// mu-guarded slice by copying `counters` under mu.
-  void fillRegistryStats(ServiceStats& s) const {
+  /// One ServiceStats snapshot, read from the registry with mu held so the
+  /// admission counters agree with the per-connection ones.
+  ServiceStats statsLocked() const {
+    ServiceStats s;
+    s.requests = mRequests.value();
     s.parseErrors = mParseErrors.value();
     s.scheduled = mScheduled.value();
     s.cacheHits = mCacheHits.value();
     s.deduped = mDeduped.value();
     s.statsRequests = mStatsRequests.value() + mMetricsRequests.value();
+    s.shedOverload = mShedOverload.value();
+    s.shedShutdown = mShedShutdown.value();
+    s.connectionsAccepted = mConnsAccepted.value();
+    s.connectionsRefused = mConnsRefused.value();
+    s.connectionsClosed = mConnsClosed.value();
+    s.maxQueueDepth = maxQueueDepth;
     const Log2Histogram compile = hCompile.snapshot();
     s.latencyCount = compile.count();
     s.latencyP50Us = compile.quantileUs(0.50);
@@ -925,15 +899,6 @@ struct Service::Impl {
     s.controlLatencyP50Us = control.quantileUs(0.50);
     s.controlLatencyP99Us = control.quantileUs(0.99);
     s.controlLatencyMeanUs = control.meanUs();
-  }
-
-  ServiceStats statsSnapshot() const {
-    ServiceStats s;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      s = counters;
-    }
-    fillRegistryStats(s);
     return s;
   }
 
@@ -941,8 +906,7 @@ struct Service::Impl {
     json::Object o;
     {
       std::lock_guard<std::mutex> lock(mu);
-      ServiceStats s = counters;
-      fillRegistryStats(s);
+      const ServiceStats s = statsLocked();
       o["service"] = s.toJson();
       o["queueDepth"] = static_cast<std::uint64_t>(pendingJobs);
       o["draining"] = drainingNow();
@@ -966,7 +930,7 @@ struct Service::Impl {
       // same lock every per-connection and total request count is bumped
       // under.
       json::Object closed;
-      closed["connections"] = counters.connectionsClosed;
+      closed["connections"] = s.connectionsClosed;
       closed["requests"] = closedRequests;
       closed["responses"] = closedResponses;
       closed["shed"] = closedShed;
@@ -983,13 +947,8 @@ struct Service::Impl {
     ConnPtr conn;
     {
       std::lock_guard<std::mutex> lock(mu);
-      conn = std::make_shared<Conn>(nextConnId++, -1);
+      conn = openSessionLocked(-1);
       conn->out = &out;
-      streamConns.push_back(conn);
-      ++counters.connectionsAccepted;
-      mConnsAccepted.inc();
-      gConnections.set(static_cast<std::int64_t>(conns.size() +
-                                                 streamConns.size()));
     }
     std::string line;
     while (std::getline(in, line)) {
@@ -1000,7 +959,7 @@ struct Service::Impl {
           return conn->inflight < maxInFlight || drainingNow();
         });
       }
-      handleLine(conn, std::move(line));
+      handleLine(conn, std::move(line), /*tooLong=*/false);
     }
     // Every response — including shed ones still rendering on the pool —
     // must be on the wire before this session returns.
@@ -1012,17 +971,10 @@ struct Service::Impl {
         return conn->window.empty();
       });
     }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      streamConns.erase(
-          std::remove(streamConns.begin(), streamConns.end(), conn),
-          streamConns.end());
-      ++counters.connectionsClosed;
-      retireConnLocked(*conn);
-    }
+    std::lock_guard<std::mutex> lock(mu);
+    retireConnLocked(conn);
   }
 
-#ifdef __unix__
   // -- listeners and the poll/accept IO thread ------------------------------
 
   void addUnixListener(const std::string& path) {
@@ -1092,30 +1044,27 @@ struct Service::Impl {
     if (fd < 0) return;
     bool refuse = false;
     bool reachedMax = false;
-    ConnPtr conn;
     {
       std::lock_guard<std::mutex> lock(mu);
       if (options.maxClients != 0 && conns.size() >= options.maxClients) {
         refuse = true;
-        ++counters.connectionsRefused;
         mConnsRefused.inc();
       } else {
-        conn = std::make_shared<Conn>(nextConnId++, fd);
-        conns.push_back(conn);
+        openSessionLocked(fd);
         ++accepted;
-        ++counters.connectionsAccepted;
-        mConnsAccepted.inc();
-        gConnections.set(static_cast<std::int64_t>(conns.size() +
-                                                   streamConns.size()));
         reachedMax =
             options.maxConnections != 0 && accepted >= options.maxConnections;
       }
     }
     if (refuse) {
-      sendAll(fd, errorResponse(json::Value(), WireError::Overloaded,
-                                "too many clients, connection refused")
-                          .dump(0) +
-                      "\n");
+      // One short line always fits the fresh socket's send buffer.
+      const std::string line =
+          errorResponse(json::Value(), WireError::Overloaded,
+                        "too many clients, connection refused")
+              .dump(0) +
+          "\n";
+      [[maybe_unused]] const ssize_t n =
+          ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
       ::close(fd);
       return;
     }
@@ -1143,21 +1092,37 @@ struct Service::Impl {
   /// Splits buffered bytes into lines and admits them, honoring the
   /// per-connection cap (pause) — IO thread only. A consumed offset with
   /// one compaction per call keeps a large buffered batch O(n), not the
-  /// O(n^2) of erasing the front per line.
+  /// O(n^2) of erasing the front per line, and `scanned` resumes the
+  /// newline search where the previous read stopped, so a line arriving in
+  /// many reads is scanned once. A line longer than kMaxRequestLineBytes
+  /// answers one `parse` error and ends the reads: the connection closes
+  /// once its window drains.
   void processBuffer(const ConnPtr& conn) {
+    std::string& buf = conn->rbuf;
     std::size_t pos = 0;
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(mu);
         if (conn->paused && !drainingNow()) break;
       }
-      const std::size_t nl = conn->rbuf.find('\n', pos);
-      if (nl == std::string::npos) break;
-      std::string line = conn->rbuf.substr(pos, nl - pos);
+      const std::size_t nl = buf.find('\n', std::max(pos, conn->scanned));
+      if ((nl == std::string::npos ? buf.size() : nl) - pos >
+          kMaxRequestLineBytes) {
+        handleLine(conn, std::string(), /*tooLong=*/true);
+        conn->eof.store(true);
+        buf.clear();
+        conn->scanned = 0;
+        return;
+      }
+      if (nl == std::string::npos) {
+        conn->scanned = buf.size();
+        break;
+      }
+      std::string line = buf.substr(pos, nl - pos);
       pos = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (isBlank(line)) continue;
-      handleLine(conn, std::move(line));
+      handleLine(conn, std::move(line), /*tooLong=*/false);
       {
         std::lock_guard<std::mutex> lock(mu);
         if (conn->inflight >= maxInFlight) {
@@ -1166,7 +1131,8 @@ struct Service::Impl {
         }
       }
     }
-    if (pos > 0) conn->rbuf.erase(0, pos);
+    buf.erase(0, pos);
+    conn->scanned = std::max(conn->scanned, pos) - pos;
   }
 
   bool connDrained(const ConnPtr& conn) {
@@ -1176,7 +1142,8 @@ struct Service::Impl {
     // in-flight count until pumpConn pops it, so inflight == 0 means every
     // response reached obuf and obuf empty means every byte was sent (or
     // the connection broke, forfeiting its output).
-    if (conn->rbuf.find('\n') != std::string::npos) return false;
+    if (conn->rbuf.find('\n', conn->scanned) != std::string::npos)
+      return false;
     if (conn->osent < conn->obuf.size() &&
         !conn->broken.load(std::memory_order_relaxed))
       return false;
@@ -1191,15 +1158,11 @@ struct Service::Impl {
   /// Converts an async drain request, flushes completed responses onto the
   /// wire, resumes un-paused connections with buffered lines, and reaps
   /// drained EOF connections. IO thread only.
-  void sweep() {
-    bool startDrain = false;
+  void sweep(bool& drainStarted) {
+    const bool startDrain = drainingNow() && !std::exchange(drainStarted, true);
     std::vector<ConnPtr> snapshot;
     {
       std::lock_guard<std::mutex> lock(mu);
-      if (drainRequested.load() && !draining) {
-        draining = true;
-        startDrain = true;
-      }
       snapshot = conns;
     }
     if (startDrain) {
@@ -1225,7 +1188,7 @@ struct Service::Impl {
           std::lock_guard<std::mutex> lock(mu);
           runnable = !c->paused;
         }
-        if (runnable && c->rbuf.find('\n') != std::string::npos)
+        if (runnable && c->rbuf.find('\n', c->scanned) != std::string::npos)
           processBuffer(c);
       }
     }
@@ -1234,11 +1197,7 @@ struct Service::Impl {
       if (!c->eof.load() || !connDrained(c)) continue;
       {
         std::lock_guard<std::mutex> lock(mu);
-        const auto it = std::find(conns.begin(), conns.end(), c);
-        if (it == conns.end()) continue;
-        conns.erase(it);
-        ++counters.connectionsClosed;
-        retireConnLocked(*c);
+        retireConnLocked(c);
       }
       ::close(c->fd);
     }
@@ -1246,6 +1205,7 @@ struct Service::Impl {
   }
 
   void ioLoop() {
+    bool drainStarted = false;  // sweep() ran the one-shot drain start
     std::vector<pollfd> pfds;
     std::vector<int> polledListeners;
     std::vector<ConnPtr> polledConns;
@@ -1298,7 +1258,7 @@ struct Service::Impl {
           readConn(c);
         ++idx;
       }
-      sweep();
+      sweep(drainStarted);
     }
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -1306,7 +1266,6 @@ struct Service::Impl {
     }
     cv.notify_all();
   }
-#endif  // __unix__
 };
 
 Service::Service(ArtifactStore& store, ServiceOptions options)
@@ -1315,33 +1274,19 @@ Service::Service(ArtifactStore& store, ServiceOptions options)
 Service::~Service() { stop(); }
 
 void Service::addUnixListener(const std::string& path) {
-#ifdef __unix__
   impl_->addUnixListener(path);
-#else
-  (void)path;
-  throw Error("unix-socket serving is unavailable on this platform");
-#endif
 }
 
 std::uint16_t Service::addTcpListener(std::uint16_t port) {
-#ifdef __unix__
   return impl_->addTcpListener(port);
-#else
-  (void)port;
-  throw Error("TCP serving is unavailable on this platform");
-#endif
 }
 
 void Service::start() {
-#ifdef __unix__
   std::lock_guard<std::mutex> lock(impl_->mu);
   CGRA_ASSERT_MSG(!impl_->ioRunning, "start() called twice");
   impl_->ioRunning = true;
   impl_->ioExited = false;
   impl_->ioThread = std::thread([this] { impl_->ioLoop(); });
-#else
-  throw Error("socket serving is unavailable on this platform");
-#endif
 }
 
 void Service::notifyDrain() {
@@ -1358,12 +1303,9 @@ void Service::waitDone() {
 
 void Service::drain() {
   notifyDrain();
-  {
-    // Stream-only services have no IO thread to convert the request; mark
-    // the draining state directly so serveStream sheds immediately.
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    if (!impl_->ioRunning) impl_->draining = true;
-  }
+  // A stream session checks the drain flag under mu before it blocks in
+  // admission; taking mu here orders the notify after that check.
+  { std::lock_guard<std::mutex> lock(impl_->mu); }
   impl_->cv.notify_all();
   waitDone();
 }
@@ -1390,7 +1332,10 @@ void Service::serveStream(std::istream& in, std::ostream& out) {
   impl_->serveStream(in, out);
 }
 
-ServiceStats Service::stats() const { return impl_->statsSnapshot(); }
+ServiceStats Service::stats() const {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->statsLocked();
+}
 
 json::Value Service::statsJson() const { return impl_->statsJson(); }
 

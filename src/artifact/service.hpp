@@ -55,6 +55,7 @@
 //     then `waitDone()` returns.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -67,6 +68,11 @@ namespace cgra::artifact {
 
 /// Wire protocol version carried as `"v"` in every response.
 inline constexpr std::int64_t kWireVersion = 1;
+
+/// Longest request line a socket session reads. A longer line answers one
+/// `parse` error, after every earlier response, and the server closes the
+/// connection once that answer is sent.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 /// Typed failure codes of the v1 wire protocol. Scheduling failures map
 /// from the scheduler's FailureReason onto `Unmappable` (the response keeps

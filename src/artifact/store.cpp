@@ -58,18 +58,16 @@ std::string ArtifactStore::pathForKey(const std::string& key) const {
 void ArtifactStore::rememberLocked(
     const std::string& key, std::shared_ptr<const ScheduleArtifact> artifact) {
   if (options_.maxMemoryEntries == 0) return;
-  if (auto it = memoryLruIndex_.find(key); it != memoryLruIndex_.end()) {
-    memoryLru_.erase(it->second);
-    memoryLruIndex_.erase(it);
+  if (const auto it = memory_.find(key); it != memory_.end()) {
+    it->second.artifact = std::move(artifact);
+    memoryLru_.splice(memoryLru_.begin(), memoryLru_, it->second.lruIt);
+    return;
   }
   memoryLru_.push_front(key);
-  memoryLruIndex_[key] = memoryLru_.begin();
-  memory_[key] = std::move(artifact);
+  memory_.emplace(key, MemoryEntry{std::move(artifact), memoryLru_.begin()});
   while (memory_.size() > options_.maxMemoryEntries) {
-    const std::string victim = memoryLru_.back();
+    memory_.erase(memoryLru_.back());
     memoryLru_.pop_back();
-    memoryLruIndex_.erase(victim);
-    memory_.erase(victim);
   }
 }
 
@@ -121,14 +119,9 @@ std::shared_ptr<const ScheduleArtifact> ArtifactStore::lookup(
       ++counters_.hits;
       ++counters_.memoryHits;
       // Bump recency in both layers.
-      if (auto lit = memoryLruIndex_.find(key);
-          lit != memoryLruIndex_.end()) {
-        memoryLru_.erase(lit->second);
-        memoryLru_.push_front(key);
-        lit->second = memoryLru_.begin();
-      }
+      memoryLru_.splice(memoryLru_.begin(), memoryLru_, it->second.lruIt);
       touchDiskLocked(key);
-      return it->second;
+      return it->second.artifact;
     }
   }
 

@@ -84,6 +84,10 @@ public:
   const std::string& directory() const { return options_.directory; }
 
 private:
+  struct MemoryEntry {
+    std::shared_ptr<const ScheduleArtifact> artifact;
+    std::list<std::string>::iterator lruIt;  ///< position in memoryLru_
+  };
   struct DiskEntry {
     std::size_t bytes = 0;
     std::list<std::string>::iterator lruIt;  ///< position in lru_
@@ -99,12 +103,9 @@ private:
   StoreOptions options_;
   mutable std::mutex mu_;
   StoreCounters counters_;
-  // Hot layer: key → artifact with its own LRU list.
-  std::unordered_map<std::string, std::shared_ptr<const ScheduleArtifact>>
-      memory_;
-  std::list<std::string> memoryLru_;  ///< front = most recent
-  std::unordered_map<std::string, std::list<std::string>::iterator>
-      memoryLruIndex_;
+  // Hot layer: key → artifact + recency (front of memoryLru_ = most recent).
+  std::unordered_map<std::string, MemoryEntry> memory_;
+  std::list<std::string> memoryLru_;
   // Disk index: key → size + recency (front of lru_ = most recent).
   std::unordered_map<std::string, DiskEntry> disk_;
   std::list<std::string> lru_;

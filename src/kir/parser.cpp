@@ -220,6 +220,25 @@ private:
     return lex_.take();
   }
 
+  /// Counts one level of syntactic nesting for as long as it lives. The
+  /// parser recurses once per level, so the limit bounds its stack on
+  /// hostile input (kMaxNestingDepth).
+  class Nest {
+  public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxNestingDepth)
+        p_.fail(p_.lex_.peek(), "nesting deeper than " +
+                                    std::to_string(kMaxNestingDepth) +
+                                    " levels");
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+  private:
+    Parser& p_;
+  };
+
   LocalId declare(const Token& name, bool isParam) {
     if (locals_.contains(name.text))
       fail(name, "duplicate declaration of '" + name.text + "'");
@@ -237,6 +256,7 @@ private:
   }
 
   StmtId parseBlock() {
+    const Nest nest(*this);
     expect(Tok::LBrace, "expected '{'");
     std::vector<StmtId> stmts;
     while (lex_.peek().kind != Tok::RBrace) {
@@ -271,6 +291,7 @@ private:
         StmtId elseB = kNoStmt;
         if (lex_.peek().kind == Tok::KwElse) {
           lex_.take();
+          const Nest nest(*this);  // an else-if chain nests like blocks
           elseB = lex_.peek().kind == Tok::KwIf ? parseStmt() : parseBlock();
         }
         return builder_->ifElse(asCondition(cond), thenB, elseB);
@@ -490,6 +511,8 @@ private:
 
   ExprId parseUnary() {
     const Tok k = lex_.peek().kind;
+    if (k != Tok::Minus && k != Tok::Bang) return parsePrimary();
+    const Nest nest(*this);
     if (k == Tok::Minus) {
       lex_.take();
       // Fold -literal directly so INT_MIN is expressible.
@@ -500,11 +523,8 @@ private:
       }
       return builder_->neg(parseUnary());
     }
-    if (k == Tok::Bang) {
-      lex_.take();
-      return builder_->eq(parseUnary(), builder_->cint(0));
-    }
-    return parsePrimary();
+    lex_.take();
+    return builder_->eq(parseUnary(), builder_->cint(0));
   }
 
   ExprId parsePrimary() {
@@ -516,6 +536,7 @@ private:
         const LocalId id = resolve(t);
         if (lex_.peek().kind == Tok::LBracket) {
           lex_.take();
+          const Nest nest(*this);
           const ExprId index = parseExpr();
           expect(Tok::RBracket, "expected ']'");
           return builder_->load(builder_->use(id), index);
@@ -523,6 +544,7 @@ private:
         return builder_->use(id);
       }
       case Tok::LParen: {
+        const Nest nest(*this);
         const ExprId e = parseExpr();
         expect(Tok::RParen, "expected ')'");
         return e;
@@ -535,6 +557,7 @@ private:
   Lexer lex_;
   std::optional<FunctionBuilder> builder_;
   std::map<std::string, LocalId> locals_;
+  std::size_t depth_ = 0;  ///< live Nest guards
 };
 
 }  // namespace

@@ -21,14 +21,25 @@
 // `>>` is arithmetic, `>>>` logical shift right.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "kir/kir.hpp"
 
 namespace cgra::kir {
 
+/// Deepest syntactic nesting `parseKernel` accepts: each block, else-if,
+/// parenthesis, subscript and prefix operator is one level. The parser and
+/// the frontend passes after it recurse once per level, so untrusted input
+/// (a served `kernelFile`) must not choose the depth. A parenthesis costs
+/// the parser about 4 KiB of stack (9 KiB under ASan), so the limit fits an
+/// 8 MiB thread stack with room to spare; real kernels nest fewer than a
+/// dozen levels.
+inline constexpr std::size_t kMaxNestingDepth = 640;
+
 /// Parses one kernel; throws cgra::Error with line/column on syntax errors,
-/// undeclared identifiers or duplicate declarations.
+/// undeclared identifiers, duplicate declarations or nesting deeper than
+/// kMaxNestingDepth.
 Function parseKernel(const std::string& source);
 
 /// Reads and parses a kernel file.

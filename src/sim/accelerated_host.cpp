@@ -2,7 +2,7 @@
 
 #include "kir/lower_bytecode.hpp"
 #include "kir/lower_cdfg.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/unroll_pass.hpp"
 #include "sim/simulator.hpp"
 
 namespace cgra {

@@ -226,6 +226,26 @@ TEST(ArtifactStore, MemoryOnlyHitsAndMisses) {
   EXPECT_EQ(c.inserts, 1u);
 }
 
+TEST(ArtifactStore, LookupBumpsMemoryRecency) {
+  artifact::StoreOptions so;  // memory-only: an evicted key misses
+  so.maxMemoryEntries = 2;
+  artifact::ArtifactStore store(so);
+  const Composition comp = makeMesh(4);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  const auto insert = [&](const std::string& key) {
+    store.insert(std::make_shared<const artifact::ScheduleArtifact>(
+        makeArtifact(comp, graph, key)));
+  };
+  insert("key-a");
+  insert("key-b");
+  ASSERT_NE(store.lookup("key-a"), nullptr);  // A is now the most recent
+  insert("key-c");
+  EXPECT_EQ(store.memoryEntries(), 2u);
+  EXPECT_EQ(store.lookup("key-b"), nullptr) << "B was least recently used";
+  EXPECT_NE(store.lookup("key-a"), nullptr);
+  EXPECT_NE(store.lookup("key-c"), nullptr);
+}
+
 TEST(ArtifactStore, DiskEntriesSurviveReopen) {
   const TempDir dir("reopen");
   const Composition comp = makeMesh(4);

@@ -10,7 +10,8 @@
 #include "ctx/contexts.hpp"
 #include "kir/interp.hpp"
 #include "kir/lower_cdfg.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/cse_pass.hpp"
+#include "kir/passes/unroll_pass.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/validate.hpp"
 #include "sim/simulator.hpp"

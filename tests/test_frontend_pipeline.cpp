@@ -13,7 +13,12 @@
 #include "kir/interp.hpp"
 #include "kir/lower_cdfg.hpp"
 #include "kir/parser.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/exit_normalize_pass.hpp"
+#include "kir/passes/inline_pass.hpp"
+#include "kir/passes/pass_utils.hpp"
+#include "kir/passes/pipeline.hpp"
+#include "kir/passes/shortcircuit_pass.hpp"
+#include "kir/passes/switch_lower_pass.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
 

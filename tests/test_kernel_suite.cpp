@@ -20,7 +20,7 @@
 #include "kir/lower_bytecode.hpp"
 #include "kir/lower_cdfg.hpp"
 #include "kir/parser.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/pipeline.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/validate.hpp"
 #include "sim/simulator.hpp"

@@ -9,7 +9,10 @@
 #include "kir/interp.hpp"
 #include "kir/lower_bytecode.hpp"
 #include "kir/parser.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/cse_pass.hpp"
+#include "kir/passes/inline_pass.hpp"
+#include "kir/passes/pass_utils.hpp"
+#include "kir/passes/unroll_pass.hpp"
 #include "support/rng.hpp"
 
 namespace cgra::kir {

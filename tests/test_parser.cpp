@@ -9,6 +9,7 @@
 #include "kir/interp.hpp"
 #include "kir/lower_cdfg.hpp"
 #include "kir/parser.hpp"
+#include "kir/passes/pipeline.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
 
@@ -115,6 +116,70 @@ TEST(Parser, DiagnosticsCarryLineAndColumn) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
+}
+
+/// A kernel nesting `ifs` if-blocks inside its body block, around an
+/// expression wrapped in `parens` parentheses: 1 + ifs + parens levels.
+std::string nestedKernel(std::size_t ifs, std::size_t parens) {
+  std::string src = "kernel deep(x) {\n  var y = 0;\n";
+  for (std::size_t i = 0; i < ifs; ++i) src += "if (x) { ";
+  src += "y = " + std::string(parens, '(') + "x + 1" +
+         std::string(parens, ')') + ";";
+  for (std::size_t i = 0; i < ifs; ++i) src += " }";
+  return src + "\n}\n";
+}
+
+TEST(Parser, RejectsNestingDeeperThanTheLimit) {
+  // Every construct that nests counts, and 200,000 levels fail as cleanly
+  // as one level too many instead of overflowing the stack.
+  const std::size_t over = kMaxNestingDepth;  // + the body block
+  std::string elseIfs = "kernel f(x) { var y = 0; if (x == 0) { y = 1; }";
+  for (std::size_t i = 0; i < over; ++i) elseIfs += " else if (x == 1) { }";
+  const std::string sources[] = {
+      nestedKernel(0, over),
+      nestedKernel(over, 0),
+      nestedKernel(0, 200000),
+      nestedKernel(200000, 0),
+      "kernel f(x) { var y = " + std::string(over, '-') + "x; }",
+      "kernel f(x) { var y = " + std::string(over, '!') + "x; }",
+      "kernel f(x, a) { var y = " + [&] {
+        std::string e;
+        for (std::size_t i = 0; i < over; ++i) e += "a[";
+        return e + "0" + std::string(over, ']');
+      }() + "; }",
+      elseIfs + " }",
+  };
+  for (const std::string& src : sources) {
+    try {
+      parseKernel(src);
+      ADD_FAILURE() << "accepted a kernel nested past the limit";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("nesting deeper than " +
+                          std::to_string(kMaxNestingDepth) + " levels"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("line "), std::string::npos) << what;
+      EXPECT_NE(what.find("column "), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Parser, KernelAtTheNestingLimitSchedules) {
+  // The deepest accepted kernels run the whole path without exhausting the
+  // stack: parentheses cost the parser the most stack per level, if-blocks
+  // and prefix operators build the deepest trees for the passes after it.
+  const Function parens = parseKernel(nestedKernel(0, kMaxNestingDepth - 1));
+  const Cdfg graph = lowerToCdfg(runFrontendPipeline(parens).fn).graph;
+  EXPECT_TRUE(Scheduler(makeMesh(9)).schedule(ScheduleRequest(graph)).ok);
+
+  const std::string prefix =
+      "kernel f(x) { var y = " + std::string(kMaxNestingDepth - 1, '!') +
+      "x; }";
+  for (const std::string& src : {nestedKernel(kMaxNestingDepth - 1, 0), prefix})
+    EXPECT_GT(lowerToCdfg(runFrontendPipeline(parseKernel(src)).fn)
+                  .graph.numNodes(),
+              0u);
 }
 
 TEST(Parser, ParsedKernelRunsOnTheCgra) {

@@ -21,7 +21,8 @@
 #include "apps/kernels.hpp"
 #include "arch/factory.hpp"
 #include "kir/lower_cdfg.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/cse_pass.hpp"
+#include "kir/passes/unroll_pass.hpp"
 #include "kir/random_kernel.hpp"
 #include "sched/scheduler.hpp"
 

@@ -11,7 +11,12 @@
 #include "kir/interp.hpp"
 #include "kir/lower_bytecode.hpp"
 #include "kir/lower_cdfg.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/cse_pass.hpp"
+#include "kir/passes/exit_normalize_pass.hpp"
+#include "kir/passes/pipeline.hpp"
+#include "kir/passes/shortcircuit_pass.hpp"
+#include "kir/passes/switch_lower_pass.hpp"
+#include "kir/passes/unroll_pass.hpp"
 #include "kir/random_kernel.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/validate.hpp"

@@ -29,9 +29,7 @@
 #include "sched/scheduler.hpp"
 #include "temp_dir.hpp"
 
-#ifdef __unix__
 #include <sys/stat.h>
-#endif
 
 namespace cgra {
 namespace {
@@ -258,6 +256,37 @@ TEST(Service, KernelFilesRunTheFrontendPipeline) {
             std::to_string(report.schedule.fingerprint()));
 }
 
+TEST(Service, DeepKernelFileIsUnknownCompAndTheSessionLivesOn) {
+  // 200,000 nested parentheses used to overflow the KIR parser's stack and
+  // kill the server; the parser now stops at kir::kMaxNestingDepth.
+  TempDir dir("deepkir");
+  const std::string path = (dir.path / "deep.kir").string();
+  {
+    std::ofstream f(path);
+    f << "kernel deep(x) { var y = " << std::string(200000, '(') << 'x'
+      << std::string(200000, ')') << "; }\n";
+  }
+  artifact::ArtifactStore store;
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  const std::vector<json::Value> responses = runService(
+      "{\"id\":1,\"comp\":\"mesh9\",\"kernelFile\":\"" + path + "\"}\n"
+      "{\"id\":2,\"comp\":\"mesh4\",\"kernel\":\"gcd\"}\n",
+      store, options);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(errorCode(responses[0]), "unknown_comp");
+  EXPECT_NE(responses[0]
+                .asObject()
+                .at("error")
+                .asObject()
+                .at("message")
+                .asString()
+                .find("nesting deeper than"),
+            std::string::npos);
+  EXPECT_TRUE(responses[1].asObject().at("ok").asBool())
+      << "the next line on the same session is served";
+}
+
 TEST(Service, TinyInFlightWindowPreservesOrderUnderBackpressure) {
   artifact::ArtifactStore store;
   artifact::ServiceOptions options;
@@ -443,8 +472,6 @@ TEST(Service, AccessLogSpansSumToReportedTotal) {
             lines[1].asObject().at("key").asString());
   EXPECT_EQ(lines[0].asObject().at("key").asString().size(), 12u);
 }
-
-#ifdef __unix__
 
 /// A FIFO-backed kernelFile deterministically blocks the worker inside
 /// parseKernelFile (opening a FIFO for reading blocks until a writer
@@ -761,9 +788,10 @@ TEST(Service, ShedResponsesHonorThePerConnectionCap) {
     const json::Value doc = json::parse(line);
     EXPECT_EQ(doc.asObject().at("id").asInt(), i)
         << "responses keep request order";
-    if (i <= 7)
+    if (i <= 7) {
       EXPECT_EQ(errorCode(doc), "overloaded")
           << "lines read while the queue slot was held must shed";
+    }
   }
   EXPECT_FALSE(client.recvLine(line));
   client.close();
@@ -771,6 +799,126 @@ TEST(Service, ShedResponsesHonorThePerConnectionCap) {
   service.stop();
   EXPECT_EQ(service.stats().requests, 101u)
       << "every line is answered once the pause lifts";
+}
+
+/// The value of one unlabelled sample line `name value` in a Prometheus
+/// exposition; -1 when the name is absent.
+std::int64_t exposedValue(const std::string& text, const std::string& name) {
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind(name + " ", 0) == 0)
+      return std::stoll(line.substr(name.size() + 1));
+  return -1;
+}
+
+TEST(Service, StatsAgreeWithTheExposition) {
+  // ServiceStats is read from the metrics registry, so at quiescence every
+  // counter equals its line in the exposition.
+  BlockingKernel fifo("agree");
+  artifact::ArtifactStore store;
+  artifact::ServiceOptions options;
+  options.threads = 2;
+  options.queueBound = 1;  // the blocked job makes the next lines shed
+  artifact::Service service(store, options);
+  const auto serve = [&service](const std::string& lines) {
+    std::istringstream in(lines);
+    std::ostringstream out;
+    service.serveStream(in, out);
+    return parseLines(out.str());
+  };
+
+  std::vector<json::Value> shed;
+  std::thread session([&] {
+    shed = serve(fifo.request(1) +
+                 "{\"id\":2,\"comp\":\"mesh4\",\"kernel\":\"gcd\"}\n"
+                 "{\"id\":3,\"comp\":\"mesh4\",\"kernel\":\"gcd\"}\n");
+  });
+  ASSERT_TRUE(eventually([&] { return service.stats().requests == 3; }));
+  fifo.release();
+  session.join();
+  ASSERT_EQ(shed.size(), 3u);
+  EXPECT_EQ(errorCode(shed[1]), "overloaded");
+
+  // One line per session: each is answered before the next is admitted.
+  EXPECT_FALSE(serve("{\"comp\":\"mesh4\",\"kernel\":\"gcd\"}\n")[0]
+                   .asObject()
+                   .at("cached")
+                   .asBool());
+  EXPECT_TRUE(serve("{\"comp\":\"mesh4\",\"kernel\":\"gcd\"}\n")[0]
+                  .asObject()
+                  .at("cached")
+                  .asBool());
+  EXPECT_EQ(errorCode(serve("not json\n")[0]), "parse");
+  serve("{\"stats\":true}\n");
+  serve("{\"metrics\":true}\n");
+  service.drain();
+  EXPECT_EQ(errorCode(serve("{\"comp\":\"mesh4\",\"kernel\":\"gcd\"}\n")[0]),
+            "shutdown");
+
+  const artifact::ServiceStats stats = service.stats();
+  const std::string text = service.metricsText();
+  EXPECT_EQ(stats.requests, 9u);
+  EXPECT_EQ(stats.scheduled, 1u);
+  EXPECT_EQ(stats.cacheHits, 1u);
+  EXPECT_EQ(stats.parseErrors, 2u) << "the FIFO kernel and the bad line";
+  EXPECT_EQ(stats.shedOverload, 2u);
+  EXPECT_EQ(stats.shedShutdown, 1u);
+  EXPECT_EQ(stats.statsRequests, 2u);
+  EXPECT_EQ(stats.connectionsAccepted, 7u);
+  const std::pair<std::uint64_t, const char*> pairs[] = {
+      {stats.requests, "cgra_requests_total"},
+      {stats.parseErrors, "cgra_parse_errors_total"},
+      {stats.scheduled, "cgra_scheduled_total"},
+      {stats.cacheHits, "cgra_cache_hits_total"},
+      {stats.deduped, "cgra_deduped_total"},
+      {stats.shedOverload, "cgra_shed_overload_total"},
+      {stats.shedShutdown, "cgra_shed_shutdown_total"},
+      {stats.connectionsAccepted, "cgra_connections_accepted_total"},
+      {stats.connectionsRefused, "cgra_connections_refused_total"},
+      {stats.connectionsClosed, "cgra_connections_closed_total"},
+      {stats.latencyCount, "cgra_compile_latency_us_count"},
+      {stats.controlLatencyCount, "cgra_control_latency_us_count"},
+  };
+  for (const auto& [value, name] : pairs)
+    EXPECT_EQ(static_cast<std::int64_t>(value), exposedValue(text, name))
+        << name;
+  EXPECT_EQ(static_cast<std::int64_t>(stats.statsRequests),
+            exposedValue(text, "cgra_stats_requests_total") +
+                exposedValue(text, "cgra_metrics_requests_total"));
+}
+
+TEST(Service, OverlongRequestLineIsAParseErrorAndClosesTheConnection) {
+  artifact::ArtifactStore store;
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  artifact::Service service(store, options);
+  const std::uint16_t port = service.addTcpListener(0);
+  service.start();
+
+  artifact::JsonlClient client = artifact::JsonlClient::connectTcp(port);
+  client.sendLine("{\"id\":1,\"comp\":\"mesh4\",\"kernel\":\"gcd\"}");
+  // 2 MiB without a newline: the server stops reading past the cap, so the
+  // send may block until the server closes and then fail; that is fine.
+  std::thread flood([&client] {
+    try {
+      client.sendLine(std::string(2 * artifact::kMaxRequestLineBytes, 'x'));
+    } catch (const Error&) {
+    }
+  });
+  std::string line;
+  ASSERT_TRUE(client.recvLine(line));
+  EXPECT_TRUE(json::parse(line).asObject().at("ok").asBool());
+  ASSERT_TRUE(client.recvLine(line));
+  EXPECT_EQ(errorCode(json::parse(line)), "parse");
+  EXPECT_FALSE(client.recvLine(line)) << "the server closes the connection";
+  flood.join();
+  client.close();
+
+  service.drain();
+  service.stop();
+  EXPECT_EQ(service.stats().requests, 2u);
+  EXPECT_EQ(service.stats().parseErrors, 1u);
+  EXPECT_EQ(service.stats().connectionsClosed, 1u);
 }
 
 TEST(Service, UnixListenerStopsAfterMaxConnections) {
@@ -907,8 +1055,6 @@ TEST(Service, EightClientStressSharesOneStoreCleanly) {
   EXPECT_EQ(closed.at("responses").asInt(), kClients * kRequests);
   EXPECT_EQ(closed.at("shed").asInt(), 0);
 }
-
-#endif  // __unix__
 
 }  // namespace
 }  // namespace cgra

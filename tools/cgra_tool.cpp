@@ -97,7 +97,9 @@
 #include "kir/lower_bytecode.hpp"
 #include "kir/lower_cdfg.hpp"
 #include "kir/parser.hpp"
-#include "kir/passes.hpp"
+#include "kir/passes/pass_utils.hpp"
+#include "kir/passes/pipeline.hpp"
+#include "kir/passes/switch_lower_pass.hpp"
 #include "kir/random_kernel.hpp"
 #include "sched/analysis.hpp"
 #include "sched/job_key.hpp"
