@@ -31,9 +31,9 @@ namespace cgra::artifact {
 inline constexpr const char* kArtifactFormat = "cgra-artifact-v1";
 
 /// One cached scheduling result: success with a full schedule, or a typed
-/// failure. `contexts` optionally carries the deployable context images
-/// (attached by single-job flows like `cgra-tool schedule --cache`; sweeps
-/// skip them — regenerating from the schedule is deterministic).
+/// failure. `contexts` carries the deployable context images only in
+/// `"artifact": true` wire responses; stored artifacts never attach them
+/// (regenerating is deterministic), so one key names one document.
 struct ScheduleArtifact {
   std::string key;  ///< content-addressed cache key (sched/job_key.hpp)
   bool ok = false;

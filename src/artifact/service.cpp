@@ -12,7 +12,6 @@
 #include <ostream>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,6 +44,7 @@ const char* wireErrorCode(WireError code) {
   switch (code) {
     case WireError::Parse: return "parse";
     case WireError::UnknownComp: return "unknown_comp";
+    case WireError::BadKernel: return "bad_kernel";
     case WireError::Unmappable: return "unmappable";
     case WireError::Overloaded: return "overloaded";
     case WireError::Shutdown: return "shutdown";
@@ -130,15 +130,6 @@ Cdfg resolveGraph(const Request& r) {
   throw Error("unknown kernel \"" + r.kernel + "\"");
 }
 
-/// Tracks one key being scheduled right now so identical concurrent
-/// requests — from any connection — wait for it instead of scheduling again.
-struct InFlightKey {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::shared_ptr<const ScheduleArtifact> artifact;
-};
-
 std::uint64_t usBetween(Clock::time_point a, Clock::time_point b) {
   const auto us =
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count();
@@ -155,13 +146,11 @@ struct RequestSpans {
   Clock::time_point admitted{};  ///< admission decision made
   std::uint64_t admitUs = 0;     ///< read → admitted/shed decision
   std::uint64_t queueUs = 0;     ///< admitted → worker pickup
-  std::uint64_t storeUs = 0;     ///< job key + store lookups + dedup wait
+  std::uint64_t storeUs = 0;     ///< job key + store resolve, less scheduleUs
   std::uint64_t scheduleUs = 0;  ///< scheduler run (cold requests only)
   std::uint64_t serializeUs = 0; ///< response JSON dump
   std::uint64_t serviceUs = 0;   ///< worker pickup → response ready
-  const char* outcome = "internal";  ///< ok|unmappable|parse|unknown_comp|
-                                     ///< stats|metrics|shed_overload|
-                                     ///< shed_shutdown|internal
+  const char* outcome = "internal";  ///< access-log outcome (DESIGN.md §13)
   bool cacheHit = false;
   bool control = false;   ///< control-plane request (stats/metrics)
   json::Value id;         ///< request id, echoed into the access log
@@ -331,7 +320,7 @@ struct Service::Impl {
   Counter& mResponses = registry.counter(
       "cgra_responses_total", "Responses handed to the wire or stream");
   Counter& mParseErrors = registry.counter(
-      "cgra_parse_errors_total", "parse/unknown_comp failure responses");
+      "cgra_parse_errors_total", "parse/unknown_comp/bad_kernel answers");
   Counter& mScheduled = registry.counter(
       "cgra_scheduled_total", "Jobs actually run on the scheduler");
   Counter& mCacheHits = registry.counter("cgra_cache_hits_total",
@@ -367,7 +356,7 @@ struct Service::Impl {
   AtomicHistogram& hQueueWait = registry.histogram(
       "cgra_queue_wait_us", "Admitted to worker pickup (us)");
   AtomicHistogram& hStore = registry.histogram(
-      "cgra_store_lookup_us", "Job key + store lookups + dedup wait (us)");
+      "cgra_store_lookup_us", "Job key + store resolve, less schedule (us)");
   AtomicHistogram& hSchedule =
       registry.histogram("cgra_schedule_us", "Scheduler run, cold jobs (us)");
   AtomicHistogram& hSerialize =
@@ -386,7 +375,6 @@ struct Service::Impl {
   std::uint64_t closedResponses = 0;
   std::uint64_t closedShed = 0;
   std::size_t pendingJobs = 0;
-  std::unordered_map<std::string, std::shared_ptr<InFlightKey>> inflightKeys;
   bool ioRunning = false;
   bool ioExited = false;
   std::uint64_t nextConnId = 1;
@@ -727,13 +715,17 @@ struct Service::Impl {
 
   json::Value computeResponse(const std::string& line, RequestSpans& sp) {
     json::Value id;
+    // A rejected request's access-log outcome is its wire code.
+    const auto reject = [&](WireError code, const std::exception& e) {
+      mParseErrors.inc();
+      sp.outcome = wireErrorCode(code);
+      return errorResponse(id, code, e.what());
+    };
     json::Value doc;
     try {
       doc = json::parse(line);
     } catch (const std::exception& e) {
-      mParseErrors.inc();
-      sp.outcome = "parse";
-      return errorResponse(id, WireError::Parse, e.what());
+      return reject(WireError::Parse, e);
     }
     if (doc.isObject())
       if (const json::Value* v = doc.asObject().find("id")) id = *v;
@@ -759,19 +751,17 @@ struct Service::Impl {
     try {
       req = parseRequest(doc, options.includeArtifact);
     } catch (const std::exception& e) {
-      mParseErrors.inc();
-      sp.outcome = "parse";
-      return errorResponse(id, WireError::Parse, e.what());
+      return reject(WireError::Parse, e);
     }
     Composition comp;
     Cdfg graph;
+    WireError stage = WireError::UnknownComp;
     try {
       comp = resolveComposition(req.comp);
+      stage = WireError::BadKernel;
       graph = resolveGraph(req);
     } catch (const std::exception& e) {
-      mParseErrors.inc();
-      sp.outcome = "unknown_comp";
-      return errorResponse(id, WireError::UnknownComp, e.what());
+      return reject(stage, e);
     }
     try {
       SchedulerOptions schedOpts;
@@ -779,95 +769,41 @@ struct Service::Impl {
       const Clock::time_point tKey = Clock::now();
       const std::string key = scheduleJobKey(comp, graph, schedOpts);
       sp.keyPrefix = key.substr(0, 12);
-
-      std::shared_ptr<const ScheduleArtifact> art = store.lookup(key);
-      bool cached = art != nullptr;
-      sp.storeUs = usBetween(tKey, Clock::now());
-      if (art == nullptr) {
-        // Not in the store: either claim the key or wait for the worker —
-        // possibly serving another connection — that did.
-        std::shared_ptr<InFlightKey> entry;
-        bool owner = false;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          auto [it, inserted] =
-              inflightKeys.emplace(key, std::make_shared<InFlightKey>());
-          entry = it->second;
-          owner = inserted;
-        }
-        if (owner) {
-          // The claim may have raced the previous owner's retirement: it
-          // publishes to the store before erasing its claim, so a claim
-          // won after that erase finds the artifact on this second probe —
-          // without it the key would be scheduled twice.
-          art = store.lookup(key);
-          if (art != nullptr) {
-            cached = true;
-            mCacheHits.inc();
-            std::lock_guard<std::mutex> lock(mu);
-            inflightKeys.erase(key);
-          } else {
-            const Clock::time_point tSched = Clock::now();
-            const Scheduler scheduler(comp, schedOpts);
-            ScheduleRequest sreq(graph);
-            // Sampled cold runs carry the PR 2 decision trace and land as
-            // one Chrome-JSON file per request under options.traceDir.
-            const std::uint64_t seq =
-                coldSeq.fetch_add(1, std::memory_order_relaxed);
-            const bool sampled =
-                options.traceSample > 0 && seq % options.traceSample == 0;
-            sreq.trace.enabled = sampled;
-            const ScheduleReport sched = scheduler.schedule(sreq);
-            sp.scheduleUs = usBetween(tSched, Clock::now());
-            if (sampled && sched.trace != nullptr &&
-                !options.traceDir.empty())
-              writeSampledTrace(key, seq, *sched.trace);
-            art = std::make_shared<const ScheduleArtifact>(
-                ScheduleArtifact::fromReport(key, sched));
-            store.insert(art);
-            mScheduled.inc();
-            std::lock_guard<std::mutex> lock(mu);
-            inflightKeys.erase(key);
+      // Identical concurrent misses, from any connection, share one run.
+      const auto [art, source] = store.resolve(key, [&] {
+        const Clock::time_point tSched = Clock::now();
+        ScheduleRequest sreq(graph);
+        // Sampled cold runs carry the decision trace and land as one
+        // Chrome-JSON file per request under options.traceDir.
+        const std::uint64_t seq =
+            coldSeq.fetch_add(1, std::memory_order_relaxed);
+        const bool sampled =
+            options.traceSample > 0 && seq % options.traceSample == 0;
+        sreq.trace.enabled = sampled;
+        const ScheduleReport sched =
+            Scheduler(comp, schedOpts).schedule(sreq);
+        sp.scheduleUs = usBetween(tSched, Clock::now());
+        if (sampled && sched.trace != nullptr && !options.traceDir.empty()) {
+          try {  // best effort: a failed write drops the sample only
+            json::writeFile(options.traceDir + "/serve-" + sp.keyPrefix +
+                                "-" + std::to_string(seq) + ".trace.json",
+                            sched.trace->toChromeJson("serve " + sp.keyPrefix));
+            mTracesSampled.inc();
+          } catch (...) {
           }
-          {
-            std::lock_guard<std::mutex> elock(entry->mu);
-            entry->done = true;
-            entry->artifact = art;
-          }
-          entry->cv.notify_all();
-        } else {
-          const Clock::time_point tWait = Clock::now();
-          std::unique_lock<std::mutex> elock(entry->mu);
-          entry->cv.wait(elock, [&] { return entry->done; });
-          art = entry->artifact;
-          cached = true;
-          mDeduped.inc();
-          sp.storeUs += usBetween(tWait, Clock::now());
         }
-      } else {
-        mCacheHits.inc();
-      }
-      sp.cacheHit = cached;
+        mScheduled.inc();
+        return ScheduleArtifact::fromReport(key, sched);
+      });
+      sp.storeUs = usBetween(tKey, Clock::now()) - sp.scheduleUs;
+      sp.cacheHit = source != ArtifactStore::Source::Computed;
+      if (sp.cacheHit)
+        (source == ArtifactStore::Source::Joined ? mDeduped : mCacheHits).inc();
       sp.outcome = art->ok ? "ok" : "unmappable";
-      return artifactResponse(id, *art, cached, req.wantArtifact, comp);
+      return artifactResponse(id, *art, sp.cacheHit, req.wantArtifact, comp);
     } catch (const std::exception& e) {
       sp.outcome = "internal";
       return errorResponse(id, WireError::Internal, e.what());
-    }
-  }
-
-  /// Best-effort write of one sampled cold run's Chrome trace; a failed
-  /// write (missing/unwritable traceDir) drops the sample, never the
-  /// response.
-  void writeSampledTrace(const std::string& key, std::uint64_t seq,
-                         const Trace& trace) {
-    try {
-      const std::string label = "serve " + key.substr(0, 12);
-      json::writeFile(options.traceDir + "/serve-" + key.substr(0, 12) + "-" +
-                          std::to_string(seq) + ".trace.json",
-                      trace.toChromeJson(label));
-      mTracesSampled.inc();
-    } catch (...) {
     }
   }
 

@@ -15,8 +15,8 @@
 //
 // Failures are typed: {"v":1, "id":..., "ok":false,
 //   "error":{"code":"unmappable", "message":"...", "reason":"context-budget"}}
-// with codes parse | unknown_comp | unmappable | overloaded | shutdown |
-// internal (the wire protocol table lives in DESIGN.md §12).
+// with codes parse | unknown_comp | bad_kernel | unmappable | overloaded |
+// shutdown | internal (the wire protocol table lives in DESIGN.md §12).
 //
 // The `Service` class owns the whole lifecycle:
 //
@@ -36,9 +36,9 @@
 //     requests are answered immediately with
 //     `"error":{"code":"overloaded"}` — explicit shedding, never a silent
 //     stall).
-//   * Workers — cache misses from all sessions run on one shared pool over
-//     the shared ArtifactStore; identical in-flight keys coalesce onto one
-//     scheduling slot exactly as in the single-stream service.
+//   * Workers — requests from all sessions run on one shared pool over the
+//     shared ArtifactStore; its `resolve` coalesces identical in-flight
+//     keys onto one scheduler run, and a failed run answers all of them.
 //   * Observability — a request line {"stats": true} answers with the live
 //     ServiceStats (per-connection counters, queue depth, p50/p99 service
 //     latency, store hit rate) as sorted-key JSON; {"metrics": true}
@@ -79,7 +79,8 @@ inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 /// the fine-grained reason name in `error.reason`).
 enum class WireError : std::uint8_t {
   Parse,        ///< malformed JSON or missing/ill-typed request fields
-  UnknownComp,  ///< composition/kernel could not be resolved
+  UnknownComp,  ///< composition could not be resolved
+  BadKernel,    ///< unknown bundled kernel, or unreadable/unparsable KIR
   Unmappable,   ///< the scheduler reported a typed ScheduleFailure
   Overloaded,   ///< shed: global queue bound exceeded or too many clients
   Shutdown,     ///< shed: the service is draining
@@ -125,10 +126,10 @@ struct ServiceOptions {
 /// reported on shutdown.
 struct ServiceStats {
   std::uint64_t requests = 0;     ///< request lines read (all connections)
-  std::uint64_t parseErrors = 0;  ///< parse/unknown_comp failure responses
+  std::uint64_t parseErrors = 0;  ///< parse/unknown_comp/bad_kernel answers
   std::uint64_t scheduled = 0;    ///< jobs actually run on the scheduler
   std::uint64_t cacheHits = 0;    ///< answered straight from the store
-  std::uint64_t deduped = 0;      ///< waited on an identical in-flight job
+  std::uint64_t deduped = 0;      ///< joined an identical in-flight job
   std::uint64_t statsRequests = 0;          ///< {"stats":true} requests
   std::uint64_t shedOverload = 0;           ///< requests shed `overloaded`
   std::uint64_t shedShutdown = 0;           ///< requests shed `shutdown`

@@ -111,18 +111,23 @@ void ArtifactStore::evictPastCapLocked() {
   }
 }
 
+std::shared_ptr<const ScheduleArtifact> ArtifactStore::memoryHitLocked(
+    const std::string& key) {
+  const auto it = memory_.find(key);
+  if (it == memory_.end()) return nullptr;
+  ++counters_.hits;
+  ++counters_.memoryHits;
+  // Bump recency in both layers.
+  memoryLru_.splice(memoryLru_.begin(), memoryLru_, it->second.lruIt);
+  touchDiskLocked(key);
+  return it->second.artifact;
+}
+
 std::shared_ptr<const ScheduleArtifact> ArtifactStore::lookup(
     const std::string& key) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = memory_.find(key); it != memory_.end()) {
-      ++counters_.hits;
-      ++counters_.memoryHits;
-      // Bump recency in both layers.
-      memoryLru_.splice(memoryLru_.begin(), memoryLru_, it->second.lruIt);
-      touchDiskLocked(key);
-      return it->second.artifact;
-    }
+    if (auto hit = memoryHitLocked(key)) return hit;
   }
 
   if (options_.directory.empty()) {
@@ -169,7 +174,48 @@ std::shared_ptr<const ScheduleArtifact> ArtifactStore::lookup(
       sfs::file_size(path, ec));
   if (!ec) addDiskEntryLocked(key, bytes);
   rememberLocked(key, loaded);
+  flights_.erase(key);  // published: later callers hit the memory tier
   return loaded;
+}
+
+ArtifactStore::Resolved ArtifactStore::resolve(
+    const std::string& key, const std::function<ScheduleArtifact()>& compute) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (auto hit = memoryHitLocked(key)) return {std::move(hit), Source::Memory};
+  const auto [it, owner] = flights_.try_emplace(key);
+  if (!owner) {
+    ++counters_.misses;
+    const std::shared_future<Landing> joined = it->second;
+    lock.unlock();
+    const Landing& landing = joined.get();
+    if (landing.artifact == nullptr) throw Error(landing.error);
+    return {landing.artifact, Source::Joined};
+  }
+  std::promise<Landing> flight;
+  it->second = flight.get_future().share();
+  lock.unlock();
+
+  // This caller owns the flight. lookup (on a disk hit) or insert releases
+  // it in the critical section that fills the memory tier.
+  Resolved out{nullptr, Source::Disk};
+  try {
+    out.artifact = lookup(key);
+    if (out.artifact == nullptr) {
+      auto computed = std::make_shared<const ScheduleArtifact>(compute());
+      CGRA_ASSERT(computed->key == key);
+      out = {std::move(computed), Source::Computed};
+      insert(out.artifact);
+    }
+  } catch (const std::exception& e) {
+    if (out.artifact == nullptr) {  // else insert() already released it
+      lock.lock();
+      flights_.erase(key);
+    }
+    flight.set_value({nullptr, e.what()});
+    throw;
+  }
+  flight.set_value({out.artifact, {}});
+  return out;
 }
 
 void ArtifactStore::insert(
@@ -187,6 +233,7 @@ void ArtifactStore::insert(
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.inserts;
     rememberLocked(key, artifact);
+    flights_.erase(key);  // published: later callers hit the memory tier
   }
 
   if (options_.directory.empty()) return;

@@ -15,10 +15,13 @@
 //
 // Every lookup verifies the artifact at load time (format tag, schedule
 // fingerprint); a corrupt or stale file counts as `invalid`, is deleted
-// best-effort, and reads as a miss — the caller just reschedules.
+// best-effort, and reads as a miss — the caller just reschedules. `resolve`
+// is the one lookup-or-schedule path; it computes a missing key only once.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -70,6 +73,23 @@ public:
   ArtifactStore(const ArtifactStore&) = delete;
   ArtifactStore& operator=(const ArtifactStore&) = delete;
 
+  /// Where `resolve` found its artifact: the hot layer, the directory,
+  /// this call's `compute`, or another caller's flight it joined.
+  enum class Source : std::uint8_t { Memory, Disk, Computed, Joined };
+  struct Resolved {
+    std::shared_ptr<const ScheduleArtifact> artifact;
+    Source source;
+  };
+
+  /// Returns the artifact for `key`, running `compute` on a miss and
+  /// inserting its result. Concurrent callers of one missing key join a
+  /// single flight, so `compute` runs once. When `compute` (nothing is
+  /// cached) or the disk write throws, every caller of the flight throws:
+  /// the owner its exception, the others a cgra::Error with its message.
+  /// Counts exactly one hit or one miss. Thread-safe.
+  Resolved resolve(const std::string& key,
+                   const std::function<ScheduleArtifact()>& compute);
+
   /// Returns the artifact for `key`, or nullptr on miss. Thread-safe.
   std::shared_ptr<const ScheduleArtifact> lookup(const std::string& key);
 
@@ -94,6 +114,8 @@ private:
   };
 
   std::string pathForKey(const std::string& key) const;
+  std::shared_ptr<const ScheduleArtifact> memoryHitLocked(
+      const std::string& key);
   void touchDiskLocked(const std::string& key);
   void addDiskEntryLocked(const std::string& key, std::size_t bytes);
   void evictPastCapLocked();
@@ -110,6 +132,12 @@ private:
   std::unordered_map<std::string, DiskEntry> disk_;
   std::list<std::string> lru_;
   std::size_t diskBytes_ = 0;
+  // Keys being resolved now; a failure lands as its message (see resolve).
+  struct Landing {
+    std::shared_ptr<const ScheduleArtifact> artifact;  ///< null on failure
+    std::string error;
+  };
+  std::unordered_map<std::string, std::shared_future<Landing>> flights_;
 };
 
 }  // namespace cgra::artifact

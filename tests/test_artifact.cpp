@@ -2,16 +2,20 @@
 // bit-exact round trips, equivalence of deserialized schedules (validator +
 // simulator), cache-key sensitivity and salting, store hit/miss/evict/LRU
 // behavior, corruption detection, negative caching, warm-vs-cold cached
-// sweeps, and 8 threads hammering one cache directory (run under tsan by
+// sweeps, single-flight `resolve` (one compute per key, errors reach every
+// waiter), and 8 threads hammering one cache directory (run under tsan by
 // the thread-sanitize preset).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -624,6 +628,154 @@ TEST(ArtifactStore, EightThreadsHammerOneCacheDirectory) {
     EXPECT_EQ(hit->schedule.fingerprint(), artifacts[i]->schedule.fingerprint());
   }
   EXPECT_EQ(store.counters().invalid, 0u);
+}
+
+/// Runs `callers` threads that each resolve `key` at once and collects what
+/// they saw; `compute` is shared by all of them.
+struct ResolveRace {
+  std::vector<std::shared_ptr<const artifact::ScheduleArtifact>> artifacts;
+  std::vector<artifact::ArtifactStore::Source> sources;
+  std::vector<std::string> errors;
+
+  ResolveRace(artifact::ArtifactStore& store, const std::string& key,
+              unsigned callers,
+              const std::function<artifact::ScheduleArtifact()>& compute)
+      : artifacts(callers), sources(callers), errors(callers) {
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < callers; ++t)
+      threads.emplace_back([&, t] {
+        try {
+          auto [art, source] = store.resolve(key, compute);
+          artifacts[t] = std::move(art);
+          sources[t] = source;
+        } catch (const std::exception& e) {
+          errors[t] = e.what();
+        }
+      });
+    for (std::thread& t : threads) t.join();
+  }
+};
+
+/// Blocks, inside the owner's compute, until `joiners` other callers wait
+/// on its flight. The owner and each joiner count one miss before that, and
+/// the flight cannot land while compute runs, so the others can only join.
+void awaitJoiners(const artifact::ArtifactStore& store, std::uint64_t joiners) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (store.counters().misses < joiners + 1 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+TEST(ArtifactStore, ResolveComputesOnceForEightConcurrentCallers) {
+  const Composition comp = makeMesh(4);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  const std::string key = scheduleJobKey(comp, graph, SchedulerOptions{});
+  artifact::ArtifactStore store;
+  std::atomic<unsigned> computed{0};
+  const ResolveRace race(store, key, 8, [&] {
+    ++computed;
+    awaitJoiners(store, 7);
+    return makeArtifact(comp, graph, key);
+  });
+
+  EXPECT_EQ(computed.load(), 1u);
+  unsigned joined = 0;
+  for (unsigned t = 0; t < 8; ++t) {
+    EXPECT_TRUE(race.errors[t].empty()) << race.errors[t];
+    ASSERT_NE(race.artifacts[t], nullptr);
+    EXPECT_EQ(race.artifacts[t], race.artifacts[0]) << "one shared artifact";
+    joined += race.sources[t] == artifact::ArtifactStore::Source::Joined;
+  }
+  EXPECT_EQ(joined, 7u);
+  EXPECT_EQ(store.counters().inserts, 1u);
+  const auto [warm, source] =
+      store.resolve(key, [&]() -> artifact::ScheduleArtifact {
+        throw Error("a published key must not be computed again");
+      });
+  EXPECT_EQ(warm, race.artifacts[0]);
+  EXPECT_EQ(source, artifact::ArtifactStore::Source::Memory);
+}
+
+TEST(ArtifactStore, ResolveErrorReachesEveryWaiterAndCachesNothing) {
+  const Composition comp = makeMesh(4);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  const std::string key = scheduleJobKey(comp, graph, SchedulerOptions{});
+  artifact::ArtifactStore store;
+  std::atomic<unsigned> computed{0};
+  const ResolveRace race(store, key, 8, [&]() -> artifact::ScheduleArtifact {
+    ++computed;
+    awaitJoiners(store, 7);
+    throw Error("scheduler exploded");
+  });
+
+  EXPECT_EQ(computed.load(), 1u);
+  for (unsigned t = 0; t < 8; ++t) {
+    EXPECT_EQ(race.artifacts[t], nullptr);
+    EXPECT_NE(race.errors[t].find("scheduler exploded"), std::string::npos)
+        << "caller " << t << " saw: " << race.errors[t];
+  }
+  EXPECT_EQ(store.memoryEntries(), 0u) << "a failed flight caches nothing";
+  EXPECT_EQ(store.counters().inserts, 0u);
+
+  // The flight was released: the next caller computes again.
+  const auto [art, source] = store.resolve(key, [&] {
+    ++computed;
+    return makeArtifact(comp, graph, key);
+  });
+  EXPECT_EQ(computed.load(), 2u);
+  ASSERT_NE(art, nullptr);
+  EXPECT_EQ(source, artifact::ArtifactStore::Source::Computed);
+}
+
+TEST(ArtifactStore, FailedDiskPublishIsAnErrorAndReleasesTheFlight) {
+  const Composition comp = makeMesh(4);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  const std::string key = scheduleJobKey(comp, graph, SchedulerOptions{});
+  const TempDir dir("gone");
+  artifact::StoreOptions so;
+  so.directory = (dir.path / "cache").string();
+  so.maxMemoryEntries = 0;  // every resolve of the key must reach the disk
+  artifact::ArtifactStore store(so);
+  sfs::remove_all(so.directory);  // every publish now fails to write
+
+  const auto compute = [&] { return makeArtifact(comp, graph, key); };
+  EXPECT_THROW(store.resolve(key, compute), Error);
+  EXPECT_THROW(store.resolve(key, compute), Error)
+      << "a released flight recomputes and fails again, never hangs";
+}
+
+TEST(ArtifactStore, EachResolveCountsOneHitOrOneMiss) {
+  const Composition comp = makeMesh(4);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  const std::string key = scheduleJobKey(comp, graph, SchedulerOptions{});
+  const TempDir dir("counts");
+  artifact::StoreOptions so;
+  so.directory = dir.str();
+  const auto compute = [&] { return makeArtifact(comp, graph, key); };
+  {
+    artifact::ArtifactStore store(so);
+    EXPECT_EQ(store.resolve(key, compute).source,
+              artifact::ArtifactStore::Source::Computed);
+    artifact::StoreCounters c = store.counters();
+    EXPECT_EQ(c.misses, 1u) << "a cold resolve is one miss";
+    EXPECT_EQ(c.hits, 0u);
+    EXPECT_EQ(c.inserts, 1u);
+    EXPECT_EQ(store.resolve(key, compute).source,
+              artifact::ArtifactStore::Source::Memory);
+    c = store.counters();
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.hits, 1u);
+    EXPECT_EQ(c.memoryHits, 1u);
+  }
+  artifact::ArtifactStore reopened(so);
+  EXPECT_EQ(reopened.resolve(key, compute).source,
+            artifact::ArtifactStore::Source::Disk);
+  const artifact::StoreCounters c = reopened.counters();
+  EXPECT_EQ(c.hits, 1u);
+  EXPECT_EQ(c.diskHits, 1u);
+  EXPECT_EQ(c.misses, 0u);
+  EXPECT_EQ(c.inserts, 0u);
 }
 
 }  // namespace

@@ -69,9 +69,9 @@ std::string errorCode(const json::Value& response) {
 /// Polls `pred` for up to ~10 s; the generous ceiling keeps sanitizer runs
 /// from flaking while real waits stay in the milliseconds.
 template <typename Pred>
-bool eventually(Pred pred) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+bool eventually(Pred pred,
+                std::chrono::seconds limit = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
   while (std::chrono::steady_clock::now() < deadline) {
     if (pred()) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -122,9 +122,12 @@ TEST(Service, WarmStoreAnswersWithoutScheduling) {
       "{\"id\":1,\"comp\":\"mesh4\",\"kernel\":\"gcd\"}\n";
 
   runService(request, store, options);  // cold: fills the store
+  EXPECT_EQ(store.counters().misses, 1u) << "a cold request is one miss";
   artifact::ServiceStats stats;
   const std::vector<json::Value> responses =
       runService(request, store, options, &stats);
+  EXPECT_EQ(store.counters().hits, 1u);
+  EXPECT_EQ(store.counters().misses, 1u);
 
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_TRUE(responses[0].asObject().at("ok").asBool());
@@ -150,7 +153,8 @@ TEST(Service, ReportsBadLinesWithTypedErrorsWithoutAbortingTheSession) {
   EXPECT_EQ(errorCode(responses[0]), "parse");
   EXPECT_EQ(errorCode(responses[1]), "parse")
       << "a request without comp is malformed";
-  EXPECT_EQ(errorCode(responses[2]), "unknown_comp");
+  EXPECT_EQ(errorCode(responses[2]), "bad_kernel")
+      << "an unknown kernel is not an unknown composition";
   EXPECT_EQ(errorCode(responses[3]), "unknown_comp");
   EXPECT_FALSE(responses[2]
                    .asObject()
@@ -165,6 +169,46 @@ TEST(Service, ReportsBadLinesWithTypedErrorsWithoutAbortingTheSession) {
     EXPECT_EQ(r.asObject().at("v").asInt(), artifact::kWireVersion);
   EXPECT_GE(stats.parseErrors, 4u);
   EXPECT_EQ(stats.requests, 5u);
+}
+
+TEST(Service, FailedPublishAnswersEveryWaitingRequest) {
+  // The store's directory vanishes after open, so the first request's
+  // publish throws while identical requests wait on its flight. Every one
+  // of them must still be answered and the session must end.
+  const TempDir dir("gone");
+  artifact::StoreOptions so;
+  so.directory = (dir.path / "cache").string();
+  auto store = std::make_shared<artifact::ArtifactStore>(so);
+  sfs::remove_all(so.directory);
+  artifact::ServiceOptions options;
+  options.threads = 4;
+  auto service = std::make_shared<artifact::Service>(*store, options);
+  const std::string line =
+      "{\"comp\":\"mesh9\",\"kernel\":\"adpcm\",\"unroll\":2}\n";
+  auto in = std::make_shared<std::istringstream>(line + line + line);
+  auto out = std::make_shared<std::ostringstream>();
+  auto done = std::make_shared<std::atomic<bool>>(false);
+  // The thread owns everything it touches, so a hung session can be left
+  // behind without hanging the rest of the test binary.
+  std::thread session([=, keep = store] {
+    service->serveStream(*in, *out);
+    // A later request for the key must not find a stale flight either.
+    std::istringstream later(line);
+    service->serveStream(later, *out);
+    done->store(true);
+  });
+  if (!eventually([&] { return done->load(); }, std::chrono::seconds(120))) {
+    session.detach();  // it cannot be joined: it waits on a dead flight
+    FAIL() << "serveStream never returned: a request waits on a dead flight";
+  }
+  session.join();
+
+  const std::vector<json::Value> responses = parseLines(out->str());
+  ASSERT_EQ(responses.size(), 4u);
+  for (const json::Value& r : responses)
+    if (!r.asObject().at("ok").asBool()) {
+      EXPECT_EQ(errorCode(r), "internal");
+    }
 }
 
 TEST(Service, DeeplyNestedLineIsAParseErrorAndTheConnectionLivesOn) {
@@ -256,7 +300,7 @@ TEST(Service, KernelFilesRunTheFrontendPipeline) {
             std::to_string(report.schedule.fingerprint()));
 }
 
-TEST(Service, DeepKernelFileIsUnknownCompAndTheSessionLivesOn) {
+TEST(Service, DeepKernelFileIsBadKernelAndTheSessionLivesOn) {
   // 200,000 nested parentheses used to overflow the KIR parser's stack and
   // kill the server; the parser now stops at kir::kMaxNestingDepth.
   TempDir dir("deepkir");
@@ -274,7 +318,7 @@ TEST(Service, DeepKernelFileIsUnknownCompAndTheSessionLivesOn) {
       "{\"id\":2,\"comp\":\"mesh4\",\"kernel\":\"gcd\"}\n",
       store, options);
   ASSERT_EQ(responses.size(), 2u);
-  EXPECT_EQ(errorCode(responses[0]), "unknown_comp");
+  EXPECT_EQ(errorCode(responses[0]), "bad_kernel");
   EXPECT_NE(responses[0]
                 .asObject()
                 .at("error")
@@ -477,7 +521,7 @@ TEST(Service, AccessLogSpansSumToReportedTotal) {
 /// parseKernelFile (opening a FIFO for reading blocks until a writer
 /// appears), holding one admitted job in flight for as long as a test
 /// needs; `release()` unblocks it with unparsable bytes, so the job answers
-/// `unknown_comp`.
+/// `bad_kernel`.
 struct BlockingKernel {
   TempDir dir;
   std::string path;
@@ -519,7 +563,7 @@ TEST(Service, OverloadShedsWithTypedErrorInsteadOfStalling) {
 
   const std::vector<json::Value> responses = parseLines(out.str());
   ASSERT_EQ(responses.size(), 4u);
-  EXPECT_EQ(errorCode(responses[0]), "unknown_comp")
+  EXPECT_EQ(errorCode(responses[0]), "bad_kernel")
       << "the blocked job still answers (its kernel bytes do not parse)";
   for (int i = 1; i < 4; ++i) {
     EXPECT_EQ(responses[i].asObject().at("id").asInt(), i + 1)
@@ -553,7 +597,7 @@ TEST(Service, DrainShedsNotYetAdmittedRequestsAndAnswersEverything) {
   const std::vector<json::Value> responses = parseLines(out.str());
   ASSERT_EQ(responses.size(), 4u)
       << "drain answers every accepted request before the session ends";
-  EXPECT_EQ(errorCode(responses[0]), "unknown_comp");
+  EXPECT_EQ(errorCode(responses[0]), "bad_kernel");
   for (int i = 1; i < 4; ++i)
     EXPECT_EQ(errorCode(responses[i]), "shutdown");
   EXPECT_EQ(service.stats().shedShutdown, 3u);
@@ -781,7 +825,7 @@ TEST(Service, ShedResponsesHonorThePerConnectionCap) {
   client.shutdownWrite();
   std::string line;
   ASSERT_TRUE(client.recvLine(line));
-  EXPECT_EQ(errorCode(json::parse(line)), "unknown_comp")
+  EXPECT_EQ(errorCode(json::parse(line)), "bad_kernel")
       << "the blocked job answers first (its kernel bytes do not parse)";
   for (int i = 1; i <= 100; ++i) {
     ASSERT_TRUE(client.recvLine(line)) << "response " << i;

@@ -8,8 +8,8 @@ This tool has two modes:
       Schema-check every BENCH_*.json under DIR. Exit 1 on any violation.
 
   compare:   bench_compare.py --baseline DIR --current DIR [--threshold 0.10]
-      Compare deterministic metrics (lower-is-better) against a baseline.
-      Exit 1 if any metric regressed by more than the threshold fraction.
+      Compare deterministic metrics against a baseline: integers exactly, in
+      either direction; fractional (lower-is-better) ones past the threshold.
       A metric the current run emits that has no baseline entry is a hard
       failure too: an ungated metric is a regression gate silently not
       running, which is exactly how stale baselines rot (re-seed the
@@ -126,6 +126,11 @@ def compare_section(fname, section, base, cur, threshold, lower_is_better):
     for key in sorted(set(base) & set(cur)):
         b, c = base[key], cur[key]
         if not (is_num(b) and is_num(c)):
+            continue
+        if section == "metrics" and b % 1 == 0 and c % 1 == 0:
+            if b != c:
+                yield True, "%s %s.%s: %d -> %d (integers gate exactly)" % (
+                    fname, section, key, b, c)
             continue
         if b <= 0:
             # Ratios are meaningless against a zero/negative baseline;

@@ -623,63 +623,46 @@ int cmdSchedule(const Args& args) {
   Prepared p = prepareKernel(args);
 
   const ScheduleRequest request = makeRequest(args, p, false);
-  std::optional<artifact::ArtifactStore> store;
-  std::string key;
-  bool cached = false;
-  ScheduleReport result;
-  if (args.has("cache")) {
-    store.emplace(storeOptions(args));
-    key = scheduleJobKey(comp, p.graph, request.options.value());
-    if (const auto art = store->lookup(key)) {
-      cached = true;
-      result.ok = art->ok;
-      result.schedule = art->schedule;
-      result.stats = art->stats;
-      result.metrics = art->metrics;
-      result.failure = art->failure;
-    }
-  }
-  if (!cached) {
-    const Scheduler scheduler(comp);
-    result = scheduler.schedule(request);
-    if (store.has_value()) {
-      auto art = artifact::ScheduleArtifact::fromReport(key, result);
-      if (result.ok) art.contexts = generateContexts(result.schedule, comp);
-      store->insert(std::make_shared<const artifact::ScheduleArtifact>(
-          std::move(art)));
-    }
-  }
-  if (!result.ok) {
-    writeTraceFile(args, result, p.workload.name + "@" + comp.name());
+  // Without --cache the store is memory-only and always computes.
+  artifact::ArtifactStore store(storeOptions(args));
+  const std::string key =
+      scheduleJobKey(comp, p.graph, request.options.value());
+  ScheduleReport run;  // this call's scheduler run; empty on a cache hit
+  const auto [art, source] = store.resolve(key, [&] {
+    run = Scheduler(comp).schedule(request);
+    return artifact::ScheduleArtifact::fromReport(key, run);
+  });
+  if (!art->ok) {
+    writeTraceFile(args, run, p.workload.name + "@" + comp.name());
     std::cerr << "cgra-tool: scheduling failed ("
-              << failureReasonName(result.failure.reason)
-              << "): " << result.failure.message
+              << failureReasonName(art->failure.reason)
+              << "): " << art->failure.message
               << "\n(run `cgra-tool explain` with the same flags for the "
                  "decision log)\n";
     return 1;
   }
-  checkSchedule(result.schedule, p.graph, comp);
-  const ContextImages images = generateContexts(result.schedule, comp);
+  checkSchedule(art->schedule, p.graph, comp);
+  const ContextImages images = generateContexts(art->schedule, comp);
 
   std::cout << "scheduled " << p.workload.name << " on " << comp.name()
-            << ": " << result.schedule.length << " contexts, "
+            << ": " << art->schedule.length << " contexts, "
             << images.totalBits() << " context bits, max RF entries ";
   unsigned maxRf = 0;
   for (unsigned r : images.physRegsUsed) maxRf = std::max(maxRf, r);
-  std::cout << maxRf << ", " << result.stats.copiesInserted
-            << " copies, " << result.stats.fusedWrites << " fused writes, "
-            << fmt(result.metrics.totalMs, 2) << " ms";
-  if (cached)
+  std::cout << maxRf << ", " << art->stats.copiesInserted
+            << " copies, " << art->stats.fusedWrites << " fused writes, "
+            << fmt(run.metrics.totalMs, 2) << " ms";
+  if (source != artifact::ArtifactStore::Source::Computed)
     std::cout << " (cache hit " << key.substr(0, 12) << ")";
   std::cout << "\n";
 
-  const ScheduleQuality q = computeScheduleQuality(result.schedule, comp);
+  const ScheduleQuality q = computeScheduleQuality(art->schedule, comp);
   std::cout << "avg PE utilization " << fmt(q.staticUtilization * 100, 1)
             << "%, peak parallelism " << q.peakParallelism << "\n";
 
   if (args.has("gantt"))
-    std::cout << "\n" << ganttChart(result.schedule, comp);
-  if (args.has("dump")) std::cout << "\n" << result.schedule.toString(comp);
+    std::cout << "\n" << ganttChart(art->schedule, comp);
+  if (args.has("dump")) std::cout << "\n" << art->schedule.toString(comp);
   if (args.has("contexts")) {
     json::writeFile(args.get("contexts"), contextImagesToJson(images));
     std::cout << "wrote " << args.get("contexts") << "\n";
@@ -706,7 +689,7 @@ int cmdSchedule(const Args& args) {
     std::ofstream(args.get("dot")) << p.graph.toDot(p.workload.name);
     std::cout << "wrote " << args.get("dot") << "\n";
   }
-  writeTraceFile(args, result, p.workload.name + "@" + comp.name());
+  writeTraceFile(args, run, p.workload.name + "@" + comp.name());
   return 0;
 }
 
