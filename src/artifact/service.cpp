@@ -7,6 +7,7 @@
 #include <deque>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -107,11 +108,22 @@ Request parseRequest(const json::Value& doc, bool includeArtifact) {
     r.kernelFile = v->asString();
   if (r.kernel.empty() && r.kernelFile.empty())
     throw Error("request misses \"kernel\" (or \"kernelFile\")");
+  // Counts are range-checked before any work is done: a negative would
+  // wrap, and an unbounded unroll factor is unbounded frontend work.
+  const auto count = [](const json::Value& v, const char* field,
+                        std::int64_t max) {
+    const std::int64_t n = v.asInt();
+    if (n < 0 || n > max)
+      throw Error("\"" + std::string(field) + "\" must be in [0, " +
+                  std::to_string(max) + "], got " + std::to_string(n));
+    return static_cast<unsigned>(n);
+  };
   if (const json::Value* v = o.find("unroll"))
-    r.frontend.unrollFactor = static_cast<unsigned>(v->asInt());
+    r.frontend.unrollFactor = count(*v, "unroll", kir::kMaxUnrollFactor);
   if (const json::Value* v = o.find("cse")) r.frontend.cse = v->asBool();
   if (const json::Value* v = o.find("maxContexts"))
-    r.maxContexts = static_cast<unsigned>(v->asInt());
+    r.maxContexts =
+        count(*v, "maxContexts", std::numeric_limits<unsigned>::max());
   if (const json::Value* v = o.find("artifact"))
     r.wantArtifact = v->asBool();
   return r;

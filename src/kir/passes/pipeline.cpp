@@ -29,6 +29,9 @@ bool containsSc(const Function& fn) {
 FrontendResult runFrontendPipeline(const Function& fn,
                                    const FrontendOptions& options,
                                    const Program* program) {
+  if (options.unrollFactor > kMaxUnrollFactor)
+    throw Error("unroll factor " + std::to_string(options.unrollFactor) +
+                " exceeds the limit of " + std::to_string(kMaxUnrollFactor));
   FrontendResult result;
   result.fn = fn;
 

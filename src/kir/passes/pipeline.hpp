@@ -24,6 +24,12 @@
 
 namespace cgra::kir {
 
+/// Largest accepted unroll factor. unrollLoops nests factor - 1 guarded
+/// copies, so an unbounded factor is an unbounded amount of work; the
+/// paper unrolls by 2 (§VI-B). One bound for the CLI, sweeps, explore and
+/// the compile server.
+inline constexpr unsigned kMaxUnrollFactor = 16;
+
 /// Pipeline configuration. Defaults run the normalization stages and leave
 /// the optimization stages (unroll, cse) off.
 struct FrontendOptions {
@@ -32,7 +38,7 @@ struct FrontendOptions {
   bool lowerSwitches = true;
   SwitchStrategy switchStrategy = SwitchStrategy::Auto;
   bool normalizeExits = true;
-  unsigned unrollFactor = 1;    ///< < 2 disables unrolling
+  unsigned unrollFactor = 1;    ///< < 2 disables; at most kMaxUnrollFactor
   bool unrollInnermostOnly = true;
   bool cse = false;
   bool captureStages = false;   ///< record IR text after every stage
@@ -53,7 +59,8 @@ struct FrontendResult {
 /// Runs the normalization pipeline on `fn`. `program` is only needed for
 /// the inline stage; pass nullptr for call-free functions. The result
 /// satisfies `firstIrregularConstruct(result.fn) == nullptr` when the
-/// normalization stages are enabled.
+/// normalization stages are enabled. Throws cgra::Error when
+/// `options.unrollFactor` exceeds kMaxUnrollFactor.
 FrontendResult runFrontendPipeline(const Function& fn,
                                    const FrontendOptions& options = {},
                                    const Program* program = nullptr);

@@ -36,11 +36,10 @@ Scheduler::Scheduler(const Composition& comp, SchedulerOptions opts)
 ScheduleReport Scheduler::schedule(const ScheduleRequest& request) const {
   CGRA_ASSERT_MSG(request.graph != nullptr,
                   "ScheduleRequest carries no graph");
-  const SchedulerOptions& opts = request.options ? *request.options : opts_;
   std::shared_ptr<Trace> trace;
   if (request.trace.enabled) trace = std::make_shared<Trace>(request.trace);
   ScheduleReport report =
-      passes::runPipeline(*model_, *comp_, opts, *request.graph, trace.get());
+      passes::runPipeline(*model_, *comp_, opts_, *request.graph, trace.get());
   report.trace = std::move(trace);
   return report;
 }

@@ -33,7 +33,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "cdfg/cdfg.hpp"
@@ -83,7 +82,8 @@ struct ScheduleFailure {
   NodeId node = kNoNode;
 };
 
-/// One scheduling request: everything a run consumes, in one place. The
+/// One scheduling request: the graph and the trace configuration. The
+/// SchedulerOptions are the Scheduler's, set once in its constructor. The
 /// pointed-to graph must outlive the schedule() call. Composition analysis
 /// tables are not part of the request: the Scheduler holds its
 /// composition's memoized ArchModel, so N concurrent scheduler instances
@@ -94,9 +94,6 @@ struct ScheduleRequest {
 
   /// The validated CDFG to map. Required.
   const Cdfg* graph = nullptr;
-  /// Per-request knobs; nullopt inherits the Scheduler's constructor
-  /// options (so ablation setups keep configuring the scheduler once).
-  std::optional<SchedulerOptions> options;
   /// Decision-trace configuration; disabled by default (zero cost).
   TraceOptions trace;
 };

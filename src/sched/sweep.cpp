@@ -26,7 +26,6 @@ SweepJobResult runJob(const SweepJob& job, bool keepSchedule,
     // once in the serial warm-up below, so this never rebuilds tables.
     const Scheduler scheduler(*job.comp, job.options);
     ScheduleRequest request(*job.graph);
-    request.options = job.options;
     request.trace = trace;
     ScheduleReport report = scheduler.schedule(request);
     out.ok = report.ok;

@@ -53,9 +53,7 @@ namespace sfs = std::filesystem;
 
 ScheduleReport scheduleKernel(const Composition& comp, const Cdfg& graph,
                               SchedulerOptions opts = {}) {
-  ScheduleRequest request(graph);
-  request.options = opts;
-  return Scheduler(comp, opts).schedule(request);
+  return Scheduler(comp, opts).schedule(ScheduleRequest(graph));
 }
 
 TEST(Artifact, ScheduleRoundTripIsBitExact) {

@@ -322,6 +322,27 @@ TEST(Pipeline, RejectsCallsWithoutProgram) {
   EXPECT_NO_THROW(runFrontendPipeline(caller, {}, &prog));
 }
 
+TEST(Pipeline, UnrollFactorIsBounded) {
+  const Function fn = parseKernel(R"(
+    kernel f(n) {
+      var i = 0;
+      while (i < n) { i = i + 1; }
+    }
+  )");
+  FrontendOptions opts;
+  opts.unrollFactor = kMaxUnrollFactor;
+  const FrontendResult r = runFrontendPipeline(fn, opts);
+  expectEquivalent(fn, r.fn, {37});
+  opts.unrollFactor = kMaxUnrollFactor + 1;
+  try {
+    runFrontendPipeline(fn, opts);
+    FAIL() << "an unroll factor above the bound must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("limit of 16"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Pipeline, StageRecordsAreDeterministic) {
   const Function fn = parseKernelFile(std::string(CGRA_KERNEL_DIR) +
                                       "/vm_accumulate.kir");

@@ -171,6 +171,26 @@ TEST(Service, ReportsBadLinesWithTypedErrorsWithoutAbortingTheSession) {
   EXPECT_EQ(stats.requests, 5u);
 }
 
+TEST(Service, OutOfRangeCountsAreParseErrorsAndTheSessionLivesOn) {
+  // An unbounded unroll factor once exhausted memory (or the stack) in the
+  // frontend, and negatives wrapped to 2^32 - 1: each must be refused
+  // before any work is done.
+  artifact::ArtifactStore store;
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  const std::vector<json::Value> responses = runService(
+      "{\"id\":1,\"comp\":\"mesh4\",\"kernel\":\"gcd\",\"unroll\":100000}\n"
+      "{\"id\":2,\"comp\":\"mesh4\",\"kernel\":\"gcd\",\"unroll\":-1}\n"
+      "{\"id\":3,\"comp\":\"mesh4\",\"kernel\":\"gcd\",\"maxContexts\":-1}\n"
+      "{\"id\":4,\"comp\":\"mesh4\",\"kernel\":\"gcd\",\"unroll\":2}\n",
+      store, options);
+
+  ASSERT_EQ(responses.size(), 4u);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(errorCode(responses[i]), "parse") << "line " << i + 1;
+  EXPECT_TRUE(responses[3].asObject().at("ok").asBool());
+}
+
 TEST(Service, FailedPublishAnswersEveryWaitingRequest) {
   // The store's directory vanishes after open, so the first request's
   // publish throws while identical requests wait on its flight. Every one

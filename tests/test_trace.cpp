@@ -113,24 +113,6 @@ TEST(Trace, RingOverflowKeepsMostRecentEvents) {
   EXPECT_NE(text.find("dropped"), std::string::npos);
 }
 
-TEST(Trace, RequestOptionsDefaultToConstructorOptions) {
-  const Composition comp = makeMesh(4);
-  const Cdfg graph = lowerWorkload(apps::makeGcd(4, 6));
-  SchedulerOptions tight;
-  tight.maxContexts = 4;
-  const Scheduler scheduler(comp, tight);
-
-  // No per-request options: the constructor's maxContexts=4 applies.
-  const ScheduleReport inherited = scheduler.schedule(ScheduleRequest(graph));
-  ASSERT_FALSE(inherited.ok);
-  EXPECT_EQ(inherited.failure.reason, FailureReason::ContextBudget);
-
-  // Explicit per-request options override the constructor's.
-  ScheduleRequest relaxedReq(graph);
-  relaxedReq.options = SchedulerOptions{};
-  EXPECT_TRUE(scheduler.schedule(relaxedReq).ok);
-}
-
 TEST(Trace, ExplainNamesRejectionReasonForUnsupportedOp) {
   const Composition noMul = makeNoMul();
   const Cdfg graph = lowerWorkload(apps::makeDotProduct(4, 1));
@@ -148,12 +130,11 @@ TEST(Trace, ExplainNamesRejectionReasonForUnsupportedOp) {
 TEST(Trace, ExplainNamesFinalFailingNodeOnBudgetExhaustion) {
   const Composition comp = makeMesh(4);
   const Cdfg graph = lowerWorkload(apps::makeGcd(4, 6));
-  ScheduleRequest request(graph);
   SchedulerOptions tight;
   tight.maxContexts = 4;
-  request.options = tight;
+  ScheduleRequest request(graph);
   request.trace.enabled = true;
-  const ScheduleReport report = Scheduler(comp).schedule(request);
+  const ScheduleReport report = Scheduler(comp, tight).schedule(request);
   ASSERT_FALSE(report.ok);
   EXPECT_EQ(report.failure.reason, FailureReason::ContextBudget);
 

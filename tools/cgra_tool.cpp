@@ -1,83 +1,15 @@
-// cgra-tool — command-line front end of the toolflow.
-//
-//   cgra-tool list                                  kernels & compositions
-//   cgra-tool describe  --comp mesh9                composition report
-//   cgra-tool kir       --kernel-file f.kir [--unroll 2] [--cse]
-//                       [--switch-strategy bucket]  print the IR after
-//                       every frontend-pipeline stage (inline,
-//                       shortcircuit, switch-lower, exit-normalize, cse,
-//                       unroll); exits non-zero if the result still
-//                       contains irregular control flow
-//   cgra-tool schedule  --comp D --kernel adpcm [--unroll 2]
-//                       [--gantt] [--dump] [--contexts out.json]
-//                       [--verilog out.v] [--dot out.dot]
-//                       [--trace out.trace.json]
-//   cgra-tool explain   --comp D --kernel adpcm [--max-contexts 4]
-//                       print the scheduler's decision log — candidate
-//                       picks, per-PE rejection reasons, copy/const
-//                       insertion, C-Box allocation — for mappable and
-//                       unmappable kernels alike
-//   cgra-tool simulate  --comp mesh9 --kernel adpcm [--unroll 2]
-//                       [--baseline] [--counters] [--json out.json]
-//                       [--csv out.csv]            run & verify vs golden;
-//                       --counters collects the hardware-counter model and
-//                       prints achieved per-PE utilization + heatmap
-//   cgra-tool stats     --comp mesh9 --kernel adpcm [--json r.json]
-//                       [--csv r.csv]              static schedule-quality
-//                       report (utilization, occupancy, slack, heatmap)
-//                       without running the simulator
-//   cgra-tool sweep     --comps mesh4,mesh9,A --kernels adpcm,gcd
-//                       [--unroll 2] [--threads 4] [--metrics out.json]
-//                       [--trace tracedir] [--cache cachedir] [--seed 42]
-//                       schedule every (composition × kernel) pair on the
-//                       parallel sweep engine; --metrics dumps the
-//                       aggregated scheduler-metrics JSON report; --trace
-//                       writes one Chrome trace-event file per job;
-//                       --cache serves repeats from (and fills) a
-//                       persistent schedule-artifact store; --seed feeds
-//                       workload inputs and `randomN` generated kernels
-//   cgra-tool explore   --kernels dotprod,fir [--space space.json]
-//                       [--strategy genetic] [--seed 42] [--budget 64]
-//                       [--population 8] [--threads 4] [--cache cachedir]
-//                       [--stable] [--out front.json] [--metrics m.txt]
-//                       design-space auto-tuner: search the composition
-//                       space for the Pareto front over modeled area vs.
-//                       schedule quality; deterministic under --seed,
-//                       cache-accelerated across generations and runs;
-//                       given an application domain's kernels it finds
-//                       the compositions that fit them (paper §VII)
-//   cgra-tool serve     [--cache cachedir] [--threads 4] [--socket p.sock]
-//                       [--tcp 0] [--max-clients 32] [--queue-bound 256]
-//                       concurrent batch compile server: JSONL schedule
-//                       requests on stdin, a unix socket and/or loopback
-//                       TCP; one versioned JSON response per line, in
-//                       per-connection request order, deduplicated by cache
-//                       key across all clients; {"stats":true} answers live
-//                       metrics; SIGTERM drains gracefully. --connect
-//                       TARGET flips to client mode (stdin -> a running
-//                       server -> stdout)
-//
-// Every subcommand accepts `--help` and prints its flag table. Flags take
-// either `--key value` or `--key=value`. One option table is shared by all
-// subcommands (see kFlagTable), so a flag spells and behaves the same
-// everywhere it appears.
-//
-// Compositions: mesh4|mesh6|mesh8|mesh9|mesh12|mesh16, A..F (Fig. 14), or a
-// path to a Fig. 8-style JSON description. Kernels: bundled workloads (see
-// `list`) or user kernels via --kernel-file f.kir with inputs passed as
-// --local name=value and --array name=v1,v2,... (array flags allocate a heap
-// array and bind its handle to the named parameter), e.g.
-//
-//   cgra-tool simulate --comp mesh4 --kernel-file my.kir [continued]
-//       --array data=3,1,2 --local n=3
+// cgra-tool — command-line front end of the toolflow. Run `cgra-tool` for
+// the command list and `cgra-tool <command> --help` for a command's flags;
+// both are generated from kCommands and kFlagTable below, and README
+// "Command line" has worked examples.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
-#include <cstring>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <system_error>
@@ -152,7 +84,8 @@ constexpr FlagSpec kFlagTable[] = {
     {"local", true, true, "NAME=V", "initial value of a kernel local"},
     {"array", true, true, "NAME=V1,V2,...",
      "heap array bound to a kernel parameter"},
-    {"unroll", true, false, "N", "unroll loops N times before lowering"},
+    {"unroll", true, false, "N",
+     "unroll loops N times before lowering (N <= 16)"},
     {"cse", false, false, "", "run common-subexpression elimination first"},
     {"max-contexts", true, false, "N",
      "override the composition's context-memory budget"},
@@ -239,6 +172,23 @@ const FlagSpec* findFlag(const std::string& name) {
   return nullptr;
 }
 
+/// Parses all of `text` as a T in [lo, hi]. Junk, trailing characters, a
+/// sign the type cannot hold and out-of-range values all throw an Error
+/// naming `what` and the text.
+template <typename T>
+T parseInt(const std::string& text, const std::string& what,
+           T lo = std::numeric_limits<T>::min(),
+           T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi)
+    throw Error("invalid " + what + " \"" + text +
+                "\" (expected an integer in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "])");
+  return value;
+}
+
 class Args;
 
 struct CommandSpec {
@@ -310,10 +260,14 @@ public:
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  unsigned getUnsigned(const std::string& key, unsigned fallback) const {
+  /// The one integer getter: every integer flag is read through here.
+  template <typename T>
+  T getInt(const std::string& key, T fallback,
+           T lo = std::numeric_limits<T>::min(),
+           T hi = std::numeric_limits<T>::max()) const {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback
-                               : static_cast<unsigned>(std::stoul(it->second));
+                               : parseInt<T>(it->second, "--" + key, lo, hi);
   }
 
 private:
@@ -334,86 +288,80 @@ std::vector<std::string> splitCsv(const std::string& list) {
 }
 
 /// Fail fast on unwritable output destinations *before* scheduling work:
-/// `flags` name file-valued options (their parent directory must be
+/// `fileFlags` name file-valued options (their parent directory must be
 /// writable), `dirFlags` directory-valued ones (created and probed). A bad
 /// --metrics/--trace/--cache path aborts in milliseconds with a clear
 /// message instead of after the whole run.
 void preflightOutputs(const Args& args,
                       std::initializer_list<const char*> fileFlags,
                       std::initializer_list<const char*> dirFlags) {
-  for (const char* flag : fileFlags)
-    if (args.has(flag)) {
-      try {
-        fs::ensureWritableParent(args.get(flag));
-      } catch (const std::exception& e) {
-        throw Error("--" + std::string(flag) + " " + args.get(flag) +
-                    " is not writable: " + e.what());
-      }
+  const auto probe = [&args](const char* flag,
+                             void (*check)(const std::string&)) {
+    if (!args.has(flag)) return;
+    try {
+      check(args.get(flag));
+    } catch (const std::exception& e) {
+      throw Error("--" + std::string(flag) + " " + args.get(flag) +
+                  " is not writable: " + e.what());
     }
-  for (const char* flag : dirFlags)
-    if (args.has(flag)) {
-      try {
-        fs::ensureWritableDir(args.get(flag));
-      } catch (const std::exception& e) {
-        throw Error("--" + std::string(flag) + " " + args.get(flag) +
-                    " is not writable: " + e.what());
-      }
-    }
+  };
+  for (const char* flag : fileFlags) probe(flag, fs::ensureWritableParent);
+  for (const char* flag : dirFlags) probe(flag, fs::ensureWritableDir);
 }
 
 /// Assembles ArtifactStore options from --cache / --cache-bytes.
 artifact::StoreOptions storeOptions(const Args& args) {
   artifact::StoreOptions so;
   so.directory = args.get("cache");
-  if (args.has("cache-bytes"))
-    so.maxDiskBytes = std::stoull(args.get("cache-bytes"));
+  so.maxDiskBytes = args.getInt("cache-bytes", so.maxDiskBytes);
   return so;
 }
 
-/// Parses --seed (default 42, the historical allWorkloads seed, so runs
-/// without the flag reproduce existing goldens byte-for-byte).
-std::uint64_t parseSeed(const Args& args) {
-  const std::string text = args.get("seed", "42");
-  try {
-    std::size_t used = 0;
-    const std::uint64_t seed = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return seed;
-  } catch (const std::exception&) {
-    throw Error("invalid --seed \"" + text + "\" (expected an integer)");
-  }
+/// --seed; the default 42 is the historical allWorkloads seed, so runs
+/// without the flag reproduce existing goldens byte-for-byte.
+std::uint64_t seedOf(const Args& args) {
+  return args.getInt<std::uint64_t>("seed", 42);
 }
 
-/// Resolves a kernel name: a bundled workload (input data drawn from
-/// `seed`) or `randomN` — the property-test generator's kernel for
-/// sub-stream N of `seed`, giving sweeps and explore an unbounded
-/// deterministic kernel supply beyond the bundled suite.
-apps::Workload resolveKernel(const std::string& name,
-                             std::uint64_t seed = 42) {
-  // Tokens naming a .kir file load it from disk (inputs default to zero;
-  // scheduling-only commands never read them, `simulate` takes
-  // --local/--array via --kernel-file instead).
-  if (name.find(".kir") != std::string::npos) {
-    apps::Workload w;
-    w.fn = kir::parseKernelFile(name);
+/// The one output writer: `content` lands at `path` atomically (a failed
+/// write throws, naming the path) and `log` gets one `wrote PATH` line.
+void writeOutput(const std::string& path, const std::string& content,
+                 std::ostream& log = std::cout) {
+  fs::atomicWriteFile(path, content);
+  log << "wrote " << path << "\n";
+}
+
+void writeOutput(const std::string& path, const json::Value& doc) {
+  writeOutput(path, doc.dump() + "\n");
+}
+
+/// Resolves a kernel token: a .kir file path (any path when `isFile`;
+/// inputs default to zero), `randomN` — the property-test generator's
+/// kernel for sub-stream N of `seed`, an unbounded deterministic kernel
+/// supply beyond the bundled suite — or a bundled workload (input data
+/// drawn from `seed`).
+apps::Workload resolveKernel(const std::string& token, std::uint64_t seed,
+                             bool isFile = false) {
+  apps::Workload w;
+  if (isFile || token.find(".kir") != std::string::npos) {
+    w.fn = kir::parseKernelFile(token);
     w.name = w.fn.name();
     w.initialLocals.assign(w.fn.numLocals(), 0);
     return w;
   }
-  if (name.rfind("random", 0) == 0 && name.size() > 6 &&
-      name.find_first_not_of("0123456789", 6) == std::string::npos) {
-    const std::uint64_t stream = std::stoull(name.substr(6));
+  if (token.rfind("random", 0) == 0) {
+    const auto stream =
+        parseInt<std::uint64_t>(token.substr(6), "random kernel stream");
     kir::RandomKernel rk = kir::generateRandomKernel(deriveSeed(seed, stream));
-    apps::Workload w;
-    w.name = name;
+    w.name = token;
     w.fn = std::move(rk.fn);
     w.initialLocals = std::move(rk.initialLocals);
     w.heap = std::move(rk.heap);
     return w;
   }
-  for (apps::Workload& w : apps::allWorkloads(seed))
-    if (w.name == name) return std::move(w);
-  throw Error("unknown kernel \"" + name + "\" (see `cgra-tool list`)");
+  for (apps::Workload& bundled : apps::allWorkloads(seed))
+    if (bundled.name == token) return std::move(bundled);
+  throw Error("unknown kernel \"" + token + "\" (see `cgra-tool list`)");
 }
 
 /// Expands --kernels, replacing the `suite` token by every .kir file under
@@ -450,7 +398,8 @@ std::vector<std::string> expandKernelList(const Args& args,
 kir::FrontendOptions frontendOptions(const Args& args) {
   kir::FrontendOptions fo;
   fo.cse = args.has("cse");
-  fo.unrollFactor = args.getUnsigned("unroll", 1);
+  fo.unrollFactor =
+      args.getInt<unsigned>("unroll", 1, 0, kir::kMaxUnrollFactor);
   const std::string strategy = args.get("switch-strategy", "auto");
   if (strategy == "linear")
     fo.switchStrategy = kir::SwitchStrategy::Linear;
@@ -469,7 +418,7 @@ kir::FrontendOptions frontendOptions(const Args& args) {
 std::deque<std::pair<std::string, Cdfg>> loadKernelGraphs(
     const Args& args, const std::string& defaultList) {
   const kir::FrontendOptions fo = frontendOptions(args);
-  const std::uint64_t seed = parseSeed(args);
+  const std::uint64_t seed = seedOf(args);
   std::deque<std::pair<std::string, Cdfg>> graphs;
   for (const std::string& name : expandKernelList(args, defaultList)) {
     apps::Workload w = resolveKernel(name, seed);
@@ -515,23 +464,49 @@ int cmdDescribe(const Args& args) {
   return 0;
 }
 
-struct Prepared {
-  apps::Workload workload;
-  kir::Function prepared;
-  Cdfg graph;
+/// A kernel as kir/schedule/explain/stats/simulate consume it.
+struct LoadedKernel {
+  apps::Workload workload;      ///< as loaded, --array/--local bound
+  kir::FrontendResult frontend; ///< after the frontend pipeline
+  Cdfg graph;                   ///< lowered frontend.fn (unless `kir`)
 };
 
-/// Builds a workload from --kernel-file + --local/--array input flags.
-apps::Workload loadUserKernel(const Args& args);
+/// The one kernel loader: --kernel-file, or a --kernel token as
+/// resolveKernel reads it; then --array/--local inputs on whichever kernel
+/// that loaded; then the frontend pipeline and, unless `stagesOnly` (the
+/// `kir` command, which prints each stage), the CDFG lowering.
+LoadedKernel loadKernel(const Args& args, bool stagesOnly = false) {
+  LoadedKernel k;
+  apps::Workload& w = k.workload;
+  w = resolveKernel(args.get("kernel-file", args.get("kernel", "adpcm")),
+                    seedOf(args), args.has("kernel-file"));
+  const auto splitEq = [](const std::string& s) {
+    const std::size_t eq = s.find('=');
+    if (eq == std::string::npos)
+      throw Error("expected name=value, got: " + s);
+    return std::make_pair(s.substr(0, eq), s.substr(eq + 1));
+  };
+  for (const std::string& spec : args.repeated("array")) {
+    const auto [name, csv] = splitEq(spec);
+    std::vector<std::int32_t> values;
+    for (const std::string& v : splitCsv(csv))
+      values.push_back(parseInt<std::int32_t>(v, "--array " + name));
+    w.initialLocals[w.fn.localByName(name)] = w.heap.alloc(std::move(values));
+  }
+  for (const std::string& spec : args.repeated("local")) {
+    const auto [name, value] = splitEq(spec);
+    w.initialLocals[w.fn.localByName(name)] =
+        parseInt<std::int32_t>(value, "--local " + name);
+  }
+  kir::FrontendOptions fo = frontendOptions(args);
+  fo.captureStages = stagesOnly;
+  k.frontend = kir::runFrontendPipeline(w.fn, fo);
+  if (!stagesOnly) k.graph = kir::lowerToCdfg(k.frontend.fn).graph;
+  return k;
+}
 
 int cmdKir(const Args& args) {
-  apps::Workload w = args.has("kernel-file")
-                         ? loadUserKernel(args)
-                         : resolveKernel(args.get("kernel", "adpcm"),
-                                         parseSeed(args));
-  kir::FrontendOptions fo = frontendOptions(args);
-  fo.captureStages = true;
-  const kir::FrontendResult res = kir::runFrontendPipeline(w.fn, fo);
+  const kir::FrontendResult res = loadKernel(args, true).frontend;
   for (const kir::StageRecord& stage : res.stages) {
     if (stage.name == "input") {
       std::cout << "== input ==\n" << stage.ir;
@@ -555,64 +530,35 @@ int cmdKir(const Args& args) {
   return irregular == nullptr ? 0 : 1;
 }
 
-apps::Workload loadUserKernel(const Args& args) {
-  apps::Workload w;
-  w.fn = kir::parseKernelFile(args.get("kernel-file"));
-  w.name = w.fn.name();
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  auto splitEq = [](const std::string& s) {
-    const std::size_t eq = s.find('=');
-    if (eq == std::string::npos)
-      throw Error("expected name=value, got: " + s);
-    return std::make_pair(s.substr(0, eq), s.substr(eq + 1));
-  };
-  for (const std::string& spec : args.repeated("array")) {
-    const auto [name, csv] = splitEq(spec);
-    std::vector<std::int32_t> values;
-    for (const std::string& v : splitCsv(csv))
-      values.push_back(static_cast<std::int32_t>(std::stol(v)));
-    w.initialLocals[w.fn.localByName(name)] = w.heap.alloc(std::move(values));
-  }
-  for (const std::string& spec : args.repeated("local")) {
-    const auto [name, value] = splitEq(spec);
-    w.initialLocals[w.fn.localByName(name)] =
-        static_cast<std::int32_t>(std::stol(value));
-  }
-  return w;
-}
-
-Prepared prepareKernel(const Args& args) {
-  Prepared p{args.has("kernel-file")
-                 ? loadUserKernel(args)
-                 : resolveKernel(args.get("kernel", "adpcm")),
-             kir::Function(""),
-             {}};
-  p.prepared = kir::runFrontendPipeline(p.workload.fn,
-                                        frontendOptions(args)).fn;
-  p.graph = kir::lowerToCdfg(p.prepared).graph;
-  return p;
-}
-
-/// Shared request assembly for schedule/explain/analyze: --max-contexts and
-/// --trace/--trace-capacity map onto ScheduleRequest fields.
-ScheduleRequest makeRequest(const Args& args, const Prepared& p,
-                            bool forceTrace) {
-  ScheduleRequest request(p.graph);
+SchedulerOptions schedulerOptions(const Args& args) {
   SchedulerOptions opts;
-  opts.maxContexts = args.getUnsigned("max-contexts", 0);
-  request.options = opts;
-  if (forceTrace || args.has("trace")) {
-    request.trace.enabled = true;
-    request.trace.capacity = args.getUnsigned("trace-capacity", 1u << 16);
-  }
-  return request;
+  opts.maxContexts = args.getInt<unsigned>("max-contexts", 0);
+  return opts;
+}
+
+/// One scheduler run as the flags ask for it: --max-contexts sets the
+/// scheduler options, --trace/--trace-capacity (or `forceTrace`) the trace.
+ScheduleReport runScheduler(const Args& args, const Composition& comp,
+                            const Cdfg& graph, bool forceTrace = false) {
+  ScheduleRequest request(graph);
+  request.trace.enabled = forceTrace || args.has("trace");
+  request.trace.capacity =
+      args.getInt<std::size_t>("trace-capacity", request.trace.capacity);
+  return Scheduler(comp, schedulerOptions(args)).schedule(request);
 }
 
 void writeTraceFile(const Args& args, const ScheduleReport& report,
                     const std::string& label) {
-  if (!args.has("trace") || report.trace == nullptr) return;
-  json::writeFile(args.get("trace"), report.trace->toChromeJson(label));
-  std::cout << "wrote " << args.get("trace") << "\n";
+  if (args.has("trace") && report.trace != nullptr)
+    writeOutput(args.get("trace"), report.trace->toChromeJson(label));
+}
+
+int schedulingFailed(const ScheduleFailure& failure) {
+  std::cerr << "cgra-tool: scheduling failed ("
+            << failureReasonName(failure.reason) << "): " << failure.message
+            << "\n(run `cgra-tool explain` with the same flags for the "
+               "decision log)\n";
+  return 1;
 }
 
 int cmdSchedule(const Args& args) {
@@ -620,31 +566,26 @@ int cmdSchedule(const Args& args) {
                    {"trace", "contexts", "memfiles", "verilog", "dot"},
                    {"cache"});
   const Composition comp = resolveComposition(args.get("comp", "mesh4"));
-  Prepared p = prepareKernel(args);
+  const LoadedKernel k = loadKernel(args);
+  const std::string label = k.workload.name + "@" + comp.name();
 
-  const ScheduleRequest request = makeRequest(args, p, false);
   // Without --cache the store is memory-only and always computes.
   artifact::ArtifactStore store(storeOptions(args));
   const std::string key =
-      scheduleJobKey(comp, p.graph, request.options.value());
+      scheduleJobKey(comp, k.graph, schedulerOptions(args));
   ScheduleReport run;  // this call's scheduler run; empty on a cache hit
   const auto [art, source] = store.resolve(key, [&] {
-    run = Scheduler(comp).schedule(request);
+    run = runScheduler(args, comp, k.graph);
     return artifact::ScheduleArtifact::fromReport(key, run);
   });
   if (!art->ok) {
-    writeTraceFile(args, run, p.workload.name + "@" + comp.name());
-    std::cerr << "cgra-tool: scheduling failed ("
-              << failureReasonName(art->failure.reason)
-              << "): " << art->failure.message
-              << "\n(run `cgra-tool explain` with the same flags for the "
-                 "decision log)\n";
-    return 1;
+    writeTraceFile(args, run, label);
+    return schedulingFailed(art->failure);
   }
-  checkSchedule(art->schedule, p.graph, comp);
+  checkSchedule(art->schedule, k.graph, comp);
   const ContextImages images = generateContexts(art->schedule, comp);
 
-  std::cout << "scheduled " << p.workload.name << " on " << comp.name()
+  std::cout << "scheduled " << k.workload.name << " on " << comp.name()
             << ": " << art->schedule.length << " contexts, "
             << images.totalBits() << " context bits, max RF entries ";
   unsigned maxRf = 0;
@@ -663,46 +604,37 @@ int cmdSchedule(const Args& args) {
   if (args.has("gantt"))
     std::cout << "\n" << ganttChart(art->schedule, comp);
   if (args.has("dump")) std::cout << "\n" << art->schedule.toString(comp);
-  if (args.has("contexts")) {
-    json::writeFile(args.get("contexts"), contextImagesToJson(images));
-    std::cout << "wrote " << args.get("contexts") << "\n";
-  }
+  if (args.has("contexts"))
+    writeOutput(args.get("contexts"), contextImagesToJson(images));
   if (args.has("memfiles")) {
     const std::string prefix = args.get("memfiles");
-    for (PEId p2 = 0; p2 < comp.numPEs(); ++p2)
-      std::ofstream(prefix + "_pe" + std::to_string(p2) + ".mem")
-          << toMemFile(images.peContexts[p2], images.peWidths[p2],
-                       "pe" + std::to_string(p2) + " context memory");
-    std::ofstream(prefix + "_cbox.mem")
-        << toMemFile(images.cboxContexts, images.cboxWidth,
-                     "C-Box context memory");
-    std::ofstream(prefix + "_ccu.mem")
-        << toMemFile(images.ccuContexts, images.ccuWidth,
-                     "CCU context memory");
-    std::cout << "wrote " << prefix << "_*.mem ($readmemh)\n";
+    for (PEId pe = 0; pe < comp.numPEs(); ++pe)
+      writeOutput(prefix + "_pe" + std::to_string(pe) + ".mem",
+                  toMemFile(images.peContexts[pe], images.peWidths[pe],
+                            "pe" + std::to_string(pe) + " context memory"));
+    writeOutput(prefix + "_cbox.mem",
+                toMemFile(images.cboxContexts, images.cboxWidth,
+                          "C-Box context memory"));
+    writeOutput(prefix + "_ccu.mem",
+                toMemFile(images.ccuContexts, images.ccuWidth,
+                          "CCU context memory"));
   }
-  if (args.has("verilog")) {
-    std::ofstream(args.get("verilog")) << generateVerilog(comp);
-    std::cout << "wrote " << args.get("verilog") << "\n";
-  }
-  if (args.has("dot")) {
-    std::ofstream(args.get("dot")) << p.graph.toDot(p.workload.name);
-    std::cout << "wrote " << args.get("dot") << "\n";
-  }
-  writeTraceFile(args, run, p.workload.name + "@" + comp.name());
+  if (args.has("verilog"))
+    writeOutput(args.get("verilog"), generateVerilog(comp));
+  if (args.has("dot"))
+    writeOutput(args.get("dot"), k.graph.toDot(k.workload.name));
+  writeTraceFile(args, run, label);
   return 0;
 }
 
 int cmdExplain(const Args& args) {
   preflightOutputs(args, {"trace"}, {});
   const Composition comp = resolveComposition(args.get("comp", "mesh4"));
-  Prepared p = prepareKernel(args);
+  const LoadedKernel k = loadKernel(args);
+  const ScheduleReport report = runScheduler(args, comp, k.graph, true);
 
-  const Scheduler scheduler(comp);
-  const ScheduleReport report = scheduler.schedule(makeRequest(args, p, true));
-
-  std::cout << "== " << p.workload.name << " on " << comp.name() << " ==\n"
-            << report.trace->explain(&p.graph, &comp);
+  std::cout << "== " << k.workload.name << " on " << comp.name() << " ==\n"
+            << report.trace->explain(&k.graph, &comp);
   if (report.ok)
     std::cout << "outcome: scheduled in " << report.stats.contextsUsed
               << " contexts\n";
@@ -710,7 +642,7 @@ int cmdExplain(const Args& args) {
     std::cout << "outcome: UNMAPPABLE ("
               << failureReasonName(report.failure.reason)
               << "): " << report.failure.message << "\n";
-  writeTraceFile(args, report, p.workload.name + "@" + comp.name());
+  writeTraceFile(args, report, k.workload.name + "@" + comp.name());
   // A diagnostic command: inspecting an unmappable kernel is a successful
   // run of `explain`, so the exit code stays 0 either way.
   return 0;
@@ -761,35 +693,36 @@ void emitReport(const Args& args, const Report& report, const Schedule& sched,
   }
   std::cout << "\n" << utilizationHeatmap(sched, comp, ctr);
 
-  if (args.has("json")) {
-    json::writeFile(args.get("json"), report.toJson());
-    std::cout << "wrote " << args.get("json") << "\n";
-  }
-  if (args.has("csv")) {
-    std::ofstream(args.get("csv")) << report.toCsv();
-    std::cout << "wrote " << args.get("csv") << "\n";
-  }
+  if (args.has("json")) writeOutput(args.get("json"), report.toJson());
+  if (args.has("csv")) writeOutput(args.get("csv"), report.toCsv());
 }
 
 int cmdStats(const Args& args) {
   preflightOutputs(args, {"json", "csv"}, {});
   const Composition comp = resolveComposition(args.get("comp", "mesh4"));
-  Prepared p = prepareKernel(args);
-  const Scheduler scheduler(comp);
-  const ScheduleReport result =
-      scheduler.schedule(makeRequest(args, p, false));
-  if (!result.ok) {
-    std::cerr << "cgra-tool: scheduling failed ("
-              << failureReasonName(result.failure.reason)
-              << "): " << result.failure.message << "\n";
-    return 1;
-  }
+  const LoadedKernel k = loadKernel(args);
+  const ScheduleReport result = runScheduler(args, comp, k.graph);
+  if (!result.ok) return schedulingFailed(result.failure);
   const Report report = makeReport(result.schedule, comp, &result.stats);
-  std::cout << "== " << p.workload.name << " on " << comp.name() << " ==\n"
+  std::cout << "== " << k.workload.name << " on " << comp.name() << " ==\n"
             << result.schedule.length << " contexts, "
             << report.quality.totalOps << " ops ("
             << report.quality.insertedOps << " inserted, "
-            << report.quality.fusedWrites << " fused writes)\n";
+            << report.quality.fusedWrites << " fused writes), peak "
+            << "parallelism " << report.quality.peakParallelism << "\n";
+  const std::vector<LoopMii> loops =
+      computeMiiBounds(k.graph, result.schedule, comp);
+  if (!loops.empty()) {
+    TextTable mii({"Loop", "Depth", "Achieved II", "ResMII", "RecMII",
+                   "Headroom"});
+    for (const LoopMii& m : loops)
+      mii.addRow({std::to_string(m.loop),
+                  std::to_string(k.graph.loopDepth(m.loop)),
+                  std::to_string(m.achievedInterval), fmt(m.resMii, 1),
+                  fmt(m.recMii, 1), fmt(m.headroom(), 2) + "x"});
+    mii.print(std::cout);
+    std::cout << "\n";
+  }
   emitReport(args, report, result.schedule, comp);
   return 0;
 }
@@ -797,30 +730,27 @@ int cmdStats(const Args& args) {
 int cmdSimulate(const Args& args) {
   preflightOutputs(args, {"json", "csv"}, {});
   const Composition comp = resolveComposition(args.get("comp", "mesh4"));
-  Prepared p = prepareKernel(args);
+  const LoadedKernel k = loadKernel(args);
+  const apps::Workload& w = k.workload;
 
   // Golden run.
-  HostMemory goldenHeap = p.workload.heap;
-  kir::Interpreter interp;
-  const auto golden =
-      interp.run(p.prepared, p.workload.initialLocals, goldenHeap);
+  HostMemory goldenHeap = w.heap;
+  kir::Interpreter().run(k.frontend.fn, w.initialLocals, goldenHeap);
 
-  const Scheduler scheduler(comp);
-  const ScheduleReport result =
-      scheduler.schedule(ScheduleRequest(p.graph)).orThrow();
+  const ScheduleReport result = runScheduler(args, comp, k.graph).orThrow();
   const Schedule runnable =
       decodeContexts(generateContexts(result.schedule, comp), comp);
 
   std::map<VarId, std::int32_t> liveIns;
   for (const LiveBinding& lb : runnable.liveIns)
-    liveIns[lb.var] = p.workload.initialLocals[lb.var];
-  HostMemory heap = p.workload.heap;
+    liveIns[lb.var] = w.initialLocals[lb.var];
+  HostMemory heap = w.heap;
   SimOptions simOpts;
   simOpts.collectCounters = args.has("counters");
   const SimResult r = Simulator(comp, runnable).run(liveIns, heap, simOpts);
 
   const bool ok = heap == goldenHeap;
-  std::cout << p.workload.name << " on " << comp.name() << ": "
+  std::cout << w.name << " on " << comp.name() << ": "
             << r.runCycles << " cycles (" << r.invocationCycles
             << " incl. transfers), " << r.dmaLoads << " loads, "
             << r.dmaStores << " stores, energy " << fmt(r.energy, 0)
@@ -833,11 +763,10 @@ int cmdSimulate(const Args& args) {
   }
 
   if (args.has("baseline")) {
-    const BytecodeFunction bc = kir::lowerToBytecode(p.workload.fn);
-    HostMemory baseHeap = p.workload.heap;
-    const TokenMachine tm;
+    const BytecodeFunction bc = kir::lowerToBytecode(w.fn);
+    HostMemory baseHeap = w.heap;
     const TokenRunResult base =
-        tm.run(bc, p.workload.initialLocals, baseHeap);
+        TokenMachine().run(bc, w.initialLocals, baseHeap);
     std::cout << "baseline: " << base.cycles << " cycles -> speedup "
               << fmt(static_cast<double>(base.cycles) /
                          static_cast<double>(r.runCycles),
@@ -856,8 +785,7 @@ int cmdSweep(const Args& args) {
     comps.push_back(resolveComposition(name));
   const auto graphs = loadKernelGraphs(args, "adpcm");
 
-  SchedulerOptions jobOpts;
-  jobOpts.maxContexts = args.getUnsigned("max-contexts", 0);
+  const SchedulerOptions jobOpts = schedulerOptions(args);
   std::vector<SweepJob> jobs;
   for (const Composition& comp : comps)
     for (const auto& [name, graph] : graphs)
@@ -865,11 +793,12 @@ int cmdSweep(const Args& args) {
                               jobOpts});
 
   SweepOptions opts;
-  opts.threads = args.getUnsigned("threads", 0);
+  opts.threads = args.getInt<unsigned>("threads", 0);
   opts.keepSchedules = false;
   if (args.has("trace")) {
     opts.traceDir = args.get("trace");
-    opts.trace.capacity = args.getUnsigned("trace-capacity", 1u << 16);
+    opts.trace.capacity =
+        args.getInt<std::size_t>("trace-capacity", opts.trace.capacity);
   }
   std::optional<artifact::ArtifactStore> store;
   if (args.has("cache")) store.emplace(storeOptions(args));
@@ -913,11 +842,9 @@ int cmdSweep(const Args& args) {
               << " eviction(s) in " << store->directory() << "\n";
   if (!opts.traceDir.empty())
     std::cout << "wrote per-job traces under " << opts.traceDir << "\n";
-  if (args.has("metrics")) {
-    json::writeFile(args.get("metrics"),
-                    report.toJson(/*includeVolatile=*/!args.has("stable")));
-    std::cout << "wrote " << args.get("metrics") << "\n";
-  }
+  if (args.has("metrics"))
+    writeOutput(args.get("metrics"),
+                report.toJson(/*includeVolatile=*/!args.has("stable")));
   return report.failures == 0 ? 0 : 1;
 }
 
@@ -935,10 +862,10 @@ int cmdExplore(const Args& args) {
 
   explore::ExploreOptions opts;
   opts.strategy = args.get("strategy", "genetic");
-  opts.seed = parseSeed(args);
-  opts.budget = args.getUnsigned("budget", 64);
-  opts.population = args.getUnsigned("population", 8);
-  opts.sweep.threads = args.getUnsigned("threads", 0);
+  opts.seed = seedOf(args);
+  opts.budget = args.getInt("budget", opts.budget);
+  opts.population = args.getInt("population", opts.population);
+  opts.sweep.threads = args.getInt<unsigned>("threads", 0);
 
   std::optional<artifact::ArtifactStore> store;
   if (args.has("cache")) store.emplace(storeOptions(args));
@@ -965,17 +892,11 @@ int cmdExplore(const Args& args) {
     std::cout << "artifact cache: " << report.counters.storeHits
               << " hit(s), " << report.counters.storeMisses << " miss(es) in "
               << store->directory() << "\n";
-  if (args.has("out")) {
-    json::writeFile(args.get("out"),
-                    report.toJson(/*includeVolatile=*/!args.has("stable")));
-    std::cout << "wrote " << args.get("out") << "\n";
-  }
-  if (args.has("metrics")) {
-    std::ofstream out(args.get("metrics"));
-    if (!out) throw Error("cannot write --metrics " + args.get("metrics"));
-    out << explorer.metricsText();
-    std::cout << "wrote " << args.get("metrics") << "\n";
-  }
+  if (args.has("out"))
+    writeOutput(args.get("out"),
+                report.toJson(/*includeVolatile=*/!args.has("stable")));
+  if (args.has("metrics"))
+    writeOutput(args.get("metrics"), explorer.metricsText());
   // An empty front means no candidate scheduled the whole kernel set —
   // the search found nothing usable, which callers should notice.
   return report.front.empty() ? 1 : 0;
@@ -990,27 +911,13 @@ extern "C" void serveSignalHandler(int) {
   if (s != nullptr) s->notifyDrain();
 }
 
-/// Parses a TCP port, rejecting junk, trailing garbage, and values the
-/// uint16 would silently truncate.
-std::uint16_t parseTcpPort(const std::string& text) {
-  unsigned long port = 0;
-  std::size_t used = 0;
-  try {
-    port = std::stoul(text, &used);
-  } catch (const std::exception&) {
-    throw Error("invalid TCP port \"" + text + "\" (expected 1-65535)");
-  }
-  if (used != text.size() || port < 1 || port > 65535)
-    throw Error("invalid TCP port \"" + text + "\" (expected 1-65535)");
-  return static_cast<std::uint16_t>(port);
-}
-
 /// Client mode: pipe stdin JSONL into a running server and print its
 /// responses. TARGET is a unix socket path or `tcp:PORT`.
 int runServeClient(const std::string& target) {
   artifact::JsonlClient client =
       target.rfind("tcp:", 0) == 0
-          ? artifact::JsonlClient::connectTcp(parseTcpPort(target.substr(4)))
+          ? artifact::JsonlClient::connectTcp(parseInt<std::uint16_t>(
+                target.substr(4), "TCP port", 1, 65535))
           : artifact::JsonlClient::connectUnix(target);
   std::uint64_t sent = 0;
   std::string line;
@@ -1037,14 +944,14 @@ int cmdServe(const Args& args) {
   preflightOutputs(args, {"metrics", "access-log"}, {"cache", "trace-dir"});
   artifact::ArtifactStore store(storeOptions(args));
   artifact::ServiceOptions opts;
-  opts.threads = args.getUnsigned("threads", 0);
-  opts.maxInFlight = args.getUnsigned("max-queue", 64);
-  opts.queueBound = args.getUnsigned("queue-bound", 256);
-  opts.maxClients = args.getUnsigned("max-clients", 0);
-  opts.maxConnections = args.getUnsigned("max-connections", 0);
+  opts.threads = args.getInt("threads", opts.threads);
+  opts.maxInFlight = args.getInt("max-queue", opts.maxInFlight);
+  opts.queueBound = args.getInt("queue-bound", opts.queueBound);
+  opts.maxClients = args.getInt("max-clients", opts.maxClients);
+  opts.maxConnections = args.getInt("max-connections", opts.maxConnections);
   opts.includeArtifact = args.has("artifact");
   opts.accessLogPath = args.get("access-log", "");
-  opts.traceSample = args.getUnsigned("trace-sample", 0);
+  opts.traceSample = args.getInt("trace-sample", opts.traceSample);
   opts.traceDir = args.get("trace-dir", "");
 
   artifact::Service service(store, opts);
@@ -1055,12 +962,8 @@ int cmdServe(const Args& args) {
       std::cerr << "cgra-tool: serving on " << args.get("socket") << "\n";
     }
     if (args.has("tcp")) {
-      const unsigned requested = args.getUnsigned("tcp", 0);
-      if (requested > 65535)
-        throw Error("invalid TCP port \"" + std::to_string(requested) +
-                    "\" (expected 0-65535; 0 picks a free port)");
       const std::uint16_t port =
-          service.addTcpListener(static_cast<std::uint16_t>(requested));
+          service.addTcpListener(args.getInt<std::uint16_t>("tcp", 0));
       std::cerr << "cgra-tool: serving on 127.0.0.1:" << port << "\n";
     }
     g_serveInstance.store(&service, std::memory_order_relaxed);
@@ -1076,13 +979,10 @@ int cmdServe(const Args& args) {
     service.serveStream(std::cin, std::cout);
   }
   const artifact::ServiceStats stats = service.stats();
-  if (args.has("metrics")) {
-    // Final scrape of the Prometheus exposition; live scraping goes
-    // through {"metrics": true} requests on the wire.
-    std::ofstream out(args.get("metrics"));
-    if (!out) throw Error("cannot write --metrics " + args.get("metrics"));
-    out << service.metricsText();
-  }
+  // Final scrape of the Prometheus exposition; live scraping goes through
+  // {"metrics": true} requests on the wire.
+  if (args.has("metrics"))
+    writeOutput(args.get("metrics"), service.metricsText(), std::cerr);
   // Session summary on stderr: stdout carries only JSONL responses.
   std::cerr << "serve: " << stats.requests << " request(s), "
             << stats.scheduled << " scheduled, " << stats.cacheHits
@@ -1099,38 +999,6 @@ int cmdServe(const Args& args) {
               << " us, p99 " << static_cast<std::uint64_t>(stats.latencyP99Us)
               << " us";
   std::cerr << "\n";
-  return 0;
-}
-
-int cmdAnalyze(const Args& args) {
-  const Composition comp = resolveComposition(args.get("comp", "mesh4"));
-  Prepared p = prepareKernel(args);
-  const Scheduler scheduler(comp);
-  const ScheduleReport result =
-      scheduler.schedule(ScheduleRequest(p.graph)).orThrow();
-
-  std::cout << "== " << p.workload.name << " on " << comp.name() << " ==\n\n"
-            << ganttChart(result.schedule, comp) << "\n";
-
-  const ScheduleQuality q = computeScheduleQuality(result.schedule, comp);
-  TextTable util({"PE", "busy cycles", "utilization", "ops", "inserted"});
-  for (const PEQuality& pe : q.perPE)
-    util.addRow({std::to_string(pe.pe), std::to_string(pe.busyCycles),
-                 fmt(pe.utilization * 100, 1) + "%",
-                 std::to_string(pe.opsIssued),
-                 std::to_string(pe.insertedOps)});
-  util.print(std::cout);
-  std::cout << "peak parallelism " << q.peakParallelism << ", C-Box busy "
-            << q.cboxBusyCycles << " cycles\n\n";
-
-  TextTable mii({"Loop", "Depth", "Achieved II", "ResMII", "RecMII",
-                 "Headroom"});
-  for (const LoopMii& m : computeMiiBounds(p.graph, result.schedule, comp))
-    mii.addRow({std::to_string(m.loop),
-                std::to_string(p.graph.loopDepth(m.loop)),
-                std::to_string(m.achievedInterval), fmt(m.resMii, 1),
-                fmt(m.recMii, 1), fmt(m.headroom(), 2) + "x"});
-  mii.print(std::cout);
   return 0;
 }
 
@@ -1160,9 +1028,6 @@ const CommandSpec kCommands[] = {
      {"comp", "kernel", "kernel-file", "local", "array", "unroll", "cse",
       "max-contexts", "json", "csv"},
      cmdStats},
-    {"analyze", "utilization, Gantt chart and loop-II bounds of a schedule",
-     {"comp", "kernel", "kernel-file", "local", "array", "unroll", "cse"},
-     cmdAnalyze},
     {"sweep", "schedule every (composition x kernel) pair in parallel",
      {"comps", "kernels", "kernel-dir", "unroll", "threads", "metrics",
       "max-contexts", "trace", "trace-capacity", "stable", "cache",
