@@ -105,31 +105,16 @@ void ArtifactStore::evictPastCapLocked() {
     std::error_code ec;
     sfs::remove(pathForKey(victim), ec);
     ++counters_.evictions;
-    // Keep memory and disk coherent for evicted keys: the hot layer may
-    // legitimately outlive the file, so the entry stays — lookups then
-    // re-publish to disk on the next insert of that key, not here.
+    // The hot layer may legitimately outlive the file, so a memory entry
+    // stays: resolve serves it from memory and never re-publishes it; the
+    // file comes back only when a later miss recomputes the key.
   }
-}
-
-std::shared_ptr<const ScheduleArtifact> ArtifactStore::memoryHitLocked(
-    const std::string& key) {
-  const auto it = memory_.find(key);
-  if (it == memory_.end()) return nullptr;
-  ++counters_.hits;
-  ++counters_.memoryHits;
-  // Bump recency in both layers.
-  memoryLru_.splice(memoryLru_.begin(), memoryLru_, it->second.lruIt);
-  touchDiskLocked(key);
-  return it->second.artifact;
 }
 
 std::shared_ptr<const ScheduleArtifact> ArtifactStore::lookup(
     const std::string& key) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto hit = memoryHitLocked(key)) return hit;
-  }
-
+  // No memory probe: resolve made it when claiming the key's flight, and
+  // only that flight fills the memory tier for the key.
   if (options_.directory.empty()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.misses;
@@ -181,7 +166,14 @@ std::shared_ptr<const ScheduleArtifact> ArtifactStore::lookup(
 ArtifactStore::Resolved ArtifactStore::resolve(
     const std::string& key, const std::function<ScheduleArtifact()>& compute) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (auto hit = memoryHitLocked(key)) return {std::move(hit), Source::Memory};
+  if (const auto hit = memory_.find(key); hit != memory_.end()) {
+    ++counters_.hits;
+    ++counters_.memoryHits;
+    // Bump recency in both layers.
+    memoryLru_.splice(memoryLru_.begin(), memoryLru_, hit->second.lruIt);
+    touchDiskLocked(key);
+    return {hit->second.artifact, Source::Memory};
+  }
   const auto [it, owner] = flights_.try_emplace(key);
   if (!owner) {
     ++counters_.misses;

@@ -13,10 +13,10 @@
 //    wins harmlessly. Disk usage is LRU-capped: inserting past
 //    `maxDiskBytes` evicts the least-recently-used keys' files.
 //
-// Every lookup verifies the artifact at load time (format tag, schedule
-// fingerprint); a corrupt or stale file counts as `invalid`, is deleted
-// best-effort, and reads as a miss — the caller just reschedules. `resolve`
-// is the one lookup-or-schedule path; it computes a missing key only once.
+// `resolve` is the store's one query: lookup-or-schedule, computing a
+// missing key only once. Every disk load verifies the artifact (format tag,
+// schedule fingerprint); a corrupt or stale file counts as `invalid`, is
+// deleted best-effort, and reads as a miss, so `resolve` recomputes it.
 #pragma once
 
 #include <cstdint>
@@ -90,14 +90,6 @@ public:
   Resolved resolve(const std::string& key,
                    const std::function<ScheduleArtifact()>& compute);
 
-  /// Returns the artifact for `key`, or nullptr on miss. Thread-safe.
-  std::shared_ptr<const ScheduleArtifact> lookup(const std::string& key);
-
-  /// Inserts an artifact under artifact->key (memory, then disk when
-  /// configured), evicting LRU disk entries past the byte cap. Thread-safe;
-  /// concurrent inserts of one key are idempotent.
-  void insert(std::shared_ptr<const ScheduleArtifact> artifact);
-
   StoreCounters counters() const;
   std::size_t memoryEntries() const;
   std::size_t diskBytes() const;
@@ -113,9 +105,14 @@ private:
     std::list<std::string>::iterator lruIt;  ///< position in lru_
   };
 
+  /// resolve's two halves, run by a flight's owner. lookup loads `key` from
+  /// the directory, or returns nullptr on a miss; insert publishes one
+  /// (memory, then disk when configured), evicting LRU disk entries past
+  /// the byte cap. Each releases the flight when it fills the memory tier.
+  std::shared_ptr<const ScheduleArtifact> lookup(const std::string& key);
+  void insert(std::shared_ptr<const ScheduleArtifact> artifact);
+
   std::string pathForKey(const std::string& key) const;
-  std::shared_ptr<const ScheduleArtifact> memoryHitLocked(
-      const std::string& key);
   void touchDiskLocked(const std::string& key);
   void addDiskEntryLocked(const std::string& key, std::size_t bytes);
   void evictPastCapLocked();

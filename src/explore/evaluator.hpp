@@ -2,11 +2,12 @@
 //
 // The Evaluator owns the bridge from genotypes to objective values: it
 // materializes each previously unseen candidate, schedules the whole kernel
-// set on it through the existing sweep engine (cache-aware via
-// artifact::runCachedSweep when a store is attached, so a composition
-// revisited across generations — or across explore runs sharing a cache
-// directory — costs a lookup, not a schedule), and condenses the per-kernel
-// results plus the analytical resource model into one `CandidateEval`.
+// set on it through the existing sweep engine (with a store attached,
+// artifact::runCachedSweep resolves each key through the store on the
+// sweep's workers, so a composition revisited across generations — or
+// across explore runs sharing a cache directory — costs a store hit, not a
+// schedule), and condenses the per-kernel results plus the analytical
+// resource model into one `CandidateEval`.
 //
 // Two memo layers stack:
 //  * an in-process memo keyed by Genotype::key() — a candidate proposed

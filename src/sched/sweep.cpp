@@ -15,11 +15,11 @@ namespace cgra {
 
 namespace {
 
-SweepJobResult runJob(const SweepJob& job, bool keepSchedule,
-                      const TraceOptions& trace) {
-  SweepJobResult out;
-  out.label = !job.label.empty() ? job.label
-                                 : (job.comp ? job.comp->name() : "?");
+std::string jobLabel(const SweepJob& job) {
+  return !job.label.empty() ? job.label : (job.comp ? job.comp->name() : "?");
+}
+
+ScheduleReport scheduleJob(const SweepJob& job, const TraceOptions& trace) {
   try {
     CGRA_ASSERT(job.comp != nullptr && job.graph != nullptr);
     // The Scheduler resolves its composition's memoized ArchModel — built
@@ -27,28 +27,83 @@ SweepJobResult runJob(const SweepJob& job, bool keepSchedule,
     const Scheduler scheduler(*job.comp, job.options);
     ScheduleRequest request(*job.graph);
     request.trace = trace;
-    ScheduleReport report = scheduler.schedule(request);
-    out.ok = report.ok;
-    out.failure = std::move(report.failure);
-    out.stats = report.stats;
-    out.metrics = report.metrics;
-    out.trace = std::move(report.trace);
-    if (report.ok) {
-      out.fingerprint = report.schedule.fingerprint();
-      out.staticUtilization =
-          computeScheduleQuality(report.schedule, *job.comp, &report.stats)
-              .staticUtilization;
-      if (keepSchedule) out.schedule = std::move(report.schedule);
-    }
+    return scheduler.schedule(request);
   } catch (const std::exception& e) {
     // Programmer errors (malformed graphs, violated invariants) still land
     // here so one bad job cannot abort a long sweep; they are tallied as
     // Internal rather than a kernel-capacity mismatch.
-    out.ok = false;
-    out.failure.reason = FailureReason::Internal;
-    out.failure.message = e.what();
+    ScheduleReport report;
+    report.failure.reason = FailureReason::Internal;
+    report.failure.message = e.what();
+    return report;
+  }
+}
+
+/// The one report → result conversion, for fresh and store-served reports
+/// alike: fingerprint and staticUtilization are always recomputed from the
+/// schedule, so a warm result is equivalent to a fresh one by construction.
+SweepJobResult toResult(const SweepJob& job, ScheduleReport report,
+                        bool keepSchedule) {
+  SweepJobResult out;
+  out.label = jobLabel(job);
+  out.ok = report.ok;
+  out.failure = std::move(report.failure);
+  out.stats = report.stats;
+  out.metrics = report.metrics;
+  out.trace = std::move(report.trace);
+  if (report.ok) {
+    out.fingerprint = report.schedule.fingerprint();
+    out.staticUtilization =
+        computeScheduleQuality(report.schedule, *job.comp, &report.stats)
+            .staticUtilization;
+    if (keepSchedule) out.schedule = std::move(report.schedule);
   }
   return out;
+}
+
+/// Content key of every job (sched/job_key.hpp), in job order; empty for a
+/// malformed job (null composition or graph). Composition digests come
+/// memoized from the ArchModel and each distinct graph is hashed once, so
+/// an N-comp × M-kernel matrix hashes each input once — not once per job.
+std::vector<std::string> sweepJobKeys(const std::vector<SweepJob>& jobs) {
+  std::vector<std::string> keys(jobs.size());
+  std::unordered_map<const Cdfg*, std::string> graphDigests;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (jobs[i].comp == nullptr || jobs[i].graph == nullptr) continue;
+    std::string& graphDigest = graphDigests[jobs[i].graph];
+    if (graphDigest.empty()) graphDigest = cdfgDigest(*jobs[i].graph);
+    keys[i] = scheduleJobKeyWithDigests(
+        ArchModel::get(*jobs[i].comp)->digest(), graphDigest, jobs[i].options);
+  }
+  return keys;
+}
+
+/// Number of distinct ArchModels behind the jobs' compositions, building
+/// any the memo still lacks.
+std::size_t countArchModels(const std::vector<SweepJob>& jobs) {
+  std::unordered_set<const ArchModel*> models;
+  for (const SweepJob& job : jobs)
+    if (job.comp != nullptr) models.insert(ArchModel::get(*job.comp).get());
+  return models.size();
+}
+
+/// Fills aggregate (merged over successful jobs), failures,
+/// failuresByReason and meanStaticUtilization from `report.results`.
+void tallyResults(SweepReport& report) {
+  report.aggregate.runs = 0;
+  double utilSum = 0.0;
+  std::size_t okCount = 0;
+  for (const SweepJobResult& r : report.results) {
+    if (r.ok) {
+      report.aggregate.merge(r.metrics);
+      utilSum += r.staticUtilization;
+      ++okCount;
+    } else {
+      ++report.failures;
+      report.failuresByReason[static_cast<std::size_t>(r.failure.reason)]++;
+    }
+  }
+  report.meanStaticUtilization = okCount > 0 ? utilSum / okCount : 0.0;
 }
 
 /// Turns a job label into a safe filename component ("adpcm@mesh 9" ->
@@ -68,7 +123,8 @@ std::string sanitizeLabel(const std::string& label) {
 }  // namespace
 
 SweepReport runSweep(const std::vector<SweepJob>& jobs,
-                     const SweepOptions& options) {
+                     const SweepOptions& options,
+                     const SweepResolver& resolve) {
   const auto wallStart = std::chrono::steady_clock::now();
 
   SweepReport report;
@@ -100,7 +156,7 @@ SweepReport runSweep(const std::vector<SweepJob>& jobs,
   {
     std::unordered_map<std::string, std::size_t> firstByKey;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      // A malformed job (empty key) never dedups: runJob records the
+      // A malformed job (empty key) never dedups: scheduleJob records the
       // failure per job.
       const bool first =
           keys[i].empty() || firstByKey.emplace(keys[i], i).second;
@@ -111,20 +167,23 @@ SweepReport runSweep(const std::vector<SweepJob>& jobs,
 
   parallelFor(uniqueJobs.size(), report.threadsUsed, [&](std::size_t u) {
     const std::size_t i = uniqueJobs[u];
-    report.results[i] = runJob(jobs[i], options.keepSchedules, trace);
+    const auto schedule = [&] { return scheduleJob(jobs[i], trace); };
+    report.results[i] =
+        toResult(jobs[i],
+                 resolve && !keys[i].empty() ? resolve(keys[i], schedule)
+                                             : schedule(),
+                 options.keepSchedules);
     report.results[i].cacheKey = keys[i];
   });
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (representative[i] == i) continue;
     report.results[i] = report.results[representative[i]];
-    report.results[i].label = !jobs[i].label.empty()
-                                  ? jobs[i].label
-                                  : jobs[i].comp->name();
+    report.results[i].label = jobLabel(jobs[i]);
     report.results[i].fromCache = true;
     ++report.dedupedJobs;
   }
-  report.tallyResults();
+  tallyResults(report);
 
   // Trace files are written serially after the parallel section: job order
   // (and content — logical timestamps only) is deterministic, so the set of
@@ -142,46 +201,6 @@ SweepReport runSweep(const std::vector<SweepJob>& jobs,
 
   report.wallTimeMs = msSince(wallStart);
   return report;
-}
-
-std::vector<std::string> sweepJobKeys(const std::vector<SweepJob>& jobs) {
-  std::vector<std::string> keys(jobs.size());
-  std::unordered_map<const Cdfg*, std::string> graphDigests;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (jobs[i].comp == nullptr || jobs[i].graph == nullptr) continue;
-    std::string& graphDigest = graphDigests[jobs[i].graph];
-    if (graphDigest.empty()) graphDigest = cdfgDigest(*jobs[i].graph);
-    keys[i] = scheduleJobKeyWithDigests(
-        ArchModel::get(*jobs[i].comp)->digest(), graphDigest, jobs[i].options);
-  }
-  return keys;
-}
-
-std::size_t countArchModels(const std::vector<SweepJob>& jobs) {
-  std::unordered_set<const ArchModel*> models;
-  for (const SweepJob& job : jobs)
-    if (job.comp != nullptr) models.insert(ArchModel::get(*job.comp).get());
-  return models.size();
-}
-
-void SweepReport::tallyResults() {
-  aggregate = SchedulerMetrics{};
-  aggregate.runs = 0;
-  failures = 0;
-  failuresByReason.fill(0);
-  double utilSum = 0.0;
-  std::size_t okCount = 0;
-  for (const SweepJobResult& r : results) {
-    if (r.ok) {
-      aggregate.merge(r.metrics);
-      utilSum += r.staticUtilization;
-      ++okCount;
-    } else {
-      ++failures;
-      failuresByReason[static_cast<std::size_t>(r.failure.reason)]++;
-    }
-  }
-  meanStaticUtilization = okCount > 0 ? utilSum / okCount : 0.0;
 }
 
 json::Value SweepReport::toJson(bool includeVolatile) const {

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,8 +61,9 @@ struct SweepJobResult {
   /// computeScheduleQuality); 0 when !ok. Lets sweeps rank compositions by
   /// schedule quality, not just feasibility and context count.
   double staticUtilization = 0.0;
-  /// Per-job decision trace; null unless SweepOptions::trace.enabled. Each
-  /// job owns its ring buffer — worker threads never share trace state.
+  /// Per-job decision trace; null unless SweepOptions::trace.enabled, and
+  /// null for a result served from a store. Each job owns its ring buffer
+  /// — worker threads never share trace state.
   std::shared_ptr<const Trace> trace;
 };
 
@@ -104,18 +106,15 @@ struct SweepReport {
   /// (same cache key scheduled once). Deterministic for a given job list,
   /// so it appears in the stable JSON form.
   std::size_t dedupedJobs = 0;
-  /// Persistent-cache traffic, filled by artifact::runCachedSweep. Volatile
-  /// by design (a warm run differs from a cold one), so these fields are
-  /// only exported when `includeVolatile` — `--stable` metrics JSON stays
-  /// byte-identical between cold and warm runs.
+  /// Persistent-cache traffic, filled by artifact::runCachedSweep and
+  /// counted per job (a duplicate of a hit key is a hit, of a missed key a
+  /// miss). Volatile by design (a warm run differs from a cold one), so
+  /// these fields are only exported when `includeVolatile` — `--stable`
+  /// metrics JSON stays byte-identical between cold and warm runs.
   bool cacheEnabled = false;
   std::size_t cacheHits = 0;
   std::size_t cacheMisses = 0;
   std::size_t cacheEvictions = 0;
-
-  /// Fills aggregate (merged over successful jobs), failures,
-  /// failuresByReason and meanStaticUtilization from `results`.
-  void tallyResults();
 
   /// {"threads": .., "wallTimeMs": .., "aggregate": {...}, "jobs": [...]}
   /// — the `cgra-tool sweep --metrics` schema (see DESIGN.md). Keys are
@@ -126,19 +125,18 @@ struct SweepReport {
   json::Value toJson(bool includeVolatile = true) const;
 };
 
+/// The per-key step of a sweep: returns the report for `key`, by calling
+/// `schedule()` or from elsewhere (artifact::runCachedSweep answers from a
+/// persistent store). Without one, the sweep calls `schedule()` itself.
+using SweepResolver = std::function<ScheduleReport(
+    const std::string& key, const std::function<ScheduleReport()>& schedule)>;
+
 /// Schedules every job, `options.threads` at a time. Thread count affects
-/// wall time only, never the schedules.
+/// wall time only, never the schedules. `resolve`, when set, is called once
+/// per distinct well-formed key on the worker thread; an exception it
+/// throws fails the whole sweep.
 SweepReport runSweep(const std::vector<SweepJob>& jobs,
-                     const SweepOptions& options = {});
-
-/// Content key of every job (sched/job_key.hpp), in job order; empty for a
-/// malformed job (null composition or graph). Composition digests come
-/// memoized from the ArchModel and each distinct graph is hashed once, so
-/// an N-comp × M-kernel matrix hashes each input once — not once per job.
-std::vector<std::string> sweepJobKeys(const std::vector<SweepJob>& jobs);
-
-/// Number of distinct ArchModels behind the jobs' compositions, building
-/// any the memo still lacks.
-std::size_t countArchModels(const std::vector<SweepJob>& jobs);
+                     const SweepOptions& options = {},
+                     const SweepResolver& resolve = {});
 
 }  // namespace cgra

@@ -25,7 +25,6 @@ const char* traceEventName(TraceEventKind kind) {
     case TraceEventKind::LoopClosed: return "loop-close";
     case TraceEventKind::BranchPlaced: return "branch";
     case TraceEventKind::Failure: return "failure";
-    case TraceEventKind::CacheLookup: return "cache";
   }
   CGRA_UNREACHABLE("bad TraceEventKind");
 }
@@ -219,9 +218,6 @@ std::string Trace::explain(const Cdfg* graph, const Composition* comp) const {
         if (e.node >= 0)
           os << "; final failing node " << nodeName(e.node, graph)
              << " last rejected: " << traceRejectName(e.reject);
-        break;
-      case TraceEventKind::CacheLookup:
-        os << "artifact cache " << e.detail.str;
         break;
     }
     os << "\n";

@@ -65,7 +65,6 @@ enum class TraceEventKind : std::uint8_t {
   LoopClosed,         ///< a = loop id, b = back-branch context
   BranchPlaced,       ///< back-branch at cycle; a = target context
   Failure,            ///< run abandoned; reject/node describe the blocker
-  CacheLookup,        ///< artifact-store probe; detail = "hit" | "miss"
 };
 
 /// Why a (node, PE) placement probe was rejected.

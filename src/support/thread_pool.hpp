@@ -3,8 +3,8 @@
 // Many-config exploration (synthesis candidates × kernels, bench sweeps) is
 // embarrassingly parallel: each scheduling run is independent and pure. The
 // pool runs submitted tasks on N std::threads; `wait()` blocks until every
-// submitted task has finished. Tasks must not throw — callers that can fail
-// capture their own errors (the sweep engine stores per-job error strings).
+// submitted task has finished. Tasks must not throw; `parallelFor` catches
+// its callback's exceptions itself and rethrows the first one to its caller.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -98,6 +99,8 @@ private:
 
 /// Runs `fn(i)` for i in [0, n) across `threads` workers (0 = hardware
 /// concurrency; 1 runs inline without spawning). Blocks until all complete.
+/// When `fn` throws on the pool path, every other index still runs and the
+/// first exception is rethrown here; inline, it propagates at once.
 template <typename Fn>
 void parallelFor(std::size_t n, unsigned threads, Fn&& fn) {
   if (threads == 0) threads = ThreadPool::defaultThreads();
@@ -107,14 +110,23 @@ void parallelFor(std::size_t n, unsigned threads, Fn&& fn) {
   }
   ThreadPool pool(threads);
   std::atomic<std::size_t> next{0};
+  std::mutex errorMu;
+  std::exception_ptr error;
   const unsigned spawned = static_cast<unsigned>(
       std::min<std::size_t>(n, threads));
   for (unsigned w = 0; w < spawned; ++w)
     pool.submit([&] {
-      for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1))
-        fn(i);
+      for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+        try {
+          fn(i);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(errorMu);
+          if (error == nullptr) error = std::current_exception();
+        }
+      }
     });
   pool.wait();
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace cgra

@@ -1,10 +1,10 @@
 // Persistent schedule artifacts + content-addressed store (DESIGN.md §10):
 // bit-exact round trips, equivalence of deserialized schedules (validator +
 // simulator), cache-key sensitivity and salting, store hit/miss/evict/LRU
-// behavior, corruption detection, negative caching, warm-vs-cold cached
-// sweeps, single-flight `resolve` (one compute per key, errors reach every
-// waiter), and 8 threads hammering one cache directory (run under tsan by
-// the thread-sanitize preset).
+// behavior through `resolve`, corruption detection, negative caching,
+// warm-vs-cold cached sweeps, single-flight `resolve` (one compute per key,
+// errors reach every waiter), and two stores' 8 threads hammering one cache
+// directory (run under tsan by the thread-sanitize preset).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -326,45 +326,64 @@ artifact::ScheduleArtifact makeArtifact(const Composition& comp,
                                                 scheduleKernel(comp, graph));
 }
 
+/// Resolves `key` to a schedule of `graph` on `comp`; `computed` counts the
+/// calls the store makes to `compute`, so "served, not recomputed" is
+/// asserted directly.
+artifact::ArtifactStore::Resolved resolveCounted(
+    artifact::ArtifactStore& store, const std::string& key,
+    const Composition& comp, const Cdfg& graph,
+    std::atomic<unsigned>& computed) {
+  return store.resolve(key, [&] {
+    ++computed;
+    return makeArtifact(comp, graph, key);
+  });
+}
+
+using Source = artifact::ArtifactStore::Source;
+
 TEST(ArtifactStore, MemoryOnlyHitsAndMisses) {
   artifact::ArtifactStore store;  // no directory
   const Composition comp = makeMesh(4);
   const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
   const std::string key = scheduleJobKey(comp, graph, SchedulerOptions{});
+  std::atomic<unsigned> computed{0};
 
-  EXPECT_EQ(store.lookup(key), nullptr);
-  store.insert(std::make_shared<const artifact::ScheduleArtifact>(
-      makeArtifact(comp, graph, key)));
-  const auto hit = store.lookup(key);
+  EXPECT_EQ(resolveCounted(store, key, comp, graph, computed).source,
+            Source::Computed);
+  const auto [hit, source] = resolveCounted(store, key, comp, graph, computed);
+  EXPECT_EQ(source, Source::Memory);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->key, key);
-  EXPECT_EQ(store.lookup("missing-key"), nullptr);
+  EXPECT_EQ(computed.load(), 1u) << "a memory hit is served, not recomputed";
 
   const artifact::StoreCounters c = store.counters();
   EXPECT_EQ(c.hits, 1u);
   EXPECT_EQ(c.memoryHits, 1u);
-  EXPECT_EQ(c.misses, 2u);
+  EXPECT_EQ(c.misses, 1u);
   EXPECT_EQ(c.inserts, 1u);
 }
 
 TEST(ArtifactStore, LookupBumpsMemoryRecency) {
-  artifact::StoreOptions so;  // memory-only: an evicted key misses
+  artifact::StoreOptions so;  // memory-only: an evicted key recomputes
   so.maxMemoryEntries = 2;
   artifact::ArtifactStore store(so);
   const Composition comp = makeMesh(4);
   const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
-  const auto insert = [&](const std::string& key) {
-    store.insert(std::make_shared<const artifact::ScheduleArtifact>(
-        makeArtifact(comp, graph, key)));
+  std::atomic<unsigned> computed{0};
+  const auto resolve = [&](const std::string& key) {
+    return resolveCounted(store, key, comp, graph, computed).source;
   };
-  insert("key-a");
-  insert("key-b");
-  ASSERT_NE(store.lookup("key-a"), nullptr);  // A is now the most recent
-  insert("key-c");
+  resolve("key-a");
+  resolve("key-b");
+  EXPECT_EQ(resolve("key-a"), Source::Memory);  // A is now the most recent
+  resolve("key-c");
   EXPECT_EQ(store.memoryEntries(), 2u);
-  EXPECT_EQ(store.lookup("key-b"), nullptr) << "B was least recently used";
-  EXPECT_NE(store.lookup("key-a"), nullptr);
-  EXPECT_NE(store.lookup("key-c"), nullptr);
+  EXPECT_EQ(resolve("key-a"), Source::Memory);
+  EXPECT_EQ(resolve("key-c"), Source::Memory);
+  EXPECT_EQ(computed.load(), 3u);
+  EXPECT_EQ(resolve("key-b"), Source::Computed)
+      << "B was least recently used";
+  EXPECT_EQ(computed.load(), 4u);
 }
 
 TEST(ArtifactStore, DiskEntriesSurviveReopen) {
@@ -372,26 +391,28 @@ TEST(ArtifactStore, DiskEntriesSurviveReopen) {
   const Composition comp = makeMesh(4);
   const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
   const std::string key = scheduleJobKey(comp, graph, SchedulerOptions{});
-  const std::uint64_t fp = [&] {
-    artifact::StoreOptions so;
-    so.directory = dir.str();
-    artifact::ArtifactStore store(so);
-    const auto art = makeArtifact(comp, graph, key);
-    store.insert(std::make_shared<const artifact::ScheduleArtifact>(art));
-    return art.fingerprint;
-  }();
-
   artifact::StoreOptions so;
   so.directory = dir.str();
+  std::atomic<unsigned> computed{0};
+  const std::uint64_t fp = [&] {
+    artifact::ArtifactStore store(so);
+    return resolveCounted(store, key, comp, graph, computed)
+        .artifact->fingerprint;
+  }();
+
   artifact::ArtifactStore reopened(so);
   EXPECT_GT(reopened.diskBytes(), 0u) << "existing entries are indexed";
-  const auto hit = reopened.lookup(key);
+  const auto [hit, source] =
+      resolveCounted(reopened, key, comp, graph, computed);
+  EXPECT_EQ(source, Source::Disk);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->schedule.fingerprint(), fp);
   EXPECT_EQ(reopened.counters().diskHits, 1u);
-  // Second lookup is served by the hot layer.
-  reopened.lookup(key);
+  // Second resolve is served by the hot layer.
+  EXPECT_EQ(resolveCounted(reopened, key, comp, graph, computed).source,
+            Source::Memory);
   EXPECT_EQ(reopened.counters().memoryHits, 1u);
+  EXPECT_EQ(computed.load(), 1u) << "only the first store computed";
 }
 
 TEST(ArtifactStore, CorruptFileIsDiscardedAsMiss) {
@@ -399,13 +420,21 @@ TEST(ArtifactStore, CorruptFileIsDiscardedAsMiss) {
   artifact::StoreOptions so;
   so.directory = dir.str();
   artifact::ArtifactStore store(so);
+  const Composition comp = makeMesh(4);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
 
   const std::string key(64, 'a');
-  std::ofstream(dir.path / (key + ".json")) << "{\"format\": \"truncated";
-  EXPECT_EQ(store.lookup(key), nullptr);
+  const sfs::path file = dir.path / (key + ".json");
+  std::ofstream(file) << "{\"format\": \"truncated";
+  std::atomic<unsigned> computed{0};
+  EXPECT_EQ(resolveCounted(store, key, comp, graph, computed).source,
+            Source::Computed);
+  EXPECT_EQ(computed.load(), 1u);
   EXPECT_EQ(store.counters().invalid, 1u);
-  EXPECT_FALSE(sfs::exists(dir.path / (key + ".json")))
-      << "corrupt files are deleted so they cannot miss forever";
+  EXPECT_EQ(artifact::ScheduleArtifact::fromJson(json::parseFile(file.string()))
+                .key,
+            key)
+      << "the corrupt file was replaced by the recomputed artifact";
 }
 
 TEST(ArtifactStore, WrongKeyFileIsRejected) {
@@ -416,13 +445,19 @@ TEST(ArtifactStore, WrongKeyFileIsRejected) {
   const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
   artifact::StoreOptions so;
   so.directory = dir.str();
-  artifact::ArtifactStore store(so);
-  store.insert(std::make_shared<const artifact::ScheduleArtifact>(
-      makeArtifact(comp, graph, "real-key")));
+  std::atomic<unsigned> computed{0};
+  {
+    artifact::ArtifactStore store(so);
+    resolveCounted(store, "real-key", comp, graph, computed);
+  }
 
   sfs::rename(dir.path / "real-key.json", dir.path / "other-key.json");
   artifact::ArtifactStore fresh(so);
-  EXPECT_EQ(fresh.lookup("other-key"), nullptr);
+  const auto [art, source] =
+      resolveCounted(fresh, "other-key", comp, graph, computed);
+  EXPECT_EQ(source, Source::Computed);
+  EXPECT_EQ(art->key, "other-key");
+  EXPECT_EQ(computed.load(), 2u);
   EXPECT_EQ(fresh.counters().invalid, 1u);
 }
 
@@ -441,24 +476,32 @@ TEST(ArtifactStore, ByteCapEvictsLeastRecentlyUsed) {
   artifact::StoreOptions so;
   so.directory = dir.str();
   so.maxMemoryEntries = 0;  // exercise the disk layer alone
-  artifact::ArtifactStore probe(so);
-  probe.insert(std::make_shared<const artifact::ScheduleArtifact>(
-      makeArtifact(comp, g1, k1)));
-  const std::size_t oneArtifact = probe.diskBytes();
+  std::atomic<unsigned> computed{0};
+  std::size_t oneArtifact = 0;
+  {
+    artifact::ArtifactStore probe(so);
+    resolveCounted(probe, k1, comp, g1, computed);
+    oneArtifact = probe.diskBytes();
+  }
   ASSERT_GT(oneArtifact, 0u);
 
-  // Cap at two artifacts: inserting the third must evict the LRU one (k1).
+  // Cap at two artifacts: publishing the third must evict the LRU one (k1).
   so.maxDiskBytes = 2 * oneArtifact + oneArtifact / 2;
   artifact::ArtifactStore store(so);
-  store.insert(std::make_shared<const artifact::ScheduleArtifact>(
-      makeArtifact(comp, g2, k2)));
-  store.insert(std::make_shared<const artifact::ScheduleArtifact>(
-      makeArtifact(comp, g3, k3)));
+  resolveCounted(store, k2, comp, g2, computed);
+  resolveCounted(store, k3, comp, g3, computed);
   EXPECT_GE(store.counters().evictions, 1u);
   EXPECT_LE(store.diskBytes(), so.maxDiskBytes);
   EXPECT_FALSE(sfs::exists(dir.path / (k1 + ".json")))
       << "the least-recently-used entry's file is removed";
   EXPECT_TRUE(sfs::exists(dir.path / (k3 + ".json")));
+  EXPECT_EQ(computed.load(), 3u);
+  EXPECT_EQ(resolveCounted(store, k3, comp, g3, computed).source,
+            Source::Disk);
+  EXPECT_EQ(resolveCounted(store, k1, comp, g1, computed).source,
+            Source::Computed)
+      << "an evicted key is recomputed";
+  EXPECT_EQ(computed.load(), 4u);
 }
 
 TEST(CachedSweep, WarmRunMatchesColdRunExactly) {
@@ -471,28 +514,47 @@ TEST(CachedSweep, WarmRunMatchesColdRunExactly) {
   graphs.push_back(kir::lowerToCdfg(apps::makeDotProduct(4, 2).fn).graph);
   std::vector<SweepJob> jobs;
   for (const Composition& comp : comps)
-    for (const Cdfg& graph : graphs)
-      jobs.push_back(SweepJob{&comp, &graph, "", SchedulerOptions{}});
+    for (std::size_t g = 0; g < graphs.size(); ++g)
+      jobs.push_back(SweepJob{&comp, &graphs[g],
+                              std::to_string(g) + "@" + comp.name(),
+                              SchedulerOptions{}});
+  // Two duplicates: cache traffic is counted per job, not per key.
+  jobs.push_back(SweepJob{&comps[0], &graphs[0], "dup-a", SchedulerOptions{}});
+  jobs.push_back(SweepJob{&comps[1], &graphs[1], "dup-b", SchedulerOptions{}});
 
   SweepOptions opts;
   opts.threads = 2;
   artifact::StoreOptions so;
-  so.directory = dir.str();
+  so.directory = (dir.path / "store").string();
+  const auto traceFiles = [](const sfs::path& traceDir) {
+    return std::distance(sfs::directory_iterator(traceDir),
+                         sfs::directory_iterator{});
+  };
 
   artifact::ArtifactStore cold(so);
+  opts.traceDir = (dir.path / "cold-traces").string();
   const SweepReport coldReport = artifact::runCachedSweep(jobs, opts, cold);
   ASSERT_EQ(coldReport.failures, 0u);
   EXPECT_EQ(coldReport.cacheMisses, jobs.size());
   EXPECT_EQ(coldReport.cacheHits, 0u);
+  EXPECT_EQ(coldReport.dedupedJobs, 2u);
+  EXPECT_EQ(traceFiles(opts.traceDir),
+            static_cast<std::ptrdiff_t>(jobs.size()))
+      << "a cold run writes one trace per job";
 
   artifact::ArtifactStore warm(so);  // fresh store: only disk is warm
+  opts.traceDir = (dir.path / "warm-traces").string();
   const SweepReport warmReport = artifact::runCachedSweep(jobs, opts, warm);
   ASSERT_EQ(warmReport.failures, 0u);
   EXPECT_EQ(warmReport.cacheHits, jobs.size());
   EXPECT_EQ(warmReport.cacheMisses, 0u);
+  EXPECT_EQ(warmReport.dedupedJobs, coldReport.dedupedJobs);
+  EXPECT_EQ(traceFiles(opts.traceDir), 0)
+      << "store-served results carry no trace";
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_TRUE(warmReport.results[i].fromCache);
+    EXPECT_EQ(warmReport.results[i].trace, nullptr);
     EXPECT_EQ(warmReport.results[i].fingerprint,
               coldReport.results[i].fingerprint);
     EXPECT_EQ(warmReport.results[i].cacheKey, coldReport.results[i].cacheKey);
@@ -508,6 +570,28 @@ TEST(CachedSweep, WarmRunMatchesColdRunExactly) {
       volatileDoc.asObject().at("cache").asObject();
   EXPECT_EQ(volatileJson.at("hits").asInt(),
             static_cast<std::int64_t>(jobs.size()));
+}
+
+TEST(CachedSweep, FailedPublishFailsTheSweep) {
+  // A store whose directory vanished after opening cannot publish. On the
+  // sweep's worker threads that must surface as an error from the sweep,
+  // not terminate the process.
+  const TempDir dir("publish");
+  std::deque<Composition> comps;
+  comps.push_back(makeMesh(4));
+  comps.push_back(makeMesh(9));
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  std::vector<SweepJob> jobs;
+  for (const Composition& comp : comps)
+    jobs.push_back(SweepJob{&comp, &graph, "", SchedulerOptions{}});
+
+  artifact::StoreOptions so;
+  so.directory = (dir.path / "cache").string();
+  artifact::ArtifactStore store(so);
+  sfs::remove_all(so.directory);
+  SweepOptions opts;
+  opts.threads = 2;
+  EXPECT_THROW(artifact::runCachedSweep(jobs, opts, store), Error);
 }
 
 TEST(CachedSweep, NegativeResultsAreCachedToo) {
@@ -580,9 +664,11 @@ TEST(Sweep, InSweepDedupCooperatesWithStore) {
 }
 
 TEST(ArtifactStore, EightThreadsHammerOneCacheDirectory) {
-  // The tsan preset runs this binary too: 8 threads race lookups and
-  // inserts (including overlapping same-key inserts, which the atomic
-  // temp+rename publication must keep safe) against one shared directory.
+  // The tsan preset runs this binary too: two stores on one directory, 4
+  // threads each, resolve overlapping keys. Threads of one store join each
+  // other's flights; the two stores race same-key publishes, which the
+  // atomic temp+rename publication must keep safe, and with one memory
+  // entry each every repeat reloads from disk while the other store writes.
   const TempDir dir("hammer");
   const Composition comp = makeMesh(4);
   const SchedulerOptions defaults;
@@ -591,41 +677,55 @@ TEST(ArtifactStore, EightThreadsHammerOneCacheDirectory) {
   graphs.push_back(kir::lowerToCdfg(apps::makeDotProduct(4, 2).fn).graph);
   graphs.push_back(kir::lowerToCdfg(apps::makeEwmaClip(4, 6).fn).graph);
 
-  std::vector<std::string> keys;
-  std::vector<std::shared_ptr<const artifact::ScheduleArtifact>> artifacts;
-  for (const Cdfg& graph : graphs) {
-    keys.push_back(scheduleJobKey(comp, graph, defaults));
-    artifacts.push_back(std::make_shared<const artifact::ScheduleArtifact>(
-        makeArtifact(comp, graph, keys.back())));
-  }
+  std::vector<artifact::ScheduleArtifact> artifacts;
+  for (const Cdfg& graph : graphs)
+    artifacts.push_back(
+        makeArtifact(comp, graph, scheduleJobKey(comp, graph, defaults)));
+  // Artifact j under round r's key: 30 keys, each resolved repeatedly.
+  const auto keyOf = [&](std::size_t j, unsigned round) {
+    return artifacts[j].key + "-" + std::to_string(round);
+  };
+  const auto computeFor = [&](std::size_t j, const std::string& key) {
+    return [&artifacts, j, key] {
+      artifact::ScheduleArtifact art = artifacts[j];
+      art.key = key;
+      return art;
+    };
+  };
 
   artifact::StoreOptions so;
   so.directory = dir.str();
   so.maxMemoryEntries = 1;  // force constant disk traffic + memory churn
-  artifact::ArtifactStore store(so);
+  artifact::ArtifactStore first(so);
+  artifact::ArtifactStore second(so);
 
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < 8; ++t)
     threads.emplace_back([&, t] {
+      artifact::ArtifactStore& store = t < 4 ? first : second;
       for (unsigned i = 0; i < 40; ++i) {
         const std::size_t j = (t + i) % artifacts.size();
-        store.insert(artifacts[j]);
-        const auto hit = store.lookup(keys[j]);
-        if (hit != nullptr) {
-          EXPECT_EQ(hit->key, keys[j]);
-        }
-        store.lookup("absent-" + std::to_string(i % 4));
+        const std::string key = keyOf(j, i % 10);
+        const auto hit = store.resolve(key, computeFor(j, key)).artifact;
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(hit->key, key);
       }
     });
   for (std::thread& t : threads) t.join();
 
-  // Every artifact must be intact afterwards.
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto hit = store.lookup(keys[i]);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->schedule.fingerprint(), artifacts[i]->schedule.fingerprint());
+  // Every artifact must be intact afterwards, and served, not recomputed.
+  for (artifact::ArtifactStore* store : {&first, &second}) {
+    for (std::size_t j = 0; j < artifacts.size(); ++j)
+      for (unsigned round = 0; round < 10; ++round) {
+        const auto [hit, source] = store->resolve(
+            keyOf(j, round), []() -> artifact::ScheduleArtifact {
+              throw Error("a published key must not be computed again");
+            });
+        EXPECT_NE(source, Source::Computed);
+        EXPECT_EQ(hit->schedule.fingerprint(), artifacts[j].fingerprint);
+      }
+    EXPECT_EQ(store->counters().invalid, 0u);
   }
-  EXPECT_EQ(store.counters().invalid, 0u);
 }
 
 /// Runs `callers` threads that each resolve `key` at once and collects what

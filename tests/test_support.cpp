@@ -277,6 +277,17 @@ TEST(ParallelFor, CoversEachIndexExactlyOnce) {
   }
 }
 
+TEST(ParallelFor, RethrowsFirstExceptionAfterEveryIndexRan) {
+  std::atomic<int> completed{0};
+  EXPECT_THROW(parallelFor(64, 4,
+                           [&](std::size_t i) {
+                             if (i == 17) throw Error("index 17 failed");
+                             completed.fetch_add(1);
+                           }),
+               Error);
+  EXPECT_EQ(completed.load(), 63) << "a throwing index stops no other index";
+}
+
 TEST(Log2Histogram, EmptyHistogramReportsZeros) {
   Log2Histogram h;
   EXPECT_EQ(h.count(), 0u);
