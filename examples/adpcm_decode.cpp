@@ -1,11 +1,12 @@
 // Full reproduction of the paper's application example (§VI): the ADPCM
 // decoder on the AMIDAR-like host with CGRA acceleration.
 //
-//  * runs the kernel on the baseline token machine and profiles it — the
-//    profiler detects the hot loop exactly like AMIDAR's hardware profiler
-//    triggers synthesis (Fig. 1);
-//  * synthesizes the kernel for the 9-PE mesh (unroll factor 2, as in the
-//    evaluation): CDFG → schedule → binary contexts;
+//  * runs the kernel on the baseline token machine; the same run's back-edge
+//    counts are the profile, which finds the hot loop exactly like AMIDAR's
+//    hardware profiler triggers synthesis (Fig. 1);
+//  * synthesizes the kernel for the 9-PE mesh through the frontend pipeline
+//    (unroll factor 2, as in the evaluation): CDFG → schedule → binary
+//    contexts;
 //  * executes the invocation (live-in transfer, run, live-out transfer) on
 //    the cycle-accurate simulator and verifies the decoded audio against
 //    the interpreter bit-exactly;
@@ -21,7 +22,7 @@
 #include "kir/interp.hpp"
 #include "kir/lower_bytecode.hpp"
 #include "kir/lower_cdfg.hpp"
-#include "kir/passes/unroll_pass.hpp"
+#include "kir/passes/pipeline.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
 
@@ -35,8 +36,8 @@ int main() {
   const auto golden = interp.run(w.fn, w.initialLocals, goldenHeap);
   std::cout << "ADPCM decode, 416 samples (paper workload)\n";
 
-  // Baseline execution + profiling (Fig. 1: "Profiling detects that a
-  // bytecode sequence exceeds threshold").
+  // Baseline execution, which is also the profile run (Fig. 1: "Profiling
+  // detects that a bytecode sequence exceeds threshold").
   const BytecodeFunction bc = kir::lowerToBytecode(w.fn);
   HostMemory baselineHeap = w.heap;
   const TokenMachine machine;
@@ -44,17 +45,16 @@ int main() {
   std::cout << "baseline (AMIDAR-like token machine): " << base.cycles
             << " cycles for " << base.bytecodes << " bytecodes\n";
 
-  Profiler profiler(/*threshold=*/100);
-  HostMemory profHeap = w.heap;
-  profiler.profile(bc, w.initialLocals, profHeap);
-  for (const HotRegion& region : profiler.hotRegions())
+  for (const HotRegion& region : hotRegions(bc, base, /*threshold=*/100))
     std::cout << "profiler: hot region pc[" << region.startPc << ".."
               << region.endPc << "] executed " << region.executions
               << " times -> synthesis candidate\n";
 
-  // Synthesis: unroll, lower, schedule, generate contexts.
-  const kir::Function unrolled = kir::unrollLoops(w.fn, 2, true);
-  const kir::LoweringResult lowered = kir::lowerToCdfg(unrolled);
+  // Synthesis: frontend pipeline (unroll), lower, schedule, contexts.
+  kir::FrontendOptions fo;
+  fo.unrollFactor = 2;
+  const kir::LoweringResult lowered =
+      kir::lowerToCdfg(kir::runFrontendPipeline(w.fn, fo).fn);
   const Composition comp = makeMesh(9);
   const Scheduler scheduler(comp);
   const ScheduleReport result = scheduler.schedule(ScheduleRequest(lowered.graph)).orThrow();

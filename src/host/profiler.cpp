@@ -2,122 +2,25 @@
 
 #include <algorithm>
 
-#include "arch/operation.hpp"
 #include "support/assert.hpp"
 
 namespace cgra {
 
-void Profiler::profile(const BytecodeFunction& fn,
-                       std::vector<std::int32_t> initialLocals,
-                       HostMemory& heap, std::uint64_t maxBytecodes) {
-  // A lean re-implementation of the interpreter loop: the TokenMachine does
-  // not expose per-branch hooks, and the profiler intentionally observes
-  // *architectural* behaviour (taken branches) rather than timing.
-  std::vector<std::int32_t> locals = std::move(initialLocals);
-  locals.resize(fn.numLocals, 0);
-  std::vector<std::int32_t> stack;
-  auto pop = [&]() -> std::int32_t {
-    CGRA_ASSERT(!stack.empty());
-    const std::int32_t v = stack.back();
-    stack.pop_back();
-    return v;
-  };
-
-  std::uint64_t executed = 0;
-  std::size_t pc = 0;
-  while (pc < fn.code.size()) {
-    if (++executed > maxBytecodes)
-      throw Error("profiler: bytecode budget exceeded in " + fn.name);
-    const BcInstr in = fn.code[pc];
-    const std::size_t curPc = pc;
-    ++pc;
-    switch (in.op) {
-      case Bc::ICONST: stack.push_back(in.arg); break;
-      case Bc::ILOAD: stack.push_back(locals[static_cast<unsigned>(in.arg)]); break;
-      case Bc::ISTORE: locals[static_cast<unsigned>(in.arg)] = pop(); break;
-      case Bc::INEG: stack.push_back(evalArith(Op::INEG, pop(), 0)); break;
-      case Bc::IADD:
-      case Bc::ISUB:
-      case Bc::IMUL:
-      case Bc::IAND:
-      case Bc::IOR:
-      case Bc::IXOR:
-      case Bc::ISHL:
-      case Bc::ISHR:
-      case Bc::IUSHR: {
-        const std::int32_t b = pop();
-        const std::int32_t a = pop();
-        Op op = Op::IADD;
-        switch (in.op) {
-          case Bc::ISUB: op = Op::ISUB; break;
-          case Bc::IMUL: op = Op::IMUL; break;
-          case Bc::IAND: op = Op::IAND; break;
-          case Bc::IOR: op = Op::IOR; break;
-          case Bc::IXOR: op = Op::IXOR; break;
-          case Bc::ISHL: op = Op::ISHL; break;
-          case Bc::ISHR: op = Op::ISHR; break;
-          case Bc::IUSHR: op = Op::IUSHR; break;
-          default: break;
-        }
-        stack.push_back(evalArith(op, a, b));
-        break;
-      }
-      case Bc::IALOAD: {
-        const std::int32_t index = pop();
-        const std::int32_t handle = pop();
-        stack.push_back(heap.load(handle, index));
-        break;
-      }
-      case Bc::IASTORE: {
-        const std::int32_t value = pop();
-        const std::int32_t index = pop();
-        const std::int32_t handle = pop();
-        heap.store(handle, index, value);
-        break;
-      }
-      case Bc::GOTO:
-        pc = static_cast<std::size_t>(in.arg);
-        if (pc <= curPc) ++counts_[{pc, curPc}];
-        break;
-      case Bc::IF_ICMPEQ:
-      case Bc::IF_ICMPNE:
-      case Bc::IF_ICMPLT:
-      case Bc::IF_ICMPGE:
-      case Bc::IF_ICMPGT:
-      case Bc::IF_ICMPLE: {
-        const std::int32_t b = pop();
-        const std::int32_t a = pop();
-        Op op = Op::IFEQ;
-        switch (in.op) {
-          case Bc::IF_ICMPNE: op = Op::IFNE; break;
-          case Bc::IF_ICMPLT: op = Op::IFLT; break;
-          case Bc::IF_ICMPGE: op = Op::IFGE; break;
-          case Bc::IF_ICMPGT: op = Op::IFGT; break;
-          case Bc::IF_ICMPLE: op = Op::IFLE; break;
-          default: break;
-        }
-        if (evalCompare(op, a, b)) {
-          pc = static_cast<std::size_t>(in.arg);
-          if (pc <= curPc) ++counts_[{pc, curPc}];
-        }
-        break;
-      }
-      case Bc::HALT: return;
-      case Bc::INVOKE_CGRA:
-        throw Error("profiler: cannot profile patched code in " + fn.name);
-    }
-  }
-  throw Error("profiler: fell off code in " + fn.name);
-}
-
-std::vector<HotRegion> Profiler::hotRegions() const {
+std::vector<HotRegion> hotRegions(const BytecodeFunction& fn,
+                                  const TokenRunResult& run,
+                                  std::uint64_t threshold) {
+  CGRA_ASSERT(run.backEdges.size() == fn.code.size());
   std::vector<HotRegion> out;
-  for (const auto& [key, count] : counts_)
-    if (count >= threshold_)
-      out.push_back(HotRegion{key.first, key.second, count});
-  std::sort(out.begin(), out.end(), [](const HotRegion& a, const HotRegion& b) {
-    return a.executions > b.executions;
-  });
+  for (std::size_t pc = 0; pc < run.backEdges.size(); ++pc) {
+    const std::uint64_t count = run.backEdges[pc];
+    if (count > 0 && count >= threshold)
+      out.push_back(
+          HotRegion{static_cast<std::size_t>(fn.code[pc].arg), pc, count});
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const HotRegion& a, const HotRegion& b) {
+                     return a.executions > b.executions;
+                   });
   return out;
 }
 

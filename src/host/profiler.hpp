@@ -1,15 +1,15 @@
 // Hardware-profiler analog (paper §III, ref [17]): AMIDAR detects bytecode
 // sequences whose execution count exceeds a threshold; those sequences are
-// then synthesized onto the CGRA. We profile backward branches (loop
-// headers) of a bytecode function and report the hottest candidate region,
-// which is what drives the synthesis decision in the paper's Fig. 1 flow.
+// then synthesized onto the CGRA. Every TokenMachine::run counts its taken
+// backward branches (loop back-edges) per branch pc, so the baseline run is
+// also the profile run. hotRegions turns those counts into the candidate
+// regions that drive the synthesis decision in the paper's Fig. 1 flow.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
-#include "host/bytecode.hpp"
+#include "host/token_machine.hpp"
 
 namespace cgra {
 
@@ -20,30 +20,10 @@ struct HotRegion {
   std::uint64_t executions = 0;
 };
 
-/// Execution-counting profiler over the baseline machine's traces.
-class Profiler {
-public:
-  /// Threshold above which a region becomes an acceleration candidate.
-  explicit Profiler(std::uint64_t threshold = 1000) : threshold_(threshold) {}
-
-  /// Runs `fn` on a *copy* of the interpreter loop while counting backward
-  /// branches; heap effects are applied to `heap` exactly as a normal run.
-  void profile(const BytecodeFunction& fn,
-               std::vector<std::int32_t> initialLocals, HostMemory& heap,
-               std::uint64_t maxBytecodes = 100'000'000);
-
-  /// Regions exceeding the threshold, hottest first.
-  std::vector<HotRegion> hotRegions() const;
-
-  /// All backward-branch counters (target pc, branch pc) → count.
-  const std::map<std::pair<std::size_t, std::size_t>, std::uint64_t>&
-  branchCounts() const {
-    return counts_;
-  }
-
-private:
-  std::uint64_t threshold_;
-  std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> counts_;
-};
+/// The back-edges of `run` (a run of `fn`) taken at least `threshold` times
+/// (and at least once), hottest first; equal counts keep pc order.
+std::vector<HotRegion> hotRegions(const BytecodeFunction& fn,
+                                  const TokenRunResult& run,
+                                  std::uint64_t threshold);
 
 }  // namespace cgra

@@ -12,6 +12,7 @@ TokenRunResult TokenMachine::run(const BytecodeFunction& fn,
   TokenRunResult result;
   result.locals = std::move(initialLocals);
   result.locals.resize(fn.numLocals, 0);
+  result.backEdges.assign(fn.code.size(), 0);
 
   std::vector<std::int32_t> stack;
   stack.reserve(32);
@@ -23,6 +24,12 @@ TokenRunResult TokenMachine::run(const BytecodeFunction& fn,
   };
 
   std::size_t pc = 0;
+  auto jump = [&](std::int32_t target) {
+    const std::size_t from = pc - 1;
+    pc = static_cast<std::size_t>(target);
+    if (pc <= from) ++result.backEdges[from];
+  };
+
   while (true) {
     if (pc >= fn.code.size())
       throw Error("baseline: pc out of range in " + fn.name);
@@ -97,7 +104,7 @@ TokenRunResult TokenMachine::run(const BytecodeFunction& fn,
         break;
       }
       case Bc::GOTO:
-        pc = static_cast<std::size_t>(in.arg);
+        jump(in.arg);
         result.cycles += costs_.gotoOp;
         break;
       case Bc::INVOKE_CGRA:
@@ -125,7 +132,7 @@ TokenRunResult TokenMachine::run(const BytecodeFunction& fn,
           case Bc::IF_ICMPGT: op = Op::IFGT; break;
           default: op = Op::IFLE; break;
         }
-        if (evalCompare(op, a, b)) pc = static_cast<std::size_t>(in.arg);
+        if (evalCompare(op, a, b)) jump(in.arg);
         result.cycles += costs_.branchOp;
         break;
       }

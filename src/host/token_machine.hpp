@@ -45,6 +45,10 @@ struct TokenRunResult {
   std::vector<std::int32_t> locals;  ///< final local variable values
   std::uint64_t cycles = 0;
   std::uint64_t bytecodes = 0;
+  /// Per branch pc: how often the branch jumped to a target at or before
+  /// itself (a taken loop back-edge). This is the profile AMIDAR's hardware
+  /// profiler collects (§III); see host/profiler.hpp.
+  std::vector<std::uint64_t> backEdges;
 };
 
 /// Sequential baseline machine executing BytecodeFunction against a heap.

@@ -47,38 +47,33 @@ FrontendResult runFrontendPipeline(const Function& fn,
 
   // 1. Inline. The pass itself demotes callee returns before splicing.
   {
-    const bool hasCalls = containsStmtKind(result.fn, StmtKind::Call);
-    const bool run = options.inlineCalls && hasCalls;
+    const bool run = containsStmtKind(result.fn, StmtKind::Call);
     if (run) {
       if (!program)
         throw Error("runFrontendPipeline: function '" + fn.name() +
                     "' contains calls but no Program was provided");
       result.fn = inlineCalls(*program, result.fn);
-    } else if (hasCalls) {
-      throw Error("runFrontendPipeline: function '" + fn.name() +
-                  "' contains calls but the inline stage is disabled");
     }
     record("inline", run);
   }
 
   // 2. Short-circuit booleans (may introduce breaks — cleaned up next).
   {
-    const bool run = options.lowerShortCircuit && containsSc(result.fn);
+    const bool run = containsSc(result.fn);
     if (run) result.fn = lowerShortCircuit(result.fn);
     record("shortcircuit", run);
   }
 
   // 3. Switch.
   {
-    const bool run = options.lowerSwitches &&
-                     containsStmtKind(result.fn, StmtKind::Switch);
+    const bool run = containsStmtKind(result.fn, StmtKind::Switch);
     if (run) result.fn = lowerSwitches(result.fn, options.switchStrategy);
     record("switch-lower", run);
   }
 
   // 4. Exit normalization — after this the IR is structured if/while only.
   {
-    const bool run = options.normalizeExits && containsAnyExit(result.fn);
+    const bool run = containsAnyExit(result.fn);
     if (run) result.fn = normalizeExits(result.fn);
     record("exit-normalize", run);
   }
@@ -97,9 +92,7 @@ FrontendResult runFrontendPipeline(const Function& fn,
   // variables instead of duplicated exit edges.
   {
     const bool run = options.unrollFactor >= 2;
-    if (run)
-      result.fn = unrollLoops(result.fn, options.unrollFactor,
-                              options.unrollInnermostOnly);
+    if (run) result.fn = unrollLoops(result.fn, options.unrollFactor);
     record("unroll", run);
   }
 

@@ -30,16 +30,12 @@ namespace cgra::kir {
 /// the compile server.
 inline constexpr unsigned kMaxUnrollFactor = 16;
 
-/// Pipeline configuration. Defaults run the normalization stages and leave
-/// the optimization stages (unroll, cse) off.
+/// Pipeline configuration. The normalization stages always run (each only
+/// when its construct is present); the optimization stages (unroll, cse)
+/// are off by default. Unrolling covers innermost loops only.
 struct FrontendOptions {
-  bool inlineCalls = true;      ///< requires `program` when calls are present
-  bool lowerShortCircuit = true;
-  bool lowerSwitches = true;
   SwitchStrategy switchStrategy = SwitchStrategy::Auto;
-  bool normalizeExits = true;
   unsigned unrollFactor = 1;    ///< < 2 disables; at most kMaxUnrollFactor
-  bool unrollInnermostOnly = true;
   bool cse = false;
   bool captureStages = false;   ///< record IR text after every stage
 };
@@ -58,9 +54,9 @@ struct FrontendResult {
 
 /// Runs the normalization pipeline on `fn`. `program` is only needed for
 /// the inline stage; pass nullptr for call-free functions. The result
-/// satisfies `firstIrregularConstruct(result.fn) == nullptr` when the
-/// normalization stages are enabled. Throws cgra::Error when
-/// `options.unrollFactor` exceeds kMaxUnrollFactor.
+/// satisfies `firstIrregularConstruct(result.fn) == nullptr`. Throws
+/// cgra::Error when `options.unrollFactor` exceeds kMaxUnrollFactor or when
+/// `fn` contains calls and `program` is null.
 FrontendResult runFrontendPipeline(const Function& fn,
                                    const FrontendOptions& options = {},
                                    const Program* program = nullptr);

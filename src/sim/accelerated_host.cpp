@@ -2,7 +2,7 @@
 
 #include "kir/lower_bytecode.hpp"
 #include "kir/lower_cdfg.hpp"
-#include "kir/passes/unroll_pass.hpp"
+#include "kir/passes/pipeline.hpp"
 #include "sim/simulator.hpp"
 
 namespace cgra {
@@ -13,10 +13,13 @@ AcceleratedHost::AcceleratedHost(Composition comp, TokenCostModel costs,
 
 unsigned AcceleratedHost::addKernel(const kir::Function& kernel,
                                     unsigned unrollFactor) {
-  const kir::Function prepared =
-      unrollFactor >= 2 ? kir::unrollLoops(kernel, unrollFactor, true)
-                        : kernel;
-  kir::LoweringResult lowered = kir::lowerToCdfg(prepared);
+  // Locals the pipeline adds (exit guards, temporaries) come after the
+  // kernel's own, so they stay internal to the CGRA: the shared frame maps
+  // only the first kernel.numLocals().
+  kir::FrontendOptions fo;
+  fo.unrollFactor = unrollFactor;
+  kir::LoweringResult lowered =
+      kir::lowerToCdfg(kir::runFrontendPipeline(kernel, fo).fn);
   const Scheduler scheduler(comp_, schedOpts_);
   Kernel k;
   k.schedule = scheduler.schedule(ScheduleRequest(lowered.graph)).orThrow().schedule;
@@ -88,7 +91,9 @@ AcceleratedRunResult AcceleratedHost::run(
   const BytecodeFunction app = assemble(stages);
 
   AcceleratedRunResult result;
-  const Simulator sim(comp_, packed_.merged);
+  // An empty context memory is no schedule: a host-only app never builds it.
+  std::optional<Simulator> sim;
+  if (!kernels_.empty()) sim.emplace(comp_, packed_.merged);
   AcceleratorHook hook = [&](std::int32_t id, std::vector<std::int32_t>& locals,
                              HostMemory& hookHeap) -> std::uint64_t {
     const Kernel& k = kernels_[static_cast<std::size_t>(id)];
@@ -101,8 +106,8 @@ AcceleratedRunResult AcceleratedHost::run(
     }
     // Transfer the initial CCNT and run the kernel's window (§IV-A.3).
     const SimResult r =
-        sim.runWindow(liveIns, hookHeap, pl.liveIns, pl.liveOuts, pl.startCcnt,
-                      pl.startCcnt + pl.length);
+        sim->runWindow(liveIns, hookHeap, pl.liveIns, pl.liveOuts,
+                       pl.startCcnt, pl.startCcnt + pl.length);
     for (const auto& [var, value] : r.liveOuts)
       for (unsigned l = 0; l < k.numLocals; ++l)
         if (k.localToVar[l] == var) locals[l] = value;

@@ -4,8 +4,8 @@
 //
 // An application is assembled from stages that share one local-variable
 // frame: bytecode stages run on the AMIDAR-like token machine, kernel stages
-// are synthesized for the CGRA (unroll → CDFG → schedule → contexts) and
-// replaced in the assembled bytecode by a single INVOKE_CGRA instruction.
+// are synthesized for the CGRA (frontend pipeline, including unrolling →
+// CDFG → schedule → contexts) and replaced in the assembled bytecode by a single INVOKE_CGRA instruction.
 // When the machine reaches the patched instruction it forwards execution to
 // the CGRA: live-in locals are transferred (2 cycles each, Fig. 6), the run
 // executes on the cycle-accurate simulator, live-outs are written back, and
@@ -51,8 +51,11 @@ public:
   explicit AcceleratedHost(Composition comp, TokenCostModel costs = {},
                            SchedulerOptions schedOpts = {});
 
-  /// Synthesizes a kernel for the CGRA (optional partial unrolling, as in
-  /// the paper's evaluation). Returns the accelerator id used by CgraStage.
+  /// Synthesizes a kernel for the CGRA through kir::runFrontendPipeline, so
+  /// break/continue/return/switch/&&/|| are accepted (calls are not: there
+  /// is no Program to inline from). `unrollFactor` is the pipeline's partial
+  /// unrolling, as in the paper's evaluation; above kir::kMaxUnrollFactor it
+  /// throws. Returns the accelerator id used by CgraStage.
   unsigned addKernel(const kir::Function& kernel, unsigned unrollFactor = 2);
 
   /// Contexts occupied by the packed context memory holding all registered

@@ -200,10 +200,8 @@ SimResult Simulator::runWindow(const std::map<VarId, std::int32_t>& liveIns,
         return readOperand(s);
       };
 
-      if (opts.collectEnergy) {
-        result.energy += fl.suppressed ? defaultEnergy(Op::NOP)
-                                       : comp_->pe(op->pe).impl(op->op).energy;
-      }
+      result.energy += fl.suppressed ? defaultEnergy(Op::NOP)
+                                     : comp_->pe(op->pe).impl(op->op).energy;
 
       switch (op->op) {
         case Op::NOP: break;

@@ -35,7 +35,6 @@ namespace cgra {
 /// Simulation options.
 struct SimOptions {
   std::uint64_t maxCycles = 100'000'000;  ///< runaway-loop guard
-  bool collectEnergy = true;
   /// Populate SimResult.counters (hardware-counter model). Off by default:
   /// the interpreter hot loop then pays only a null-pointer test per guard.
   bool collectCounters = false;
@@ -48,8 +47,7 @@ struct SimResult {
   std::uint64_t invocationCycles = 0;      ///< incl. live-in/out transfers
   std::uint64_t dmaLoads = 0;
   std::uint64_t dmaStores = 0;
-  double energy = 0.0;  ///< summed per-op energy (relative units);
-                        ///< exactly 0 when SimOptions.collectEnergy is off
+  double energy = 0.0;  ///< summed per-op energy (relative units)
   /// Hardware counters of this invocation; engaged only when
   /// SimOptions.collectCounters is set. Reset per invocation: a runWindow
   /// call never accumulates into a previous call's counters.

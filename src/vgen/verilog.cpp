@@ -8,6 +8,9 @@ namespace cgra {
 
 namespace {
 
+/// Datapath width of the emitted RTL.
+constexpr unsigned W = 32;
+
 /// Emits the per-operation datapath statement of one ALU case arm.
 std::string aluCaseArm(Op op, const std::string& a, const std::string& b) {
   switch (op) {
@@ -39,15 +42,12 @@ std::string statusCaseArm(Op op, const std::string& a, const std::string& b) {
   }
 }
 
-void emitStaticModules(std::ostringstream& os, const Composition& comp,
-                       const VerilogOptions& opts) {
-  const unsigned W = opts.dataWidth;
+void emitStaticModules(std::ostringstream& os, const Composition& comp) {
   const unsigned ctxAddrBits = bitsFor(comp.contextMemoryLength());
   const unsigned condAddrBits = bitsFor(comp.cboxSlots());
 
-  if (opts.emitComments)
-    os << "// ---- static structures: parameterized, shared by all "
-          "compositions ----\n\n";
+  os << "// ---- static structures: parameterized, shared by all "
+        "compositions ----\n\n";
 
   // Context memory (one instance per PE plus C-Box and CCU streams).
   os << "module context_memory #(parameter WIDTH = 32, parameter DEPTH = "
@@ -147,18 +147,15 @@ void emitStaticModules(std::ostringstream& os, const Composition& comp,
      << "endmodule\n\n";
 }
 
-void emitPeModule(std::ostringstream& os, const Composition& comp, PEId pe,
-                  const VerilogOptions& opts) {
+void emitPeModule(std::ostringstream& os, const Composition& comp, PEId pe) {
   const PEDescriptor& desc = comp.pe(pe);
-  const unsigned W = opts.dataWidth;
   const unsigned rfAddr = bitsFor(desc.regfileSize());
   const auto& sources = comp.interconnect().sources(pe);
   const unsigned selBits = bitsFor(std::max<std::size_t>(1, sources.size()));
 
-  if (opts.emitComments)
-    os << "// ---- PE " << pe << " (" << desc.name() << "): "
-       << (desc.hasDma() ? "with DMA, " : "") << desc.ops().size()
-       << " operations, " << sources.size() << " input sources ----\n";
+  os << "// ---- PE " << pe << " (" << desc.name() << "): "
+     << (desc.hasDma() ? "with DMA, " : "") << desc.ops().size()
+     << " operations, " << sources.size() << " input sources ----\n";
 
   os << "module pe" << pe << " (\n"
      << "  input  wire        clk,\n"
@@ -259,14 +256,11 @@ void emitPeModule(std::ostringstream& os, const Composition& comp, PEId pe,
      << "endmodule\n\n";
 }
 
-void emitTopModule(std::ostringstream& os, const Composition& comp,
-                   const VerilogOptions& opts) {
-  const unsigned W = opts.dataWidth;
+void emitTopModule(std::ostringstream& os, const Composition& comp) {
   const unsigned n = comp.numPEs();
   const unsigned ctxAddrBits = bitsFor(comp.contextMemoryLength());
 
-  if (opts.emitComments)
-    os << "// ---- top level: interconnect as an array of wires (§IV-B) ----\n";
+  os << "// ---- top level: interconnect as an array of wires (§IV-B) ----\n";
   os << "module " << comp.name() << "_top (\n"
      << "  input  wire clk,\n"
      << "  input  wire rst,\n"
@@ -336,18 +330,16 @@ void emitTopModule(std::ostringstream& os, const Composition& comp,
 
 }  // namespace
 
-std::string generateVerilog(const Composition& comp,
-                            const VerilogOptions& opts) {
+std::string generateVerilog(const Composition& comp) {
   std::ostringstream os;
-  if (opts.emitComments)
-    os << "// Generated CGRA composition \"" << comp.name() << "\": "
-       << comp.numPEs() << " PEs, " << comp.interconnect().numLinks()
-       << " links, context depth " << comp.contextMemoryLength()
-       << ", C-Box slots " << comp.cboxSlots() << "\n"
-       << "// Generator: cgra-scheduler reproduction (IPDPSW'16 toolflow)\n\n";
-  emitStaticModules(os, comp, opts);
-  for (PEId p = 0; p < comp.numPEs(); ++p) emitPeModule(os, comp, p, opts);
-  emitTopModule(os, comp, opts);
+  os << "// Generated CGRA composition \"" << comp.name() << "\": "
+     << comp.numPEs() << " PEs, " << comp.interconnect().numLinks()
+     << " links, context depth " << comp.contextMemoryLength()
+     << ", C-Box slots " << comp.cboxSlots() << "\n"
+     << "// Generator: cgra-scheduler reproduction (IPDPSW'16 toolflow)\n\n";
+  emitStaticModules(os, comp);
+  for (PEId p = 0; p < comp.numPEs(); ++p) emitPeModule(os, comp, p);
+  emitTopModule(os, comp);
   return os.str();
 }
 

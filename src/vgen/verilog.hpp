@@ -22,17 +22,10 @@
 
 namespace cgra {
 
-/// Options controlling the emitted RTL.
-struct VerilogOptions {
-  unsigned dataWidth = 32;
-  bool emitComments = true;
-};
-
-/// Generates the complete Verilog description of a composition: static
-/// modules (ccu, context_memory, regfile, cbox) followed by one module per
-/// PE and the top-level array module.
-std::string generateVerilog(const Composition& comp,
-                            const VerilogOptions& opts = {});
+/// Generates the complete, commented Verilog description of a composition
+/// over a 32-bit datapath: static modules (ccu, context_memory, regfile,
+/// cbox) followed by one module per PE and the top-level array module.
+std::string generateVerilog(const Composition& comp);
 
 /// Rough structural statistics of generated RTL (used in tests/benches).
 struct VerilogStats {

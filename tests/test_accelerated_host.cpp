@@ -1,12 +1,19 @@
 // Tests for host/CGRA co-execution: bytecode patching (INVOKE_CGRA),
 // branch-target fixup across assembled stages, live-in/out frame exchange,
-// cycle accounting and equivalence with pure-host execution.
+// cycle accounting, equivalence with pure-host execution, and synthesis of
+// irregular kernels through the frontend pipeline.
 #include <gtest/gtest.h>
 
 #include "apps/kernels.hpp"
 #include "arch/factory.hpp"
 #include "kir/interp.hpp"
+#include "kir/parser.hpp"
+#include "kir/passes/pipeline.hpp"
 #include "sim/accelerated_host.hpp"
+
+#ifndef CGRA_KERNEL_DIR
+#error "CGRA_KERNEL_DIR must point at examples/kernels"
+#endif
 
 namespace cgra {
 namespace {
@@ -173,6 +180,64 @@ TEST(AcceleratedHost, AdpcmEndToEndAgainstInterpreter) {
   EXPECT_TRUE(heap == goldenHeap);
   EXPECT_GT(r.cgraCycles, 0u);
   EXPECT_EQ(r.hostBytecodes, 2u) << "invoke + halt";
+}
+
+TEST(AcceleratedHost, HostOnlyAppNeedsNoKernel) {
+  TwoStageApp app = makeTwoStageApp();
+  const AcceleratedHost hostOnly(makeMesh(4));
+  HostMemory heap = app.heap;
+  const AcceleratedRunResult r = hostOnly.run(
+      {HostStage{&app.kernel}, HostStage{&app.sumStage}}, app.locals, heap);
+  EXPECT_EQ(r.locals[2], 2 * 21);
+  EXPECT_EQ(r.cgraInvocations, 0u);
+  EXPECT_EQ(r.totalCycles, r.hostCycles);
+  EXPECT_EQ(hostOnly.contextsUsed(), 0u);
+}
+
+TEST(AcceleratedHost, IrregularKernelMatchesHostOnly) {
+  // A `break` inside the inner loop and a `return` from the middle of the
+  // nest: the frontend pipeline turns both into guard variables.
+  const kir::Function fn =
+      kir::parseKernelFile(std::string(CGRA_KERNEL_DIR) + "/string_search.kir");
+  HostMemory input;
+  const Handle haystack = input.alloc({104, 101, 108, 108, 111});  // "hello"
+  const Handle needle = input.alloc({108, 108});                    // "ll"
+  std::vector<std::int32_t> locals(fn.numLocals(), 0);
+  locals[0] = haystack;
+  locals[1] = 5;
+  locals[2] = needle;
+  locals[3] = 2;
+  const std::size_t result = fn.localByName("result");
+
+  HostMemory goldenHeap = input;
+  const kir::InterpResult golden =
+      kir::Interpreter().run(fn, locals, goldenHeap);
+  ASSERT_EQ(golden.locals[result], 2);
+
+  for (const unsigned unroll : {1u, 2u}) {
+    SCOPED_TRACE("unroll " + std::to_string(unroll));
+    AcceleratedHost system(makeMesh(9));
+    const unsigned k = system.addKernel(fn, unroll);
+
+    HostMemory heapAccel = input;
+    const AcceleratedRunResult accel =
+        system.run({CgraStage{k}}, locals, heapAccel);
+    HostMemory heapPure = input;
+    const AcceleratedRunResult pure =
+        system.run({HostStage{&fn}}, locals, heapPure);
+
+    EXPECT_EQ(accel.cgraInvocations, 1u);
+    EXPECT_EQ(accel.locals[result], pure.locals[result]);
+    EXPECT_EQ(accel.locals[result], golden.locals[result]);
+    EXPECT_TRUE(heapAccel == heapPure);
+    EXPECT_TRUE(heapAccel == goldenHeap);
+  }
+}
+
+TEST(AcceleratedHost, UnrollFactorAboveLimitRejected) {
+  TwoStageApp app = makeTwoStageApp();
+  AcceleratedHost system(makeMesh(4));
+  EXPECT_THROW(system.addKernel(app.kernel, kir::kMaxUnrollFactor + 1), Error);
 }
 
 }  // namespace

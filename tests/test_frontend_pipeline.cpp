@@ -251,7 +251,6 @@ TEST(Pipeline, UnrollComposesWithExitNormalize) {
   for (unsigned factor : {2u, 3u, 4u}) {
     FrontendOptions opts;
     opts.unrollFactor = factor;
-    opts.unrollInnermostOnly = true;
     const FrontendResult r = runFrontendPipeline(fn, opts);
     EXPECT_EQ(firstIrregularConstruct(r.fn), nullptr) << "factor " << factor;
     for (std::int32_t stop : {9, 5, 77})

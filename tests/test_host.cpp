@@ -1,5 +1,6 @@
 // Unit tests for the host substrate: heap semantics, token-machine cost
-// accounting and error handling, and the hardware-profiler analog.
+// accounting and error handling, and the hardware-profiler analog
+// (back-edge counts of a baseline run).
 #include <gtest/gtest.h>
 
 #include "apps/kernels.hpp"
@@ -119,34 +120,48 @@ TEST(TokenMachine, CustomCostModel) {
   EXPECT_EQ(r.cycles, 100u + costs.localOp);
 }
 
-TEST(Profiler, FindsHotLoopInAdpcm) {
-  const apps::Workload w = apps::makeAdpcm(64, 1);
+/// Profiles `w` the way the host does: one baseline run, then hotRegions.
+std::vector<HotRegion> profile(const apps::Workload& w,
+                               std::uint64_t threshold, TokenRunResult& run) {
   const BytecodeFunction bc = kir::lowerToBytecode(w.fn);
-  Profiler profiler(/*threshold=*/32);
   HostMemory heap = w.heap;
-  profiler.profile(bc, w.initialLocals, heap);
+  run = TokenMachine().run(bc, w.initialLocals, heap);
+  return hotRegions(bc, run, threshold);
+}
 
-  const auto regions = profiler.hotRegions();
-  ASSERT_FALSE(regions.empty()) << "the sample loop must be hot";
-  // Hottest region first; the outer loop executes ~64 times, the inner
-  // bit-scan loop up to 3x per sample.
-  EXPECT_GE(regions.front().executions, 64u);
-  for (const HotRegion& r : regions) EXPECT_LE(r.startPc, r.endPc);
-  // The profile run has the same architectural effect as a normal run.
-  HostMemory plainHeap = w.heap;
-  const TokenMachine tm;
-  tm.run(bc, w.initialLocals, plainHeap);
-  EXPECT_TRUE(heap == plainHeap);
+void expectRegion(const HotRegion& r, std::size_t startPc, std::size_t endPc,
+                  std::uint64_t executions) {
+  EXPECT_EQ(r.startPc, startPc);
+  EXPECT_EQ(r.endPc, endPc);
+  EXPECT_EQ(r.executions, executions);
+}
+
+TEST(Profiler, FindsHotLoopInAdpcm) {
+  // Hottest first: the inner bit-scan loop (up to 3x per sample), then the
+  // sample loop, which runs once per sample.
+  TokenRunResult run;
+  const auto small = profile(apps::makeAdpcm(64, 1), /*threshold=*/32, run);
+  ASSERT_EQ(small.size(), 2u);
+  expectRegion(small[0], 70, 92, 135);
+  expectRegion(small[1], 8, 131, 64);
+
+  const auto paper = profile(apps::makeAdpcm(416, 1), /*threshold=*/100, run);
+  ASSERT_EQ(paper.size(), 2u);
+  expectRegion(paper[0], 70, 92, 918);
+  expectRegion(paper[1], 8, 131, 416);
 }
 
 TEST(Profiler, ThresholdFiltersColdBranches) {
-  const apps::Workload w = apps::makeGcd(12, 8);
-  const BytecodeFunction bc = kir::lowerToBytecode(w.fn);
-  Profiler hot(1'000'000);
-  HostMemory heap = w.heap;
-  hot.profile(bc, w.initialLocals, heap);
-  EXPECT_TRUE(hot.hotRegions().empty());
-  EXPECT_FALSE(hot.branchCounts().empty()) << "raw counters still collected";
+  TokenRunResult run;
+  EXPECT_TRUE(profile(apps::makeGcd(12, 8), 1'000'000, run).empty());
+  // The raw counters are still collected: the loop's only back-edge, from
+  // pc 15 to pc 0, is taken twice.
+  std::uint64_t total = 0;
+  for (const std::uint64_t count : run.backEdges) total += count;
+  EXPECT_EQ(total, 2u);
+  const auto all = profile(apps::makeGcd(12, 8), /*threshold=*/1, run);
+  ASSERT_EQ(all.size(), 1u);
+  expectRegion(all[0], 0, 15, 2);
 }
 
 }  // namespace

@@ -400,11 +400,6 @@ TEST(Simulator, EnergyAccumulates) {
   HostMemory heap;
   const SimResult r = Simulator(comp, s).run({}, heap);
   EXPECT_GT(r.energy, 0.0);
-  SimOptions noEnergy;
-  noEnergy.collectEnergy = false;
-  HostMemory heap2;
-  const SimResult r2 = Simulator(comp, s).run({}, heap2, noEnergy);
-  EXPECT_EQ(r2.energy, 0.0);
 }
 
 TEST(SimCountersTest, OffByDefaultAndEngagedOnRequest) {

@@ -96,14 +96,6 @@ TEST(Verilog, SignedOpsUseSignedComparisons) {
   EXPECT_NE(rtl.find(">>>"), std::string::npos) << "arithmetic shift right";
 }
 
-TEST(Verilog, CommentsCanBeDisabled) {
-  VerilogOptions opts;
-  opts.emitComments = false;
-  const std::string rtl = generateVerilog(makeMesh(4), opts);
-  EXPECT_EQ(rtl.find("// ----"), std::string::npos);
-  EXPECT_NE(rtl.find("module pe0"), std::string::npos);
-}
-
 TEST(Verilog, GrowsWithCompositionSize) {
   const std::size_t lines4 = analyzeVerilog(generateVerilog(makeMesh(4))).lines;
   const std::size_t lines16 =
