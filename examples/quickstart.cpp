@@ -12,8 +12,8 @@
 
 #include "arch/factory.hpp"
 #include "ctx/contexts.hpp"
-#include "kir/kir.hpp"
 #include "kir/lower_cdfg.hpp"
+#include "kir/parser.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/report.hpp"
 #include "sim/simulator.hpp"
@@ -22,25 +22,17 @@ int main() {
   using namespace cgra;
 
   // 1. The kernel: y[i] = a*x[i] + y[i], but clamp negative products to 0.
-  kir::FunctionBuilder b("saxpy_clamped");
-  const auto hx = b.param("x");
-  const auto hy = b.param("y");
-  const auto n = b.param("n");
-  const auto a = b.param("a");
-  const auto i = b.localVar("i");
-  const auto p = b.localVar("p");
-
-  const auto body = b.block({
-      b.assign(p, b.mul(b.use(a), b.load(b.use(hx), b.use(i)))),
-      b.ifElse(b.lt(b.use(p), b.cint(0)), b.assign(p, b.cint(0))),
-      b.arrayStore(b.use(hy), b.use(i),
-                   b.add(b.use(p), b.load(b.use(hy), b.use(i)))),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-  const kir::Function fn = b.finish(b.block({
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.use(n)), body),
-  }));
+  const kir::Function fn = kir::parseKernel(R"(
+kernel saxpy_clamped(x, y, n, a) {
+  var i = 0;
+  var p;
+  while (i < n) {
+    p = a * x[i];
+    if (p < 0) { p = 0; }
+    y[i] = p + y[i];
+    i = i + 1;
+  }
+})");
   std::cout << fn.toString() << "\n";
 
   // 2. Lower to the control-and-data-flow graph.

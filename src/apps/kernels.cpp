@@ -1,14 +1,13 @@
 #include "apps/kernels.hpp"
 
 #include <cmath>
+#include <initializer_list>
+#include <utility>
 
+#include "kir/parser.hpp"
 #include "support/rng.hpp"
 
 namespace cgra::apps {
-
-using kir::FunctionBuilder;
-using kir::LocalId;
-using kir::StmtId;
 
 namespace {
 
@@ -26,6 +25,33 @@ const std::vector<std::int32_t> kStepsizeTable = {
     2272,  2499,  2749,  3024,  3327,  3660,  4026,  4428,  4871,  5358,
     5894,  6484,  7132,  7845,  8630,  9493,  10442, 11487, 12635, 13899,
     15289, 16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767};
+
+/// Parses the kernel `source` into a workload named `name` whose locals all
+/// start at zero and whose heap is empty.
+Workload parse(std::string name, const char* source) {
+  Workload w;
+  w.name = std::move(name);
+  w.fn = kir::parseKernel(source);
+  w.initialLocals.assign(w.fn.numLocals(), 0);
+  return w;
+}
+
+/// Sets the initial value of each named local, in list order (so arrays
+/// allocated in the list get ascending handles); a name the kernel does not
+/// declare throws cgra::Error.
+void bind(Workload& w,
+          std::initializer_list<std::pair<const char*, std::int32_t>> values) {
+  for (const auto& [local, value] : values)
+    w.initialLocals[w.fn.localByName(local)] = value;
+}
+
+/// `n` values drawn uniformly from [lo, hi].
+std::vector<std::int32_t> randomArray(Rng& rng, std::size_t n, std::int64_t lo,
+                                      std::int64_t hi) {
+  std::vector<std::int32_t> out(n);
+  for (auto& v : out) v = static_cast<std::int32_t>(rng.range(lo, hi));
+  return out;
+}
 
 }  // namespace
 
@@ -72,98 +98,62 @@ std::vector<std::uint8_t> adpcmEncode(const std::vector<std::int16_t>& pcm) {
 }
 
 Workload makeAdpcm(unsigned numSamples, std::uint64_t seed) {
-  FunctionBuilder b("adpcm_decode");
-  // Parameters (live-in).
-  const LocalId inbuf = b.param("inbuf");
-  const LocalId outbuf = b.param("outbuf");
-  const LocalId indexTable = b.param("indexTable");
-  const LocalId stepTable = b.param("stepsizeTable");
-  const LocalId n = b.param("n");
-  const LocalId valpred = b.param("valpred");
-  const LocalId index = b.param("index");
-  const LocalId gain = b.param("gain");
-  // Working locals.
-  const LocalId step = b.localVar("step");
-  const LocalId bufferstep = b.localVar("bufferstep");
-  const LocalId inputbuffer = b.localVar("inputbuffer");
-  const LocalId i = b.localVar("i");
-  const LocalId delta = b.localVar("delta");
-  const LocalId sign = b.localVar("sign");
-  const LocalId dmag = b.localVar("dmag");
-  const LocalId vpdiff = b.localVar("vpdiff");
-  const LocalId bit = b.localVar("bit");
-  const LocalId sh = b.localVar("sh");
-
-  // Inner bit-scan loop: executed only when the magnitude is non-zero
-  // ("nested loops executed under certain conditions") and containing an if
-  // in its body ("control flow in the loop body").
-  const StmtId bitBody = b.block({
-      b.ifElse(b.ne(b.band(b.use(dmag), b.use(bit)), b.cint(0)),
-               b.assign(vpdiff, b.add(b.use(vpdiff),
-                                      b.shr(b.use(step), b.use(sh))))),
-      b.assign(bit, b.shr(b.use(bit), b.cint(1))),
-      b.assign(sh, b.add(b.use(sh), b.cint(1))),
-  });
-  const StmtId bitLoop = b.whileLoop(b.ge(b.use(bit), b.cint(1)), bitBody);
-
-  const StmtId body = b.block({
-      // Unpack the next 4-bit code (alternating nibbles of each byte).
-      b.ifElse(
-          b.eq(b.use(bufferstep), b.cint(0)),
-          b.block({
-              b.assign(inputbuffer,
-                       b.load(b.use(inbuf), b.shr(b.use(i), b.cint(1)))),
-              b.assign(delta, b.band(b.use(inputbuffer), b.cint(15))),
-              b.assign(bufferstep, b.cint(1)),
-          }),
-          b.block({
-              b.assign(delta,
-                       b.band(b.shr(b.use(inputbuffer), b.cint(4)),
-                              b.cint(15))),
-              b.assign(bufferstep, b.cint(0)),
-          })),
-      // Step-index update with clamping.
-      b.assign(index,
-               b.add(b.use(index), b.load(b.use(indexTable), b.use(delta)))),
-      b.ifElse(b.lt(b.use(index), b.cint(0)), b.assign(index, b.cint(0))),
-      b.ifElse(b.gt(b.use(index), b.cint(88)), b.assign(index, b.cint(88))),
-      // Magnitude / sign split and difference reconstruction.
-      b.assign(sign, b.band(b.use(delta), b.cint(8))),
-      b.assign(dmag, b.band(b.use(delta), b.cint(7))),
-      b.assign(vpdiff, b.shr(b.use(step), b.cint(3))),
-      b.ifElse(b.ne(b.use(dmag), b.cint(0)),
-               b.block({
-                   b.assign(bit, b.cint(4)),
-                   b.assign(sh, b.cint(0)),
-                   bitLoop,
-               })),
-      // Predicted value update with saturation.
-      b.ifElse(b.ne(b.use(sign), b.cint(0)),
-               b.assign(valpred, b.sub(b.use(valpred), b.use(vpdiff))),
-               b.assign(valpred, b.add(b.use(valpred), b.use(vpdiff)))),
-      b.ifElse(b.gt(b.use(valpred), b.cint(32767)),
-               b.assign(valpred, b.cint(32767))),
-      b.ifElse(b.lt(b.use(valpred), b.cint(-32768)),
-               b.assign(valpred, b.cint(-32768))),
-      // Next step size and gain-scaled output (the multiply makes the
-      // block-vs-single-cycle multiplier experiments of Tables III/IV
-      // meaningful, as in the paper's decoder).
-      b.assign(step, b.load(b.use(stepTable), b.use(index))),
-      b.arrayStore(b.use(outbuf), b.use(i),
-                   b.shr(b.mul(b.use(valpred), b.use(gain)), b.cint(12))),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-
-  const StmtId program = b.block({
-      b.assign(step, b.load(b.use(stepTable), b.use(index))),
-      b.assign(bufferstep, b.cint(0)),
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.use(n)), body),
-  });
-
-  Workload w;
-  w.name = "adpcm";
-  w.fn = b.finish(program);
+  // The inner bit-scan loop runs only when the magnitude is non-zero
+  // ("nested loops executed under certain conditions") and has an if in its
+  // body ("control flow in the loop body"). The gain multiply makes the
+  // block-vs-single-cycle multiplier experiments of Tables III/IV
+  // meaningful, as in the paper's decoder.
+  Workload w = parse("adpcm", R"(
+kernel adpcm_decode(inbuf, outbuf, indexTable, stepsizeTable, n, valpred,
+                    index, gain) {
+  var step = stepsizeTable[index];
+  var bufferstep = 0;
+  var inputbuffer;
+  var i = 0;
+  var delta;
+  var sign;
+  var dmag;
+  var vpdiff;
+  var bit;
+  var sh;
+  while (i < n) {
+    // Unpack the next 4-bit code (alternating nibbles of each byte).
+    if (bufferstep == 0) {
+      inputbuffer = inbuf[i >> 1];
+      delta = inputbuffer & 15;
+      bufferstep = 1;
+    } else {
+      delta = (inputbuffer >> 4) & 15;
+      bufferstep = 0;
+    }
+    // Step-index update with clamping.
+    index = index + indexTable[delta];
+    if (index < 0) { index = 0; }
+    if (index > 88) { index = 88; }
+    // Magnitude / sign split and difference reconstruction.
+    sign = delta & 8;
+    dmag = delta & 7;
+    vpdiff = step >> 3;
+    if (dmag != 0) {
+      bit = 4;
+      sh = 0;
+      while (bit >= 1) {
+        if ((dmag & bit) != 0) { vpdiff = vpdiff + (step >> sh); }
+        bit = bit >> 1;
+        sh = sh + 1;
+      }
+    }
+    // Predicted value update with saturation.
+    if (sign != 0) { valpred = valpred - vpdiff; }
+    else { valpred = valpred + vpdiff; }
+    if (valpred > 32767) { valpred = 32767; }
+    if (valpred < -32768) { valpred = -32768; }
+    // Next step size and gain-scaled output.
+    step = stepsizeTable[index];
+    outbuf[i] = (valpred * gain) >> 12;
+    i = i + 1;
+  }
+})");
 
   // Input: an encoded swept sine so the decoder sees realistic step-index
   // trajectories (the number of inner-loop iterations is data dependent).
@@ -176,110 +166,89 @@ Workload makeAdpcm(unsigned numSamples, std::uint64_t seed) {
         amp * std::sin(t) + static_cast<double>(rng.range(-300, 300)));
   }
   const std::vector<std::uint8_t> encoded = adpcmEncode(pcm);
-
-  std::vector<std::int32_t> inData(encoded.begin(), encoded.end());
-  const Handle hIn = w.heap.alloc(std::move(inData));
-  const Handle hOut = w.heap.alloc(numSamples);
-  const Handle hIdxTab = w.heap.alloc(kIndexTable);
-  const Handle hStepTab = w.heap.alloc(kStepsizeTable);
-
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[inbuf] = hIn;
-  w.initialLocals[outbuf] = hOut;
-  w.initialLocals[indexTable] = hIdxTab;
-  w.initialLocals[stepTable] = hStepTab;
-  w.initialLocals[n] = static_cast<std::int32_t>(numSamples);
-  w.initialLocals[valpred] = 0;
-  w.initialLocals[index] = 0;
-  w.initialLocals[gain] = 4519;  // ~1.10x volume in Q12
+  bind(w, {{"inbuf", w.heap.alloc(std::vector<std::int32_t>(encoded.begin(),
+                                                            encoded.end()))},
+           {"outbuf", w.heap.alloc(numSamples)},
+           {"indexTable", w.heap.alloc(kIndexTable)},
+           {"stepsizeTable", w.heap.alloc(kStepsizeTable)},
+           {"n", static_cast<std::int32_t>(numSamples)},
+           {"gain", 4519}});  // ~1.10x volume in Q12
   return w;
 }
 
 Workload makeAdpcmStereo(unsigned framesPerChannel, std::uint64_t seed) {
-  FunctionBuilder b("adpcm_stereo_decode");
-  const LocalId inbuf = b.param("inbuf");
-  const LocalId outL = b.param("outL");
-  const LocalId outR = b.param("outR");
-  const LocalId indexTable = b.param("indexTable");
-  const LocalId stepTable = b.param("stepsizeTable");
-  const LocalId n = b.param("n");
-  const LocalId i = b.localVar("i");
-  const LocalId byte = b.localVar("byte");
-
   // Per-channel decoder state and scratch, suffixed L/R. The two chains
   // share nothing but the input byte, giving the scheduler two independent
   // dependence graphs per iteration.
-  struct Channel {
-    LocalId valpred, index, step, delta, sign, dmag, vpdiff, bit, sh;
-  };
-  auto makeChannel = [&](const char* suffix) {
-    Channel c;
-    c.valpred = b.param(std::string("valpred") + suffix);
-    c.index = b.param(std::string("index") + suffix);
-    c.step = b.localVar(std::string("step") + suffix);
-    c.delta = b.localVar(std::string("delta") + suffix);
-    c.sign = b.localVar(std::string("sign") + suffix);
-    c.dmag = b.localVar(std::string("dmag") + suffix);
-    c.vpdiff = b.localVar(std::string("vpdiff") + suffix);
-    c.bit = b.localVar(std::string("bit") + suffix);
-    c.sh = b.localVar(std::string("sh") + suffix);
-    return c;
-  };
-  const Channel L = makeChannel("L");
-  const Channel R = makeChannel("R");
-
-  auto decode = [&](const Channel& c, kir::ExprId nibble, LocalId out) {
-    const StmtId bitBody = b.block({
-        b.ifElse(b.ne(b.band(b.use(c.dmag), b.use(c.bit)), b.cint(0)),
-                 b.assign(c.vpdiff, b.add(b.use(c.vpdiff),
-                                          b.shr(b.use(c.step), b.use(c.sh))))),
-        b.assign(c.bit, b.shr(b.use(c.bit), b.cint(1))),
-        b.assign(c.sh, b.add(b.use(c.sh), b.cint(1))),
-    });
-    return b.block({
-        b.assign(c.delta, nibble),
-        b.assign(c.index, b.add(b.use(c.index),
-                                b.load(b.use(indexTable), b.use(c.delta)))),
-        b.ifElse(b.lt(b.use(c.index), b.cint(0)), b.assign(c.index, b.cint(0))),
-        b.ifElse(b.gt(b.use(c.index), b.cint(88)),
-                 b.assign(c.index, b.cint(88))),
-        b.assign(c.sign, b.band(b.use(c.delta), b.cint(8))),
-        b.assign(c.dmag, b.band(b.use(c.delta), b.cint(7))),
-        b.assign(c.vpdiff, b.shr(b.use(c.step), b.cint(3))),
-        b.ifElse(b.ne(b.use(c.dmag), b.cint(0)),
-                 b.block({
-                     b.assign(c.bit, b.cint(4)),
-                     b.assign(c.sh, b.cint(0)),
-                     b.whileLoop(b.ge(b.use(c.bit), b.cint(1)), bitBody),
-                 })),
-        b.ifElse(b.ne(b.use(c.sign), b.cint(0)),
-                 b.assign(c.valpred, b.sub(b.use(c.valpred), b.use(c.vpdiff))),
-                 b.assign(c.valpred, b.add(b.use(c.valpred), b.use(c.vpdiff)))),
-        b.ifElse(b.gt(b.use(c.valpred), b.cint(32767)),
-                 b.assign(c.valpred, b.cint(32767))),
-        b.ifElse(b.lt(b.use(c.valpred), b.cint(-32768)),
-                 b.assign(c.valpred, b.cint(-32768))),
-        b.assign(c.step, b.load(b.use(stepTable), b.use(c.index))),
-        b.arrayStore(b.use(out), b.use(i), b.use(c.valpred)),
-    });
-  };
-
-  const StmtId body = b.block({
-      b.assign(byte, b.load(b.use(inbuf), b.use(i))),
-      decode(L, b.band(b.use(byte), b.cint(15)), outL),
-      decode(R, b.band(b.shr(b.use(byte), b.cint(4)), b.cint(15)), outR),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-  const StmtId program = b.block({
-      b.assign(L.step, b.load(b.use(stepTable), b.use(L.index))),
-      b.assign(R.step, b.load(b.use(stepTable), b.use(R.index))),
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.use(n)), body),
-  });
-
-  Workload w;
-  w.name = "adpcm_stereo";
-  w.fn = b.finish(program);
+  Workload w = parse("adpcm_stereo", R"(
+kernel adpcm_stereo_decode(inbuf, outL, outR, indexTable, stepsizeTable, n,
+                           valpredL, indexL, valpredR, indexR) {
+  var i;
+  var byte;
+  var stepL = stepsizeTable[indexL];
+  var deltaL;
+  var signL;
+  var dmagL;
+  var vpdiffL;
+  var bitL;
+  var shL;
+  var stepR = stepsizeTable[indexR];
+  var deltaR;
+  var signR;
+  var dmagR;
+  var vpdiffR;
+  var bitR;
+  var shR;
+  i = 0;
+  while (i < n) {
+    byte = inbuf[i];
+    deltaL = byte & 15;
+    indexL = indexL + indexTable[deltaL];
+    if (indexL < 0) { indexL = 0; }
+    if (indexL > 88) { indexL = 88; }
+    signL = deltaL & 8;
+    dmagL = deltaL & 7;
+    vpdiffL = stepL >> 3;
+    if (dmagL != 0) {
+      bitL = 4;
+      shL = 0;
+      while (bitL >= 1) {
+        if ((dmagL & bitL) != 0) { vpdiffL = vpdiffL + (stepL >> shL); }
+        bitL = bitL >> 1;
+        shL = shL + 1;
+      }
+    }
+    if (signL != 0) { valpredL = valpredL - vpdiffL; }
+    else { valpredL = valpredL + vpdiffL; }
+    if (valpredL > 32767) { valpredL = 32767; }
+    if (valpredL < -32768) { valpredL = -32768; }
+    stepL = stepsizeTable[indexL];
+    outL[i] = valpredL;
+    deltaR = (byte >> 4) & 15;
+    indexR = indexR + indexTable[deltaR];
+    if (indexR < 0) { indexR = 0; }
+    if (indexR > 88) { indexR = 88; }
+    signR = deltaR & 8;
+    dmagR = deltaR & 7;
+    vpdiffR = stepR >> 3;
+    if (dmagR != 0) {
+      bitR = 4;
+      shR = 0;
+      while (bitR >= 1) {
+        if ((dmagR & bitR) != 0) { vpdiffR = vpdiffR + (stepR >> shR); }
+        bitR = bitR >> 1;
+        shR = shR + 1;
+      }
+    }
+    if (signR != 0) { valpredR = valpredR - vpdiffR; }
+    else { valpredR = valpredR + vpdiffR; }
+    if (valpredR > 32767) { valpredR = 32767; }
+    if (valpredR < -32768) { valpredR = -32768; }
+    stepR = stepsizeTable[indexR];
+    outR[i] = valpredR;
+    i = i + 1;
+  }
+})");
 
   // Two independently encoded channels packed nibble-wise per frame.
   Rng rng(seed);
@@ -304,469 +273,298 @@ Workload makeAdpcmStereo(unsigned framesPerChannel, std::uint64_t seed) {
   std::vector<std::int32_t> interleaved(framesPerChannel);
   for (unsigned k = 0; k < framesPerChannel; ++k)
     interleaved[k] = static_cast<std::int32_t>(left[k] | (right[k] << 4));
-
-  const Handle hIn = w.heap.alloc(std::move(interleaved));
-  const Handle hOutL = w.heap.alloc(framesPerChannel);
-  const Handle hOutR = w.heap.alloc(framesPerChannel);
-  const Handle hIdxTab = w.heap.alloc(kIndexTable);
-  const Handle hStepTab = w.heap.alloc(kStepsizeTable);
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[inbuf] = hIn;
-  w.initialLocals[outL] = hOutL;
-  w.initialLocals[outR] = hOutR;
-  w.initialLocals[indexTable] = hIdxTab;
-  w.initialLocals[stepTable] = hStepTab;
-  w.initialLocals[n] = static_cast<std::int32_t>(framesPerChannel);
+  bind(w, {{"inbuf", w.heap.alloc(std::move(interleaved))},
+           {"outL", w.heap.alloc(framesPerChannel)},
+           {"outR", w.heap.alloc(framesPerChannel)},
+           {"indexTable", w.heap.alloc(kIndexTable)},
+           {"stepsizeTable", w.heap.alloc(kStepsizeTable)},
+           {"n", static_cast<std::int32_t>(framesPerChannel)}});
   return w;
 }
 
 Workload makeDotProduct(unsigned n, std::uint64_t seed) {
-  FunctionBuilder b("dot_product");
-  const LocalId ha = b.param("a");
-  const LocalId hb = b.param("b");
-  const LocalId len = b.param("n");
-  const LocalId sum = b.localVar("sum");
-  const LocalId i = b.localVar("i");
-
-  const StmtId body = b.block({
-      b.assign(sum, b.add(b.use(sum),
-                          b.mul(b.load(b.use(ha), b.use(i)),
-                                b.load(b.use(hb), b.use(i))))),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-  const StmtId program = b.block({
-      b.assign(sum, b.cint(0)),
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.use(len)), body),
-  });
-
-  Workload w;
-  w.name = "dotprod";
-  w.fn = b.finish(program);
+  Workload w = parse("dotprod", R"(
+kernel dot_product(a, b, n) {
+  var sum = 0;
+  var i = 0;
+  while (i < n) {
+    sum = sum + a[i] * b[i];
+    i = i + 1;
+  }
+})");
   Rng rng(seed);
   std::vector<std::int32_t> va(n), vb(n);
   for (unsigned k = 0; k < n; ++k) {
     va[k] = static_cast<std::int32_t>(rng.range(-100, 100));
     vb[k] = static_cast<std::int32_t>(rng.range(-100, 100));
   }
-  const Handle a = w.heap.alloc(std::move(va));
-  const Handle hb2 = w.heap.alloc(std::move(vb));
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[ha] = a;
-  w.initialLocals[hb] = hb2;
-  w.initialLocals[len] = static_cast<std::int32_t>(n);
+  bind(w, {{"a", w.heap.alloc(std::move(va))},
+           {"b", w.heap.alloc(std::move(vb))},
+           {"n", static_cast<std::int32_t>(n)}});
   return w;
 }
 
 Workload makeFir(unsigned n, unsigned taps, std::uint64_t seed) {
-  FunctionBuilder b("fir");
-  const LocalId hx = b.param("x");
-  const LocalId hh = b.param("h");
-  const LocalId hy = b.param("y");
-  const LocalId len = b.param("n");
-  const LocalId ntaps = b.param("taps");
-  const LocalId i = b.localVar("i");
-  const LocalId k = b.localVar("k");
-  const LocalId acc = b.localVar("acc");
-
-  const StmtId inner = b.block({
-      b.assign(acc, b.add(b.use(acc),
-                          b.mul(b.load(b.use(hh), b.use(k)),
-                                b.load(b.use(hx),
-                                       b.add(b.use(i), b.use(k)))))),
-      b.assign(k, b.add(b.use(k), b.cint(1))),
-  });
-  const StmtId body = b.block({
-      b.assign(acc, b.cint(0)),
-      b.assign(k, b.cint(0)),
-      b.whileLoop(b.lt(b.use(k), b.use(ntaps)), inner),
-      b.arrayStore(b.use(hy), b.use(i), b.use(acc)),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-  const StmtId program = b.block({
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.use(len)), body),
-  });
-
-  Workload w;
-  w.name = "fir";
-  w.fn = b.finish(program);
+  Workload w = parse("fir", R"(
+kernel fir(x, h, y, n, taps) {
+  var i = 0;
+  var k;
+  var acc;
+  while (i < n) {
+    acc = 0;
+    k = 0;
+    while (k < taps) {
+      acc = acc + h[k] * x[i + k];
+      k = k + 1;
+    }
+    y[i] = acc;
+    i = i + 1;
+  }
+})");
   Rng rng(seed);
-  std::vector<std::int32_t> x(n + taps), h(taps);
-  for (auto& v : x) v = static_cast<std::int32_t>(rng.range(-50, 50));
-  for (auto& v : h) v = static_cast<std::int32_t>(rng.range(-8, 8));
-  const Handle hx2 = w.heap.alloc(std::move(x));
-  const Handle hh2 = w.heap.alloc(std::move(h));
-  const Handle hy2 = w.heap.alloc(n);
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[hx] = hx2;
-  w.initialLocals[hh] = hh2;
-  w.initialLocals[hy] = hy2;
-  w.initialLocals[len] = static_cast<std::int32_t>(n);
-  w.initialLocals[ntaps] = static_cast<std::int32_t>(taps);
+  bind(w, {{"x", w.heap.alloc(randomArray(rng, n + taps, -50, 50))},
+           {"h", w.heap.alloc(randomArray(rng, taps, -8, 8))},
+           {"y", w.heap.alloc(n)},
+           {"n", static_cast<std::int32_t>(n)},
+           {"taps", static_cast<std::int32_t>(taps)}});
   return w;
 }
 
 Workload makeMatMul(unsigned dim, std::uint64_t seed) {
-  FunctionBuilder b("matmul");
-  const LocalId ha = b.param("A");
-  const LocalId hb = b.param("B");
-  const LocalId hc = b.param("C");
-  const LocalId nn = b.param("n");
-  const LocalId i = b.localVar("i");
-  const LocalId j = b.localVar("j");
-  const LocalId k = b.localVar("k");
-  const LocalId acc = b.localVar("acc");
-
-  const StmtId kBody = b.block({
-      b.assign(acc,
-               b.add(b.use(acc),
-                     b.mul(b.load(b.use(ha),
-                                  b.add(b.mul(b.use(i), b.use(nn)), b.use(k))),
-                           b.load(b.use(hb),
-                                  b.add(b.mul(b.use(k), b.use(nn)),
-                                        b.use(j)))))),
-      b.assign(k, b.add(b.use(k), b.cint(1))),
-  });
-  const StmtId jBody = b.block({
-      b.assign(acc, b.cint(0)),
-      b.assign(k, b.cint(0)),
-      b.whileLoop(b.lt(b.use(k), b.use(nn)), kBody),
-      b.arrayStore(b.use(hc), b.add(b.mul(b.use(i), b.use(nn)), b.use(j)),
-                   b.use(acc)),
-      b.assign(j, b.add(b.use(j), b.cint(1))),
-  });
-  const StmtId iBody = b.block({
-      b.assign(j, b.cint(0)),
-      b.whileLoop(b.lt(b.use(j), b.use(nn)), jBody),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-  const StmtId program = b.block({
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.use(nn)), iBody),
-  });
-
-  Workload w;
-  w.name = "matmul";
-  w.fn = b.finish(program);
+  Workload w = parse("matmul", R"(
+kernel matmul(A, B, C, n) {
+  var i = 0;
+  var j;
+  var k;
+  var acc;
+  while (i < n) {
+    j = 0;
+    while (j < n) {
+      acc = 0;
+      k = 0;
+      while (k < n) {
+        acc = acc + A[i * n + k] * B[k * n + j];
+        k = k + 1;
+      }
+      C[i * n + j] = acc;
+      j = j + 1;
+    }
+    i = i + 1;
+  }
+})");
   Rng rng(seed);
-  std::vector<std::int32_t> A(dim * dim), B(dim * dim);
-  for (auto& v : A) v = static_cast<std::int32_t>(rng.range(-9, 9));
-  for (auto& v : B) v = static_cast<std::int32_t>(rng.range(-9, 9));
-  const Handle a = w.heap.alloc(std::move(A));
-  const Handle bb = w.heap.alloc(std::move(B));
-  const Handle c = w.heap.alloc(dim * dim);
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[ha] = a;
-  w.initialLocals[hb] = bb;
-  w.initialLocals[hc] = c;
-  w.initialLocals[nn] = static_cast<std::int32_t>(dim);
+  bind(w, {{"A", w.heap.alloc(randomArray(rng, dim * dim, -9, 9))},
+           {"B", w.heap.alloc(randomArray(rng, dim * dim, -9, 9))},
+           {"C", w.heap.alloc(dim * dim)},
+           {"n", static_cast<std::int32_t>(dim)}});
   return w;
 }
 
-Workload makeGcd(std::int32_t a, std::int32_t b0) {
-  FunctionBuilder b("gcd");
-  const LocalId x = b.param("x");
-  const LocalId y = b.param("y");
-  // GCD needs a heap array only because every composition has DMA PEs; the
-  // kernel itself is DMA-free and exercises pure control flow.
-  const StmtId body = b.ifElse(b.gt(b.use(x), b.use(y)),
-                               b.assign(x, b.sub(b.use(x), b.use(y))),
-                               b.assign(y, b.sub(b.use(y), b.use(x))));
-  const StmtId program =
-      b.block({b.whileLoop(b.ne(b.use(x), b.use(y)), body)});
-
-  Workload w;
-  w.name = "gcd";
-  w.fn = b.finish(program);
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[x] = a;
-  w.initialLocals[y] = b0;
+Workload makeGcd(std::int32_t a, std::int32_t b) {
+  Workload w = parse("gcd", R"(
+kernel gcd(x, y) {
+  while (x != y) {
+    if (x > y) { x = x - y; }
+    else { y = y - x; }
+  }
+})");
+  bind(w, {{"x", a}, {"y", b}});
   return w;
 }
 
 Workload makeBubbleSort(unsigned n, std::uint64_t seed) {
-  FunctionBuilder b("bubble_sort");
-  const LocalId ha = b.param("a");
-  const LocalId len = b.param("n");
-  const LocalId i = b.localVar("i");
-  const LocalId j = b.localVar("j");
-  const LocalId u = b.localVar("u");
-  const LocalId v = b.localVar("v");
-
-  const StmtId swap = b.block({
-      b.arrayStore(b.use(ha), b.use(j), b.use(v)),
-      b.arrayStore(b.use(ha), b.add(b.use(j), b.cint(1)), b.use(u)),
-  });
-  const StmtId jBody = b.block({
-      b.assign(u, b.load(b.use(ha), b.use(j))),
-      b.assign(v, b.load(b.use(ha), b.add(b.use(j), b.cint(1)))),
-      b.ifElse(b.gt(b.use(u), b.use(v)), swap),
-      b.assign(j, b.add(b.use(j), b.cint(1))),
-  });
-  const StmtId iBody = b.block({
-      b.assign(j, b.cint(0)),
-      b.whileLoop(b.lt(b.use(j), b.sub(b.sub(b.use(len), b.use(i)),
-                                       b.cint(1))),
-                  jBody),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-  const StmtId program = b.block({
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.sub(b.use(len), b.cint(1))), iBody),
-  });
-
-  Workload w;
-  w.name = "bubble";
-  w.fn = b.finish(program);
+  Workload w = parse("bubble", R"(
+kernel bubble_sort(a, n) {
+  var i = 0;
+  var j;
+  var u;
+  var v;
+  while (i < n - 1) {
+    j = 0;
+    while (j < n - i - 1) {
+      u = a[j];
+      v = a[j + 1];
+      if (u > v) {
+        a[j] = v;
+        a[j + 1] = u;
+      }
+      j = j + 1;
+    }
+    i = i + 1;
+  }
+})");
   Rng rng(seed);
-  std::vector<std::int32_t> a(n);
-  for (auto& val : a) val = static_cast<std::int32_t>(rng.range(-1000, 1000));
-  const Handle h = w.heap.alloc(std::move(a));
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[ha] = h;
-  w.initialLocals[len] = static_cast<std::int32_t>(n);
+  bind(w, {{"a", w.heap.alloc(randomArray(rng, n, -1000, 1000))},
+           {"n", static_cast<std::int32_t>(n)}});
   return w;
 }
 
 Workload makeEwmaClip(unsigned n, std::uint64_t seed) {
-  FunctionBuilder b("ewma_clip");
-  const LocalId hx = b.param("x");
-  const LocalId hy = b.param("y");
-  const LocalId len = b.param("n");
-  const LocalId avg = b.localVar("avg");
-  const LocalId i = b.localVar("i");
-  const LocalId s = b.localVar("s");
-
-  const StmtId body = b.block({
-      b.assign(s, b.load(b.use(hx), b.use(i))),
-      // avg = (3*avg + s) / 4, via shifts.
-      b.assign(avg, b.shr(b.add(b.add(b.shl(b.use(avg), b.cint(1)),
-                                      b.use(avg)),
-                                b.use(s)),
-                          b.cint(2))),
-      b.ifElse(b.gt(b.use(avg), b.cint(255)), b.assign(avg, b.cint(255)),
-               b.ifElse(b.lt(b.use(avg), b.cint(-256)),
-                        b.assign(avg, b.cint(-256)))),
-      b.arrayStore(b.use(hy), b.use(i), b.use(avg)),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-  const StmtId program = b.block({
-      b.assign(avg, b.cint(0)),
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.use(len)), body),
-  });
-
-  Workload w;
-  w.name = "ewma";
-  w.fn = b.finish(program);
+  Workload w = parse("ewma", R"(
+kernel ewma_clip(x, y, n) {
+  var avg = 0;
+  var i = 0;
+  var s;
+  while (i < n) {
+    s = x[i];
+    avg = ((avg << 1) + avg + s) >> 2;  // (3 * avg + s) / 4
+    if (avg > 255) { avg = 255; }
+    else if (avg < -256) { avg = -256; }
+    y[i] = avg;
+    i = i + 1;
+  }
+})");
   Rng rng(seed);
-  std::vector<std::int32_t> x(n);
-  for (auto& val : x) val = static_cast<std::int32_t>(rng.range(-600, 600));
-  const Handle hx2 = w.heap.alloc(std::move(x));
-  const Handle hy2 = w.heap.alloc(n);
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[hx] = hx2;
-  w.initialLocals[hy] = hy2;
-  w.initialLocals[len] = static_cast<std::int32_t>(n);
+  bind(w, {{"x", w.heap.alloc(randomArray(rng, n, -600, 600))},
+           {"y", w.heap.alloc(n)},
+           {"n", static_cast<std::int32_t>(n)}});
   return w;
 }
 
 Workload makeConditionalHalving(unsigned n, std::uint64_t seed) {
-  FunctionBuilder b("cond_halving");
-  const LocalId hx = b.param("x");
-  const LocalId len = b.param("n");
-  const LocalId thresh = b.param("thresh");
-  const LocalId count = b.localVar("count");
-  const LocalId i = b.localVar("i");
-  const LocalId v = b.localVar("v");
-  const LocalId steps = b.localVar("steps");
-
   // For each element above the threshold, count halvings until it drops
   // below — a nested loop whose execution *and* trip count are data
   // dependent ("executed under certain conditions, dependent on the input").
-  const StmtId halving = b.block({
-      b.assign(v, b.shr(b.use(v), b.cint(1))),
-      b.assign(steps, b.add(b.use(steps), b.cint(1))),
-  });
-  const StmtId body = b.block({
-      b.assign(v, b.load(b.use(hx), b.use(i))),
-      b.ifElse(b.gt(b.use(v), b.use(thresh)),
-               b.block({
-                   b.assign(steps, b.cint(0)),
-                   b.whileLoop(b.gt(b.use(v), b.use(thresh)), halving),
-                   b.assign(count, b.add(b.use(count), b.use(steps))),
-               })),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-  const StmtId program = b.block({
-      b.assign(count, b.cint(0)),
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.use(len)), body),
-  });
-
-  Workload w;
-  w.name = "cond_halving";
-  w.fn = b.finish(program);
+  Workload w = parse("cond_halving", R"(
+kernel cond_halving(x, n, thresh) {
+  var count = 0;
+  var i = 0;
+  var v;
+  var steps;
+  while (i < n) {
+    v = x[i];
+    if (v > thresh) {
+      steps = 0;
+      while (v > thresh) {
+        v = v >> 1;
+        steps = steps + 1;
+      }
+      count = count + steps;
+    }
+    i = i + 1;
+  }
+})");
   Rng rng(seed);
-  std::vector<std::int32_t> x(n);
-  for (auto& val : x) val = static_cast<std::int32_t>(rng.range(0, 5000));
-  const Handle hx2 = w.heap.alloc(std::move(x));
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[hx] = hx2;
-  w.initialLocals[len] = static_cast<std::int32_t>(n);
-  w.initialLocals[thresh] = 40;
+  bind(w, {{"x", w.heap.alloc(randomArray(rng, n, 0, 5000))},
+           {"n", static_cast<std::int32_t>(n)},
+           {"thresh", 40}});
   return w;
 }
 
 Workload makeSobel(unsigned width, unsigned height, std::uint64_t seed) {
-  FunctionBuilder b("sobel_gx");
-  const LocalId img = b.param("img");
-  const LocalId out = b.param("out");
-  const LocalId w = b.param("w");
-  const LocalId h = b.param("h");
-  const LocalId x = b.localVar("x");
-  const LocalId y = b.localVar("y");
-  const LocalId gx = b.localVar("gx");
-  const LocalId row = b.localVar("row");
-
-  // gx = (NE + 2E + SE) - (NW + 2W + SW) at (x, y), borders skipped.
-  auto at = [&](std::int32_t dy, std::int32_t dx) {
-    return b.load(b.use(img),
-                  b.add(b.add(b.use(row),
-                              b.mul(b.cint(dy), b.use(w))),
-                        b.add(b.use(x), b.cint(dx))));
-  };
-  const StmtId xBody = b.block({
-      b.assign(gx, b.sub(b.add(b.add(at(-1, 1), b.shl(at(0, 1), b.cint(1))),
-                               at(1, 1)),
-                         b.add(b.add(at(-1, -1), b.shl(at(0, -1), b.cint(1))),
-                               at(1, -1)))),
-      b.ifElse(b.lt(b.use(gx), b.cint(0)), b.assign(gx, b.neg(b.use(gx)))),
-      b.arrayStore(b.use(out), b.add(b.use(row), b.use(x)), b.use(gx)),
-      b.assign(x, b.add(b.use(x), b.cint(1))),
-  });
-  const StmtId yBody = b.block({
-      b.assign(row, b.mul(b.use(y), b.use(w))),
-      b.assign(x, b.cint(1)),
-      b.whileLoop(b.lt(b.use(x), b.sub(b.use(w), b.cint(1))), xBody),
-      b.assign(y, b.add(b.use(y), b.cint(1))),
-  });
-  const StmtId program = b.block({
-      b.assign(y, b.cint(1)),
-      b.whileLoop(b.lt(b.use(y), b.sub(b.use(h), b.cint(1))), yBody),
-  });
-
-  Workload wl;
-  wl.name = "sobel";
-  wl.fn = b.finish(program);
+  // gx = (NE + 2E + SE) - (NW + 2W + SW) at (x, y), borders skipped. Each
+  // tap reads img[row + dy * w + (x + dx)].
+  Workload w = parse("sobel", R"(
+kernel sobel_gx(img, out, w, h) {
+  var x;
+  var y = 1;
+  var gx;
+  var row;
+  while (y < h - 1) {
+    row = y * w;
+    x = 1;
+    while (x < w - 1) {
+      gx = img[row + -1 * w + (x + 1)] + (img[row + 0 * w + (x + 1)] << 1)
+           + img[row + 1 * w + (x + 1)]
+           - (img[row + -1 * w + (x + -1)] + (img[row + 0 * w + (x + -1)] << 1)
+              + img[row + 1 * w + (x + -1)]);
+      if (gx < 0) { gx = -gx; }
+      out[row + x] = gx;
+      x = x + 1;
+    }
+    y = y + 1;
+  }
+})");
   Rng rng(seed);
-  std::vector<std::int32_t> image(width * height);
-  for (auto& v : image) v = static_cast<std::int32_t>(rng.range(0, 255));
-  const Handle hImg = wl.heap.alloc(std::move(image));
-  const Handle hOut = wl.heap.alloc(width * height);
-  wl.initialLocals.assign(wl.fn.numLocals(), 0);
-  wl.initialLocals[img] = hImg;
-  wl.initialLocals[out] = hOut;
-  wl.initialLocals[w] = static_cast<std::int32_t>(width);
-  wl.initialLocals[h] = static_cast<std::int32_t>(height);
-  return wl;
+  bind(w, {{"img", w.heap.alloc(randomArray(rng, width * height, 0, 255))},
+           {"out", w.heap.alloc(width * height)},
+           {"w", static_cast<std::int32_t>(width)},
+           {"h", static_cast<std::int32_t>(height)}});
+  return w;
 }
 
 Workload makeCrc32(unsigned n, std::uint64_t seed) {
-  FunctionBuilder b("crc32");
-  const LocalId buf = b.param("buf");
-  const LocalId len = b.param("n");
-  const LocalId crc = b.localVar("crc");
-  const LocalId i = b.localVar("i");
-  const LocalId k = b.localVar("k");
-
   // crc = crc ^ byte; 8x { crc = (crc >>> 1) ^ (poly if lsb set) }.
-  const StmtId bitBody = b.block({
-      b.ifElse(b.ne(b.band(b.use(crc), b.cint(1)), b.cint(0)),
-               b.assign(crc, b.bxor(b.ushr(b.use(crc), b.cint(1)),
-                                    b.cint(static_cast<std::int32_t>(
-                                        0xEDB88320u)))),
-               b.assign(crc, b.ushr(b.use(crc), b.cint(1)))),
-      b.assign(k, b.add(b.use(k), b.cint(1))),
-  });
-  const StmtId body = b.block({
-      b.assign(crc, b.bxor(b.use(crc), b.load(b.use(buf), b.use(i)))),
-      b.assign(k, b.cint(0)),
-      b.whileLoop(b.lt(b.use(k), b.cint(8)), bitBody),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-  const StmtId program = b.block({
-      b.assign(crc, b.cint(-1)),
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.use(len)), body),
-      b.assign(crc, b.bxor(b.use(crc), b.cint(-1))),
-  });
-
-  Workload w;
-  w.name = "crc32";
-  w.fn = b.finish(program);
+  Workload w = parse("crc32", R"(
+kernel crc32(buf, n) {
+  var crc = -1;
+  var i = 0;
+  var k;
+  while (i < n) {
+    crc = crc ^ buf[i];
+    k = 0;
+    while (k < 8) {
+      if ((crc & 1) != 0) { crc = (crc >>> 1) ^ 0xEDB88320; }
+      else { crc = crc >>> 1; }
+      k = k + 1;
+    }
+    i = i + 1;
+  }
+  crc = crc ^ -1;
+})");
   Rng rng(seed);
-  std::vector<std::int32_t> data(n);
-  for (auto& v : data) v = static_cast<std::int32_t>(rng.range(0, 255));
-  const Handle hBuf = w.heap.alloc(std::move(data));
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[buf] = hBuf;
-  w.initialLocals[len] = static_cast<std::int32_t>(n);
+  bind(w, {{"buf", w.heap.alloc(randomArray(rng, n, 0, 255))},
+           {"n", static_cast<std::int32_t>(n)}});
   return w;
 }
 
 Workload makeHistogram(unsigned n, std::uint64_t seed) {
-  FunctionBuilder b("histogram");
-  const LocalId data = b.param("data");
-  const LocalId bins = b.param("bins");
-  const LocalId len = b.param("n");
-  const LocalId i = b.localVar("i");
-  const LocalId bin = b.localVar("bin");
-
-  const StmtId body = b.block({
-      b.assign(bin, b.band(b.shr(b.load(b.use(data), b.use(i)), b.cint(5)),
-                           b.cint(7))),
-      // Read-modify-write on the bin array: load + store to the same index
-      // must stay ordered (memory dependency stress).
-      b.arrayStore(b.use(bins), b.use(bin),
-                   b.add(b.load(b.use(bins), b.use(bin)), b.cint(1))),
-      b.assign(i, b.add(b.use(i), b.cint(1))),
-  });
-  const StmtId program = b.block({
-      b.assign(i, b.cint(0)),
-      b.whileLoop(b.lt(b.use(i), b.use(len)), body),
-  });
-
-  Workload w;
-  w.name = "histogram";
-  w.fn = b.finish(program);
+  // Read-modify-write on the bin array: load + store to the same index
+  // must stay ordered (memory dependency stress).
+  Workload w = parse("histogram", R"(
+kernel histogram(data, bins, n) {
+  var i = 0;
+  var bin;
+  while (i < n) {
+    bin = (data[i] >> 5) & 7;
+    bins[bin] = bins[bin] + 1;
+    i = i + 1;
+  }
+})");
   Rng rng(seed);
-  std::vector<std::int32_t> values(n);
-  for (auto& v : values) v = static_cast<std::int32_t>(rng.range(0, 255));
-  const Handle hData = w.heap.alloc(std::move(values));
-  const Handle hBins = w.heap.alloc(8);
-  w.initialLocals.assign(w.fn.numLocals(), 0);
-  w.initialLocals[data] = hData;
-  w.initialLocals[bins] = hBins;
-  w.initialLocals[len] = static_cast<std::int32_t>(n);
+  bind(w, {{"data", w.heap.alloc(randomArray(rng, n, 0, 255))},
+           {"bins", w.heap.alloc(8)},
+           {"n", static_cast<std::int32_t>(n)}});
   return w;
+}
+
+namespace {
+
+/// The bundled suite at test-friendly sizes, in allWorkloads() order: each
+/// entry builds one workload from the suite seed.
+struct SuiteEntry {
+  const char* name;
+  Workload (*make)(std::uint64_t seed);
+};
+
+constexpr SuiteEntry kSuite[] = {
+    {"adpcm", [](std::uint64_t s) { return makeAdpcm(24, s); }},
+    {"dotprod", [](std::uint64_t s) { return makeDotProduct(12, s + 1); }},
+    {"fir", [](std::uint64_t s) { return makeFir(8, 3, s + 2); }},
+    {"matmul", [](std::uint64_t s) { return makeMatMul(3, s + 3); }},
+    {"gcd", [](std::uint64_t) { return makeGcd(546, 2394); }},
+    {"bubble", [](std::uint64_t s) { return makeBubbleSort(7, s + 4); }},
+    {"ewma", [](std::uint64_t s) { return makeEwmaClip(10, s + 5); }},
+    {"cond_halving",
+     [](std::uint64_t s) { return makeConditionalHalving(9, s + 6); }},
+    {"sobel", [](std::uint64_t s) { return makeSobel(6, 4, s + 7); }},
+    {"crc32", [](std::uint64_t s) { return makeCrc32(5, s + 8); }},
+    {"histogram", [](std::uint64_t s) { return makeHistogram(10, s + 9); }},
+    {"adpcm_stereo",
+     [](std::uint64_t s) { return makeAdpcmStereo(16, s + 10); }},
+};
+
+}  // namespace
+
+Workload workload(const std::string& name, std::uint64_t seed) {
+  for (const SuiteEntry& e : kSuite)
+    if (name == e.name) return e.make(seed);
+  throw Error("unknown kernel \"" + name + "\"");
 }
 
 std::vector<Workload> allWorkloads(std::uint64_t seed) {
   std::vector<Workload> out;
-  out.push_back(makeAdpcm(24, seed));
-  out.push_back(makeDotProduct(12, seed + 1));
-  out.push_back(makeFir(8, 3, seed + 2));
-  out.push_back(makeMatMul(3, seed + 3));
-  out.push_back(makeGcd(546, 2394));
-  out.push_back(makeBubbleSort(7, seed + 4));
-  out.push_back(makeEwmaClip(10, seed + 5));
-  out.push_back(makeConditionalHalving(9, seed + 6));
-  out.push_back(makeSobel(6, 4, seed + 7));
-  out.push_back(makeCrc32(5, seed + 8));
-  out.push_back(makeHistogram(10, seed + 9));
-  out.push_back(makeAdpcmStereo(16, seed + 10));
+  for (const SuiteEntry& e : kSuite) out.push_back(e.make(seed));
   return out;
 }
 

@@ -1,4 +1,11 @@
-// Bundled application kernels written in KIR.
+// The bundled application kernels.
+//
+// Every kernel is KIR text (docs/KERNEL_LANGUAGE.md), embedded in
+// kernels.cpp as a raw string literal and parsed with kir::parseKernel, the
+// same front end that reads .kir files. The C++ in kernels.cpp only builds
+// each kernel's inputs: the heap arrays (drawn from the seed; the ADPCM
+// decoders get the output of a reference encoder) and the scalar locals,
+// bound by parameter name.
 //
 // The paper's evaluation kernel is an ADPCM decoder (§VI-A): "a large while
 // loop [containing] several nested loops. Some of them are executed under
@@ -76,8 +83,12 @@ Workload makeCrc32(unsigned n = 8, std::uint64_t seed = 9);
 /// 8-bin histogram with read-modify-write DMA traffic on the bin array.
 Workload makeHistogram(unsigned n = 16, std::uint64_t seed = 10);
 
-/// All bundled workloads at test-friendly sizes.
+/// All bundled workloads at test-friendly sizes, inputs drawn from `seed`.
 std::vector<Workload> allWorkloads(std::uint64_t seed = 42);
+
+/// The allWorkloads(seed) entry named `name`, built alone; throws
+/// cgra::Error for an unknown name.
+Workload workload(const std::string& name, std::uint64_t seed = 42);
 
 /// Reference IMA ADPCM encoder used to produce meaningful decoder inputs
 /// (host-side; the kernel under test is the decoder).

@@ -137,9 +137,7 @@ Cdfg resolveGraph(const Request& r) {
     return kir::lowerToCdfg(kir::runFrontendPipeline(fn, r.frontend).fn).graph;
   };
   if (!r.kernelFile.empty()) return lower(kir::parseKernelFile(r.kernelFile));
-  for (const apps::Workload& w : apps::allWorkloads())
-    if (w.name == r.kernel) return lower(w.fn);
-  throw Error("unknown kernel \"" + r.kernel + "\"");
+  return lower(apps::workload(r.kernel).fn);
 }
 
 std::uint64_t usBetween(Clock::time_point a, Clock::time_point b) {

@@ -16,7 +16,8 @@
 //
 // Expressions and statements live in per-function arenas and are referenced
 // by index; `Function` owns everything. `FunctionBuilder` offers a concise
-// construction API used by the bundled applications and tests.
+// construction API used by the KIR parser (kir/parser.hpp), the random
+// kernel generator and tests; kernels themselves are written as KIR text.
 #pragma once
 
 #include <cstdint>

@@ -263,7 +263,7 @@ private:
     std::vector<StmtId> stmts;
     while (lex_.peek().kind != Tok::RBrace) {
       if (lex_.peek().kind == Tok::End) fail(lex_.peek(), "unterminated block");
-      stmts.push_back(parseStmt());
+      if (const StmtId s = parseStmt(); s != kNoStmt) stmts.push_back(s);
     }
     lex_.take();
     return builder_->block(std::move(stmts));
@@ -276,11 +276,14 @@ private:
         lex_.take();
         const Token name = expect(Tok::Ident, "expected variable name");
         const LocalId id = declare(name, false);
-        ExprId init = builder_->cint(0);
-        if (lex_.peek().kind == Tok::Assign) {
-          lex_.take();
-          init = parseExpr();
+        if (lex_.peek().kind != Tok::Assign) {
+          // A bare declaration emits no statement: the local starts at its
+          // host value and is live-in if read before written.
+          expect(Tok::Semi, "expected ';'");
+          return kNoStmt;
         }
+        lex_.take();
+        const ExprId init = parseExpr();
         expect(Tok::Semi, "expected ';'");
         return builder_->assign(id, init);
       }

@@ -1,6 +1,7 @@
 // Text front end for the kernel IR: parses a small C-like kernel language
 // into a kir::Function, so kernels can be supplied as files (see
-// tools/cgra_tool.cpp --kernel-file) instead of built programmatically.
+// tools/cgra_tool.cpp --kernel-file) or embedded as text (the bundled
+// kernels, src/apps/kernels.cpp).
 //
 // Grammar (C-like precedence; integers are 32-bit two's complement):
 //
@@ -15,7 +16,9 @@
 //                 || && | ^ & ==/!= </<=/>/>= <</>>/>>> +- * unary(- !)
 //               | IDENT | IDENT "[" expr "]" | INT | "(" expr ")"
 //
-// Notes on semantics: `||`/`&&` are non-short-circuit (both sides evaluate;
+// Notes on semantics: `var x;` without an initializer emits no statement,
+// so x keeps its host value (0 unless bound) and is live-in if read before
+// written; `||`/`&&` are non-short-circuit (both sides evaluate;
 // operands are normalized to 0/1 — this matches the CGRA's speculative
 // execution, where both sides execute anyway); `!e` is `e == 0`;
 // `>>` is arithmetic, `>>>` logical shift right.

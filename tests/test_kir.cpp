@@ -102,6 +102,28 @@ TEST(Liveness, ParametersAndWrittenLocals) {
             liveOuts.end());
 }
 
+TEST(Liveness, BareVarDeclaresWithoutAssigning) {
+  // `var x;` emits no statement: x keeps its host value, so reading it
+  // before any write makes it live-in.
+  const Function fn = parseKernel("kernel k(a) { var x; a = x; }");
+  EXPECT_EQ(fn.stmt(fn.body()).stmts.size(), 1u);
+  const auto liveIns = fn.liveInLocals();
+  EXPECT_NE(std::find(liveIns.begin(), liveIns.end(), fn.localByName("x")),
+            liveIns.end());
+}
+
+TEST(Apps, WorkloadByNameMatchesSuite) {
+  for (const std::uint64_t seed : {1u, 42u})
+    for (const apps::Workload& w : apps::allWorkloads(seed)) {
+      const apps::Workload one = apps::workload(w.name, seed);
+      EXPECT_EQ(one.name, w.name);
+      EXPECT_EQ(one.fn.toString(), w.fn.toString()) << w.name;
+      EXPECT_EQ(one.initialLocals, w.initialLocals) << w.name;
+      EXPECT_TRUE(one.heap == w.heap) << w.name;
+    }
+  EXPECT_THROW(apps::workload("no_such_kernel"), Error);
+}
+
 // ---------------------------------------------------------------------------
 // Passes
 

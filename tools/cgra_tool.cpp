@@ -359,9 +359,11 @@ apps::Workload resolveKernel(const std::string& token, std::uint64_t seed,
     w.heap = std::move(rk.heap);
     return w;
   }
-  for (apps::Workload& bundled : apps::allWorkloads(seed))
-    if (bundled.name == token) return std::move(bundled);
-  throw Error("unknown kernel \"" + token + "\" (see `cgra-tool list`)");
+  try {
+    return apps::workload(token, seed);
+  } catch (const Error& e) {
+    throw Error(std::string(e.what()) + " (see `cgra-tool list`)");
+  }
 }
 
 /// Expands --kernels, replacing the `suite` token by every .kir file under
