@@ -61,8 +61,8 @@ int main() {
       table.addRow({v.name, fmtKilo(r.runCycles),
                     std::to_string(result.schedule.length),
                     std::to_string(alloc.maxRfEntries()),
-                    std::to_string(result.stats.copiesInserted),
-                    std::to_string(result.stats.fusedWrites),
+                    std::to_string(result.metrics.copiesInserted),
+                    std::to_string(result.metrics.fusedWrites),
                     fmt(result.metrics.totalMs, 2)});
 
       // One gated series per (composition, variant); variant index keeps the

@@ -7,6 +7,7 @@
 // RF size 128, context size 256.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -19,7 +20,7 @@
 #include "apps/kernels.hpp"
 #include "arch/factory.hpp"
 #include "arch/resource_model.hpp"
-#include "ctx/regalloc.hpp"
+#include "ctx/contexts.hpp"
 #include "host/token_machine.hpp"
 #include "json/json.hpp"
 #include "kir/lower_bytecode.hpp"
@@ -149,6 +150,7 @@ struct AdpcmRun {
   unsigned maxRfEntries = 0;
   std::uint64_t cycles = 0;
   double schedulingMs = 0.0;
+  double contextGenMs = 0.0;  ///< generateContexts wall time (§VI-C)
   double energy = 0.0;
   ResourceEstimate resources;
   /// Combined static+runtime report; report.counters engaged when the bench
@@ -161,10 +163,13 @@ inline AdpcmRun runAdpcmOn(const AdpcmSetup& setup, const Composition& comp,
   AdpcmRun out;
   const Scheduler scheduler(comp, opts);
   const ScheduleReport result = scheduler.schedule(ScheduleRequest(setup.graph)).orThrow();
-  const RegAllocation alloc = allocateRegisters(result.schedule, comp);
+  const auto ctxStart = std::chrono::steady_clock::now();
+  const ContextImages images = generateContexts(result.schedule, comp);
+  out.contextGenMs = msSince(ctxStart);
 
   out.contexts = result.schedule.length;
-  out.maxRfEntries = alloc.maxRfEntries();
+  for (unsigned n : images.physRegsUsed)
+    out.maxRfEntries = std::max(out.maxRfEntries, n);
   out.schedulingMs = result.metrics.totalMs;
   out.resources = estimateResources(comp);
 
@@ -178,7 +183,7 @@ inline AdpcmRun runAdpcmOn(const AdpcmSetup& setup, const Composition& comp,
   const SimResult simResult = sim.run(liveIns, heap, simOpts);
   out.cycles = simResult.runCycles;
   out.energy = simResult.energy;
-  out.report = makeReport(result.schedule, comp, &result.stats, &simResult);
+  out.report = makeReport(result.schedule, comp, &result.metrics, &simResult);
   return out;
 }
 

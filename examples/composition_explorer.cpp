@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   const Scheduler scheduler(comp);
   const ScheduleReport result = scheduler.schedule(ScheduleRequest(lowered.graph)).orThrow();
   std::cout << "scheduled " << w.fn.name() << ": " << result.schedule.length
-            << " contexts, " << result.stats.copiesInserted
+            << " contexts, " << result.metrics.copiesInserted
             << " routing copies\n";
 
   std::map<VarId, std::int32_t> liveIns;

@@ -45,8 +45,8 @@ kernel saxpy_clamped(x, y, n, a) {
   const Scheduler scheduler(comp);
   const ScheduleReport result = scheduler.schedule(ScheduleRequest(lowered.graph)).orThrow();
   std::cout << "schedule: " << result.schedule.length << " contexts, "
-            << result.stats.copiesInserted << " routing copies, "
-            << result.stats.fusedWrites << " fused writes\n";
+            << result.metrics.copiesInserted << " routing copies, "
+            << result.metrics.fusedWrites << " fused writes\n";
 
   // 4. Binary context images (left-edge register allocation + bit packing).
   const ContextImages images = generateContexts(result.schedule, comp);
@@ -79,7 +79,7 @@ kernel saxpy_clamped(x, y, n, a) {
   // 6. The observability report: static schedule quality merged with the
   // run's hardware counters (`cgra-tool stats` / `simulate --counters`
   // print the same accessors).
-  const Report report = makeReport(runnable, comp, &result.stats, &r);
+  const Report report = makeReport(runnable, comp, &result.metrics, &r);
   std::cout << "\nachieved utilization "
             << static_cast<int>(report.achievedUtilization() * 100)
             << "% (static " << static_cast<int>(report.staticUtilization() * 100)

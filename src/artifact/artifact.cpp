@@ -300,31 +300,23 @@ Schedule scheduleFromJson(const json::Value& docValue) {
       throw Error("artifact: vregsPerPE entry out of range");
     sched.vregsPerPE.push_back(static_cast<unsigned>(v.asInt()));
   }
+  checkScheduleBounds(sched, "artifact: schedule");
   return sched;
 }
 
 namespace {
 
-json::Value statsToJson(const ScheduleStats& s) {
+/// The `"stats"` block: five facts the schedule and the metrics already
+/// hold, kept in the format for its readers and checked on load.
+json::Object statsToJson(const Schedule& s, const SchedulerMetrics& m) {
   json::Object o;
   o.reserve(5);
   o.append("cboxSlotsUsed") = static_cast<std::int64_t>(s.cboxSlotsUsed);
-  o.append("constsInserted") = static_cast<std::int64_t>(s.constsInserted);
-  o.append("contextsUsed") = static_cast<std::int64_t>(s.contextsUsed);
-  o.append("copiesInserted") = static_cast<std::int64_t>(s.copiesInserted);
-  o.append("fusedWrites") = static_cast<std::int64_t>(s.fusedWrites);
+  o.append("constsInserted") = static_cast<std::int64_t>(m.constsInserted);
+  o.append("contextsUsed") = static_cast<std::int64_t>(s.length);
+  o.append("copiesInserted") = static_cast<std::int64_t>(m.copiesInserted);
+  o.append("fusedWrites") = static_cast<std::int64_t>(m.fusedWrites);
   return o;
-}
-
-ScheduleStats statsFromJson(const json::Value& v) {
-  const json::Object& o = v.asObject();
-  ScheduleStats s;
-  s.contextsUsed = getUnsigned(o, "contextsUsed");
-  s.cboxSlotsUsed = getUnsigned(o, "cboxSlotsUsed");
-  s.copiesInserted = getUnsigned(o, "copiesInserted");
-  s.constsInserted = getUnsigned(o, "constsInserted");
-  s.fusedWrites = getUnsigned(o, "fusedWrites");
-  return s;
 }
 
 SchedulerMetrics metricsFromJson(const json::Value& v) {
@@ -369,7 +361,7 @@ json::Value ScheduleArtifact::toJson() const {
   doc.append("metrics") = metrics.toJson(/*includeTimings=*/false);
   doc.append("ok") = ok;
   if (ok) doc.append("schedule") = scheduleToJson(schedule);
-  doc.append("stats") = statsToJson(stats);
+  doc.append("stats") = statsToJson(schedule, metrics);
   return doc;
 }
 
@@ -382,9 +374,6 @@ ScheduleArtifact ScheduleArtifact::fromJson(const json::Value& docValue) {
   ScheduleArtifact a;
   a.key = getString(doc, "key");
   a.ok = getBool(doc, "ok");
-  const json::Value* stats = doc.find("stats");
-  if (stats == nullptr) throw Error("artifact: missing stats");
-  a.stats = statsFromJson(*stats);
   const json::Value* metrics = doc.find("metrics");
   if (metrics == nullptr) throw Error("artifact: missing metrics");
   a.metrics = metricsFromJson(*metrics);
@@ -409,6 +398,13 @@ ScheduleArtifact ScheduleArtifact::fromJson(const json::Value& docValue) {
     a.failure.message = getString(f, "message");
     a.failure.node = static_cast<NodeId>(getUnsigned(f, "node"));
   }
+  const json::Value* stats = doc.find("stats");
+  if (stats == nullptr || !stats->isObject())
+    throw Error("artifact: missing stats");
+  for (const auto& [name, value] : statsToJson(a.schedule, a.metrics))
+    if (getInt(stats->asObject(), name.c_str()) != value.asInt())
+      throw Error("artifact: stats field '" + name +
+                  "' disagrees with the schedule and metrics");
   if (const json::Value* ctx = doc.find("contexts"); ctx != nullptr)
     a.contexts = contextImagesFromJson(*ctx);
   return a;
@@ -417,17 +413,11 @@ ScheduleArtifact ScheduleArtifact::fromJson(const json::Value& docValue) {
 ScheduleArtifact ScheduleArtifact::fromReport(std::string key,
                                               const ScheduleReport& report) {
   ScheduleArtifact a;
+  static_cast<ScheduleReport&>(a) = report;
   a.key = std::move(key);
-  a.ok = report.ok;
-  a.stats = report.stats;
-  a.metrics = report.metrics;
   a.metrics.clearTimings();
-  if (report.ok) {
-    a.schedule = report.schedule;
-    a.fingerprint = report.schedule.fingerprint();
-  } else {
-    a.failure = report.failure;
-  }
+  a.trace = nullptr;
+  if (a.ok) a.fingerprint = a.schedule.fingerprint();
   return a;
 }
 

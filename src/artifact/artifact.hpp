@@ -8,8 +8,8 @@
 // tests) re-schedule identical (composition × kernel × options) jobs over
 // and over. A ScheduleArtifact captures everything a consumer needs —
 // placements, routes/copies, predication and C-Box assignments, CCU
-// branches, live bindings, stats, metrics counters, and optionally the
-// encoded context images — with a bit-exact toJson/fromJson round trip:
+// branches, live bindings, metrics counters, and optionally the encoded
+// context images — with a bit-exact toJson/fromJson round trip:
 // deserializing an artifact yields a Schedule whose fingerprint() equals
 // the original's, which runs identically on the Simulator and passes
 // validate.cpp unchanged. Failed runs round-trip too (negative caching):
@@ -30,29 +30,28 @@ namespace cgra::artifact {
 /// layout; readers reject unknown tags (a miss, never a misparse).
 inline constexpr const char* kArtifactFormat = "cgra-artifact-v1";
 
-/// One cached scheduling result: success with a full schedule, or a typed
-/// failure. `contexts` carries the deployable context images only in
+/// One cached scheduling result: the run's ScheduleReport — success with a
+/// full schedule, or a typed failure — with its metrics' timings zeroed and
+/// no trace. `contexts` carries the deployable context images only in
 /// `"artifact": true` wire responses; stored artifacts never attach them
 /// (regenerating is deterministic), so one key names one document.
-struct ScheduleArtifact {
+struct ScheduleArtifact : ScheduleReport {
   std::string key;  ///< content-addressed cache key (sched/job_key.hpp)
-  bool ok = false;
-  Schedule schedule;             ///< valid when ok
-  ScheduleStats stats;
-  SchedulerMetrics metrics;      ///< counters only; timings zeroed
-  ScheduleFailure failure;       ///< valid when !ok
   std::uint64_t fingerprint = 0; ///< Schedule::fingerprint() when ok
   std::optional<ContextImages> contexts;
 
   /// Canonical JSON document (keys sorted at every level, built in that
   /// order; no volatile fields): two artifacts of the same result dump
-  /// byte-identically.
+  /// byte-identically. Its `"stats"` block (contexts, C-Box slots, copies,
+  /// consts, fused writes) is derived from the schedule and the metrics.
   json::Value toJson() const;
 
-  /// Parses and *verifies* a document: format tag, field shape, and — for
-  /// successful artifacts — that the stored fingerprint matches the
-  /// deserialized schedule's recomputed one, so silent corruption of any
-  /// schedule field is detected at load time. Throws cgra::Error.
+  /// Parses and *verifies* a document: format tag, field shape, schedule
+  /// bounds (checkScheduleBounds), a `"stats"` block that agrees with the
+  /// schedule and metrics, and — for successful artifacts — that the
+  /// stored fingerprint matches the deserialized schedule's recomputed
+  /// one, so silent corruption of any schedule field is detected at load
+  /// time. Throws cgra::Error.
   static ScheduleArtifact fromJson(const json::Value& doc);
 
   /// Builds an artifact from a finished scheduling run. Volatile fields
@@ -62,7 +61,8 @@ struct ScheduleArtifact {
 };
 
 /// Bit-exact Schedule serialization (every field of sched/schedule.hpp).
-/// Exposed separately for tests and external tooling.
+/// Exposed separately for tests and external tooling. scheduleFromJson
+/// rejects a schedule that fails checkScheduleBounds.
 json::Value scheduleToJson(const Schedule& sched);
 Schedule scheduleFromJson(const json::Value& doc);
 

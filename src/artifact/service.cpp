@@ -212,7 +212,7 @@ json::Value artifactResponse(const json::Value& id,
   o["ok"] = art.ok;
   o["cached"] = cached;
   if (art.ok) {
-    o["contexts"] = static_cast<std::int64_t>(art.stats.contextsUsed);
+    o["contexts"] = static_cast<std::int64_t>(art.schedule.length);
     o["fingerprint"] = std::to_string(art.schedule.fingerprint());
     if (wantArtifact) {
       // Ship the full document, with context images attached so the

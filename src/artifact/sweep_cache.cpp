@@ -25,13 +25,7 @@ SweepReport runCachedSweep(const std::vector<SweepJob>& jobs,
           const std::lock_guard<std::mutex> lock(hitMu);
           hitKeys.insert(key);
         }
-        ScheduleReport hit;
-        hit.ok = art->ok;
-        hit.schedule = art->schedule;
-        hit.stats = art->stats;
-        hit.metrics = art->metrics;
-        hit.failure = art->failure;
-        return hit;
+        return static_cast<const ScheduleReport&>(*art);
       });
 
   // Count per job: a duplicate of a hit key is a hit, of a missed key a

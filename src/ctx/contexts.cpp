@@ -133,6 +133,7 @@ std::size_t ContextImages::totalBits() const {
 
 ContextImages generateContexts(const Schedule& virtualSched,
                                const Composition& comp) {
+  requireScheduleFits(virtualSched, comp, "context generation");
   const RegAllocation alloc = allocateRegisters(virtualSched, comp);
   return encodePhysical(applyAllocation(virtualSched, alloc), comp);
 }

@@ -122,10 +122,10 @@ std::vector<CandidateEval> Evaluator::evaluate(
         outcome.kernel = kernels_[k].name;
         outcome.ok = r.ok;
         if (r.ok) {
-          outcome.contexts = r.stats.contextsUsed;
+          outcome.contexts = r.contexts;
           outcome.staticUtilization = r.staticUtilization;
           eval.weightedLength +=
-              kernels_[k].weight * static_cast<double>(r.stats.contextsUsed);
+              kernels_[k].weight * static_cast<double>(r.contexts);
           utilSum += r.staticUtilization;
           ++okCount;
         } else {

@@ -77,7 +77,8 @@ json::Value SchedulerMetrics::toJson(bool includeTimings) const {
 
 ScheduleQuality computeScheduleQuality(const Schedule& sched,
                                        const Composition& comp,
-                                       const ScheduleStats* stats) {
+                                       const SchedulerMetrics* metrics) {
+  requireScheduleFits(sched, comp, "schedule quality");
   ScheduleQuality q;
   q.length = sched.length;
   q.numPEs = comp.numPEs();
@@ -133,7 +134,7 @@ ScheduleQuality computeScheduleQuality(const Schedule& sched,
   for (const CBoxOp& cb : sched.cboxOps) cboxBusy[cb.time] = 1;
   for (unsigned c = 0; c < sched.length; ++c) q.cboxBusyCycles += cboxBusy[c];
 
-  if (stats) q.fusedWrites = stats->fusedWrites;
+  if (metrics) q.fusedWrites = static_cast<unsigned>(metrics->fusedWrites);
   if (q.totalOps > 0) {
     q.copyRatio = static_cast<double>(q.insertedOps) / q.totalOps;
     q.fusedRatio = static_cast<double>(q.fusedWrites) / q.totalOps;

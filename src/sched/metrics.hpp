@@ -90,7 +90,7 @@ struct ScheduleQuality {
   unsigned numPEs = 0;
   unsigned totalOps = 0;
   unsigned insertedOps = 0;        ///< copies + const materializations
-  unsigned fusedWrites = 0;        ///< from ScheduleStats when provided
+  unsigned fusedWrites = 0;        ///< from SchedulerMetrics when provided
   double staticUtilization = 0.0;  ///< mean per-PE busyCycles / length
   double contextOccupancy = 0.0;   ///< fraction of contexts issuing ≥ 1 op
   double copyRatio = 0.0;          ///< insertedOps / totalOps
@@ -104,11 +104,12 @@ struct ScheduleQuality {
   json::Value toJson() const;
 };
 
-/// Computes static quality metrics of `sched` on `comp`. `stats` (when
+/// Computes static quality metrics of `sched` on `comp`. `metrics` (when
 /// available from the scheduling run) contributes the fused-write ratio,
-/// which the schedule alone no longer records.
-ScheduleQuality computeScheduleQuality(const Schedule& sched,
-                                       const Composition& comp,
-                                       const ScheduleStats* stats = nullptr);
+/// which the schedule alone no longer records. Throws cgra::Error when the
+/// schedule's PE count differs from the composition's.
+ScheduleQuality computeScheduleQuality(
+    const Schedule& sched, const Composition& comp,
+    const SchedulerMetrics* metrics = nullptr);
 
 }  // namespace cgra

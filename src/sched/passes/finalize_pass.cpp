@@ -33,9 +33,6 @@ void runFinalizePass(const ArchModel& /*model*/, RunState& st) {
       st.sched.liveOuts.push_back(
           LiveBinding{v, st.varHomes[v]->pe, st.varHomes[v]->vreg});
   }
-
-  st.stats.contextsUsed = st.sched.length;
-  st.stats.cboxSlotsUsed = st.nextCondSlot;
 }
 
 }  // namespace cgra::passes

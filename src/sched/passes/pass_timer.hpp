@@ -37,7 +37,7 @@ enum class PassId : std::uint8_t {
   Fusing,     ///< pWRITE folding into producers
   CBox,       ///< condition materialization + status slots
   Loop,       ///< loop closure, back-branches, copy invalidation
-  Finalize,   ///< schedule finalize + stats
+  Finalize,   ///< schedule finalize
   kCount,
 };
 

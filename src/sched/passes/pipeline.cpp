@@ -121,12 +121,8 @@ ScheduleReport runPipeline(const ArchModel& model, const Composition& comp,
   }
 
   st.passTimer.flushInto(st.metrics, runStart);
-  st.metrics.copiesInserted = st.stats.copiesInserted;
-  st.metrics.constsInserted = st.stats.constsInserted;
-  st.metrics.fusedWrites = st.stats.fusedWrites;
   st.metrics.cboxOps = st.sched.cboxOps.size();
   st.metrics.branches = st.sched.branches.size();
-  report.stats = st.stats;
   report.metrics = st.metrics;
   if (report.ok) report.schedule = std::move(st.sched);
   return report;

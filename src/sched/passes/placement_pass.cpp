@@ -185,7 +185,7 @@ bool planOperation(const ArchModel& model, RunState& st, NodeId id, PEId pe,
       op.pred = fusedPred;
       st.claimPredSignal(t, *fusedPred);
     }
-    ++st.stats.fusedWrites;
+    ++st.metrics.fusedWrites;
     CGRA_TRACE(st.trace, WriteFused, .cycle = t,
                .node = static_cast<std::int32_t>(id),
                .pe = static_cast<std::int32_t>(pe), .a = *fusedWriter);

@@ -67,7 +67,7 @@ std::optional<Location> scheduleMove(const ArchModel& model, RunState& st,
     st.sched.ops.push_back(op);
     st.markBusy(destPe, u, dur);
     st.claimOutPort(src.pe, u, src.vreg);
-    ++st.stats.copiesInserted;
+    ++st.metrics.copiesInserted;
     CGRA_TRACE(st.trace, CopyInserted, .cycle = u,
                .pe = static_cast<std::int32_t>(destPe), .a = src.pe,
                .b = vreg, .detail = "shortest-path hop");
@@ -151,7 +151,7 @@ std::optional<Location> materializeConst(const ArchModel& model, RunState& st,
   st.markBusy(pe, *u, dur);
   Location loc{pe, vreg, *u + dur, Location::kNoLimit};
   st.addConstLocation(value, loc);
-  ++st.stats.constsInserted;
+  ++st.metrics.constsInserted;
   CGRA_TRACE(st.trace, ConstInserted, .cycle = *u,
              .pe = static_cast<std::int32_t>(pe), .a = value);
   return loc;

@@ -119,7 +119,6 @@ struct RunState {
   // -- run outputs ------------------------------------------------------------
 
   Schedule sched;
-  ScheduleStats stats;
   SchedulerMetrics metrics;
   /// Exclusive per-pass wall-time attribution (see pass_timer.hpp).
   /// `mutable` because it is metrics bookkeeping like `metrics` and the
@@ -230,8 +229,8 @@ struct RunState {
     sp.ops = sched.ops.size();
     sp.cboxOps = sched.cboxOps.size();
     sp.liveIns = sched.liveIns.size();
-    sp.copiesInserted = stats.copiesInserted;
-    sp.constsInserted = stats.constsInserted;
+    sp.copiesInserted = metrics.copiesInserted;
+    sp.constsInserted = metrics.constsInserted;
     sp.nextCondSlot = nextCondSlot;
     sp.homes = jHomes.size();
     sp.vregs = jVregs.size();
@@ -251,8 +250,8 @@ struct RunState {
     }
     sched.ops.resize(sp.ops);
     sched.liveIns.resize(sp.liveIns);
-    stats.copiesInserted = sp.copiesInserted;
-    stats.constsInserted = sp.constsInserted;
+    metrics.copiesInserted = sp.copiesInserted;
+    metrics.constsInserted = sp.constsInserted;
     nextCondSlot = sp.nextCondSlot;
     while (jConds.size() > sp.conds) {
       condSlots.erase(jConds.back());

@@ -98,9 +98,11 @@ struct ScheduleRequest {
   TraceOptions trace;
 };
 
-/// Everything a run produces: the schedule plus statistics (Table I
-/// metrics), the per-run SchedulerMetrics consumed by the sweep engine,
-/// the decision trace (when requested) and structured failure info.
+/// Everything a run produces, declared once: the schedule (its `length` is
+/// the contexts used, its `cboxSlotsUsed` the C-Box slots), the per-run
+/// SchedulerMetrics (inserted copies and consts, fused writes, search
+/// effort, wall times), the decision trace (when requested) and structured
+/// failure info. SweepJobResult and artifact::ScheduleArtifact extend it.
 struct ScheduleReport {
   /// True when `schedule` is complete and valid. When false, `failure`
   /// says why, `schedule` is empty, and metrics/trace cover the partial
@@ -108,7 +110,6 @@ struct ScheduleReport {
   /// for unmappable kernels).
   bool ok = false;
   Schedule schedule;
-  ScheduleStats stats;
   SchedulerMetrics metrics;
   ScheduleFailure failure;
   /// Decision trace; null unless the request enabled tracing. One ring

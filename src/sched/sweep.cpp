@@ -45,19 +45,16 @@ ScheduleReport scheduleJob(const SweepJob& job, const TraceOptions& trace) {
 SweepJobResult toResult(const SweepJob& job, ScheduleReport report,
                         bool keepSchedule) {
   SweepJobResult out;
+  static_cast<ScheduleReport&>(out) = std::move(report);
   out.label = jobLabel(job);
-  out.ok = report.ok;
-  out.failure = std::move(report.failure);
-  out.stats = report.stats;
-  out.metrics = report.metrics;
-  out.trace = std::move(report.trace);
-  if (report.ok) {
-    out.fingerprint = report.schedule.fingerprint();
+  if (out.ok) {
+    out.contexts = out.schedule.length;
+    out.fingerprint = out.schedule.fingerprint();
     out.staticUtilization =
-        computeScheduleQuality(report.schedule, *job.comp, &report.stats)
+        computeScheduleQuality(out.schedule, *job.comp, &out.metrics)
             .staticUtilization;
-    if (keepSchedule) out.schedule = std::move(report.schedule);
   }
+  if (!keepSchedule) out.schedule = Schedule();
   return out;
 }
 
@@ -243,7 +240,7 @@ json::Value SweepReport::toJson(bool includeVolatile) const {
     j["label"] = r.label;
     j["ok"] = r.ok;
     if (r.ok) {
-      j["contexts"] = static_cast<std::int64_t>(r.stats.contextsUsed);
+      j["contexts"] = static_cast<std::int64_t>(r.contexts);
       j["fingerprint"] = std::to_string(r.fingerprint);  // 64-bit safe
       j["staticUtilization"] = r.staticUtilization;
       j["metrics"] = r.metrics.toJson(includeVolatile);

@@ -17,7 +17,6 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,12 +37,15 @@ struct SweepJob {
   SchedulerOptions options;
 };
 
-/// Outcome of one job. `failure.reason` is None on success; a scheduling
-/// failure (unmappable kernel, capacity exceeded) is recorded, not thrown,
-/// so one infeasible pair cannot abort a sweep.
-struct SweepJobResult {
+/// Outcome of one job: the job's ScheduleReport plus what the sweep adds.
+/// `failure.reason` is None on success; a scheduling failure (unmappable
+/// kernel, capacity exceeded) is recorded, not thrown, so one infeasible
+/// pair cannot abort a sweep. `schedule` is empty when !ok or
+/// !keepSchedules; `trace` is null unless SweepOptions::trace.enabled, and
+/// null for a result served from a store. Each job owns its ring buffer —
+/// worker threads never share trace state.
+struct SweepJobResult : ScheduleReport {
   std::string label;
-  bool ok = false;
   /// Content hash of (composition, graph, options) — see sched/job_key.hpp.
   /// Identical keys mean bit-identical schedules; the sweep engine
   /// schedules each distinct key once and the artifact layer uses the same
@@ -52,26 +54,19 @@ struct SweepJobResult {
   /// True when this result was copied from an identical job in the same
   /// sweep (in-sweep dedup) or served from a persistent artifact store.
   bool fromCache = false;
-  ScheduleFailure failure;       ///< typed reason + message when !ok
-  Schedule schedule;             ///< empty when !ok or !keepSchedules
-  ScheduleStats stats;           ///< valid when ok
-  SchedulerMetrics metrics;      ///< valid when ok
+  unsigned contexts = 0;         ///< schedule.length when ok, kept always
   std::uint64_t fingerprint = 0; ///< Schedule::fingerprint() when ok
   /// Mean per-PE static utilization of the produced schedule (see
   /// computeScheduleQuality); 0 when !ok. Lets sweeps rank compositions by
   /// schedule quality, not just feasibility and context count.
   double staticUtilization = 0.0;
-  /// Per-job decision trace; null unless SweepOptions::trace.enabled, and
-  /// null for a result served from a store. Each job owns its ring buffer
-  /// — worker threads never share trace state.
-  std::shared_ptr<const Trace> trace;
 };
 
 struct SweepOptions {
   /// Worker threads; 0 selects the hardware concurrency, 1 runs inline.
   unsigned threads = 0;
-  /// Drop the (potentially large) schedules and keep only stats/metrics —
-  /// candidate ranking only needs lengths and fingerprints.
+  /// Drop the (potentially large) schedules and keep only contexts and
+  /// metrics — candidate ranking only needs lengths and fingerprints.
   bool keepSchedules = true;
   /// Per-job decision tracing (see sched/trace.hpp). Off by default.
   TraceOptions trace;

@@ -11,8 +11,8 @@
 //
 // Design constraints:
 //  * Zero cost when disabled. Every instrumentation point is a macro that
-//    compiles to a single null-pointer test (`if (sink)`); the whole layer
-//    can additionally be compiled out with -DCGRA_TRACE_DISABLED.
+//    compiles to a single null-pointer test (`if (sink)`); measured cost is
+//    < 2% on the Table IV walltime bench.
 //  * One preallocated ring buffer per scheduler run. The sweep engine runs
 //    N jobs concurrently; each run owns its buffer, so worker threads never
 //    contend and no locks appear on the scheduling hot path. On overflow
@@ -163,16 +163,6 @@ private:
 //
 //   CGRA_TRACE(trace_, NodePlaced,
 //              .cycle = t, .node = int(id), .pe = int(pe), .a = dur);
-//
-// Compile with -DCGRA_TRACE_DISABLED to remove even the null test (the
-// overhead-budget escape hatch; the default build keeps it — measured cost
-// is < 2% on the Table IV walltime bench).
-#ifdef CGRA_TRACE_DISABLED
-#define CGRA_TRACE(sink, kindTok, ...) \
-  do {                                 \
-    (void)(sink);                      \
-  } while (false)
-#else
 #define CGRA_TRACE(sink, kindTok, ...)                                     \
   do {                                                                     \
     if ((sink) != nullptr) {                                               \
@@ -183,4 +173,3 @@ private:
       _Pragma("GCC diagnostic pop")                                        \
     }                                                                      \
   } while (false)
-#endif

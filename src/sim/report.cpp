@@ -87,9 +87,9 @@ std::string Report::toCsv() const {
 }
 
 Report makeReport(const Schedule& sched, const Composition& comp,
-                  const ScheduleStats* stats, const SimResult* sim) {
+                  const SchedulerMetrics* metrics, const SimResult* sim) {
   Report r;
-  r.quality = computeScheduleQuality(sched, comp, stats);
+  r.quality = computeScheduleQuality(sched, comp, metrics);
   if (sim) {
     r.hasRuntime = true;
     r.runCycles = sim->runCycles;

@@ -59,11 +59,11 @@ struct Report {
   std::string toCsv() const;
 };
 
-/// Builds a report. `stats`/`sim` may be null: `stats` contributes fused-op
-/// counts, `sim` the runtime section (with counters when the run collected
-/// them).
+/// Builds a report. `metrics`/`sim` may be null: `metrics` contributes
+/// fused-op counts, `sim` the runtime section (with counters when the run
+/// collected them).
 Report makeReport(const Schedule& sched, const Composition& comp,
-                  const ScheduleStats* stats = nullptr,
+                  const SchedulerMetrics* metrics = nullptr,
                   const SimResult* sim = nullptr);
 
 /// ASCII per-PE×time utilization heatmap. One row per PE, contexts bucketed

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace cgra {
 
@@ -11,61 +12,18 @@ Simulator::Simulator(const Composition& comp, const Schedule& sched)
   // Reject structurally corrupt schedules up front (e.g. bit-flipped
   // context images): every reference must stay in range so execution can
   // never touch memory out of bounds.
-  auto check = [](bool ok, const char* what) {
-    if (!ok) throw Error(std::string("simulator: corrupt schedule: ") + what);
-  };
-  check(sched.vregsPerPE.size() == comp.numPEs(),
-        "per-PE register counts missing");
+  requireScheduleFits(sched, comp, "simulator: corrupt schedule");
+  checkScheduleBounds(sched, "simulator: corrupt schedule");
   startAt_.assign(sched.length, {});
   cboxAt_.assign(sched.length, nullptr);
   branchAt_.assign(sched.length, nullptr);
-  for (const ScheduledOp& op : sched.ops) {
-    check(op.pe < comp.numPEs(), "op on invalid PE");
-    check(op.duration >= 1, "zero-duration op");
-    check(op.start < sched.length && op.lastCycle() < sched.length,
-          "op outside the context range");
-    check(static_cast<unsigned>(op.op) < kNumOps, "invalid opcode");
-    check(!op.writesDest || op.destVreg < sched.vregsPerPE[op.pe],
-          "destination register out of range");
-    check(!op.pred || op.pred->slot < sched.cboxSlotsUsed,
-          "predication slot out of range");
-    for (const OperandSource& src : op.src) {
-      if (src.kind == OperandSource::Kind::Own)
-        check(src.vreg < sched.vregsPerPE[op.pe], "operand register range");
-      if (src.kind == OperandSource::Kind::Route) {
-        check(src.srcPE < comp.numPEs(), "route source PE range");
-        check(src.vreg < sched.vregsPerPE[src.srcPE],
-              "routed register range");
-      }
-    }
-    startAt_[op.start].push_back(&op);
-  }
-  for (const CBoxOp& op : sched.cboxOps) {
-    check(op.time < sched.length, "C-Box op outside the context range");
-    check(!cboxAt_[op.time], "two C-Box ops in one context");
-    check(op.writeSlot < sched.cboxSlotsUsed, "C-Box write slot range");
-    for (const CBoxOp::Input& in : op.inputs)
-      check(in.kind != CBoxOp::Input::Kind::Stored ||
-                in.slot < sched.cboxSlotsUsed,
-            "C-Box read slot range");
-    cboxAt_[op.time] = &op;
-  }
-  for (const BranchOp& b : sched.branches) {
-    check(b.time < sched.length, "branch outside the context range");
-    check(b.target < sched.length, "branch target out of range");
-    check(!b.conditional || b.pred.slot < sched.cboxSlotsUsed,
-          "branch selection slot range");
-    check(!branchAt_[b.time], "two branches in one context");
-    branchAt_[b.time] = &b;
-  }
-  for (const LiveBinding& lb : sched.liveIns) {
-    check(lb.pe < comp.numPEs(), "live-in PE range");
-    check(lb.vreg < sched.vregsPerPE[lb.pe], "live-in register range");
-  }
-  for (const LiveBinding& lb : sched.liveOuts) {
-    check(lb.pe < comp.numPEs(), "live-out PE range");
-    check(lb.vreg < sched.vregsPerPE[lb.pe], "live-out register range");
-  }
+  for (const ScheduledOp& op : sched.ops) startAt_[op.start].push_back(&op);
+  for (const CBoxOp& op : sched.cboxOps)
+    if (std::exchange(cboxAt_[op.time], &op) != nullptr)
+      throw Error("simulator: corrupt schedule: two C-Box ops in one context");
+  for (const BranchOp& b : sched.branches)
+    if (std::exchange(branchAt_[b.time], &b) != nullptr)
+      throw Error("simulator: corrupt schedule: two branches in one context");
 }
 
 namespace {

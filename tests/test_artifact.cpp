@@ -92,8 +92,8 @@ TEST(Artifact, SuccessfulArtifactRoundTrips) {
   EXPECT_TRUE(back.ok);
   EXPECT_EQ(back.fingerprint, report.schedule.fingerprint());
   EXPECT_EQ(back.schedule.fingerprint(), report.schedule.fingerprint());
-  EXPECT_EQ(back.stats.contextsUsed, report.stats.contextsUsed);
-  EXPECT_EQ(back.stats.copiesInserted, report.stats.copiesInserted);
+  EXPECT_EQ(back.schedule.length, report.schedule.length);
+  EXPECT_EQ(back.metrics.copiesInserted, report.metrics.copiesInserted);
   EXPECT_EQ(back.metrics.nodesScheduled, report.metrics.nodesScheduled);
   EXPECT_EQ(back.metrics.probeRejections, report.metrics.probeRejections);
   // Memory and disk tiers serve the same metrics, timings included.
@@ -166,6 +166,71 @@ TEST(Artifact, TamperedScheduleIsRejectedByFingerprint) {
   json::Object& op = sched["ops"].asArray().at(0).asObject();
   op["pe"] = op.at("pe").asInt() == 0 ? 1 : 0;
   EXPECT_THROW(artifact::ScheduleArtifact::fromJson(doc), Error);
+}
+
+/// Edits that move one reference of a gcd-on-mesh4 schedule far outside the
+/// schedule; each used to crash computeScheduleQuality (and the PE edit
+/// generateContexts) when served from a cache file.
+const std::vector<std::pair<const char*, std::function<void(Schedule&)>>>&
+outOfRangeEdits() {
+  static const std::vector<
+      std::pair<const char*, std::function<void(Schedule&)>>>
+      kEdits = {
+          {"op start", [](Schedule& s) { s.ops.at(0).start = 1u << 30; }},
+          {"op pe", [](Schedule& s) { s.ops.at(0).pe = 1u << 28; }},
+          {"cbox time", [](Schedule& s) { s.cboxOps.at(0).time = 1u << 30; }},
+      };
+  return kEdits;
+}
+
+/// The gcd-on-mesh4 artifact document for `key` after `edit`, with its
+/// fingerprint recomputed — a forged cache file anyone can write.
+json::Value forgedDocument(const std::string& key,
+                           const std::function<void(Schedule&)>& edit) {
+  const Composition comp = makeMesh(4);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  artifact::ScheduleArtifact art =
+      artifact::ScheduleArtifact::fromReport(key, scheduleKernel(comp, graph));
+  EXPECT_TRUE(art.ok);
+  EXPECT_FALSE(art.schedule.cboxOps.empty());
+  edit(art.schedule);
+  art.fingerprint = art.schedule.fingerprint();
+  return json::parse(art.toJson().dump());
+}
+
+TEST(Artifact, RefingerprintedOutOfRangeScheduleIsRejected) {
+  for (const auto& [name, edit] : outOfRangeEdits())
+    EXPECT_THROW(
+        artifact::ScheduleArtifact::fromJson(forgedDocument("k", edit)), Error)
+        << name;
+}
+
+TEST(Artifact, StatsBlockMustAgreeWithScheduleAndMetrics) {
+  const json::Value doc = forgedDocument("k", [](Schedule&) {});
+  EXPECT_NO_THROW(artifact::ScheduleArtifact::fromJson(doc));
+  for (const char* field : {"cboxSlotsUsed", "constsInserted", "contextsUsed",
+                            "copiesInserted", "fusedWrites"}) {
+    json::Value tampered = doc;
+    json::Value& v = tampered.asObject()["stats"].asObject()[field];
+    v = v.asInt() + 1;
+    EXPECT_THROW(artifact::ScheduleArtifact::fromJson(tampered), Error)
+        << field;
+  }
+}
+
+TEST(Artifact, ScheduleIsRejectedOnACompositionItDoesNotFit) {
+  // A loaded schedule read on another PE count, or longer than the context
+  // memory, throws instead of indexing or sizing tables out of bounds.
+  const Composition mesh4 = makeMesh(4);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  const Schedule sched = scheduleKernel(mesh4, graph).orThrow().schedule;
+  FactoryOptions tiny;
+  tiny.contextMemoryLength = sched.length - 1;
+  for (const Composition& comp : {makeMesh(9), makeMesh(4, tiny)}) {
+    EXPECT_THROW(generateContexts(sched, comp), Error) << comp.name();
+    EXPECT_THROW(computeScheduleQuality(sched, comp), Error) << comp.name();
+    EXPECT_THROW(Simulator(comp, sched), Error) << comp.name();
+  }
 }
 
 TEST(Artifact, UnknownFormatTagIsRejected) {
@@ -638,6 +703,37 @@ TEST(CachedSweep, StoredResultsCarryNoWallTimes) {
         m.passPlacementMs, m.passRoutingMs, m.passFusingMs, m.passCboxMs,
         m.passLoopMs, m.passFinalizeMs})
     EXPECT_EQ(ms, 0.0);
+}
+
+TEST(CachedSweep, ForgedCacheFileIsRecomputed) {
+  // A cache file that passes the fingerprint check but whose schedule
+  // reaches outside itself, or whose stats block disagrees with it, counts
+  // as invalid: the sweep recomputes the job instead of crashing on it.
+  const Composition comp = makeMesh(4);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  const std::vector<SweepJob> jobs = {SweepJob{&comp, &graph, "gcd", {}}};
+  const std::string key = scheduleJobKey(comp, graph, SchedulerOptions{});
+  const std::uint64_t fresh = runSweep(jobs).results[0].fingerprint;
+
+  std::vector<std::pair<std::string, json::Value>> forged;
+  for (const auto& [name, edit] : outOfRangeEdits())
+    forged.emplace_back(name, forgedDocument(key, edit));
+  json::Value badStats = forgedDocument(key, [](Schedule&) {});
+  badStats.asObject()["stats"].asObject()["contextsUsed"] = 1;
+  forged.emplace_back("stats", std::move(badStats));
+
+  for (const auto& [name, doc] : forged) {
+    const TempDir dir("forged");
+    std::ofstream(dir.path / (key + ".json")) << doc.dump();
+    artifact::StoreOptions so;
+    so.directory = dir.str();
+    artifact::ArtifactStore store(so);
+    const SweepReport report = artifact::runCachedSweep(jobs, {}, store);
+    ASSERT_EQ(report.failures, 0u) << name;
+    EXPECT_EQ(report.results[0].fingerprint, fresh) << name;
+    EXPECT_FALSE(report.results[0].fromCache) << name;
+    EXPECT_EQ(store.counters().invalid, 1u) << name;
+  }
 }
 
 TEST(Sweep, InSweepDedupCooperatesWithStore) {

@@ -415,7 +415,7 @@ TEST(Explorer, FrontMembersRunEveryKernelBitExact) {
           kir::Interpreter().run(w.fn, w.initialLocals, goldenHeap);
       const ScheduleReport r =
           Scheduler(comp).schedule(ScheduleRequest(graphs[i])).orThrow();
-      EXPECT_EQ(r.stats.contextsUsed, e.kernels[i].contexts) << e.key;
+      EXPECT_EQ(r.schedule.length, e.kernels[i].contexts) << e.key;
       std::map<VarId, std::int32_t> liveIns;
       for (const LiveBinding& lb : r.schedule.liveIns)
         liveIns[lb.var] = w.initialLocals[lb.var];

@@ -105,7 +105,7 @@ TEST(ProbeRollback, FailedProbeDoesNotPinHome) {
 
   // The leaked home used to cost a copy chain out of alu0; with rollback
   // the schedule never touches PE 0 and inserts no copies at all.
-  EXPECT_EQ(r.stats.copiesInserted, 0u);
+  EXPECT_EQ(r.metrics.copiesInserted, 0u);
   for (const ScheduledOp& o : r.schedule.ops) EXPECT_NE(o.pe, 0u);
 }
 
@@ -241,13 +241,13 @@ TEST(ProbeRollback, JournalRestoresStateExactly) {
   st.addLocation(Operand::variable(v), passes::Location{2, 1, 4});
   st.addConstLocation(42, passes::Location{0, 2, 1});
   st.sched.ops.emplace_back();
-  ++st.stats.copiesInserted;
+  ++st.metrics.copiesInserted;
   st.rollbackProbe();
 
   EXPECT_FALSE(st.varHomes[v].has_value());
   EXPECT_TRUE(st.sched.liveIns.empty());
   EXPECT_TRUE(st.sched.ops.empty());
-  EXPECT_EQ(st.stats.copiesInserted, 0u);
+  EXPECT_EQ(st.metrics.copiesInserted, 0u);
   EXPECT_EQ(st.nextVreg[2], 0u);
   EXPECT_TRUE(st.peBusy[0].anyBusy(0, 2)) << "committed mark preserved";
   EXPECT_FALSE(st.peBusy[0].test(4)) << "probe mark cleared";

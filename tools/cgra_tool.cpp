@@ -592,11 +592,12 @@ int cmdSchedule(const Args& args) {
             << images.totalBits() << " context bits, max RF entries ";
   unsigned maxRf = 0;
   for (unsigned r : images.physRegsUsed) maxRf = std::max(maxRf, r);
-  std::cout << maxRf << ", " << art->stats.copiesInserted
-            << " copies, " << art->stats.fusedWrites << " fused writes, "
-            << fmt(run.metrics.totalMs, 2) << " ms";
-  if (source != artifact::ArtifactStore::Source::Computed)
-    std::cout << " (cache hit " << key.substr(0, 12) << ")";
+  std::cout << maxRf << ", " << art->metrics.copiesInserted
+            << " copies, " << art->metrics.fusedWrites << " fused writes, ";
+  if (source == artifact::ArtifactStore::Source::Computed)
+    std::cout << fmt(run.metrics.totalMs, 2) << " ms";
+  else
+    std::cout << "cache hit " << key.substr(0, 12);
   std::cout << "\n";
 
   const ScheduleQuality q = computeScheduleQuality(art->schedule, comp);
@@ -638,7 +639,7 @@ int cmdExplain(const Args& args) {
   std::cout << "== " << k.workload.name << " on " << comp.name() << " ==\n"
             << report.trace->explain(&k.graph, &comp);
   if (report.ok)
-    std::cout << "outcome: scheduled in " << report.stats.contextsUsed
+    std::cout << "outcome: scheduled in " << report.schedule.length
               << " contexts\n";
   else
     std::cout << "outcome: UNMAPPABLE ("
@@ -705,7 +706,7 @@ int cmdStats(const Args& args) {
   const LoadedKernel k = loadKernel(args);
   const ScheduleReport result = runScheduler(args, comp, k.graph);
   if (!result.ok) return schedulingFailed(result.failure);
-  const Report report = makeReport(result.schedule, comp, &result.stats);
+  const Report report = makeReport(result.schedule, comp, &result.metrics);
   std::cout << "== " << k.workload.name << " on " << comp.name() << " ==\n"
             << result.schedule.length << " contexts, "
             << report.quality.totalOps << " ops ("
@@ -760,7 +761,7 @@ int cmdSimulate(const Args& args) {
             << " the reference interpreter\n";
 
   if (args.has("counters") || args.has("json") || args.has("csv")) {
-    const Report report = makeReport(runnable, comp, &result.stats, &r);
+    const Report report = makeReport(runnable, comp, &result.metrics, &r);
     emitReport(args, report, runnable, comp);
   }
 
@@ -811,7 +812,7 @@ int cmdSweep(const Args& args) {
   TextTable table({"Job", "Contexts", "Util", "Copies", "Rejections", "ms"});
   for (const SweepJobResult& r : report.results)
     table.addRow({r.label,
-                  r.ok ? std::to_string(r.stats.contextsUsed)
+                  r.ok ? std::to_string(r.contexts)
                        : "FAIL: " + r.failure.message.substr(0, 40),
                   r.ok ? fmt(r.staticUtilization * 100, 1) + "%" : "-",
                   r.ok ? std::to_string(r.metrics.copiesInserted) : "-",
