@@ -108,7 +108,8 @@ public:
   static std::uint64_t buildsPerformed();
 
   /// Canonical digest recipe over a serialized composition document
-  /// (`comp.toJson().dump()`); `digest()` is this, memoized.
+  /// (`comp.canonicalJson()`): "comp:", the byte count as a little-endian
+  /// u64, then the bytes. `digest()` is this, memoized.
   static std::string digestCompositionJson(const std::string& compJson);
 
 private:

@@ -48,11 +48,14 @@ public:
   /// Throws cgra::Error describing the first violated structural constraint.
   void validate() const;
 
-  /// Serializes composition + inline PE descriptors + interconnect into one
+  /// Writes composition + inline PE descriptors + interconnect as one
   /// self-contained JSON document (the paper splits these across referenced
-  /// files; `toJson` inlines them, `fromJson` accepts both inline objects and
-  /// repeated type names).
-  json::Value toJson() const;
+  /// files; this inlines them, `fromJson` accepts both inline objects and
+  /// file references).
+  void writeJson(json::Writer& w) const;
+  /// That document at 2-space indent: what a composition file holds and
+  /// the bytes the composition digest hashes (ArchModel::digestOf).
+  std::string canonicalJson() const;
   static Composition fromJson(const json::Value& v);
 
   /// Loads a Fig. 8-style description where PE entries and the interconnect

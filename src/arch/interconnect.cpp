@@ -106,16 +106,14 @@ bool Interconnect::stronglyConnected() const {
   return true;
 }
 
-json::Value Interconnect::toJson() const {
-  json::Object obj;
-  json::Array perPE;
-  for (PEId pe = 0; pe < numPEs(); ++pe) {
-    json::Array srcs;
-    for (PEId s : sources_[pe]) srcs.emplace_back(static_cast<std::int64_t>(s));
-    perPE.emplace_back(std::move(srcs));
+void Interconnect::writeJson(json::Writer& w) const {
+  w.beginObject().key("sources").beginArray();
+  for (const std::vector<PEId>& srcs : sources_) {
+    w.beginArray();
+    for (PEId s : srcs) w.value(s);
+    w.endArray();
   }
-  obj["sources"] = std::move(perPE);
-  return obj;
+  w.endArray().endObject();
 }
 
 Interconnect Interconnect::fromJson(const json::Value& v, unsigned expectedPEs) {

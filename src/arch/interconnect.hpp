@@ -60,7 +60,8 @@ public:
   /// True when every PE can (transitively) reach every other PE.
   bool stronglyConnected() const;
 
-  json::Value toJson() const;
+  /// Writes {"sources": [[...] per PE]}.
+  void writeJson(json::Writer& w) const;
   static Interconnect fromJson(const json::Value& v, unsigned expectedPEs);
 
 private:

@@ -34,18 +34,18 @@ const OpImpl& PEDescriptor::impl(Op op) const {
   throw Error("PE \"" + name_ + "\" does not support operation " + opName(op));
 }
 
-json::Value PEDescriptor::toJson() const {
-  json::Object obj;
-  obj["name"] = name_;
-  obj["Regfile_size"] = static_cast<std::int64_t>(regfileSize_);
-  obj["DMA"] = hasDma_;
+void PEDescriptor::writeJson(json::Writer& w) const {
+  w.beginObject();
+  w.key("name").value(name_);
+  w.key("Regfile_size").value(regfileSize_);
+  w.key("DMA").value(hasDma_);
   for (const auto& [op, impl] : ops_) {
-    json::Object entry;
-    entry["energy"] = impl.energy;
-    entry["duration"] = static_cast<std::int64_t>(impl.duration);
-    obj[opName(op)] = std::move(entry);
+    w.key(opName(op)).beginObject();
+    w.key("energy").value(impl.energy);
+    w.key("duration").value(impl.duration);
+    w.endObject();
   }
-  return obj;
+  w.endObject();
 }
 
 PEDescriptor PEDescriptor::fromJson(const json::Value& v) {

@@ -52,8 +52,8 @@ public:
 
   const std::map<Op, OpImpl>& ops() const { return ops_; }
 
-  /// Serializes to the paper's Fig. 9 JSON shape.
-  json::Value toJson() const;
+  /// Writes the paper's Fig. 9 JSON shape.
+  void writeJson(json::Writer& w) const;
   /// Parses a Fig. 9-shaped descriptor; throws cgra::Error on bad fields.
   static PEDescriptor fromJson(const json::Value& v);
 

@@ -58,6 +58,7 @@ json::Value ServiceStats::toJson() const {
   json::Object o;
   o["requests"] = requests;
   o["parseErrors"] = parseErrors;
+  o["internalErrors"] = internalErrors;
   o["scheduled"] = scheduled;
   o["cacheHits"] = cacheHits;
   o["deduped"] = deduped;
@@ -331,6 +332,9 @@ struct Service::Impl {
       "cgra_responses_total", "Responses handed to the wire or stream");
   Counter& mParseErrors = registry.counter(
       "cgra_parse_errors_total", "parse/unknown_comp/bad_kernel answers");
+  Counter& mInternalErrors = registry.counter(
+      "cgra_internal_errors_total",
+      "internal answers: an exception escaped the worker");
   Counter& mScheduled = registry.counter(
       "cgra_scheduled_total", "Jobs actually run on the scheduler");
   Counter& mCacheHits = registry.counter("cgra_cache_hits_total",
@@ -702,6 +706,7 @@ struct Service::Impl {
       out = resp.dump(0);
       sp.serializeUs = usBetween(tSer, Clock::now());
     } catch (...) {
+      mInternalErrors.inc();
       sp.outcome = "internal";
       out = errorResponse(json::Value(), WireError::Internal,
                           "internal error")
@@ -812,6 +817,7 @@ struct Service::Impl {
       sp.outcome = art->ok ? "ok" : "unmappable";
       return artifactResponse(id, *art, sp.cacheHit, req.wantArtifact, comp);
     } catch (const std::exception& e) {
+      mInternalErrors.inc();
       sp.outcome = "internal";
       return errorResponse(id, WireError::Internal, e.what());
     }
@@ -825,6 +831,7 @@ struct Service::Impl {
     ServiceStats s;
     s.requests = mRequests.value();
     s.parseErrors = mParseErrors.value();
+    s.internalErrors = mInternalErrors.value();
     s.scheduled = mScheduled.value();
     s.cacheHits = mCacheHits.value();
     s.deduped = mDeduped.value();

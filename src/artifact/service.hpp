@@ -127,6 +127,7 @@ struct ServiceOptions {
 struct ServiceStats {
   std::uint64_t requests = 0;     ///< request lines read (all connections)
   std::uint64_t parseErrors = 0;  ///< parse/unknown_comp/bad_kernel answers
+  std::uint64_t internalErrors = 0;  ///< `internal` answers (a library bug)
   std::uint64_t scheduled = 0;    ///< jobs actually run on the scheduler
   std::uint64_t cacheHits = 0;    ///< answered straight from the store
   std::uint64_t deduped = 0;      ///< joined an identical in-flight job

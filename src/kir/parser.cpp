@@ -603,9 +603,21 @@ Function parseKernel(const std::string& source) {
 Function parseKernelFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw Error("cannot open kernel file: " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return parseKernel(os.str());
+  // Read at most one byte past the bound, in chunks, so an endless or huge
+  // file costs the bound, not its size.
+  std::string text;
+  char chunk[16384];
+  while (text.size() <= kMaxKernelFileBytes) {
+    const std::size_t want =
+        std::min(sizeof chunk, kMaxKernelFileBytes + 1 - text.size());
+    in.read(chunk, static_cast<std::streamsize>(want));
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+    if (!in) break;
+  }
+  if (text.size() > kMaxKernelFileBytes)
+    throw Error("kernel file " + path + " is larger than " +
+                std::to_string(kMaxKernelFileBytes) + " bytes");
+  return parseKernel(text);
 }
 
 }  // namespace cgra::kir

@@ -46,7 +46,13 @@ inline constexpr std::size_t kMaxNestingDepth = 640;
 /// kMaxNestingDepth.
 Function parseKernel(const std::string& source);
 
-/// Reads and parses a kernel file.
+/// Largest kernel file `parseKernelFile` reads. A served request names the
+/// file, so its size must not choose the worker's memory (`/dev/zero` never
+/// ends). Real kernels are a few KiB.
+inline constexpr std::size_t kMaxKernelFileBytes = std::size_t{1} << 20;
+
+/// Reads and parses a kernel file; throws cgra::Error when it cannot be
+/// opened or holds more than kMaxKernelFileBytes.
 Function parseKernelFile(const std::string& path);
 
 }  // namespace cgra::kir

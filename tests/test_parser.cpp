@@ -438,5 +438,32 @@ TEST(Parser, FileLoading) {
   EXPECT_THROW(parseKernelFile("/nonexistent.kir"), Error);
 }
 
+TEST(Parser, KernelFileSizeIsBounded) {
+  // A kernel padded with blanks to exactly the bound parses; one more
+  // byte is a typed error, raised without parsing.
+  const std::string path = ::testing::TempDir() + "/bound.kir";
+  const std::string kernel = "kernel f(a) { var r = a * a; }";
+  const auto write = [&](std::size_t size) {
+    std::ofstream out(path, std::ios::binary);
+    out << kernel << std::string(size - kernel.size(), ' ');
+  };
+  write(kMaxKernelFileBytes);
+  EXPECT_EQ(parseKernelFile(path).name(), "f");
+  write(kMaxKernelFileBytes + 1);
+  try {
+    parseKernelFile(path);
+    ADD_FAILURE() << "a file one byte over the bound parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("larger than"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Parser, EndlessKernelFileStopsAtTheBound) {
+  // /dev/zero never ends: the reader stops one byte past the bound. Runs
+  // under a ctest timeout in case the bound ever goes.
+  EXPECT_THROW(parseKernelFile("/dev/zero"), Error);
+}
+
 }  // namespace
 }  // namespace cgra::kir

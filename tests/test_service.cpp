@@ -66,6 +66,16 @@ std::string errorCode(const json::Value& response) {
   return o.at("error").asObject().at("code").asString();
 }
 
+/// The value of one unlabelled sample line `name value` in a Prometheus
+/// exposition; -1 when the name is absent.
+std::int64_t exposedValue(const std::string& text, const std::string& name) {
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind(name + " ", 0) == 0)
+      return std::stoll(line.substr(name.size() + 1));
+  return -1;
+}
+
 /// Polls `pred` for up to ~10 s; the generous ceiling keeps sanitizer runs
 /// from flaking while real waits stay in the milliseconds.
 template <typename Pred>
@@ -318,6 +328,81 @@ TEST(Service, KernelFilesRunTheFrontendPipeline) {
       Scheduler(comp).schedule(ScheduleRequest(graph)).orThrow();
   EXPECT_EQ(o.at("fingerprint").asString(),
             std::to_string(report.schedule.fingerprint()));
+}
+
+TEST(Service, OversizedKernelFileIsBadKernel) {
+  // One byte over kir::kMaxKernelFileBytes: answered bad_kernel without
+  // reading the file to its end, and the session goes on.
+  TempDir dir("bigkir");
+  const std::string path = (dir.path / "big.kir").string();
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << "kernel f(a) { var r = a; }"
+      << std::string(kir::kMaxKernelFileBytes, ' ');
+  }
+  artifact::ArtifactStore store;
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  artifact::ServiceStats stats;
+  const std::vector<json::Value> responses = runService(
+      "{\"id\":1,\"comp\":\"mesh9\",\"kernelFile\":\"" + path + "\"}\n"
+      "{\"id\":2,\"comp\":\"mesh4\",\"kernel\":\"gcd\"}\n",
+      store, options, &stats);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(errorCode(responses[0]), "bad_kernel");
+  EXPECT_TRUE(responses[1].asObject().at("ok").asBool());
+  EXPECT_EQ(stats.parseErrors, 1u);
+  EXPECT_EQ(stats.internalErrors, 0u);
+}
+
+TEST(Service, InternalAnswersAreCounted) {
+  // A cache file whose schedule starts two ops on one PE in one cycle,
+  // with its fingerprint recomputed, loads as a hit; encoding its contexts
+  // for an "artifact":true request throws, and the answer is `internal`.
+  TempDir dir("internal");
+  artifact::StoreOptions so;
+  so.directory = dir.str();
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  const std::string request = "{\"id\":1,\"comp\":\"mesh4\",\"kernel\":\"gcd\"";
+  std::string key;
+  {
+    artifact::ArtifactStore store(so);
+    const std::vector<json::Value> first =
+        runService(request + "}\n", store, options);
+    ASSERT_EQ(first.size(), 1u);
+    key = first[0].asObject().at("key").asString();
+  }
+  const std::string file = (dir.path / (key + ".json")).string();
+  artifact::ScheduleArtifact art =
+      artifact::ScheduleArtifact::fromJson(json::parseFile(file));
+  std::vector<ScheduledOp>& ops = art.schedule.ops;
+  bool doubleBooked = false;
+  for (std::size_t i = 0; i < ops.size() && !doubleBooked; ++i)
+    for (std::size_t j = i + 1; j < ops.size() && !doubleBooked; ++j)
+      if (ops[j].pe == ops[i].pe && ops[j].start != ops[i].start) {
+        ops[j].start = ops[i].start;
+        doubleBooked = true;
+      }
+  ASSERT_TRUE(doubleBooked);
+  art.fingerprint = art.schedule.fingerprint();
+  std::ofstream(file) << art.toJson().dump(0);
+
+  artifact::ArtifactStore store(so);
+  artifact::Service service(store, options);
+  std::istringstream in(request + ",\"artifact\":true}\n");
+  std::ostringstream out;
+  service.serveStream(in, out);
+  const std::vector<json::Value> responses = parseLines(out.str());
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(errorCode(responses[0]), "internal");
+
+  const artifact::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.internalErrors, 1u);
+  EXPECT_EQ(stats.parseErrors, 0u);
+  EXPECT_EQ(stats.toJson().asObject().at("internalErrors").asInt(), 1);
+  EXPECT_EQ(exposedValue(service.metricsText(), "cgra_internal_errors_total"),
+            1);
 }
 
 TEST(Service, DeepKernelFileIsBadKernelAndTheSessionLivesOn) {
@@ -865,16 +950,6 @@ TEST(Service, ShedResponsesHonorThePerConnectionCap) {
       << "every line is answered once the pause lifts";
 }
 
-/// The value of one unlabelled sample line `name value` in a Prometheus
-/// exposition; -1 when the name is absent.
-std::int64_t exposedValue(const std::string& text, const std::string& name) {
-  std::istringstream lines(text);
-  for (std::string line; std::getline(lines, line);)
-    if (line.rfind(name + " ", 0) == 0)
-      return std::stoll(line.substr(name.size() + 1));
-  return -1;
-}
-
 TEST(Service, StatsAgreeWithTheExposition) {
   // ServiceStats is read from the metrics registry, so at quiescence every
   // counter equals its line in the exposition.
@@ -932,6 +1007,7 @@ TEST(Service, StatsAgreeWithTheExposition) {
   const std::pair<std::uint64_t, const char*> pairs[] = {
       {stats.requests, "cgra_requests_total"},
       {stats.parseErrors, "cgra_parse_errors_total"},
+      {stats.internalErrors, "cgra_internal_errors_total"},
       {stats.scheduled, "cgra_scheduled_total"},
       {stats.cacheHits, "cgra_cache_hits_total"},
       {stats.deduped, "cgra_deduped_total"},

@@ -990,7 +990,7 @@ int cmdServe(const Args& args) {
   std::cerr << "serve: " << stats.requests << " request(s), "
             << stats.scheduled << " scheduled, " << stats.cacheHits
             << " cache hit(s), " << stats.deduped << " deduped, "
-            << stats.parseErrors << " error(s)";
+            << stats.parseErrors + stats.internalErrors << " error(s)";
   if (stats.shedOverload + stats.shedShutdown > 0)
     std::cerr << ", " << stats.shedOverload << " shed overloaded, "
               << stats.shedShutdown << " shed shutdown";
