@@ -1,5 +1,8 @@
 #include "sched/passes/analysis_pass.hpp"
 
+#include "sched/passes/cost_model.hpp"
+#include "sched/passes/fusing_pass.hpp"
+
 namespace cgra::passes {
 
 namespace {
@@ -25,7 +28,7 @@ void initState(RunState& st) {
   const unsigned numPEs = st.comp.numPEs();
 
   st.priorities = st.g.longestPathWeights();
-  st.attraction.assign(numNodes, std::vector<double>(numPEs, 0.0));
+  st.attraction.assign(numNodes * numPEs, 0.0);
   st.nodeStart.assign(numNodes, 0);
   st.nodeFinish.assign(numNodes, 0);
   st.nodeScheduled.assign(numNodes, false);
@@ -36,7 +39,6 @@ void initState(RunState& st) {
     st.remainingPreds[id] = static_cast<unsigned>(st.g.inEdges(id).size());
   st.candidates.reserve(numNodes);
   st.scratchCandidates.reserve(numNodes);
-  st.scratchPEOrder.reserve(numPEs);
   for (NodeId id = 0; id < numNodes; ++id)
     if (st.remainingPreds[id] == 0) st.insertCandidate(id);
 
@@ -76,6 +78,9 @@ void initState(RunState& st) {
 void runAnalysisPass(const ArchModel& model, RunState& st) {
   checkMappable(model, st);
   initState(st);
+  // Per-run tables the placement probes read instead of recomputing.
+  computeFusableWriters(st);
+  st.costModel->initOrders(model, st);
 }
 
 }  // namespace cgra::passes

@@ -1,6 +1,7 @@
 // Priority/analysis pass: mappability screening and run-state
 // initialization (longest-path priorities §V-F, the dependence frontier,
-// capped per-cycle resource maps, per-loop subtree lists).
+// capped per-cycle resource maps, per-loop subtree lists, and the per-node
+// fusable-writer and PE-order tables).
 #pragma once
 
 #include "sched/passes/run_state.hpp"
@@ -9,7 +10,7 @@ namespace cgra::passes {
 
 /// Populates the RunState for a fresh run. Throws Unmappable when the
 /// kernel contains an operation no PE of the composition supports.
-/// `st.limit` must already hold the context budget.
+/// `st.limit` and `st.costModel` must already be set.
 void runAnalysisPass(const ArchModel& model, RunState& st);
 
 }  // namespace cgra::passes

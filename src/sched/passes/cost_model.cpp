@@ -1,24 +1,24 @@
 #include "sched/passes/cost_model.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace cgra::passes {
 
-const std::vector<PEId>& AttractionCostModel::orderPEs(const ArchModel& model,
-                                                       RunState& st,
-                                                       NodeId id) const {
+void AttractionCostModel::initOrders(const ArchModel& model,
+                                     RunState& st) const {
   PassScope scope(st.passTimer, PassId::CostModel);
-  std::vector<PEId>& out = st.scratchPEOrder;
-  out.resize(st.comp.numPEs());
-  for (PEId p = 0; p < st.comp.numPEs(); ++p) out[p] = p;
-  if (!st.opts.useAttraction) return out;
-  const auto& att = st.attraction[id];
-  const auto& connectivity = model.connectivity;
-  std::stable_sort(out.begin(), out.end(), [&](PEId a, PEId b) {
-    if (att[a] != att[b]) return att[a] > att[b];
-    return connectivity[a] > connectivity[b];
-  });
-  return out;
+  // Every attraction row starts at zero, so all nodes share one order:
+  // static connectivity first (index order without attraction).
+  std::vector<PEId> order(st.comp.numPEs());
+  std::iota(order.begin(), order.end(), PEId{0});
+  if (st.opts.useAttraction)
+    std::stable_sort(order.begin(), order.end(), [&](PEId a, PEId b) {
+      return model.connectivity[a] > model.connectivity[b];
+    });
+  st.peOrder.resize(st.g.numNodes() * order.size());
+  for (NodeId id = 0; id < st.g.numNodes(); ++id)
+    std::copy(order.begin(), order.end(), st.peOrderRow(id).begin());
 }
 
 void AttractionCostModel::onNodePlaced(const ArchModel& model, RunState& st,
@@ -29,8 +29,26 @@ void AttractionCostModel::onNodePlaced(const ArchModel& model, RunState& st,
   // re-scanned the interconnect here).
   for (const Edge& e : st.g.outEdges(id)) {
     if (st.nodeScheduled[e.to]) continue;
-    st.attraction[e.to][pe] += 1.0;
-    for (PEId q : model.sinks[pe]) st.attraction[e.to][q] += 1.0;
+    const std::span<double> att = st.attractionRow(e.to);
+    att[pe] += 1.0;
+    for (PEId q : model.sinks[pe]) att[q] += 1.0;
+    if (!st.opts.useAttraction) continue;
+    // Attraction only grows, so the row stays nearly sorted and PEs only
+    // move forward: an insertion sort under the full (attraction,
+    // connectivity, index) order re-ranks it in a few comparisons.
+    const auto before = [&](PEId a, PEId b) {
+      if (att[a] != att[b]) return att[a] > att[b];
+      if (model.connectivity[a] != model.connectivity[b])
+        return model.connectivity[a] > model.connectivity[b];
+      return a < b;
+    };
+    const std::span<PEId> row = st.peOrderRow(e.to);
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      const PEId p = row[i];
+      std::size_t j = i;
+      for (; j > 0 && before(p, row[j - 1]); --j) row[j] = row[j - 1];
+      row[j] = p;
+    }
   }
 }
 

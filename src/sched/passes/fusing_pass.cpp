@@ -4,16 +4,15 @@
 
 namespace cgra::passes {
 
-std::optional<NodeId> fusablePWrite(const RunState& st, NodeId id) {
-  PassScope scope(st.passTimer, PassId::Fusing);
-  if (!st.opts.fuseWrites) return std::nullopt;
-  const Node& n = st.g.node(id);
-  if (n.kind != NodeKind::Operation || !writesRegister(n.op))
-    return std::nullopt;
-  std::optional<NodeId> writer;
-  for (const Edge& e : st.g.outEdges(id)) {
+namespace {
+
+NodeId fusableWriterOf(const Cdfg& g, NodeId id) {
+  const Node& n = g.node(id);
+  if (n.kind != NodeKind::Operation || !writesRegister(n.op)) return kNoNode;
+  NodeId writer = kNoNode;
+  for (const Edge& e : g.outEdges(id)) {
     if (e.kind != DepKind::Flow) continue;
-    const Node& to = st.g.node(e.to);
+    const Node& to = g.node(e.to);
     const bool consumesValue =
         to.isPWrite()
             ? to.operands[0] == Operand::node(id)
@@ -22,14 +21,22 @@ std::optional<NodeId> fusablePWrite(const RunState& st, NodeId id) {
                             return o == Operand::node(id);
                           });
     if (!consumesValue) continue;  // pure ordering edge
-    if (!to.isPWrite()) return std::nullopt;  // value also read directly
-    if (writer) return std::nullopt;          // multiple writers
+    if (!to.isPWrite()) return kNoNode;  // value also read directly
+    if (writer != kNoNode) return kNoNode;  // multiple writers
     writer = e.to;
   }
-  if (!writer) return std::nullopt;
-  const Node& w = st.g.node(*writer);
-  if (w.loop != n.loop) return std::nullopt;
+  if (writer == kNoNode || g.node(writer).loop != n.loop) return kNoNode;
   return writer;
+}
+
+}  // namespace
+
+void computeFusableWriters(RunState& st) {
+  PassScope scope(st.passTimer, PassId::Fusing);
+  st.fusableWriter.assign(st.g.numNodes(), kNoNode);
+  if (!st.opts.fuseWrites) return;
+  for (NodeId id = 0; id < st.g.numNodes(); ++id)
+    st.fusableWriter[id] = fusableWriterOf(st.g, id);
 }
 
 bool pWriteDepsMet(const RunState& st, NodeId writer, NodeId producer,

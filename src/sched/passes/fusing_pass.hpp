@@ -10,9 +10,18 @@
 
 namespace cgra::passes {
 
-/// Returns the single pWRITE consumer if `id`'s value feeds exactly one
-/// node and that node is a pWRITE in the same loop (fusion candidate).
-std::optional<NodeId> fusablePWrite(const RunState& st, NodeId id);
+/// Fills `st.fusableWriter` (analysis pass): per node, the single pWRITE
+/// consumer if the node's value feeds exactly one node and that node is a
+/// pWRITE in the same loop, and kNoNode for every node when
+/// SchedulerOptions::fuseWrites is off.
+void computeFusableWriters(RunState& st);
+
+/// The pWRITE `id` may fuse into, if any (a read of `st.fusableWriter`).
+inline std::optional<NodeId> fusablePWrite(const RunState& st, NodeId id) {
+  const NodeId writer = st.fusableWriter[id];
+  if (writer == kNoNode) return std::nullopt;
+  return writer;
+}
 
 /// All non-producer dependencies of the pWRITE satisfied at cycle `t`?
 bool pWriteDepsMet(const RunState& st, NodeId writer, NodeId producer,

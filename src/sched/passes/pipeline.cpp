@@ -58,7 +58,7 @@ ScheduleReport runPipeline(const ArchModel& model, const Composition& comp,
   // The PassTimer is the run's only clock: it attributes time to the nine
   // passes and, at flush, measures the whole run from this start.
   ScheduleReport report;
-  const PassTimer::Clock::time_point runStart = PassTimer::Clock::now();
+  const PassTimer::Start runStart = PassTimer::start();
 
   // Malformed graphs are programmer errors: validate() throws past the
   // report path on purpose.

@@ -288,7 +288,7 @@ void planStep(const ArchModel& model, RunState& st) {
       CGRA_TRACE(st.trace, CandidateSelected, .cycle = st.t,
                  .node = static_cast<std::int32_t>(id),
                  .a = std::llround(st.priorities[id] * 1000.0));
-      for (PEId pe : st.costModel->orderPEs(model, st, id)) {
+      for (PEId pe : st.orderedPEs(id)) {
         if (incompatible(model, st, id, pe)) {
           rejectPlacement(st, id, pe, TraceReject::Incompatible);
           continue;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "arch/arch_model.hpp"
@@ -138,7 +139,16 @@ struct RunState {
   // -- per-node bookkeeping ---------------------------------------------------
 
   std::vector<double> priorities;
-  std::vector<std::vector<double>> attraction;
+  /// Per node and PE, the §V-G attraction: flat numNodes × numPEs rows.
+  std::vector<double> attraction;
+  /// Per node, its PEs most-preferred first: flat numNodes × numPEs rows
+  /// the cost model fills in the analysis pass and re-ranks when a
+  /// placement changes the node's attraction row (see cost_model.hpp).
+  std::vector<PEId> peOrder;
+  /// Per node, the pWRITE its value fuses into, or kNoNode (fusing_pass.hpp;
+  /// filled once in the analysis pass — it depends only on the graph and
+  /// SchedulerOptions::fuseWrites).
+  std::vector<NodeId> fusableWriter;
   std::vector<unsigned> nodeStart, nodeFinish;
   std::vector<bool> nodeScheduled;
   /// Per node: most informative rejection of its newest attempt step.
@@ -176,8 +186,6 @@ struct RunState {
   /// candidateSnapshot()'s buffer: the frontier copy one planStep sweep
   /// iterates while placements mutate `candidates`.
   std::vector<NodeId> scratchCandidates;
-  /// CostModel::orderPEs()'s buffer (one PE preference order per probe).
-  std::vector<PEId> scratchPEOrder;
 
   // -- conditions and loops ---------------------------------------------------
 
@@ -385,6 +393,24 @@ struct RunState {
   }
 
   LoopId currentLoop() const { return loopStack.back().loop; }
+
+  // -- per-node rows of the numNodes × numPEs tables --------------------------
+
+  std::span<double> attractionRow(NodeId id) {
+    return {attraction.data() + std::size_t{id} * comp.numPEs(),
+            comp.numPEs()};
+  }
+  std::span<const double> attractionRow(NodeId id) const {
+    return {attraction.data() + std::size_t{id} * comp.numPEs(),
+            comp.numPEs()};
+  }
+  std::span<PEId> peOrderRow(NodeId id) {
+    return {peOrder.data() + std::size_t{id} * comp.numPEs(), comp.numPEs()};
+  }
+  /// The PEs to probe for `id`, most-preferred first.
+  std::span<const PEId> orderedPEs(NodeId id) const {
+    return {peOrder.data() + std::size_t{id} * comp.numPEs(), comp.numPEs()};
+  }
 
   // -- candidate frontier -----------------------------------------------------
 

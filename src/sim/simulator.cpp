@@ -1,8 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 namespace cgra {
@@ -17,7 +15,11 @@ Simulator::Simulator(const Composition& comp, const Schedule& sched)
   startAt_.assign(sched.length, {});
   cboxAt_.assign(sched.length, nullptr);
   branchAt_.assign(sched.length, nullptr);
-  for (const ScheduledOp& op : sched.ops) startAt_[op.start].push_back(&op);
+  // Each op's energy is looked up once here, not per issue; an op its PE
+  // cannot run fails construction with the descriptor's cgra::Error.
+  for (const ScheduledOp& op : sched.ops)
+    startAt_[op.start].push_back(
+        Issue{&op, comp.pe(op.pe).impl(op.op).energy});
   for (const CBoxOp& op : sched.cboxOps)
     if (std::exchange(cboxAt_[op.time], &op) != nullptr)
       throw Error("simulator: corrupt schedule: two C-Box ops in one context");
@@ -91,10 +93,6 @@ SimResult Simulator::runWindow(const std::map<VarId, std::int32_t>& liveIns,
   std::uint64_t cycles = 0;
   unsigned ccnt = startCcnt;
 
-  // Debug aid: CGRA_TRACE=<pe> logs every register commit of that PE.
-  const char* traceEnv = std::getenv("CGRA_TRACE");
-  const int tracePe = traceEnv ? std::atoi(traceEnv) : -1;
-
   auto readOperand = [&](const OperandSource& src) -> std::int32_t {
     switch (src.kind) {
       case OperandSource::Kind::None: return 0;
@@ -125,7 +123,7 @@ SimResult Simulator::runWindow(const std::map<VarId, std::int32_t>& liveIns,
     }
 
     // -- issue operations starting this context -------------------------------
-    for (const ScheduledOp* op : startAt_[ccnt]) {
+    for (const auto& [op, energy] : startAt_[ccnt]) {
       InFlight fl{op, op->duration, false, 0, false};
       fl.suppressed = op->pred && !readPred(*op->pred);
 
@@ -158,8 +156,7 @@ SimResult Simulator::runWindow(const std::map<VarId, std::int32_t>& liveIns,
         return readOperand(s);
       };
 
-      result.energy += fl.suppressed ? defaultEnergy(Op::NOP)
-                                     : comp_->pe(op->pe).impl(op->op).energy;
+      result.energy += fl.suppressed ? defaultEnergy(Op::NOP) : energy;
 
       switch (op->op) {
         case Op::NOP: break;
@@ -266,10 +263,6 @@ SimResult Simulator::runWindow(const std::map<VarId, std::int32_t>& liveIns,
               ++pc.regsTouched;
             }
           }
-          if (tracePe == static_cast<int>(op->pe))
-            std::fprintf(stderr, "cycle %llu ccnt %u: PE%u r%u <= %d (%s)\n",
-                         static_cast<unsigned long long>(cycles), ccnt, op->pe,
-                         op->destVreg, it->result, opName(op->op));
         }
         it = inflight.erase(it);
       } else {

@@ -62,6 +62,8 @@ public:
   static constexpr unsigned kCyclesPerTransfer = 2;
   static constexpr unsigned kInvocationOverhead = 4;
 
+  /// Throws cgra::Error when the schedule is structurally corrupt or places
+  /// an op on a PE that cannot run it.
   Simulator(const Composition& comp, const Schedule& sched);
 
   /// Runs one invocation. `liveIns` maps live-in variables to their values
@@ -85,8 +87,14 @@ private:
   const Composition* comp_;
   const Schedule* sched_;
 
+  /// One op issued at a context, with its energy per execution.
+  struct Issue {
+    const ScheduledOp* op;
+    double energy;
+  };
+
   // Per-context dispatch tables built once.
-  std::vector<std::vector<const ScheduledOp*>> startAt_;
+  std::vector<std::vector<Issue>> startAt_;
   std::vector<const CBoxOp*> cboxAt_;
   std::vector<const BranchOp*> branchAt_;
 };

@@ -402,6 +402,33 @@ TEST(Simulator, EnergyAccumulates) {
   EXPECT_GT(r.energy, 0.0);
 }
 
+TEST(Simulator, OpItsPECannotRunFailsConstruction) {
+  // PE 1 of the small composition has no DMA. The load is predicated on a
+  // slot that is never set, so it would never issue unsuppressed; the
+  // simulator still rejects it up front, while building its energy table.
+  const Composition comp = smallComp();
+  ASSERT_FALSE(comp.pe(1).supports(Op::DMA_LOAD));
+  Schedule s;
+  s.length = 1;
+  s.vregsPerPE = {1, 1};
+  s.cboxSlotsUsed = 1;
+  auto load = makeOp(Op::DMA_LOAD, 1, 0, 1);
+  load.src[0] = imm(0);
+  load.src[1] = imm(0);
+  load.writesDest = true;
+  load.destVreg = 0;
+  load.pred = PredRef{0, true};
+  s.ops = {load};
+  try {
+    Simulator sim(comp, s);
+    FAIL() << "an op its PE cannot run must fail construction";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("does not support operation"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SimCountersTest, OffByDefaultAndEngagedOnRequest) {
   const Composition comp = smallComp();
   Schedule s;
