@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "ctx/serialize.hpp"
+#include "sched/validate.hpp"
 
 namespace cgra::artifact {
 
@@ -300,7 +301,7 @@ Schedule scheduleFromJson(const json::Value& docValue) {
       throw Error("artifact: vregsPerPE entry out of range");
     sched.vregsPerPE.push_back(static_cast<unsigned>(v.asInt()));
   }
-  checkScheduleBounds(sched, "artifact: schedule");
+  requireValidSchedule(sched, "artifact: schedule");
   return sched;
 }
 

@@ -12,9 +12,9 @@
 // context images — with a bit-exact toJson/fromJson round trip:
 // deserializing an artifact yields a Schedule whose fingerprint() equals
 // the original's, which runs identically on the Simulator and passes
-// validate.cpp unchanged. Failed runs round-trip too (negative caching):
-// an unmappable job's typed FailureReason is as deterministic as a
-// successful schedule.
+// verifySchedule (sched/validate.hpp) unchanged. Failed runs round-trip
+// too (negative caching): an unmappable job's typed FailureReason is as
+// deterministic as a successful schedule.
 #pragma once
 
 #include <optional>
@@ -46,12 +46,15 @@ struct ScheduleArtifact : ScheduleReport {
   /// consts, fused writes) is derived from the schedule and the metrics.
   json::Value toJson() const;
 
-  /// Parses and *verifies* a document: format tag, field shape, schedule
-  /// bounds (checkScheduleBounds), a `"stats"` block that agrees with the
-  /// schedule and metrics, and — for successful artifacts — that the
-  /// stored fingerprint matches the deserialized schedule's recomputed
-  /// one, so silent corruption of any schedule field is detected at load
-  /// time. Throws cgra::Error.
+  /// Parses and checks a document on its own: format tag, field shape,
+  /// schedule bounds (layer 1 of verifySchedule), a `"stats"` block that
+  /// agrees with the schedule and metrics, and — for successful artifacts —
+  /// that the stored fingerprint matches the deserialized schedule's
+  /// recomputed one, so silent corruption of any schedule field is detected
+  /// at load time. Throws cgra::Error. A forger can recompute the
+  /// fingerprint, so this does not make a schedule trustworthy: that takes
+  /// the composition and CDFG its key names, and ArtifactStore runs all of
+  /// verifySchedule with them on every disk load.
   static ScheduleArtifact fromJson(const json::Value& doc);
 
   /// Builds an artifact from a finished scheduling run. Volatile fields
@@ -62,7 +65,7 @@ struct ScheduleArtifact : ScheduleReport {
 
 /// Bit-exact Schedule serialization (every field of sched/schedule.hpp).
 /// Exposed separately for tests and external tooling. scheduleFromJson
-/// rejects a schedule that fails checkScheduleBounds.
+/// rejects a schedule that fails layer 1 (bounds) of verifySchedule.
 json::Value scheduleToJson(const Schedule& sched);
 Schedule scheduleFromJson(const json::Value& doc);
 

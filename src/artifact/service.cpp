@@ -785,7 +785,7 @@ struct Service::Impl {
       const std::string key = scheduleJobKey(comp, graph, schedOpts);
       sp.keyPrefix = key.substr(0, 12);
       // Identical concurrent misses, from any connection, share one run.
-      const auto [art, source] = store.resolve(key, [&] {
+      const auto [art, source] = store.resolve(key, comp, graph, [&] {
         const Clock::time_point tSched = Clock::now();
         ScheduleRequest sreq(graph);
         // Sampled cold runs carry the decision trace and land as one

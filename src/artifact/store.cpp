@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "sched/validate.hpp"
 #include "support/fs.hpp"
 
 namespace cgra::artifact {
@@ -112,7 +113,7 @@ void ArtifactStore::evictPastCapLocked() {
 }
 
 std::shared_ptr<const ScheduleArtifact> ArtifactStore::lookup(
-    const std::string& key) {
+    const std::string& key, const Composition& comp, const Cdfg& graph) {
   // No memory probe: resolve made it when claiming the key's flight, and
   // only that flight fills the memory tier for the key.
   if (options_.directory.empty()) {
@@ -136,8 +137,10 @@ std::shared_ptr<const ScheduleArtifact> ArtifactStore::lookup(
         ScheduleArtifact::fromJson(json::parseFile(path)));
     if (loaded->key != key)
       throw Error("artifact: key field does not match filename");
+    if (loaded->ok)
+      requireValidSchedule(loaded->schedule, "artifact", &comp, &graph);
   } catch (const std::exception&) {
-    // Corrupt, truncated or stale-format file: discard and miss.
+    // Corrupt, truncated, stale-format or forged file: discard and miss.
     std::error_code ec;
     sfs::remove(path, ec);
     std::lock_guard<std::mutex> lock(mu_);
@@ -164,7 +167,8 @@ std::shared_ptr<const ScheduleArtifact> ArtifactStore::lookup(
 }
 
 ArtifactStore::Resolved ArtifactStore::resolve(
-    const std::string& key, const std::function<ScheduleArtifact()>& compute) {
+    const std::string& key, const Composition& comp, const Cdfg& graph,
+    const std::function<ScheduleArtifact()>& compute) {
   std::unique_lock<std::mutex> lock(mu_);
   if (const auto hit = memory_.find(key); hit != memory_.end()) {
     ++counters_.hits;
@@ -191,7 +195,7 @@ ArtifactStore::Resolved ArtifactStore::resolve(
   // it in the critical section that fills the memory tier.
   Resolved out{nullptr, Source::Disk};
   try {
-    out.artifact = lookup(key);
+    out.artifact = lookup(key, comp, graph);
     if (out.artifact == nullptr) {
       auto computed = std::make_shared<const ScheduleArtifact>(compute());
       CGRA_ASSERT(computed->key == key);

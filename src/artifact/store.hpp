@@ -14,9 +14,14 @@
 //    `maxDiskBytes` evicts the least-recently-used keys' files.
 //
 // `resolve` is the store's one query: lookup-or-schedule, computing a
-// missing key only once. Every disk load verifies the artifact (format tag,
-// schedule fingerprint); a corrupt or stale file counts as `invalid`, is
-// deleted best-effort, and reads as a miss, so `resolve` recomputes it.
+// missing key only once. Every disk load verifies the artifact: its format
+// tag, stats block and schedule fingerprint (ScheduleArtifact::fromJson),
+// then every layer of verifySchedule (sched/validate.hpp) against the
+// composition and CDFG the caller built the key from, so a file edited and
+// re-fingerprinted by hand fails like a torn one. A failing file counts as
+// `invalid`, is deleted best-effort, and reads as a miss, so `resolve`
+// recomputes it. A memory hit was verified when it was loaded or computed
+// and costs one probe.
 #pragma once
 
 #include <cstdint>
@@ -81,13 +86,16 @@ public:
     Source source;
   };
 
-  /// Returns the artifact for `key`, running `compute` on a miss and
-  /// inserting its result. Concurrent callers of one missing key join a
-  /// single flight, so `compute` runs once. When `compute` (nothing is
-  /// cached) or the disk write throws, every caller of the flight throws:
-  /// the owner its exception, the others a cgra::Error with its message.
-  /// Counts exactly one hit or one miss. Thread-safe.
-  Resolved resolve(const std::string& key,
+  /// Returns the artifact for `key`, the job key of `graph` on `comp`,
+  /// running `compute` on a miss and inserting its result. A schedule
+  /// loaded from disk must pass verifySchedule(schedule, &comp, &graph).
+  /// Concurrent callers of one missing key join a single flight, so
+  /// `compute` runs once. When `compute` (nothing is cached) or the disk
+  /// write throws, every caller of the flight throws: the owner its
+  /// exception, the others a cgra::Error with its message. Counts exactly
+  /// one hit or one miss. Thread-safe.
+  Resolved resolve(const std::string& key, const Composition& comp,
+                   const Cdfg& graph,
                    const std::function<ScheduleArtifact()>& compute);
 
   StoreCounters counters() const;
@@ -105,11 +113,14 @@ private:
     std::list<std::string>::iterator lruIt;  ///< position in lru_
   };
 
-  /// resolve's two halves, run by a flight's owner. lookup loads `key` from
-  /// the directory, or returns nullptr on a miss; insert publishes one
+  /// resolve's two halves, run by a flight's owner. lookup loads and
+  /// verifies `key` from the directory, or returns nullptr on a miss (an
+  /// unverifiable file is one); insert publishes one
   /// (memory, then disk when configured), evicting LRU disk entries past
   /// the byte cap. Each releases the flight when it fills the memory tier.
-  std::shared_ptr<const ScheduleArtifact> lookup(const std::string& key);
+  std::shared_ptr<const ScheduleArtifact> lookup(const std::string& key,
+                                                 const Composition& comp,
+                                                 const Cdfg& graph);
   void insert(std::shared_ptr<const ScheduleArtifact> artifact);
 
   std::string pathForKey(const std::string& key) const;

@@ -13,13 +13,14 @@ SweepReport runCachedSweep(const std::vector<SweepJob>& jobs,
 
   SweepReport report = runSweep(
       jobs, options,
-      [&](const std::string& key,
+      [&](const SweepJob& job, const std::string& key,
           const std::function<ScheduleReport()>& schedule) {
         ScheduleReport run;  // this key's scheduler run; empty on a hit
-        const auto [art, source] = store.resolve(key, [&] {
-          run = schedule();
-          return ScheduleArtifact::fromReport(key, run);
-        });
+        const auto [art, source] =
+            store.resolve(key, *job.comp, *job.graph, [&] {
+              run = schedule();
+              return ScheduleArtifact::fromReport(key, run);
+            });
         if (source == ArtifactStore::Source::Computed) return run;
         {
           const std::lock_guard<std::mutex> lock(hitMu);

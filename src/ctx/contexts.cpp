@@ -1,7 +1,8 @@
 #include "ctx/contexts.hpp"
 
 #include <algorithm>
-#include <map>
+
+#include "sched/validate.hpp"
 
 namespace cgra {
 
@@ -120,30 +121,8 @@ BitVector padTo(const BitVector& bits, unsigned width) {
   return out;
 }
 
-}  // namespace
-
-std::size_t ContextImages::totalBits() const {
-  std::size_t bits = 0;
-  for (PEId p = 0; p < peContexts.size(); ++p)
-    bits += static_cast<std::size_t>(peWidths[p]) * peContexts[p].size();
-  bits += static_cast<std::size_t>(cboxWidth) * cboxContexts.size();
-  bits += static_cast<std::size_t>(ccuWidth) * ccuContexts.size();
-  return bits;
-}
-
-ContextImages generateContexts(const Schedule& virtualSched,
-                               const Composition& comp) {
-  requireScheduleFits(virtualSched, comp, "context generation");
-  const RegAllocation alloc = allocateRegisters(virtualSched, comp);
-  return encodePhysical(applyAllocation(virtualSched, alloc), comp);
-}
-
-ContextImages encodePhysical(const Schedule& sched, const Composition& comp) {
-  if (sched.length > comp.contextMemoryLength())
-    throw Error("schedule length " + std::to_string(sched.length) +
-                " exceeds context memory length " +
-                std::to_string(comp.contextMemoryLength()));
-
+/// Encodes a schedule that passed layers 1-2 of verifySchedule.
+ContextImages encodeVerified(const Schedule& sched, const Composition& comp) {
   ContextImages img;
   img.length = sched.length;
   img.liveIns = sched.liveIns;
@@ -154,25 +133,26 @@ ContextImages encodePhysical(const Schedule& sched, const Composition& comp) {
   const unsigned cboxSlotBits = bitsFor(comp.cboxSlots());
   const unsigned targetBits = bitsFor(std::max(1u, sched.length));
 
+  // What each context holds, PE-major for the ops.
+  std::vector<const ScheduledOp*> opAt(comp.numPEs() * sched.length, nullptr);
+  for (const ScheduledOp& op : sched.ops)
+    opAt[std::size_t{op.pe} * sched.length + op.start] = &op;
+  std::vector<const CBoxOp*> cboxAt(sched.length, nullptr);
+  for (const CBoxOp& op : sched.cboxOps) cboxAt[op.time] = &op;
+  std::vector<const BranchOp*> branchAt(sched.length, nullptr);
+  for (const BranchOp& b : sched.branches) branchAt[b.time] = &b;
+
   // Per-PE contexts.
   img.peContexts.resize(comp.numPEs());
   img.peWidths.resize(comp.numPEs());
   for (PEId p = 0; p < comp.numPEs(); ++p) {
     const PEFieldWidths w = widthsFor(comp, p);
-    std::map<unsigned, const ScheduledOp*> byStart;
-    for (const ScheduledOp& op : sched.ops)
-      if (op.pe == p) {
-        if (byStart.contains(op.start))
-          throw Error("encode: two ops start on PE " + std::to_string(p) +
-                      " at t" + std::to_string(op.start));
-        byStart[op.start] = &op;
-      }
     std::vector<BitVector> raw(sched.length);
     unsigned width = 1;
     for (unsigned t = 0; t < sched.length; ++t) {
       BitPacker bp;
-      if (const auto it = byStart.find(t); it != byStart.end())
-        encodeOp(bp, *it->second, comp, w);
+      if (const ScheduledOp* op = opAt[std::size_t{p} * sched.length + t])
+        encodeOp(bp, *op, comp, w);
       else
         bp.writeBool(false);  // idle context
       raw[t] = bp.bits();
@@ -186,18 +166,12 @@ ContextImages encodePhysical(const Schedule& sched, const Composition& comp) {
 
   // C-Box contexts.
   {
-    std::map<unsigned, const CBoxOp*> byTime;
-    for (const CBoxOp& op : sched.cboxOps) {
-      if (byTime.contains(op.time))
-        throw Error("encode: two C-Box ops at t" + std::to_string(op.time));
-      byTime[op.time] = &op;
-    }
     std::vector<BitVector> raw(sched.length);
     unsigned width = 1;
     for (unsigned t = 0; t < sched.length; ++t) {
       BitPacker bp;
-      if (const auto it = byTime.find(t); it != byTime.end()) {
-        const CBoxOp& op = *it->second;
+      if (cboxAt[t] != nullptr) {
+        const CBoxOp& op = *cboxAt[t];
         bp.writeBool(true);
         bp.write(op.inputs.size(), 2);
         for (const CBoxOp::Input& in : op.inputs) {
@@ -220,18 +194,12 @@ ContextImages encodePhysical(const Schedule& sched, const Composition& comp) {
 
   // CCU contexts.
   {
-    std::map<unsigned, const BranchOp*> byTime;
-    for (const BranchOp& b : sched.branches) {
-      if (byTime.contains(b.time))
-        throw Error("encode: two branches at t" + std::to_string(b.time));
-      byTime[b.time] = &b;
-    }
     std::vector<BitVector> raw(sched.length);
     unsigned width = 1;
     for (unsigned t = 0; t < sched.length; ++t) {
       BitPacker bp;
-      if (const auto it = byTime.find(t); it != byTime.end()) {
-        const BranchOp& b = *it->second;
+      if (branchAt[t] != nullptr) {
+        const BranchOp& b = *branchAt[t];
         bp.writeBool(true);
         bp.write(b.target, targetBits);
         bp.writeBool(b.conditional);
@@ -250,6 +218,29 @@ ContextImages encodePhysical(const Schedule& sched, const Composition& comp) {
   }
 
   return img;
+}
+
+}  // namespace
+
+std::size_t ContextImages::totalBits() const {
+  std::size_t bits = 0;
+  for (PEId p = 0; p < peContexts.size(); ++p)
+    bits += static_cast<std::size_t>(peWidths[p]) * peContexts[p].size();
+  bits += static_cast<std::size_t>(cboxWidth) * cboxContexts.size();
+  bits += static_cast<std::size_t>(ccuWidth) * ccuContexts.size();
+  return bits;
+}
+
+ContextImages generateContexts(const Schedule& virtualSched,
+                               const Composition& comp) {
+  requireValidSchedule(virtualSched, "context generation", &comp);
+  const RegAllocation alloc = allocateRegisters(virtualSched, comp);
+  return encodeVerified(applyAllocation(virtualSched, alloc), comp);
+}
+
+ContextImages encodePhysical(const Schedule& sched, const Composition& comp) {
+  requireValidSchedule(sched, "encode", &comp);
+  return encodeVerified(sched, comp);
 }
 
 Schedule decodeContexts(const ContextImages& img, const Composition& comp) {

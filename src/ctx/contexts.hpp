@@ -39,12 +39,13 @@ struct ContextImages {
 
 /// Encodes a schedule whose registers are still virtual: allocation is
 /// applied internally (left edge, §V-I). Throws cgra::Error when the
-/// schedule exceeds the composition's context memory length.
+/// schedule fails layers 1-2 of verifySchedule (sched/validate.hpp) on
+/// `comp` or its registers do not fit the register files.
 ContextImages generateContexts(const Schedule& sched, const Composition& comp);
 
 /// Encodes a schedule whose registers are already physical (e.g. a pack of
-/// several schedules sharing one context memory, ctx/multi.hpp). The
-/// caller guarantees register/slot indices fit the composition.
+/// several schedules sharing one context memory, ctx/multi.hpp). Throws
+/// cgra::Error when it fails layers 1-2 of verifySchedule on `comp`.
 ContextImages encodePhysical(const Schedule& physical, const Composition& comp);
 
 /// Decodes context images back into an executable schedule (physical

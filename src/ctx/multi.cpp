@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sched/validate.hpp"
+
 namespace cgra {
 
 PackedSchedules packSchedules(const std::vector<Schedule>& schedules,
@@ -51,10 +53,7 @@ PackedSchedules packSchedules(const std::vector<Schedule>& schedules,
     offset += phys.length;
   }
   out.merged.length = offset;
-  if (out.merged.length > comp.contextMemoryLength())
-    throw Error("packSchedules: combined length " +
-                std::to_string(out.merged.length) + " exceeds context memory " +
-                std::to_string(comp.contextMemoryLength()));
+  requireValidSchedule(out.merged, "packSchedules", &comp);
   return out;
 }
 

@@ -31,8 +31,10 @@ struct PackedSchedules {
 };
 
 /// Packs virtual schedules into one context-memory image set; throws
-/// cgra::Error when the combined length exceeds the composition's context
-/// memory or any kernel exceeds its register/C-Box capacity.
+/// cgra::Error when the merged schedule fails layers 1-2 of verifySchedule
+/// (sched/validate.hpp), as when the combined length exceeds the
+/// composition's context memory, or any kernel exceeds its register/C-Box
+/// capacity.
 PackedSchedules packSchedules(const std::vector<Schedule>& schedules,
                               const Composition& comp);
 

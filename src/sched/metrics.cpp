@@ -4,6 +4,8 @@
 #include <iterator>
 #include <string_view>
 
+#include "sched/validate.hpp"
+
 namespace cgra {
 
 namespace {
@@ -78,7 +80,7 @@ json::Value SchedulerMetrics::toJson(bool includeTimings) const {
 ScheduleQuality computeScheduleQuality(const Schedule& sched,
                                        const Composition& comp,
                                        const SchedulerMetrics* metrics) {
-  requireScheduleFits(sched, comp, "schedule quality");
+  requireValidSchedule(sched, "schedule quality", &comp);
   ScheduleQuality q;
   q.length = sched.length;
   q.numPEs = comp.numPEs();

@@ -107,7 +107,7 @@ struct ScheduleQuality {
 /// Computes static quality metrics of `sched` on `comp`. `metrics` (when
 /// available from the scheduling run) contributes the fused-write ratio,
 /// which the schedule alone no longer records. Throws cgra::Error when the
-/// schedule's PE count differs from the composition's.
+/// schedule fails layers 1-2 of verifySchedule (sched/validate.hpp).
 ScheduleQuality computeScheduleQuality(
     const Schedule& sched, const Composition& comp,
     const SchedulerMetrics* metrics = nullptr);

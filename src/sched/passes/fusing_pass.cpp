@@ -25,7 +25,8 @@ NodeId fusableWriterOf(const Cdfg& g, NodeId id) {
     if (writer != kNoNode) return kNoNode;  // multiple writers
     writer = e.to;
   }
-  if (writer == kNoNode || g.node(writer).loop != n.loop) return kNoNode;
+  // No loop test: lowering builds a value and the pWRITE consuming it in
+  // one statement, hence one loop (kir/lower_cdfg.cpp).
   return writer;
 }
 

@@ -12,8 +12,8 @@ namespace cgra::passes {
 
 /// Fills `st.fusableWriter` (analysis pass): per node, the single pWRITE
 /// consumer if the node's value feeds exactly one node and that node is a
-/// pWRITE in the same loop, and kNoNode for every node when
-/// SchedulerOptions::fuseWrites is off.
+/// pWRITE, and kNoNode for every node when SchedulerOptions::fuseWrites is
+/// off.
 void computeFusableWriters(RunState& st);
 
 /// The pWRITE `id` may fuse into, if any (a read of `st.fusableWriter`).

@@ -5,66 +5,6 @@
 
 namespace cgra {
 
-void requireScheduleFits(const Schedule& sched, const Composition& comp,
-                         const char* who) {
-  if (sched.vregsPerPE.size() != comp.numPEs())
-    throw Error(std::string(who) + ": schedule has " +
-                std::to_string(sched.vregsPerPE.size()) + " PEs, " +
-                comp.name() + " has " + std::to_string(comp.numPEs()));
-  if (sched.length > comp.contextMemoryLength())
-    throw Error(std::string(who) + ": schedule length " +
-                std::to_string(sched.length) + " exceeds the context memory "
-                "of " + comp.name());
-}
-
-void checkScheduleBounds(const Schedule& sched, const char* who) {
-  auto check = [who](bool ok, const char* what) {
-    if (!ok) throw Error(std::string(who) + ": " + what);
-  };
-  const std::size_t numPEs = sched.vregsPerPE.size();
-  const auto vregOk = [&](PEId pe, unsigned vreg) {
-    return pe < numPEs && vreg < sched.vregsPerPE[pe];
-  };
-  for (const ScheduledOp& op : sched.ops) {
-    check(op.pe < numPEs, "op on invalid PE");
-    check(op.duration >= 1, "zero-duration op");
-    check(op.start < sched.length && op.duration <= sched.length - op.start,
-          "op outside the context range");
-    check(static_cast<unsigned>(op.op) < kNumOps, "invalid opcode");
-    check(!op.writesDest || vregOk(op.pe, op.destVreg),
-          "destination register out of range");
-    check(!op.pred || op.pred->slot < sched.cboxSlotsUsed,
-          "predication slot out of range");
-    for (const OperandSource& src : op.src) {
-      if (src.kind == OperandSource::Kind::Own)
-        check(vregOk(op.pe, src.vreg), "operand register range");
-      if (src.kind == OperandSource::Kind::Route)
-        check(vregOk(src.srcPE, src.vreg), "routed register range");
-    }
-  }
-  for (const CBoxOp& op : sched.cboxOps) {
-    check(op.time < sched.length, "C-Box op outside the context range");
-    check(op.writeSlot < sched.cboxSlotsUsed, "C-Box write slot range");
-    for (const CBoxOp::Input& in : op.inputs)
-      check(in.kind != CBoxOp::Input::Kind::Stored ||
-                in.slot < sched.cboxSlotsUsed,
-            "C-Box read slot range");
-  }
-  for (const BranchOp& b : sched.branches) {
-    check(b.time < sched.length, "branch outside the context range");
-    check(b.target < sched.length, "branch target out of range");
-    check(!b.conditional || b.pred.slot < sched.cboxSlotsUsed,
-          "branch selection slot range");
-  }
-  for (const LoopInterval& l : sched.loops)
-    check(l.start <= l.end && l.end < sched.length,
-          "loop outside the context range");
-  for (const auto* bindings :
-       {&sched.liveIns, &sched.liveOuts, &sched.varHomes})
-    for (const LiveBinding& lb : *bindings)
-      check(vregOk(lb.pe, lb.vreg), "binding register out of range");
-}
-
 std::vector<const ScheduledOp*> Schedule::opsByTime() const {
   std::vector<const ScheduledOp*> out;
   out.reserve(ops.size());

@@ -129,19 +129,4 @@ struct Schedule {
   std::uint64_t fingerprint() const;
 };
 
-/// Throws cgra::Error (prefixed with `who`) unless `sched` carries one
-/// register count per PE of `comp` and fits its context memory: a schedule
-/// loaded from a file must not be read on a composition it was not made
-/// for, nor size per-context tables beyond what any composition holds.
-void requireScheduleFits(const Schedule& sched, const Composition& comp,
-                         const char* who);
-
-/// Throws cgra::Error (prefixed with `who`) when any op, C-Box op, branch,
-/// loop or binding of `sched` lies outside its own `length`, PE count
-/// (`vregsPerPE.size()`), register counts or C-Box slots. Every reader of a
-/// schedule that did not come straight from the scheduler (artifact files,
-/// decoded context images) passes it first, so no reader indexes out of
-/// bounds.
-void checkScheduleBounds(const Schedule& sched, const char* who);
-
 }  // namespace cgra

@@ -165,11 +165,11 @@ SweepReport runSweep(const std::vector<SweepJob>& jobs,
   parallelFor(uniqueJobs.size(), report.threadsUsed, [&](std::size_t u) {
     const std::size_t i = uniqueJobs[u];
     const auto schedule = [&] { return scheduleJob(jobs[i], trace); };
-    report.results[i] =
-        toResult(jobs[i],
-                 resolve && !keys[i].empty() ? resolve(keys[i], schedule)
-                                             : schedule(),
-                 options.keepSchedules);
+    report.results[i] = toResult(jobs[i],
+                                 resolve && !keys[i].empty()
+                                     ? resolve(jobs[i], keys[i], schedule)
+                                     : schedule(),
+                                 options.keepSchedules);
     report.results[i].cacheKey = keys[i];
   });
 

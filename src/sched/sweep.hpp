@@ -120,11 +120,14 @@ struct SweepReport {
   json::Value toJson(bool includeVolatile = true) const;
 };
 
-/// The per-key step of a sweep: returns the report for `key`, by calling
-/// `schedule()` or from elsewhere (artifact::runCachedSweep answers from a
-/// persistent store). Without one, the sweep calls `schedule()` itself.
+/// The per-key step of a sweep: returns the report for `job`, whose key is
+/// `key`, by calling `schedule()` or from elsewhere (artifact::runCachedSweep
+/// answers from a persistent store, which verifies what it loads against
+/// the job's composition and CDFG). Without one, the sweep calls
+/// `schedule()` itself.
 using SweepResolver = std::function<ScheduleReport(
-    const std::string& key, const std::function<ScheduleReport()>& schedule)>;
+    const SweepJob& job, const std::string& key,
+    const std::function<ScheduleReport()>& schedule)>;
 
 /// Schedules every job, `options.threads` at a time. Thread count affects
 /// wall time only, never the schedules. `resolve`, when set, is called once

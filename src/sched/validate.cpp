@@ -1,19 +1,18 @@
 #include "sched/validate.hpp"
 
 #include <algorithm>
-#include <map>
-#include <optional>
-#include <set>
+#include <limits>
 #include <sstream>
+#include <utility>
+
+#include "support/assert.hpp"
 
 namespace cgra {
 
 namespace {
 
-struct Checker {
+struct Verifier {
   const Schedule& s;
-  const Cdfg& g;
-  const Composition& comp;
   std::vector<std::string> issues;
 
   template <typename... Args>
@@ -23,289 +22,342 @@ struct Checker {
     issues.push_back(os.str());
   }
 
-  void run() {
-    checkNodeCoverage();
-    checkPEOccupancy();
-    checkRouting();
-    checkDependencies();
-    checkPredication();
-    checkCBox();
-    checkLoops();
-    checkCapacity();
+  // -- layer 1: bounds -----------------------------------------------------
+
+  bool vregOk(PEId pe, unsigned vreg) const {
+    return pe < s.vregsPerPE.size() && vreg < s.vregsPerPE[pe];
   }
+  bool slotOk(unsigned slot) const { return slot < s.cboxSlotsUsed; }
 
-  std::map<NodeId, const ScheduledOp*> nodeOps;
-
-  void checkNodeCoverage() {
+  void checkBounds() {
     for (const ScheduledOp& op : s.ops) {
-      if (op.node == kNoNode) {
-        if (op.op != Op::MOVE && op.op != Op::CONST)
-          issue("inserted op at t", op.start, " is ", opName(op.op),
-                ", expected MOVE/CONST");
-        continue;
-      }
-      if (nodeOps.contains(op.node))
-        issue("node ", op.node, " scheduled twice");
-      nodeOps[op.node] = &op;
-    }
-    for (NodeId id = 0; id < g.numNodes(); ++id)
-      if (!nodeOps.contains(id)) {
-        // Fused pWRITEs share their producer's ScheduledOp; accept a pWRITE
-        // without its own op when its producer's op writes the home register.
-        const Node& n = g.node(id);
-        bool fused = false;
-        if (n.isPWrite() && n.operands[0].kind() == Operand::Kind::Node) {
-          const auto it = nodeOps.find(n.operands[0].nodeId());
-          fused = it != nodeOps.end() && it->second->writesDest;
-        }
-        if (fused)
-          nodeOps[id] = nodeOps.at(n.operands[0].nodeId());
-        else
-          issue("node ", id, " not scheduled");
-      }
-  }
-
-  void checkPEOccupancy() {
-    std::map<std::pair<PEId, unsigned>, const ScheduledOp*> busy;
-    for (const ScheduledOp& op : s.ops) {
-      if (op.pe >= comp.numPEs()) {
+      if (op.pe >= s.vregsPerPE.size())
         issue("op at t", op.start, " on invalid PE ", op.pe);
-        continue;
+      if (op.duration == 0)
+        issue("zero-duration op at t", op.start);
+      else if (op.start >= s.length || op.duration > s.length - op.start)
+        issue("op at t", op.start, " outside the context range");
+      if (static_cast<unsigned>(op.op) >= kNumOps)
+        issue("invalid opcode at t", op.start);
+      if (op.writesDest && !vregOk(op.pe, op.destVreg))
+        issue("op at t", op.start, " writes register ", op.destVreg,
+              " out of range");
+      if (op.pred && !slotOk(op.pred->slot))
+        issue("op at t", op.start, " reads condition slot ", op.pred->slot,
+              " out of range");
+      for (const OperandSource& src : op.src) {
+        if (src.kind == OperandSource::Kind::Own && !vregOk(op.pe, src.vreg))
+          issue("op at t", op.start, " reads register ", src.vreg,
+                " out of range");
+        if (src.kind == OperandSource::Kind::Route &&
+            !vregOk(src.srcPE, src.vreg))
+          issue("op at t", op.start, " routes register ", src.vreg,
+                " of PE ", src.srcPE, " out of range");
       }
-      if (!comp.pe(op.pe).supports(op.op))
-        issue("PE ", op.pe, " does not support ", opName(op.op));
-      for (unsigned c = op.start; c <= op.lastCycle(); ++c) {
-        const auto key = std::make_pair(op.pe, c);
-        if (busy.contains(key))
-          issue("PE ", op.pe, " double-booked at t", c);
-        busy[key] = &op;
-      }
-      if (op.writesDest && op.pe < s.vregsPerPE.size() &&
-          op.destVreg >= s.vregsPerPE[op.pe])
-        issue("op at t", op.start, " writes vreg ", op.destVreg,
-              " beyond PE ", op.pe, " count");
     }
+    for (const CBoxOp& op : s.cboxOps) {
+      if (op.time >= s.length)
+        issue("C-Box op at t", op.time, " outside the context range");
+      if (!slotOk(op.writeSlot))
+        issue("C-Box op at t", op.time, " writes slot ", op.writeSlot,
+              " out of range");
+      unsigned statuses = 0;
+      for (const CBoxOp::Input& in : op.inputs) {
+        if (in.kind == CBoxOp::Input::Kind::Status)
+          ++statuses;
+        else if (!slotOk(in.slot))
+          issue("C-Box op at t", op.time, " reads slot ", in.slot,
+                " out of range");
+      }
+      if (op.inputs.empty() || op.inputs.size() > 2)
+        issue("C-Box op at t", op.time, " has ", op.inputs.size(), " inputs");
+      if (statuses > 1)
+        issue("C-Box op at t", op.time, " consumes two statuses");
+    }
+    for (const BranchOp& b : s.branches) {
+      if (b.time >= s.length)
+        issue("branch at t", b.time, " outside the context range");
+      if (b.target >= s.length)
+        issue("branch at t", b.time, " targets t", b.target, " out of range");
+      if (b.conditional && !slotOk(b.pred.slot))
+        issue("branch at t", b.time, " reads slot ", b.pred.slot,
+              " out of range");
+    }
+    for (const LoopInterval& l : s.loops)
+      if (l.start > l.end || l.end >= s.length)
+        issue("loop ", l.loop, " interval [", l.start, ",", l.end,
+              "] outside the context range");
+    for (const auto* bindings : {&s.liveIns, &s.liveOuts, &s.varHomes})
+      for (const LiveBinding& lb : *bindings)
+        if (!vregOk(lb.pe, lb.vreg))
+          issue("binding of variable ", lb.var, " to PE ", lb.pe,
+                " register ", lb.vreg, " out of range");
   }
 
-  void checkRouting() {
-    // Per (PE, cycle): the register exposed on the output port.
-    std::map<std::pair<PEId, unsigned>, unsigned> exposed;
-    for (const ScheduledOp& op : s.ops)
+  // -- layer 2: fit and exclusivity -----------------------------------------
+
+  void checkFit(const Composition& comp) {
+    if (s.vregsPerPE.size() != comp.numPEs())
+      issue("schedule has ", s.vregsPerPE.size(), " PEs, ", comp.name(),
+            " has ", comp.numPEs());
+    if (s.length > comp.contextMemoryLength())
+      issue("schedule length ", s.length, " exceeds the context memory of ",
+            comp.name(), " (", comp.contextMemoryLength(), ")");
+  }
+
+  /// Flat PE-major (PE, context) tables, not maps: the Simulator and the
+  /// context encoder run this layer on every schedule they take.
+  void checkExclusive(const Composition& comp) {
+    constexpr unsigned kNoReg = std::numeric_limits<unsigned>::max();
+    const std::size_t len = s.length;
+    std::vector<std::uint8_t> busy(comp.numPEs() * len, 0);
+    std::vector<unsigned> exposed(comp.numPEs() * len, kNoReg);
+    for (const ScheduledOp& op : s.ops) {
+      if (!comp.pe(op.pe).supports(op.op))
+        issue("PE ", op.pe, " does not support operation ", opName(op.op));
+      for (unsigned c = op.start; c <= op.lastCycle(); ++c)
+        if (std::exchange(busy[op.pe * len + c], 1) != 0)
+          issue("PE ", op.pe, " double-booked at t", c);
       for (const OperandSource& src : op.src) {
         if (src.kind != OperandSource::Kind::Route) continue;
         if (!comp.interconnect().hasLink(src.srcPE, op.pe))
           issue("op at t", op.start, " on PE ", op.pe,
                 " routes from non-source PE ", src.srcPE);
-        const auto key = std::make_pair(src.srcPE, op.start);
-        const auto it = exposed.find(key);
-        if (it != exposed.end() && it->second != src.vreg)
+        unsigned& reg = exposed[src.srcPE * len + op.start];
+        if (reg != kNoReg && reg != src.vreg)
           issue("PE ", src.srcPE, " output port exposes two registers at t",
                 op.start);
-        exposed[key] = src.vreg;
+        reg = src.vreg;
       }
+    }
+    std::vector<std::uint8_t> cbox(len, 0);
+    for (const CBoxOp& op : s.cboxOps)
+      if (std::exchange(cbox[op.time], 1) != 0)
+        issue("two C-Box ops at t", op.time);
+    std::vector<std::uint8_t> branch(len, 0);
+    for (const BranchOp& b : s.branches)
+      if (std::exchange(branch[b.time], 1) != 0)
+        issue("two branches at t", b.time);
   }
 
-  void checkDependencies() {
+  // -- layer 3: semantics against the CDFG ----------------------------------
+
+  /// Per node, the op that computes it (a fused pWRITE: its producer's).
+  std::vector<const ScheduledOp*> nodeOps;
+  /// Per loop, its context interval.
+  std::vector<const LoopInterval*> intervals;
+
+  void checkSemantics(const Cdfg& g) {
+    for (const ScheduledOp& op : s.ops)
+      if (op.node != kNoNode && op.node >= g.numNodes())
+        issue("op at t", op.start, " names node ", op.node,
+              " outside the CDFG");
+    for (const LoopInterval& li : s.loops)
+      if (li.loop == kRootLoop || li.loop >= g.numLoops())
+        issue("interval of loop ", li.loop, ", which the CDFG lacks");
+    if (!issues.empty()) return;
+    checkNodeCoverage(g);
+    checkDependencies(g);
+    checkPredication(g);
+    checkStatusConsumption();
+    checkLoops(g);
+  }
+
+  void checkNodeCoverage(const Cdfg& g) {
+    nodeOps.assign(g.numNodes(), nullptr);
+    for (const ScheduledOp& op : s.ops) {
+      if (op.node == kNoNode) {
+        if ((op.op != Op::MOVE && op.op != Op::CONST) || op.emitsStatus)
+          issue("inserted op at t", op.start, " is ", opName(op.op),
+                op.emitsStatus ? " driving the status wire" : "",
+                ", expected MOVE/CONST");
+        continue;
+      }
+      if (nodeOps[op.node] != nullptr)
+        issue("node ", op.node, " scheduled twice");
+      nodeOps[op.node] = &op;
+      // The op runs its node: a pWRITE as a MOVE, or a CONST of an
+      // immediate; a comparison, and nothing else, drives the status wire.
+      const Node& n = g.node(op.node);
+      const Op want = !n.isPWrite() ? n.op
+                      : n.operands[0].kind() == Operand::Kind::Immediate
+                          ? Op::CONST
+                          : Op::MOVE;
+      if (op.op != want)
+        issue("node ", op.node, " runs ", opName(op.op), ", expected ",
+              opName(want));
+      if (op.emitsStatus != n.isStatusProducer())
+        issue("node ", op.node, " at t", op.start,
+              op.emitsStatus ? " drives" : " does not drive",
+              " the status wire");
+    }
+    for (NodeId id = 0; id < g.numNodes(); ++id) {
+      if (nodeOps[id] != nullptr) continue;
+      // Fused pWRITEs share their producer's ScheduledOp; accept a pWRITE
+      // without its own op when its producer's op writes the home register.
+      const Node& n = g.node(id);
+      const ScheduledOp* producer =
+          n.isPWrite() && n.operands[0].kind() == Operand::Kind::Node
+              ? nodeOps[n.operands[0].nodeId()]
+              : nullptr;
+      if (producer != nullptr && producer->writesDest)
+        nodeOps[id] = producer;
+      else
+        issue("node ", id, " not scheduled");
+    }
+  }
+
+  void checkDependencies(const Cdfg& g) {
     for (const Edge& e : g.edges()) {
-      const auto fi = nodeOps.find(e.from);
-      const auto ti = nodeOps.find(e.to);
-      if (fi == nodeOps.end() || ti == nodeOps.end()) continue;
-      const ScheduledOp& from = *fi->second;
-      const ScheduledOp& to = *ti->second;
-      const unsigned fromFinish = from.start + from.duration;
+      const ScheduledOp* from = nodeOps[e.from];
+      const ScheduledOp* to = nodeOps[e.to];
+      if (from == nullptr || to == nullptr) continue;
+      const unsigned fromFinish = from->start + from->duration;
       switch (e.kind) {
         case DepKind::Flow:
         case DepKind::Output:
           // Fused producer/writer pairs share one op; identity is fine.
-          if (&from != &to && to.start < fromFinish)
+          if (from != to && to->start < fromFinish)
             issue("edge ", e.from, "->", e.to, " (",
                   e.kind == DepKind::Flow ? "flow" : "output",
-                  ") violated: ", to.start, " < ", fromFinish);
+                  ") violated: ", to->start, " < ", fromFinish);
           break;
         case DepKind::Anti:
-          if (to.start < from.start)
-            issue("anti edge ", e.from, "->", e.to, " violated: ", to.start,
-                  " < ", from.start);
+          if (to->start < from->start)
+            issue("anti edge ", e.from, "->", e.to, " violated: ", to->start,
+                  " < ", from->start);
           break;
         case DepKind::Control:
-          if (&from != &to && to.start < fromFinish)
+          if (from != to && to->start < fromFinish)
             issue("control edge ", e.from, "->", e.to,
                   " violated: condition producer finishes at ", fromFinish,
-                  ", consumer starts at ", to.start);
+                  ", consumer starts at ", to->start);
           break;
       }
     }
   }
 
-  void checkPredication() {
+  void checkPredication(const Cdfg& g) {
     // Single outPE wire: at most one distinct (slot, polarity) per cycle.
-    std::map<unsigned, PredRef> predPerCycle;
+    std::vector<const PredRef*> predAt(s.length, nullptr);
     for (const ScheduledOp& op : s.ops) {
       if (op.pred) {
-        const auto it = predPerCycle.find(op.start);
-        if (it != predPerCycle.end() && !(it->second == *op.pred))
+        const PredRef*& seen = predAt[op.start];
+        if (seen == nullptr)
+          seen = &*op.pred;
+        else if (!(*seen == *op.pred))
           issue("two distinct predication signals read at t", op.start);
-        predPerCycle.emplace(op.start, *op.pred);
-        if (op.pred->slot >= s.cboxSlotsUsed)
-          issue("op at t", op.start, " reads condition slot ", op.pred->slot,
-                " beyond used count");
       }
-      // pWRITE / memory nodes with a non-TRUE condition must be predicated.
-      if (op.node != kNoNode) {
-        const Node& n = g.node(op.node);
-        const bool needsPred =
-            (n.isPWrite() || n.isMemory()) && n.cond != kCondTrue;
-        // A fused producer op carries the writer's predication; we can only
-        // check presence for ops that directly represent the node.
-        if (needsPred && !op.pred &&
-            (n.isPWrite() || n.isMemory()))
-          issue("node ", op.node, " (cond ", n.cond,
-                ") scheduled without predication at t", op.start);
-      }
+      // A pWRITE or memory node with a non-TRUE condition commits under
+      // predication. A fused producer op carries the writer's predication,
+      // so only ops that directly represent the node are checked.
+      if (op.node == kNoNode || op.pred) continue;
+      const Node& n = g.node(op.node);
+      if ((n.isPWrite() || n.isMemory()) && n.cond != kCondTrue)
+        issue("node ", op.node, " (cond ", n.cond,
+              ") scheduled without predication at t", op.start);
     }
   }
 
-  void checkCBox() {
-    std::set<unsigned> cboxCycles;
-    std::map<unsigned, unsigned> statusAt;  // cycle -> count
-    for (const CBoxOp& op : s.cboxOps) {
-      if (!cboxCycles.insert(op.time).second)
-        issue("two C-Box operations at t", op.time);
-      unsigned statusInputs = 0;
-      for (const CBoxOp::Input& in : op.inputs) {
-        if (in.kind == CBoxOp::Input::Kind::Status) ++statusInputs;
-        else if (in.slot >= s.cboxSlotsUsed)
-          issue("C-Box op at t", op.time, " reads slot ", in.slot,
-                " beyond used count");
-      }
-      if (statusInputs > 1)
-        issue("C-Box op at t", op.time, " consumes two statuses");
-      if (statusInputs) ++statusAt[op.time];
-      if (op.inputs.empty() || op.inputs.size() > 2)
-        issue("C-Box op at t", op.time, " has ", op.inputs.size(), " inputs");
-      if (op.writeSlot >= s.cboxSlotsUsed)
-        issue("C-Box op at t", op.time, " writes slot beyond used count");
-    }
-    // Every comparison must have its status consumed in its last cycle.
-    for (const ScheduledOp& op : s.ops) {
-      if (!op.emitsStatus) continue;
-      const unsigned cycle = op.lastCycle();
-      const bool consumed =
-          std::any_of(s.cboxOps.begin(), s.cboxOps.end(), [&](const CBoxOp& c) {
-            if (c.time != cycle) return false;
-            return std::any_of(c.inputs.begin(), c.inputs.end(),
-                               [](const CBoxOp::Input& in) {
-                                 return in.kind == CBoxOp::Input::Kind::Status;
-                               });
-          });
-      if (!consumed)
+  void checkStatusConsumption() {
+    // The C-Box consumes the status wire in a comparison's last cycle.
+    std::vector<std::uint8_t> consumed(s.length, 0);
+    for (const CBoxOp& c : s.cboxOps)
+      for (const CBoxOp::Input& in : c.inputs)
+        if (in.kind == CBoxOp::Input::Kind::Status) consumed[c.time] = 1;
+    for (const ScheduledOp& op : s.ops)
+      if (op.emitsStatus && consumed[op.lastCycle()] == 0)
         issue("status of comparison at t", op.start, " never consumed");
-    }
-    for (const auto& [cycle, count] : statusAt)
-      if (count > 1) issue("two statuses consumed at t", cycle);
   }
 
-  void checkLoops() {
-    std::map<unsigned, unsigned> branchCount;
-    for (const BranchOp& b : s.branches) {
-      ++branchCount[b.time];
+  void checkLoops(const Cdfg& g) {
+    for (const BranchOp& b : s.branches)
       if (b.target > b.time)
         issue("forward branch at t", b.time, " (target ", b.target, ")");
-    }
-    for (const auto& [cycle, count] : branchCount)
-      if (count > 1) issue("two branches at t", cycle);
 
-    std::map<LoopId, LoopInterval> intervals;
+    intervals.assign(g.numLoops(), nullptr);
     for (const LoopInterval& li : s.loops) {
-      if (intervals.contains(li.loop)) issue("loop ", li.loop, " closed twice");
-      intervals[li.loop] = li;
-      if (li.start > li.end)
-        issue("loop ", li.loop, " interval inverted");
-      const bool hasBranch = std::any_of(
+      if (intervals[li.loop] != nullptr)
+        issue("loop ", li.loop, " closed twice");
+      intervals[li.loop] = &li;
+      const bool closed = std::any_of(
           s.branches.begin(), s.branches.end(), [&](const BranchOp& b) {
             return b.loop == li.loop && b.time == li.end &&
                    b.target == li.start && b.conditional;
           });
-      if (!hasBranch)
+      if (!closed)
         issue("loop ", li.loop, " missing conditional back-branch at t",
               li.end);
     }
-    for (LoopId l = 1; l < g.numLoops(); ++l)
-      if (!intervals.contains(l)) issue("loop ", l, " never closed");
 
-    // Nesting: child interval strictly inside parent's; sibling intervals
-    // disjoint.
-    for (const auto& [l, li] : intervals) {
+    // Nesting: a child interval lies strictly inside its parent's, and
+    // sibling intervals are disjoint.
+    for (LoopId l = 1; l < g.numLoops(); ++l) {
+      const LoopInterval* li = intervals[l];
+      if (li == nullptr) {
+        issue("loop ", l, " never closed");
+        continue;
+      }
       const LoopId parent = g.loop(l).parent;
-      if (parent != kRootLoop) {
-        const auto pi = intervals.find(parent);
-        if (pi != intervals.end() &&
-            (li.start < pi->second.start || li.end >= pi->second.end))
-          issue("loop ", l, " interval [", li.start, ",", li.end,
-                "] not nested in parent [", pi->second.start, ",",
-                pi->second.end, "]");
+      const LoopInterval* pi =
+          parent == kRootLoop ? nullptr : intervals[parent];
+      if (pi != nullptr && (li->start < pi->start || li->end >= pi->end))
+        issue("loop ", l, " interval [", li->start, ",", li->end,
+              "] not nested in parent [", pi->start, ",", pi->end, "]");
+      for (LoopId other = l + 1; other < g.numLoops(); ++other) {
+        const LoopInterval* oi = intervals[other];
+        if (oi == nullptr || g.loopContains(l, other) ||
+            g.loopContains(other, l))
+          continue;
+        if (li->end >= oi->start && oi->end >= li->start)
+          issue("sibling loops ", l, " and ", other, " overlap");
       }
     }
-    for (const auto& [l1, i1] : intervals)
-      for (const auto& [l2, i2] : intervals) {
-        if (l1 >= l2) continue;
-        if (g.loopContains(l1, l2) || g.loopContains(l2, l1)) continue;
-        const bool disjoint = i1.end < i2.start || i2.end < i1.start;
-        if (!disjoint)
-          issue("sibling loops ", l1, " and ", l2, " overlap");
-      }
 
-    // Ownership: an op of loop l must lie inside l's interval and outside
-    // any non-ancestor loop's interval.
+    // Ownership: an op of loop l lies inside l's interval and starts
+    // outside every interval of a loop that does not contain l.
     for (const ScheduledOp& op : s.ops) {
       if (op.node == kNoNode) continue;  // copies/constants may backfill
       const LoopId l = g.node(op.node).loop;
-      if (l != kRootLoop) {
-        const auto it = intervals.find(l);
-        if (it != intervals.end() &&
-            (op.start < it->second.start || op.lastCycle() > it->second.end))
-          issue("node ", op.node, " of loop ", l, " at [", op.start, ",",
-                op.lastCycle(), "] escapes interval [", it->second.start, ",",
-                it->second.end, "]");
-      }
-      for (const auto& [other, oi] : intervals) {
-        if (g.loopContains(other, l)) continue;  // own loop or its ancestors
-        const bool inside = op.start >= oi.start && op.start <= oi.end;
-        if (inside)
+      const LoopInterval* own = l == kRootLoop ? nullptr : intervals[l];
+      if (own != nullptr &&
+          (op.start < own->start || op.lastCycle() > own->end))
+        issue("node ", op.node, " of loop ", l, " at [", op.start, ",",
+              op.lastCycle(), "] escapes interval [", own->start, ",",
+              own->end, "]");
+      for (LoopId other = 1; other < g.numLoops(); ++other) {
+        const LoopInterval* oi = intervals[other];
+        if (oi == nullptr || g.loopContains(other, l)) continue;
+        if (op.start >= oi->start && op.start <= oi->end)
           issue("node ", op.node, " of loop ", l, " scheduled at t", op.start,
                 " inside foreign loop ", other, " interval");
       }
     }
   }
-
-  void checkCapacity() {
-    if (s.length > comp.contextMemoryLength())
-      issue("schedule length ", s.length, " exceeds context memory ",
-            comp.contextMemoryLength());
-    for (const ScheduledOp& op : s.ops)
-      if (op.lastCycle() >= s.length)
-        issue("op at t", op.start, " extends past schedule length");
-    for (const BranchOp& b : s.branches)
-      if (b.time >= s.length) issue("branch past schedule length");
-  }
 };
 
 }  // namespace
 
-std::vector<std::string> validateSchedule(const Schedule& sched,
-                                          const Cdfg& graph,
-                                          const Composition& comp) {
-  Checker checker{sched, graph, comp, {}, {}};
-  checker.run();
-  return std::move(checker.issues);
+std::vector<std::string> verifySchedule(const Schedule& sched,
+                                        const Composition* comp,
+                                        const Cdfg* graph) {
+  CGRA_ASSERT_MSG(graph == nullptr || comp != nullptr,
+                  "the semantic layer runs after the composition's");
+  Verifier v{sched, {}, {}, {}};
+  v.checkBounds();
+  if (comp != nullptr && v.issues.empty()) v.checkFit(*comp);
+  if (comp != nullptr && v.issues.empty()) v.checkExclusive(*comp);
+  if (graph != nullptr && v.issues.empty()) v.checkSemantics(*graph);
+  return std::move(v.issues);
 }
 
-void checkSchedule(const Schedule& sched, const Cdfg& graph,
-                   const Composition& comp) {
-  const auto issues = validateSchedule(sched, graph, comp);
+void requireValidSchedule(const Schedule& sched, const char* who,
+                          const Composition* comp, const Cdfg* graph) {
+  const std::vector<std::string> issues = verifySchedule(sched, comp, graph);
   if (issues.empty()) return;
-  std::string msg = "schedule validation failed:";
-  for (const std::string& s : issues) msg += "\n  " + s;
+  std::string msg = who;
+  for (std::size_t i = 0; i < issues.size(); ++i)
+    msg += (i == 0 ? ": " : "; ") + issues[i];
   throw Error(msg);
 }
 

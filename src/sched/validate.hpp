@@ -1,6 +1,15 @@
-// Structural validation of a schedule against its CDFG and composition.
-// Used by the test suite as the invariant oracle: every property the
-// scheduler is supposed to guarantee (§V) is checked independently here.
+// The one schedule verifier. Every rule a schedule must keep (paper §V)
+// is checked here and nowhere else, in three layers ordered by what the
+// caller holds: the schedule alone, its composition, and the CDFG it was
+// made from. Every trust boundary runs it:
+//  * scheduleFromJson runs layer 1, so no parsed schedule indexes out of
+//    its own bounds;
+//  * generateContexts, encodePhysical, the Simulator and
+//    computeScheduleQuality run layers 1-2 before building their
+//    per-context tables;
+//  * ArtifactStore runs all three on every disk load, so an edited and
+//    re-fingerprinted cache file is a miss, never a hit;
+//  * the test suite runs all three on every schedule it makes.
 #pragma once
 
 #include <string>
@@ -10,29 +19,37 @@
 
 namespace cgra {
 
-/// Returns a list of human-readable violations (empty = valid). Checked
-/// invariants:
-///  * every CDFG node appears exactly once; inserted ops are MOVE/CONST;
-///  * PE occupancy is exclusive and every op is supported by its PE
-///    (memory ops only on DMA PEs);
-///  * routed operands follow existing interconnect links and no PE output
-///    port exposes two registers in one cycle;
-///  * dependency edges hold (Flow: consumer starts after producer finishes;
-///    Anti: writer starts no earlier than reader; Output: ordered);
-///  * predicated commits (pWRITE, memory ops) carry predication exactly when
-///    their condition is not TRUE, and at most one distinct predication
-///    signal is read per cycle (single outPE wire);
-///  * at most one C-Box operation and one branch per cycle; comparisons have
-///    a same-cycle C-Box consumer (one status per cycle);
-///  * loop intervals are contiguous, properly nested, end in a conditional
-///    back-branch, and contain exactly the ops of their loop subtree;
-///  * the schedule fits the composition's context memory.
-std::vector<std::string> validateSchedule(const Schedule& sched,
-                                          const Cdfg& graph,
-                                          const Composition& comp);
+/// Returns the violations of `sched` (empty = valid). The layers run in
+/// order, as far as the arguments reach, and a layer that finds any
+/// violation ends the run, so each layer relies on the ones before it:
+///  1. bounds (always): every op, C-Box op, branch, loop and binding lies
+///     inside the schedule's own length, PE count (`vregsPerPE.size()`),
+///     register counts and C-Box slots; opcodes are valid; a C-Box op has
+///     one or two inputs, at most one of them the status wire;
+///  2. fit and exclusivity (given `comp`): one register count per PE of
+///     `comp`; the length fits its context memory; every op runs on a PE
+///     that supports it and routes only over existing links; no PE is
+///     double-booked over [start, lastCycle]; at most one C-Box op and one
+///     branch per context; a PE output port exposes one register per cycle;
+///  3. semantics (given `comp` and `graph`): every node is scheduled once
+///     (a fused pWRITE rides on its producer's op) by an op that runs it,
+///     and inserted ops are MOVE/CONST; dependence edges hold (Flow, Output and Control: the
+///     consumer starts after the producer finishes; Anti: no earlier than
+///     the reader); predicated commits (pWRITE, memory ops) carry
+///     predication whenever their condition is not TRUE, and one
+///     predication signal is read per cycle (the single outPE wire); every
+///     comparison's status is consumed by the C-Box in its last cycle;
+///     every loop is closed once by a conditional back-branch, no branch
+///     jumps forward, loop intervals nest like the loop tree, and each
+///     interval holds exactly the ops of its loop subtree.
+std::vector<std::string> verifySchedule(const Schedule& sched,
+                                        const Composition* comp = nullptr,
+                                        const Cdfg* graph = nullptr);
 
-/// Convenience wrapper that throws cgra::Error listing all violations.
-void checkSchedule(const Schedule& sched, const Cdfg& graph,
-                   const Composition& comp);
+/// verifySchedule that throws cgra::Error("<who>: <violations>") instead
+/// of returning them.
+void requireValidSchedule(const Schedule& sched, const char* who,
+                          const Composition* comp = nullptr,
+                          const Cdfg* graph = nullptr);
 
 }  // namespace cgra

@@ -3,15 +3,17 @@
 #include <algorithm>
 #include <utility>
 
+#include "sched/validate.hpp"
+
 namespace cgra {
 
 Simulator::Simulator(const Composition& comp, const Schedule& sched)
     : comp_(&comp), sched_(&sched) {
   // Reject structurally corrupt schedules up front (e.g. bit-flipped
   // context images): every reference must stay in range so execution can
-  // never touch memory out of bounds.
-  requireScheduleFits(sched, comp, "simulator: corrupt schedule");
-  checkScheduleBounds(sched, "simulator: corrupt schedule");
+  // never touch memory out of bounds, and every context must hold one op
+  // per PE, one C-Box op and one branch.
+  requireValidSchedule(sched, "simulator: corrupt schedule", &comp);
   startAt_.assign(sched.length, {});
   cboxAt_.assign(sched.length, nullptr);
   branchAt_.assign(sched.length, nullptr);
@@ -20,12 +22,8 @@ Simulator::Simulator(const Composition& comp, const Schedule& sched)
   for (const ScheduledOp& op : sched.ops)
     startAt_[op.start].push_back(
         Issue{&op, comp.pe(op.pe).impl(op.op).energy});
-  for (const CBoxOp& op : sched.cboxOps)
-    if (std::exchange(cboxAt_[op.time], &op) != nullptr)
-      throw Error("simulator: corrupt schedule: two C-Box ops in one context");
-  for (const BranchOp& b : sched.branches)
-    if (std::exchange(branchAt_[b.time], &b) != nullptr)
-      throw Error("simulator: corrupt schedule: two branches in one context");
+  for (const CBoxOp& op : sched.cboxOps) cboxAt_[op.time] = &op;
+  for (const BranchOp& b : sched.branches) branchAt_[b.time] = &b;
 }
 
 namespace {

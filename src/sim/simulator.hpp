@@ -62,8 +62,10 @@ public:
   static constexpr unsigned kCyclesPerTransfer = 2;
   static constexpr unsigned kInvocationOverhead = 4;
 
-  /// Throws cgra::Error when the schedule is structurally corrupt or places
-  /// an op on a PE that cannot run it.
+  /// Throws cgra::Error when the schedule fails layers 1-2 of
+  /// verifySchedule (sched/validate.hpp): out of its bounds, not made for
+  /// `comp`, or not exclusive (a PE double-booked, two C-Box ops or two
+  /// branches in one context).
   Simulator(const Composition& comp, const Schedule& sched);
 
   /// Runs one invocation. `liveIns` maps live-in variables to their values

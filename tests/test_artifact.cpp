@@ -113,7 +113,8 @@ TEST(Artifact, DeserializedScheduleValidatesAndSimulatesIdentically) {
       json::parse(artifact::scheduleToJson(report.schedule).dump()));
 
   // Same verdict from the validator...
-  checkSchedule(restored, graph, comp);
+  EXPECT_EQ(verifySchedule(restored, &comp, &graph),
+            std::vector<std::string>{});
 
   // ...and the same memory state out of the simulator, matching the golden
   // interpreter, from both the fresh and the deserialized schedule.
@@ -179,6 +180,61 @@ outOfRangeEdits() {
           {"op start", [](Schedule& s) { s.ops.at(0).start = 1u << 30; }},
           {"op pe", [](Schedule& s) { s.ops.at(0).pe = 1u << 28; }},
           {"cbox time", [](Schedule& s) { s.cboxOps.at(0).time = 1u << 30; }},
+      };
+  return kEdits;
+}
+
+/// In-range edits of a gcd-on-mesh4 schedule that every reference check
+/// accepts and only verifySchedule with the composition (double-booking)
+/// or the CDFG (the rest) rejects.
+const std::vector<std::pair<const char*, std::function<void(Schedule&)>>>&
+inRangeEdits() {
+  static const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  static const std::vector<
+      std::pair<const char*, std::function<void(Schedule&)>>>
+      kEdits = {
+          {"double-booked pe",
+           [](Schedule& s) {
+             // Start one op in the cycle of another op of its PE.
+             for (ScheduledOp& a : s.ops)
+               for (ScheduledOp& b : s.ops)
+                 if (a.pe == b.pe && a.start < b.start &&
+                     a.duration == b.duration) {
+                   b.start = a.start;
+                   return;
+                 }
+             FAIL() << "no two ops share a PE";
+           }},
+          {"flow consumer first",
+           [](Schedule& s) {
+             // Swap a flow edge's producer and consumer on their one PE.
+             const auto opOf = [&s](NodeId n) {
+               return std::find_if(
+                   s.ops.begin(), s.ops.end(),
+                   [n](const ScheduledOp& op) { return op.node == n; });
+             };
+             for (const Edge& e : graph.edges()) {
+               const auto from = opOf(e.from), to = opOf(e.to);
+               if (e.kind == DepKind::Flow && from != s.ops.end() &&
+                   to != s.ops.end() && from->pe == to->pe &&
+                   from->duration == to->duration) {
+                 std::swap(from->start, to->start);
+                 return;
+               }
+             }
+             FAIL() << "no flow edge within one PE";
+           }},
+          {"dropped cbox op",
+           [](Schedule& s) {
+             const auto consumer = std::find_if(
+                 s.cboxOps.begin(), s.cboxOps.end(), [](const CBoxOp& c) {
+                   return c.inputs.at(0).kind == CBoxOp::Input::Kind::Status;
+                 });
+             ASSERT_NE(consumer, s.cboxOps.end());
+             s.cboxOps.erase(consumer);
+           }},
+          {"branch off loop end",
+           [](Schedule& s) { s.branches.at(0).time -= 1; }},
       };
   return kEdits;
 }
@@ -398,7 +454,7 @@ artifact::ArtifactStore::Resolved resolveCounted(
     artifact::ArtifactStore& store, const std::string& key,
     const Composition& comp, const Cdfg& graph,
     std::atomic<unsigned>& computed) {
-  return store.resolve(key, [&] {
+  return store.resolve(key, comp, graph, [&] {
     ++computed;
     return makeArtifact(comp, graph, key);
   });
@@ -624,8 +680,9 @@ TEST(CachedSweep, WarmRunMatchesColdRunExactly) {
               coldReport.results[i].fingerprint);
     EXPECT_EQ(warmReport.results[i].cacheKey, coldReport.results[i].cacheKey);
     // Warm schedules validate like fresh ones.
-    checkSchedule(warmReport.results[i].schedule, *jobs[i].graph,
-                  *jobs[i].comp);
+    EXPECT_EQ(verifySchedule(warmReport.results[i].schedule, jobs[i].comp,
+                             jobs[i].graph),
+              std::vector<std::string>{});
   }
   // The byte-stable JSON cannot tell a warm run from a cold one.
   EXPECT_EQ(warmReport.toJson(false).dump(), coldReport.toJson(false).dump());
@@ -707,8 +764,9 @@ TEST(CachedSweep, StoredResultsCarryNoWallTimes) {
 
 TEST(CachedSweep, ForgedCacheFileIsRecomputed) {
   // A cache file that passes the fingerprint check but whose schedule
-  // reaches outside itself, or whose stats block disagrees with it, counts
-  // as invalid: the sweep recomputes the job instead of crashing on it.
+  // reaches outside itself, breaks a rule of its composition or CDFG, or
+  // whose stats block disagrees with it, counts as invalid: the sweep
+  // recomputes the job instead of crashing on it or serving it.
   const Composition comp = makeMesh(4);
   const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
   const std::vector<SweepJob> jobs = {SweepJob{&comp, &graph, "gcd", {}}};
@@ -718,6 +776,16 @@ TEST(CachedSweep, ForgedCacheFileIsRecomputed) {
   std::vector<std::pair<std::string, json::Value>> forged;
   for (const auto& [name, edit] : outOfRangeEdits())
     forged.emplace_back(name, forgedDocument(key, edit));
+  for (const auto& [name, edit] : inRangeEdits()) {
+    forged.emplace_back(name, forgedDocument(key, edit));
+    // The document alone is well-formed: only the store's verification
+    // against the job's composition and CDFG can reject it.
+    const artifact::ScheduleArtifact art =
+        artifact::ScheduleArtifact::fromJson(forged.back().second);
+    const bool exclusive = verifySchedule(art.schedule, &comp).empty();
+    EXPECT_EQ(exclusive, std::string(name) != "double-booked pe") << name;
+    EXPECT_FALSE(verifySchedule(art.schedule, &comp, &graph).empty()) << name;
+  }
   json::Value badStats = forgedDocument(key, [](Schedule&) {});
   badStats.asObject()["stats"].asObject()["contextsUsed"] = 1;
   forged.emplace_back("stats", std::move(badStats));
@@ -802,7 +870,8 @@ TEST(ArtifactStore, EightThreadsHammerOneCacheDirectory) {
       for (unsigned i = 0; i < 40; ++i) {
         const std::size_t j = (t + i) % artifacts.size();
         const std::string key = keyOf(j, i % 10);
-        const auto hit = store.resolve(key, computeFor(j, key)).artifact;
+        const auto hit =
+            store.resolve(key, comp, graphs[j], computeFor(j, key)).artifact;
         ASSERT_NE(hit, nullptr);
         EXPECT_EQ(hit->key, key);
       }
@@ -814,7 +883,8 @@ TEST(ArtifactStore, EightThreadsHammerOneCacheDirectory) {
     for (std::size_t j = 0; j < artifacts.size(); ++j)
       for (unsigned round = 0; round < 10; ++round) {
         const auto [hit, source] = store->resolve(
-            keyOf(j, round), []() -> artifact::ScheduleArtifact {
+            keyOf(j, round), comp, graphs[j],
+            []() -> artifact::ScheduleArtifact {
               throw Error("a published key must not be computed again");
             });
         EXPECT_NE(source, Source::Computed);
@@ -832,14 +902,14 @@ struct ResolveRace {
   std::vector<std::string> errors;
 
   ResolveRace(artifact::ArtifactStore& store, const std::string& key,
-              unsigned callers,
+              const Composition& comp, const Cdfg& graph, unsigned callers,
               const std::function<artifact::ScheduleArtifact()>& compute)
       : artifacts(callers), sources(callers), errors(callers) {
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < callers; ++t)
       threads.emplace_back([&, t] {
         try {
-          auto [art, source] = store.resolve(key, compute);
+          auto [art, source] = store.resolve(key, comp, graph, compute);
           artifacts[t] = std::move(art);
           sources[t] = source;
         } catch (const std::exception& e) {
@@ -867,7 +937,7 @@ TEST(ArtifactStore, ResolveComputesOnceForEightConcurrentCallers) {
   const std::string key = scheduleJobKey(comp, graph, SchedulerOptions{});
   artifact::ArtifactStore store;
   std::atomic<unsigned> computed{0};
-  const ResolveRace race(store, key, 8, [&] {
+  const ResolveRace race(store, key, comp, graph, 8, [&] {
     ++computed;
     awaitJoiners(store, 7);
     return makeArtifact(comp, graph, key);
@@ -884,7 +954,7 @@ TEST(ArtifactStore, ResolveComputesOnceForEightConcurrentCallers) {
   EXPECT_EQ(joined, 7u);
   EXPECT_EQ(store.counters().inserts, 1u);
   const auto [warm, source] =
-      store.resolve(key, [&]() -> artifact::ScheduleArtifact {
+      store.resolve(key, comp, graph, [&]() -> artifact::ScheduleArtifact {
         throw Error("a published key must not be computed again");
       });
   EXPECT_EQ(warm, race.artifacts[0]);
@@ -897,11 +967,12 @@ TEST(ArtifactStore, ResolveErrorReachesEveryWaiterAndCachesNothing) {
   const std::string key = scheduleJobKey(comp, graph, SchedulerOptions{});
   artifact::ArtifactStore store;
   std::atomic<unsigned> computed{0};
-  const ResolveRace race(store, key, 8, [&]() -> artifact::ScheduleArtifact {
-    ++computed;
-    awaitJoiners(store, 7);
-    throw Error("scheduler exploded");
-  });
+  const ResolveRace race(
+      store, key, comp, graph, 8, [&]() -> artifact::ScheduleArtifact {
+        ++computed;
+        awaitJoiners(store, 7);
+        throw Error("scheduler exploded");
+      });
 
   EXPECT_EQ(computed.load(), 1u);
   for (unsigned t = 0; t < 8; ++t) {
@@ -913,7 +984,7 @@ TEST(ArtifactStore, ResolveErrorReachesEveryWaiterAndCachesNothing) {
   EXPECT_EQ(store.counters().inserts, 0u);
 
   // The flight was released: the next caller computes again.
-  const auto [art, source] = store.resolve(key, [&] {
+  const auto [art, source] = store.resolve(key, comp, graph, [&] {
     ++computed;
     return makeArtifact(comp, graph, key);
   });
@@ -934,8 +1005,8 @@ TEST(ArtifactStore, FailedDiskPublishIsAnErrorAndReleasesTheFlight) {
   sfs::remove_all(so.directory);  // every publish now fails to write
 
   const auto compute = [&] { return makeArtifact(comp, graph, key); };
-  EXPECT_THROW(store.resolve(key, compute), Error);
-  EXPECT_THROW(store.resolve(key, compute), Error)
+  EXPECT_THROW(store.resolve(key, comp, graph, compute), Error);
+  EXPECT_THROW(store.resolve(key, comp, graph, compute), Error)
       << "a released flight recomputes and fails again, never hangs";
 }
 
@@ -949,13 +1020,13 @@ TEST(ArtifactStore, EachResolveCountsOneHitOrOneMiss) {
   const auto compute = [&] { return makeArtifact(comp, graph, key); };
   {
     artifact::ArtifactStore store(so);
-    EXPECT_EQ(store.resolve(key, compute).source,
+    EXPECT_EQ(store.resolve(key, comp, graph, compute).source,
               artifact::ArtifactStore::Source::Computed);
     artifact::StoreCounters c = store.counters();
     EXPECT_EQ(c.misses, 1u) << "a cold resolve is one miss";
     EXPECT_EQ(c.hits, 0u);
     EXPECT_EQ(c.inserts, 1u);
-    EXPECT_EQ(store.resolve(key, compute).source,
+    EXPECT_EQ(store.resolve(key, comp, graph, compute).source,
               artifact::ArtifactStore::Source::Memory);
     c = store.counters();
     EXPECT_EQ(c.misses, 1u);
@@ -963,7 +1034,7 @@ TEST(ArtifactStore, EachResolveCountsOneHitOrOneMiss) {
     EXPECT_EQ(c.memoryHits, 1u);
   }
   artifact::ArtifactStore reopened(so);
-  EXPECT_EQ(reopened.resolve(key, compute).source,
+  EXPECT_EQ(reopened.resolve(key, comp, graph, compute).source,
             artifact::ArtifactStore::Source::Disk);
   const artifact::StoreCounters c = reopened.counters();
   EXPECT_EQ(c.hits, 1u);

@@ -32,7 +32,7 @@ void runAndCompare(const apps::Workload& w, const kir::Function& fn,
 
   const kir::LoweringResult lowered = kir::lowerToCdfg(fn);
   const ScheduleReport result = Scheduler(comp).schedule(ScheduleRequest(lowered.graph)).orThrow();
-  const auto issues = validateSchedule(result.schedule, lowered.graph, comp);
+  const auto issues = verifySchedule(result.schedule, &comp, &lowered.graph);
   ASSERT_TRUE(issues.empty()) << w.name << " on " << comp.name() << ": "
                               << issues.front();
 

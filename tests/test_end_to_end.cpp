@@ -41,7 +41,8 @@ void expectCgraMatch(const apps::Workload& w, const Composition& comp,
   const kir::LoweringResult lowered = kir::lowerToCdfg(w.fn);
   const Scheduler scheduler(comp);
   const ScheduleReport result = scheduler.schedule(ScheduleRequest(lowered.graph)).orThrow();
-  checkSchedule(result.schedule, lowered.graph, comp);
+  EXPECT_EQ(verifySchedule(result.schedule, &comp, &lowered.graph),
+            std::vector<std::string>{});
 
   Schedule runnable = result.schedule;
   if (viaContexts) {

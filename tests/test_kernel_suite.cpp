@@ -143,7 +143,7 @@ TEST_P(KernelSuite, CgraMatchesInterpreter) {
   const Composition comp = makeMesh(9, fo);
   const ScheduleReport report =
       Scheduler(comp).schedule(ScheduleRequest(lowered.graph)).orThrow();
-  const auto issues = validateSchedule(report.schedule, lowered.graph, comp);
+  const auto issues = verifySchedule(report.schedule, &comp, &lowered.graph);
   ASSERT_TRUE(issues.empty()) << issues.front();
 
   std::map<VarId, std::int32_t> liveIns;

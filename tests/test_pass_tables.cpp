@@ -38,7 +38,7 @@ std::vector<Composition> paperCompositions() {
 }
 
 /// The fusion-candidate rule as placement used to evaluate it per probe:
-/// the single pWRITE consumer of `id`'s value, in the same loop.
+/// the single pWRITE consumer of `id`'s value.
 std::optional<NodeId> derivedFusablePWrite(const Cdfg& g, bool fuseWrites,
                                            NodeId id) {
   if (!fuseWrites) return std::nullopt;
@@ -60,7 +60,6 @@ std::optional<NodeId> derivedFusablePWrite(const Cdfg& g, bool fuseWrites,
     if (writer) return std::nullopt;
     writer = e.to;
   }
-  if (!writer || g.node(*writer).loop != n.loop) return std::nullopt;
   return writer;
 }
 

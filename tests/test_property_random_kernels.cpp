@@ -67,7 +67,7 @@ TEST_P(RandomKernelPipeline, CgraMatchesInterpreter) {
 
   const Scheduler scheduler(comp);
   const ScheduleReport result = scheduler.schedule(ScheduleRequest(lowered.graph)).orThrow();
-  const auto issues = validateSchedule(result.schedule, lowered.graph, comp);
+  const auto issues = verifySchedule(result.schedule, &comp, &lowered.graph);
   EXPECT_TRUE(issues.empty()) << "seed " << seed << ": " << issues.front();
 
   std::map<VarId, std::int32_t> liveIns;
@@ -201,7 +201,7 @@ TEST_P(RandomKernelShapes, CgraMatchesInterpreter) {
 
   const Scheduler scheduler(comp);
   const ScheduleReport result = scheduler.schedule(ScheduleRequest(lowered.graph)).orThrow();
-  const auto issues = validateSchedule(result.schedule, lowered.graph, comp);
+  const auto issues = verifySchedule(result.schedule, &comp, &lowered.graph);
   EXPECT_TRUE(issues.empty()) << "shape " << shapeIdx << " seed " << seed
                               << ": " << issues.front();
 
@@ -323,7 +323,7 @@ TEST_P(IrregularRandomKernel, CgraMatchesInterpreter) {
 
   const ScheduleReport result =
       Scheduler(comp).schedule(ScheduleRequest(lowered.graph)).orThrow();
-  const auto issues = validateSchedule(result.schedule, lowered.graph, comp);
+  const auto issues = verifySchedule(result.schedule, &comp, &lowered.graph);
   EXPECT_TRUE(issues.empty()) << "seed " << seed << ": " << issues.front();
 
   std::map<VarId, std::int32_t> liveIns;

@@ -80,7 +80,7 @@ void expectCorrectOrCleanError(const apps::Workload& w,
     EXPECT_NE(result.failure.reason, FailureReason::Internal);
     return;
   }
-  const auto issues = validateSchedule(result.schedule, lowered.graph, comp);
+  const auto issues = verifySchedule(result.schedule, &comp, &lowered.graph);
   ASSERT_TRUE(issues.empty())
       << w.name << " on " << comp.name() << ": " << issues.front();
 

@@ -4,16 +4,21 @@
 // every invariant class.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "apps/kernels.hpp"
 #include "arch/factory.hpp"
+#include "ctx/contexts.hpp"
 #include "kir/lower_cdfg.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/validate.hpp"
+#include "sim/simulator.hpp"
 
 namespace cgra {
 namespace {
@@ -103,12 +108,12 @@ TEST(Scheduler, SchedulesAreValidOnAllCompositions) {
   for (unsigned n : meshSizes()) {
     const Composition comp = makeMesh(n);
     const ScheduleReport r = Scheduler(comp).schedule(ScheduleRequest(graph)).orThrow();
-    EXPECT_TRUE(validateSchedule(r.schedule, graph, comp).empty()) << n;
+    EXPECT_TRUE(verifySchedule(r.schedule, &comp, &graph).empty()) << n;
   }
   for (char c : irregularLabels()) {
     const Composition comp = makeIrregular(c);
     const ScheduleReport r = Scheduler(comp).schedule(ScheduleRequest(graph)).orThrow();
-    EXPECT_TRUE(validateSchedule(r.schedule, graph, comp).empty()) << c;
+    EXPECT_TRUE(verifySchedule(r.schedule, &comp, &graph).empty()) << c;
   }
 }
 
@@ -256,7 +261,7 @@ TEST(Scheduler, MultiHopCopiesOnUnidirectionalRing) {
   const Composition ring = makeRing(6, /*bidirectional=*/false, opts);
   const Cdfg graph = lowerWorkload(apps::makeEwmaClip(6, 2));
   const ScheduleReport r = Scheduler(ring).schedule(ScheduleRequest(graph)).orThrow();
-  EXPECT_TRUE(validateSchedule(r.schedule, graph, ring).empty());
+  EXPECT_TRUE(verifySchedule(r.schedule, &ring, &graph).empty());
   EXPECT_GT(r.metrics.copiesInserted, 0u) << "sparse topology forces copies";
 }
 
@@ -266,7 +271,7 @@ TEST(Scheduler, StarTopologyRoutesThroughHub) {
   const Composition star = makeStar(5, opts);
   const Cdfg graph = lowerWorkload(apps::makeGcd(21, 14));
   const ScheduleReport r = Scheduler(star).schedule(ScheduleRequest(graph)).orThrow();
-  EXPECT_TRUE(validateSchedule(r.schedule, graph, star).empty());
+  EXPECT_TRUE(verifySchedule(r.schedule, &star, &graph).empty());
   // Any Route between two spokes is impossible directly; every such access
   // must be a hub read or preceded by a copy through PE 0.
   for (const ScheduledOp& op : r.schedule.ops)
@@ -285,36 +290,103 @@ TEST(Scheduler, TorusWrapLinksShortenRoutes) {
   const Cdfg graph = lowerWorkload(apps::makeAdpcm(8, 1));
   const ScheduleReport onTorus = Scheduler(torus).schedule(ScheduleRequest(graph)).orThrow();
   const ScheduleReport onMesh = Scheduler(mesh).schedule(ScheduleRequest(graph)).orThrow();
-  EXPECT_TRUE(validateSchedule(onTorus.schedule, graph, torus).empty());
+  EXPECT_TRUE(verifySchedule(onTorus.schedule, &torus, &graph).empty());
   // Wrap links can only help: never more contexts than the open mesh with
   // a small tolerance for heuristic noise.
   EXPECT_LE(onTorus.schedule.length, onMesh.schedule.length + 2);
 }
 
 // ---------------------------------------------------------------------------
-// Validator coverage: corrupt valid schedules and expect detection.
+// Verifier coverage: corrupt valid schedules and expect detection by the
+// layer that owns the broken rule (sched/validate.hpp).
 
 class ValidatorDetects : public ::testing::Test {
 protected:
   void SetUp() override {
     graph_ = lowerWorkload(apps::makeEwmaClip(6, 1));
-    comp_ = makeMesh(4);
-    sched_ = Scheduler(*comp_).schedule(ScheduleRequest(graph_)).orThrow().schedule;
-    ASSERT_TRUE(validateSchedule(sched_, graph_, *comp_).empty());
+    sched_ =
+        Scheduler(comp_).schedule(ScheduleRequest(graph_)).orThrow().schedule;
+    ASSERT_EQ(verifySchedule(sched_, &comp_, &graph_),
+              std::vector<std::string>{});
+  }
+
+  /// The first layer that rejects `s`: 1 bounds (the schedule alone), 2 fit
+  /// and exclusivity (with the composition), 3 semantics (with the CDFG);
+  /// 0 when all three accept it.
+  int layerCatching(const Schedule& s) const {
+    if (!verifySchedule(s).empty()) return 1;
+    if (!verifySchedule(s, &comp_).empty()) return 2;
+    if (!verifySchedule(s, &comp_, &graph_).empty()) return 3;
+    return 0;
+  }
+
+  /// True when the semantic layer reports a violation containing `what`.
+  bool reports(const Schedule& s, const std::string& what) const {
+    const std::vector<std::string> issues = verifySchedule(s, &comp_, &graph_);
+    return std::any_of(issues.begin(), issues.end(), [&](const auto& i) {
+      return i.find(what) != std::string::npos;
+    });
+  }
+
+  /// Moves the op of `ops[index]` to the first start in [0, length) that
+  /// layers 1-2 accept and that the semantic layer rejects with a violation
+  /// containing `what`; nullopt when no start does.
+  std::optional<Schedule> moveOnlySemanticsCatch(
+      std::size_t index, const std::string& what) const {
+    for (unsigned t = 0; t < sched_.length; ++t) {
+      Schedule bad = sched_;
+      bad.ops[index].start = t;
+      if (layerCatching(bad) == 3 && reports(bad, what)) return bad;
+    }
+    return std::nullopt;
   }
 
   Cdfg graph_;
-  std::optional<Composition> comp_;
+  Composition comp_ = makeMesh(4);
   Schedule sched_;
 };
 
+TEST_F(ValidatorDetects, OutOfRangeReferencesWithoutTheComposition) {
+  const std::vector<std::pair<const char*, std::function<void(Schedule&)>>>
+      edits = {
+          {"op pe", [](Schedule& s) { s.ops.at(0).pe = 1u << 28; }},
+          {"op start", [](Schedule& s) { s.ops.at(0).start = s.length; }},
+          {"dest register",
+           [](Schedule& s) {
+             ScheduledOp& op = s.ops.at(0);
+             op.writesDest = true;
+             op.destVreg = s.vregsPerPE.at(op.pe);
+           }},
+          {"cbox time", [](Schedule& s) { s.cboxOps.at(0).time = s.length; }},
+          {"branch target",
+           [](Schedule& s) { s.branches.at(0).target = s.length; }},
+          {"loop end", [](Schedule& s) { s.loops.at(0).end = s.length; }},
+      };
+  for (const auto& [name, edit] : edits) {
+    Schedule bad = sched_;
+    edit(bad);
+    EXPECT_EQ(layerCatching(bad), 1) << name;
+    EXPECT_THROW(Simulator(comp_, bad), Error) << name;
+  }
+}
+
 TEST_F(ValidatorDetects, DoubleBookedPE) {
+  // Start one op in the same cycle as another op of its PE.
   Schedule bad = sched_;
-  ASSERT_GE(bad.ops.size(), 2u);
-  // Force two ops onto the same PE and cycle.
-  bad.ops[1].pe = bad.ops[0].pe;
-  bad.ops[1].start = bad.ops[0].start;
-  EXPECT_FALSE(validateSchedule(bad, graph_, *comp_).empty());
+  bool moved = false;
+  for (std::size_t i = 0; i < bad.ops.size() && !moved; ++i)
+    for (std::size_t j = i + 1; j < bad.ops.size() && !moved; ++j)
+      if (bad.ops[j].pe == bad.ops[i].pe &&
+          bad.ops[j].start != bad.ops[i].start &&
+          bad.ops[j].duration == bad.ops[i].duration) {
+        bad.ops[j].start = bad.ops[i].start;
+        moved = true;
+      }
+  ASSERT_TRUE(moved);
+  EXPECT_EQ(layerCatching(bad), 2);
+  // The simulator and the context encoder run the same layer.
+  EXPECT_THROW(Simulator(comp_, bad), Error);
+  EXPECT_THROW(generateContexts(bad, comp_), Error);
 }
 
 TEST_F(ValidatorDetects, MissingNode) {
@@ -326,7 +398,7 @@ TEST_F(ValidatorDetects, MissingNode) {
       bad.ops.erase(bad.ops.begin() + static_cast<std::ptrdiff_t>(i));
       break;
     }
-  EXPECT_FALSE(validateSchedule(bad, graph_, *comp_).empty());
+  EXPECT_EQ(layerCatching(bad), 3);
 }
 
 TEST_F(ValidatorDetects, BrokenRouting) {
@@ -337,10 +409,11 @@ TEST_F(ValidatorDetects, BrokenRouting) {
       if (!mutated && src.kind == OperandSource::Kind::Route) {
         // Route from a PE that is not connected to op.pe (itself).
         src.srcPE = op.pe;
+        src.vreg = 0;
         mutated = true;
       }
   ASSERT_TRUE(mutated);
-  EXPECT_FALSE(validateSchedule(bad, graph_, *comp_).empty());
+  EXPECT_EQ(layerCatching(bad), 2);
 }
 
 TEST_F(ValidatorDetects, MissingPredication) {
@@ -352,33 +425,67 @@ TEST_F(ValidatorDetects, MissingPredication) {
       mutated = true;
     }
   ASSERT_TRUE(mutated);
-  EXPECT_FALSE(validateSchedule(bad, graph_, *comp_).empty());
+  EXPECT_EQ(layerCatching(bad), 3);
 }
 
 TEST_F(ValidatorDetects, MissingBackBranch) {
   Schedule bad = sched_;
   ASSERT_FALSE(bad.branches.empty());
   bad.branches.pop_back();
-  EXPECT_FALSE(validateSchedule(bad, graph_, *comp_).empty());
+  EXPECT_EQ(layerCatching(bad), 3);
 }
 
 TEST_F(ValidatorDetects, ScheduleTooLong) {
   Schedule bad = sched_;
-  bad.length = comp_->contextMemoryLength() + 1;
-  EXPECT_FALSE(validateSchedule(bad, graph_, *comp_).empty());
+  bad.length = comp_.contextMemoryLength() + 1;
+  EXPECT_EQ(layerCatching(bad), 2);
 }
 
 TEST_F(ValidatorDetects, ViolatedFlowDependency) {
+  // Move a flow consumer to a free slot before its producer finishes: only
+  // the CDFG says the move is wrong.
+  std::optional<Schedule> bad;
+  for (std::size_t i = 0; i < sched_.ops.size() && !bad; ++i) {
+    const NodeId node = sched_.ops[i].node;
+    const bool consumer =
+        node != kNoNode &&
+        std::any_of(graph_.inEdges(node).begin(), graph_.inEdges(node).end(),
+                    [](const Edge& e) { return e.kind == DepKind::Flow; });
+    if (consumer) bad = moveOnlySemanticsCatch(i, "(flow) violated");
+  }
+  ASSERT_TRUE(bad.has_value());
+  EXPECT_NO_THROW(Simulator(comp_, *bad)) << "layers 1-2 accept it";
+}
+
+TEST_F(ValidatorDetects, DroppedStatusConsumer) {
   Schedule bad = sched_;
-  // Move the last-starting node op to cycle 0 — some dependency must break.
-  ScheduledOp* latest = nullptr;
-  for (ScheduledOp& op : bad.ops)
-    if (op.node != kNoNode && !graph_.inEdges(op.node).empty() &&
-        (!latest || op.start > latest->start))
-      latest = &op;
-  ASSERT_NE(latest, nullptr);
-  latest->start = 0;
-  EXPECT_FALSE(validateSchedule(bad, graph_, *comp_).empty());
+  const auto consumer = std::find_if(
+      bad.cboxOps.begin(), bad.cboxOps.end(), [](const CBoxOp& c) {
+        return std::any_of(
+            c.inputs.begin(), c.inputs.end(), [](const CBoxOp::Input& in) {
+              return in.kind == CBoxOp::Input::Kind::Status;
+            });
+      });
+  ASSERT_NE(consumer, bad.cboxOps.end());
+  bad.cboxOps.erase(consumer);
+  EXPECT_EQ(layerCatching(bad), 3);
+  EXPECT_TRUE(reports(bad, "never consumed"));
+}
+
+TEST_F(ValidatorDetects, EscapedLoopOp) {
+  // Append one idle context after the loop and move a loop op into it.
+  const auto inLoop = std::find_if(
+      sched_.ops.begin(), sched_.ops.end(), [&](const ScheduledOp& op) {
+        return op.node != kNoNode && op.duration == 1 &&
+               graph_.node(op.node).loop != kRootLoop;
+      });
+  ASSERT_NE(inLoop, sched_.ops.end());
+  Schedule bad = sched_;
+  bad.length += 1;
+  bad.ops[static_cast<std::size_t>(inLoop - sched_.ops.begin())].start =
+      sched_.length;
+  EXPECT_EQ(layerCatching(bad), 3);
+  EXPECT_TRUE(reports(bad, "escapes interval"));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // and an 8-client concurrent stress run clean under the tsan preset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -27,6 +28,7 @@
 #include "kir/parser.hpp"
 #include "kir/passes/pipeline.hpp"
 #include "sched/scheduler.hpp"
+#include "support/rng.hpp"
 #include "temp_dir.hpp"
 
 #include <sys/stat.h>
@@ -48,16 +50,24 @@ std::vector<json::Value> parseLines(const std::string& text) {
   return docs;
 }
 
-std::vector<json::Value> runService(const std::string& requests,
-                                    artifact::ArtifactStore& store,
-                                    artifact::ServiceOptions options,
-                                    artifact::ServiceStats* statsOut = nullptr) {
+/// The response bytes of one session of a fresh Service on `store`.
+std::string serveBytes(const std::string& requests,
+                       artifact::ArtifactStore& store,
+                       artifact::ServiceOptions options,
+                       artifact::ServiceStats* statsOut = nullptr) {
   std::istringstream in(requests);
   std::ostringstream out;
   artifact::Service service(store, std::move(options));
   service.serveStream(in, out);
   if (statsOut != nullptr) *statsOut = service.stats();
-  return parseLines(out.str());
+  return out.str();
+}
+
+std::vector<json::Value> runService(const std::string& requests,
+                                    artifact::ArtifactStore& store,
+                                    artifact::ServiceOptions options,
+                                    artifact::ServiceStats* statsOut = nullptr) {
+  return parseLines(serveBytes(requests, store, std::move(options), statsOut));
 }
 
 std::string errorCode(const json::Value& response) {
@@ -356,41 +366,19 @@ TEST(Service, OversizedKernelFileIsBadKernel) {
 }
 
 TEST(Service, InternalAnswersAreCounted) {
-  // A cache file whose schedule starts two ops on one PE in one cycle,
-  // with its fingerprint recomputed, loads as a hit; encoding its contexts
-  // for an "artifact":true request throws, and the answer is `internal`.
-  TempDir dir("internal");
+  // The store's directory vanishes after open, so publishing the computed
+  // artifact throws and the request is answered `internal`; the counter,
+  // the stats JSON and the exposition all count it.
+  const TempDir dir("internal");
   artifact::StoreOptions so;
-  so.directory = dir.str();
+  so.directory = (dir.path / "cache").string();
+  artifact::ArtifactStore store(so);
+  sfs::remove_all(so.directory);
   artifact::ServiceOptions options;
   options.threads = 1;
-  const std::string request = "{\"id\":1,\"comp\":\"mesh4\",\"kernel\":\"gcd\"";
-  std::string key;
-  {
-    artifact::ArtifactStore store(so);
-    const std::vector<json::Value> first =
-        runService(request + "}\n", store, options);
-    ASSERT_EQ(first.size(), 1u);
-    key = first[0].asObject().at("key").asString();
-  }
-  const std::string file = (dir.path / (key + ".json")).string();
-  artifact::ScheduleArtifact art =
-      artifact::ScheduleArtifact::fromJson(json::parseFile(file));
-  std::vector<ScheduledOp>& ops = art.schedule.ops;
-  bool doubleBooked = false;
-  for (std::size_t i = 0; i < ops.size() && !doubleBooked; ++i)
-    for (std::size_t j = i + 1; j < ops.size() && !doubleBooked; ++j)
-      if (ops[j].pe == ops[i].pe && ops[j].start != ops[i].start) {
-        ops[j].start = ops[i].start;
-        doubleBooked = true;
-      }
-  ASSERT_TRUE(doubleBooked);
-  art.fingerprint = art.schedule.fingerprint();
-  std::ofstream(file) << art.toJson().dump(0);
-
-  artifact::ArtifactStore store(so);
   artifact::Service service(store, options);
-  std::istringstream in(request + ",\"artifact\":true}\n");
+  std::istringstream in(
+      "{\"id\":1,\"comp\":\"mesh4\",\"kernel\":\"gcd\"}\n");
   std::ostringstream out;
   service.serveStream(in, out);
   const std::vector<json::Value> responses = parseLines(out.str());
@@ -403,6 +391,171 @@ TEST(Service, InternalAnswersAreCounted) {
   EXPECT_EQ(stats.toJson().asObject().at("internalErrors").asInt(), 1);
   EXPECT_EQ(exposedValue(service.metricsText(), "cgra_internal_errors_total"),
             1);
+}
+
+TEST(Service, ForgedCacheFileIsRecomputedNotServed) {
+  // A cache file whose schedule starts an op on a PE in a cycle another op
+  // already holds, with its fingerprint recomputed, passes the document's
+  // own checks; the disk load's verification rejects it, so the store
+  // counts it invalid and recomputes it. Served plainly or with the
+  // artifact attached, the answer is a fresh store's, byte for byte.
+  const std::string request =
+      "{\"id\":1,\"comp\":\"mesh4\",\"kernel\":\"gcd\"";
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  for (const std::string& line :
+       {request + "}\n", request + ",\"artifact\":true}\n"}) {
+    artifact::ServiceStats stats;
+    artifact::ArtifactStore memoryOnly;
+    const std::string fresh = serveBytes(line, memoryOnly, options, &stats);
+
+    const TempDir dir("forged");
+    artifact::StoreOptions so;
+    so.directory = dir.str();
+    std::string key;
+    {
+      artifact::ArtifactStore store(so);
+      key = parseLines(serveBytes(line, store, options, &stats))[0]
+                .asObject()
+                .at("key")
+                .asString();
+    }
+    const std::string file = (dir.path / (key + ".json")).string();
+    artifact::ScheduleArtifact art =
+        artifact::ScheduleArtifact::fromJson(json::parseFile(file));
+    std::vector<ScheduledOp>& ops = art.schedule.ops;
+    bool doubleBooked = false;
+    for (std::size_t i = 0; i < ops.size() && !doubleBooked; ++i)
+      for (std::size_t j = i + 1; j < ops.size() && !doubleBooked; ++j)
+        if (ops[j].pe == ops[i].pe && ops[j].start != ops[i].start) {
+          ops[j].start = ops[i].start;
+          doubleBooked = true;
+        }
+    ASSERT_TRUE(doubleBooked);
+    art.fingerprint = art.schedule.fingerprint();
+    std::ofstream(file) << art.toJson().dump(0);
+    ASSERT_NO_THROW(
+        artifact::ScheduleArtifact::fromJson(json::parseFile(file)));
+
+    artifact::ArtifactStore store(so);
+    const std::string served = serveBytes(line, store, options, &stats);
+    EXPECT_EQ(served, fresh) << line;
+    EXPECT_FALSE(parseLines(served)[0].asObject().at("cached").asBool());
+    EXPECT_EQ(store.counters().invalid, 1u) << line;
+    EXPECT_EQ(stats.internalErrors, 0u) << line;
+    EXPECT_EQ(stats.scheduled, 1u) << line;
+  }
+}
+
+/// One seeded single-field edit of `s`, drawn inside the schedule's own
+/// ranges: a cycle below its length, a PE, register or C-Box slot it has,
+/// a node id up to the largest it names (or none), a flipped flag.
+void editOneField(Schedule& s, Rng& rng) {
+  const auto below = [&rng](std::size_t n) {
+    const auto hi = static_cast<std::int64_t>(std::max<std::size_t>(n, 1));
+    return static_cast<unsigned>(rng.range(0, hi - 1));
+  };
+  NodeId nodes = 0;
+  for (const ScheduledOp& op : s.ops)
+    if (op.node != kNoNode) nodes = std::max(nodes, op.node + 1);
+  ScheduledOp& op = s.ops[below(s.ops.size())];
+  OperandSource& src = op.src[below(op.src.size())];
+  CBoxOp& cbox = s.cboxOps[below(s.cboxOps.size())];
+  BranchOp& branch = s.branches[below(s.branches.size())];
+  std::vector<LiveBinding>& bindings =
+      s.varHomes.empty() ? s.liveOuts : s.varHomes;
+  switch (rng.range(0, 13)) {
+    case 0: op.start = below(s.length); break;
+    case 1: op.pe = below(s.vregsPerPE.size()); break;
+    case 2: op.op = static_cast<Op>(below(kNumOps)); break;
+    case 3: op.destVreg = below(s.vregsPerPE[op.pe]); break;
+    case 4: op.writesDest = !op.writesDest; break;
+    case 5: op.node = below(nodes + 1) == nodes ? kNoNode : below(nodes); break;
+    case 6:
+      if (src.kind == OperandSource::Kind::Route)
+        src.srcPE = below(s.vregsPerPE.size());
+      else
+        src.vreg = below(s.vregsPerPE[op.pe]);
+      break;
+    case 7:
+      if (op.pred)
+        op.pred.reset();
+      else
+        op.pred = PredRef{below(s.cboxSlotsUsed), rng.chance(1, 2)};
+      break;
+    case 8: op.emitsStatus = !op.emitsStatus; break;
+    case 9: cbox.time = below(s.length); break;
+    case 10: cbox.writeSlot = below(s.cboxSlotsUsed); break;
+    case 11: branch.time = below(s.length); break;
+    case 12: branch.target = below(s.length); break;
+    default:
+      bindings[below(bindings.size())].vreg = below(2);
+      break;
+  }
+}
+
+TEST(Service, SeededCacheFileMutationsAreVerifiedOrRecomputed) {
+  // 200 seeded single-field edits of two cached artifacts, re-fingerprinted
+  // so only verification can tell them from the real ones, each served
+  // plainly and then with the artifact attached. Every answer is a
+  // well-formed v1 line, and every file the disk load rejects answers
+  // exactly as a store that never saw it.
+  const std::vector<std::pair<const char*, const char*>> jobs = {
+      {"mesh4", "gcd"}, {"mesh9", "adpcm"}};
+  Rng rng(deriveSeed(2016, 28));
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  unsigned rejected = 0;
+  for (const auto& [comp, kernel] : jobs) {
+    const std::string job = std::string("\"comp\":\"") + comp +
+                            "\",\"kernel\":\"" + kernel + "\"";
+    const std::string lines = "{\"id\":1," + job + "}\n{\"id\":2," + job +
+                              ",\"artifact\":true}\n";
+    artifact::ServiceStats stats;
+    artifact::ArtifactStore memoryOnly;
+    const std::string fresh = serveBytes(lines, memoryOnly, options, &stats);
+
+    const TempDir dir("mutants");
+    artifact::StoreOptions so;
+    so.directory = dir.str();
+    std::string key;
+    {
+      artifact::ArtifactStore store(so);
+      key = parseLines(serveBytes(lines, store, options, &stats))[0]
+                .asObject()
+                .at("key")
+                .asString();
+    }
+    const std::string file = (dir.path / (key + ".json")).string();
+    const artifact::ScheduleArtifact original =
+        artifact::ScheduleArtifact::fromJson(json::parseFile(file));
+    for (unsigned i = 0; i < 100; ++i) {
+      artifact::ScheduleArtifact art = original;
+      editOneField(art.schedule, rng);
+      art.fingerprint = art.schedule.fingerprint();
+      std::ofstream(file, std::ios::trunc) << art.toJson().dump(0);
+
+      artifact::ArtifactStore store(so);
+      const std::string served = serveBytes(lines, store, options, &stats);
+      const std::vector<json::Value> responses = parseLines(served);
+      ASSERT_EQ(responses.size(), 2u) << kernel << " mutant " << i;
+      for (std::size_t r = 0; r < 2; ++r) {
+        const json::Object& o = responses[r].asObject();
+        EXPECT_EQ(o.at("v").asInt(), artifact::kWireVersion);
+        EXPECT_EQ(o.at("id").asInt(), static_cast<std::int64_t>(r + 1));
+        if (o.at("ok").asBool())
+          EXPECT_FALSE(o.at("fingerprint").asString().empty());
+        else
+          EXPECT_FALSE(errorCode(responses[r]).empty());
+      }
+      if (store.counters().invalid == 0) continue;
+      ++rejected;
+      EXPECT_EQ(served, fresh) << kernel << " mutant " << i;
+    }
+  }
+  // About half the edits break a rule the verifier checks. The others
+  // rename registers or condition slots, which it does not trace.
+  EXPECT_GE(rejected, 50u);
 }
 
 TEST(Service, DeepKernelFileIsBadKernelAndTheSessionLivesOn) {

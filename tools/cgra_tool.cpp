@@ -38,7 +38,6 @@
 #include "sched/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/sweep.hpp"
-#include "sched/validate.hpp"
 #include "sim/report.hpp"
 #include "sim/simulator.hpp"
 #include "support/fs.hpp"
@@ -576,7 +575,7 @@ int cmdSchedule(const Args& args) {
   const std::string key =
       scheduleJobKey(comp, k.graph, schedulerOptions(args));
   ScheduleReport run;  // this call's scheduler run; empty on a cache hit
-  const auto [art, source] = store.resolve(key, [&] {
+  const auto [art, source] = store.resolve(key, comp, k.graph, [&] {
     run = runScheduler(args, comp, k.graph);
     return artifact::ScheduleArtifact::fromReport(key, run);
   });
@@ -584,7 +583,6 @@ int cmdSchedule(const Args& args) {
     writeTraceFile(args, run, label);
     return schedulingFailed(art->failure);
   }
-  checkSchedule(art->schedule, k.graph, comp);
   const ContextImages images = generateContexts(art->schedule, comp);
 
   std::cout << "scheduled " << k.workload.name << " on " << comp.name()

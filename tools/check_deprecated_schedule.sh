@@ -77,4 +77,21 @@ if [ -n "$counter_offenders" ]; then
 fi
 
 echo "ok: no raw SimCounters field math outside the Report accessors"
+
+# Lint 3: one schedule verifier. verifySchedule (src/sched/validate.hpp)
+# replaced four partial checkers; none of their names may come back, so
+# every trust boundary keeps calling the one layered verifier.
+verifier_offenders=$(grep -rnE --include='*.cpp' --include='*.hpp' \
+    'checkScheduleBounds|requireScheduleFits|validateSchedule|checkSchedule\(' \
+    src tools bench examples 2>/dev/null)
+
+if [ -n "$verifier_offenders" ]; then
+  echo "error: a removed schedule checker is back. Call verifySchedule or"
+  echo "requireValidSchedule (src/sched/validate.hpp) instead:"
+  echo
+  echo "$verifier_offenders"
+  exit 1
+fi
+
+echo "ok: schedules are checked by verifySchedule only"
 exit 0
