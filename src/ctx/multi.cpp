@@ -57,9 +57,4 @@ PackedSchedules packSchedules(const std::vector<Schedule>& schedules,
   return out;
 }
 
-ContextImages encodePacked(const PackedSchedules& packed,
-                           const Composition& comp) {
-  return encodePhysical(packed.merged, comp);
-}
-
 }  // namespace cgra

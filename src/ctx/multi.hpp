@@ -38,8 +38,4 @@ struct PackedSchedules {
 PackedSchedules packSchedules(const std::vector<Schedule>& schedules,
                               const Composition& comp);
 
-/// Convenience: encode the merged schedule (placements carry the bindings).
-ContextImages encodePacked(const PackedSchedules& packed,
-                           const Composition& comp);
-
 }  // namespace cgra

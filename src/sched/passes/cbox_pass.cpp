@@ -1,6 +1,7 @@
 #include "sched/passes/cbox_pass.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace cgra::passes {
 
@@ -44,13 +45,11 @@ std::optional<PredRef> ensureCondition(const ArchModel& model, RunState& st,
         CBoxOp::Input{CBoxOp::Input::Kind::Stored, raw.ref.slot,
                       cond.polarity}};
     op.logic = CBoxOp::Logic::And;
-    op.writeSlot = st.nextCondSlot++;
     op.cond = c;
-    st.sched.cboxOps.push_back(op);
-    st.cboxOpAt.mark(u);
-    CGRA_TRACE(st.trace, CBoxSlotAllocated, .cycle = u, .a = op.writeSlot,
+    const unsigned writeSlot = st.addCBoxOp(std::move(op));
+    CGRA_TRACE(st.trace, CBoxSlotAllocated, .cycle = u, .a = writeSlot,
                .b = c, .detail = "and");
-    CondSlot slot{PredRef{op.writeSlot, true}, u + 1};
+    CondSlot slot{PredRef{writeSlot, true}, u + 1};
     st.insertCondSlot(c, slot);
     return slot.ref;
   }
@@ -65,14 +64,12 @@ void allocateStatusSlot(const ArchModel& /*model*/, RunState& st, NodeId id,
   cb.time = statusCycle;
   cb.inputs = {CBoxOp::Input{CBoxOp::Input::Kind::Status, 0, true}};
   cb.logic = CBoxOp::Logic::Pass;
-  cb.writeSlot = st.nextCondSlot++;
   cb.cond = kCondTrue;  // raw literal, interpreted per condition
-  st.sched.cboxOps.push_back(cb);
-  st.cboxOpAt.mark(statusCycle);
+  const unsigned writeSlot = st.addCBoxOp(std::move(cb));
   CGRA_TRACE(st.trace, CBoxSlotAllocated, .cycle = statusCycle,
-             .node = static_cast<std::int32_t>(id), .a = cb.writeSlot,
+             .node = static_cast<std::int32_t>(id), .a = writeSlot,
              .detail = "status");
-  st.rawSlots[id] = CondSlot{PredRef{cb.writeSlot, true}, statusCycle + 1};
+  st.rawSlots[id] = CondSlot{PredRef{writeSlot, true}, statusCycle + 1};
 }
 
 }  // namespace cgra::passes

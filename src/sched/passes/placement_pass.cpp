@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "sched/passes/candidate_pass.hpp"
 #include "sched/passes/cbox_pass.hpp"
@@ -171,20 +172,14 @@ bool planOperation(const ArchModel& model, RunState& st, NodeId id, PEId pe,
   op.src = srcs;
   op.emitsStatus = n.isStatusProducer();
   op.label = n.label;
-  if (pred) {
-    op.pred = pred;
-    st.claimPredSignal(t, *pred);
-  }
+  op.pred = pred;
 
   if (fusedWriter) {
     const Node& w = st.g.node(*fusedWriter);
     st.homeFor(w.var, pe);
     op.writesDest = true;
     op.destVreg = st.varHomes[w.var]->vreg;
-    if (fusedPred) {
-      op.pred = fusedPred;
-      st.claimPredSignal(t, *fusedPred);
-    }
+    if (fusedPred) op.pred = fusedPred;
     ++st.metrics.fusedWrites;
     CGRA_TRACE(st.trace, WriteFused, .cycle = t,
                .node = static_cast<std::int32_t>(id),
@@ -192,18 +187,15 @@ bool planOperation(const ArchModel& model, RunState& st, NodeId id, PEId pe,
   } else if (writesRegister(n.op)) {
     op.writesDest = true;
     op.destVreg = st.freshVreg(pe);
+    st.nodeLocs[id].push_back(Location{pe, op.destVreg, t + dur,
+                                       Location::kNoLimit});
   }
 
   for (const auto& [srcPe, vreg] : exposure) st.claimOutPort(srcPe, t, vreg);
-  st.markBusy(pe, t, dur);
-  st.sched.ops.push_back(op);
+  st.addOp(std::move(op));
   st.stepHasOp = true;
 
   if (n.isStatusProducer()) allocateStatusSlot(model, st, id, statusCycle);
-
-  if (op.writesDest && !fusedWriter)
-    st.nodeLocs[id].push_back(Location{pe, op.destVreg, t + dur,
-                                       Location::kNoLimit});
 
   markScheduled(model, st, id, t, dur, pe);
   if (fusedWriter) {
@@ -251,14 +243,10 @@ bool planPWrite(const ArchModel& model, RunState& st, NodeId id, PEId pe,
   CGRA_ASSERT(st.varHomes[n.var]->pe == pe);
   op.writesDest = true;
   op.destVreg = st.varHomes[n.var]->vreg;
-  if (pred) {
-    op.pred = pred;
-    st.claimPredSignal(t, *pred);
-  }
+  op.pred = pred;
 
   for (const auto& [srcPe, vreg] : exposure) st.claimOutPort(srcPe, t, vreg);
-  st.markBusy(pe, t, dur);
-  st.sched.ops.push_back(op);
+  st.addOp(std::move(op));
   st.stepHasOp = true;
 
   commitVarWrite(st, n.var, t + dur);

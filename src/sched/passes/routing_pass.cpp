@@ -1,6 +1,7 @@
 #include "sched/passes/routing_pass.hpp"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cgra::passes {
@@ -64,8 +65,7 @@ std::optional<Location> scheduleMove(const ArchModel& model, RunState& st,
     op.writesDest = true;
     op.destVreg = vreg;
     op.label = label;
-    st.sched.ops.push_back(op);
-    st.markBusy(destPe, u, dur);
+    st.addOp(std::move(op));
     st.claimOutPort(src.pe, u, src.vreg);
     ++st.metrics.copiesInserted;
     CGRA_TRACE(st.trace, CopyInserted, .cycle = u,
@@ -147,8 +147,7 @@ std::optional<Location> materializeConst(const ArchModel& model, RunState& st,
   op.writesDest = true;
   op.destVreg = vreg;
   op.label = "const " + std::to_string(value);
-  st.sched.ops.push_back(op);
-  st.markBusy(pe, *u, dur);
+  st.addOp(std::move(op));
   Location loc{pe, vreg, *u + dur, Location::kNoLimit};
   st.addConstLocation(value, loc);
   ++st.metrics.constsInserted;

@@ -9,6 +9,12 @@
 // It lives on the stack of one `Scheduler::schedule` call and is never
 // shared across threads; all cross-thread sharing goes through the
 // immutable ArchModel.
+//
+// RunState is the only writer of the schedule under construction: passes
+// append ops through addOp() and C-Box ops through addCBoxOp(), which also
+// claim the resources those ops occupy. Every mutation a placement probe
+// may have to take back records its inverse in one undo log, so a rejected
+// probe rolls back in one newest-first pass.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +22,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "arch/arch_model.hpp"
@@ -74,27 +81,39 @@ struct OpenLoop {
 
 class CostModel;
 
-/// Append-position snapshot of every probe-journaled structure. Captured by
-/// RunState::savepoint() and consumed by rollbackTo(), which undoes all
-/// journaled mutations recorded after the snapshot (see the transactional
-/// probe contract in DESIGN.md: a failed probe may touch only the per-node
-/// rejection bookkeeping and the trace).
+/// One entry of the probe undo log: a mutation of run state made inside a
+/// probe, with what rollbackTo() needs to reverse it.
+struct Undo {
+  enum class Kind : std::uint8_t {
+    Home,      ///< varHomes[key] was assigned
+    Vreg,      ///< nextVreg[key] was bumped
+    Busy,      ///< peBusy[key] was marked over [cycle, cycle + len)
+    Port,      ///< outPort[key] was first claimed at cycle
+    Pred,      ///< the predication wire was first claimed at cycle
+    Cond,      ///< condSlots[key] was inserted
+    NodeLoc,   ///< nodeLocs[key] was pushed
+    VarLoc,    ///< varCopies[key] was pushed
+    ConstLoc,  ///< constLocs[int32(key)] was pushed
+  };
+  Kind kind{};
+  std::uint32_t key = 0;
+  unsigned cycle = 0;
+  unsigned len = 0;
+};
+
+/// Everything rollbackTo() needs to return to the moment of savepoint():
+/// the lengths of the append-only schedule tables, the counters restored by
+/// value, and the undo log position (see the transactional probe contract in
+/// DESIGN.md: a failed probe may touch only the per-node rejection
+/// bookkeeping and the trace).
 struct ProbeSavepoint {
-  // Direct container/scalar snapshots.
   std::size_t ops = 0;
   std::size_t cboxOps = 0;
   std::size_t liveIns = 0;
   std::uint64_t copiesInserted = 0;
   std::uint64_t constsInserted = 0;
   unsigned nextCondSlot = 0;
-  // Journal append positions.
-  std::size_t homes = 0;
-  std::size_t vregs = 0;
-  std::size_t busy = 0;
-  std::size_t ports = 0;
-  std::size_t preds = 0;
-  std::size_t conds = 0;
-  std::size_t locs = 0;
+  std::size_t undo = 0;
 };
 
 struct RunState {
@@ -199,58 +218,33 @@ struct RunState {
   //
   // A (node, PE) placement probe may fail after mutating shared run state
   // (variable homes, live-in bindings, routing copies, C-Box slots). Every
-  // such mutation between beginProbe() and commitProbe()/rollbackProbe() is
-  // journaled by the mutators below; rollback restores the exact pre-probe
-  // state, so a rejected probe observably touches only `lastReject`,
-  // `metrics` counters and the trace. savepoint()/rollbackTo() expose the
-  // same mechanism for sub-transactions inside a probe (the fusion path's
-  // speculative condition materialization).
+  // such mutation between beginProbe() and commitProbe()/rollbackProbe()
+  // goes through a mutator below, which records its inverse in `undoLog`;
+  // rollback restores the exact pre-probe state, so a rejected probe
+  // observably touches only `lastReject`, `metrics` counters and the trace.
+  // savepoint()/rollbackTo() expose the same mechanism for sub-transactions
+  // inside a probe (the fusion path's speculative condition
+  // materialization).
 
   bool probeActive = false;
   ProbeSavepoint probeBase;
+  /// Inverses of the mutations made since beginProbe(), oldest first;
+  /// empty outside a probe.
+  std::vector<Undo> undoLog;
 
-  struct BusyMark {
-    PEId pe;
-    unsigned from;
-    unsigned dur;
-  };
-  struct PortClaim {
-    PEId pe;
-    unsigned cycle;
-  };
-  /// One location pushed into nodeLocs/varCopies/constLocs: the owning key.
-  struct LocPush {
-    Operand::Kind kind;
-    std::uint32_t id;   ///< NodeId or VarId
-    std::int32_t imm;   ///< constLocs key for Immediate
-  };
-  std::vector<VarId> jHomes;
-  std::vector<PEId> jVregs;
-  std::vector<BusyMark> jBusy;
-  std::vector<PortClaim> jPorts;
-  std::vector<unsigned> jPreds;
-  std::vector<CondId> jConds;
-  std::vector<LocPush> jLocs;
-
-  ProbeSavepoint savepoint() const {
-    ProbeSavepoint sp;
-    sp.ops = sched.ops.size();
-    sp.cboxOps = sched.cboxOps.size();
-    sp.liveIns = sched.liveIns.size();
-    sp.copiesInserted = metrics.copiesInserted;
-    sp.constsInserted = metrics.constsInserted;
-    sp.nextCondSlot = nextCondSlot;
-    sp.homes = jHomes.size();
-    sp.vregs = jVregs.size();
-    sp.busy = jBusy.size();
-    sp.ports = jPorts.size();
-    sp.preds = jPreds.size();
-    sp.conds = jConds.size();
-    sp.locs = jLocs.size();
-    return sp;
+  /// Outside a probe every mutation is final, so nothing is recorded.
+  void record(const Undo& u) {
+    if (probeActive) undoLog.push_back(u);
   }
 
-  /// Undoes every journaled mutation made after `sp` (newest first).
+  ProbeSavepoint savepoint() const {
+    return ProbeSavepoint{sched.ops.size(),       sched.cboxOps.size(),
+                          sched.liveIns.size(),   metrics.copiesInserted,
+                          metrics.constsInserted, nextCondSlot,
+                          undoLog.size()};
+  }
+
+  /// Undoes every mutation made after `sp`, newest first.
   void rollbackTo(const ProbeSavepoint& sp) {
     while (sched.cboxOps.size() > sp.cboxOps) {
       cboxOpAt.clear(sched.cboxOps.back().time);
@@ -261,44 +255,26 @@ struct RunState {
     metrics.copiesInserted = sp.copiesInserted;
     metrics.constsInserted = sp.constsInserted;
     nextCondSlot = sp.nextCondSlot;
-    while (jConds.size() > sp.conds) {
-      condSlots.erase(jConds.back());
-      jConds.pop_back();
-    }
-    while (jHomes.size() > sp.homes) {
-      varHomes[jHomes.back()].reset();
-      jHomes.pop_back();
-    }
-    while (jLocs.size() > sp.locs) {
-      const LocPush& p = jLocs.back();
-      switch (p.kind) {
-        case Operand::Kind::Node: nodeLocs[p.id].pop_back(); break;
-        case Operand::Kind::Variable: varCopies[p.id].pop_back(); break;
-        case Operand::Kind::Immediate: constLocs[p.imm].pop_back(); break;
+    for (; undoLog.size() > sp.undo; undoLog.pop_back()) {
+      const Undo& u = undoLog.back();
+      switch (u.kind) {
+        case Undo::Kind::Home: varHomes[u.key].reset(); break;
+        case Undo::Kind::Vreg: --nextVreg[u.key]; break;
+        case Undo::Kind::Busy: peBusy[u.key].clear(u.cycle, u.len); break;
+        case Undo::Kind::Port: outPort[u.key].release(u.cycle); break;
+        case Undo::Kind::Pred: predUse.release(u.cycle); break;
+        case Undo::Kind::Cond: condSlots.erase(u.key); break;
+        case Undo::Kind::NodeLoc: nodeLocs[u.key].pop_back(); break;
+        case Undo::Kind::VarLoc: varCopies[u.key].pop_back(); break;
+        case Undo::Kind::ConstLoc:
+          constLocs[static_cast<std::int32_t>(u.key)].pop_back();
+          break;
       }
-      jLocs.pop_back();
-    }
-    while (jBusy.size() > sp.busy) {
-      const BusyMark& m = jBusy.back();
-      peBusy[m.pe].clear(m.from, m.dur);
-      jBusy.pop_back();
-    }
-    while (jPorts.size() > sp.ports) {
-      outPort[jPorts.back().pe].release(jPorts.back().cycle);
-      jPorts.pop_back();
-    }
-    while (jPreds.size() > sp.preds) {
-      predUse.release(jPreds.back());
-      jPreds.pop_back();
-    }
-    while (jVregs.size() > sp.vregs) {
-      --nextVreg[jVregs.back()];
-      jVregs.pop_back();
     }
   }
 
   void beginProbe() {
-    CGRA_ASSERT(!probeActive);
+    CGRA_ASSERT(!probeActive && undoLog.empty());
     probeActive = true;
     probeBase = savepoint();
   }
@@ -306,24 +282,32 @@ struct RunState {
   void commitProbe() {
     CGRA_ASSERT(probeActive);
     probeActive = false;
-    clearJournal();
+    undoLog.clear();
   }
 
   void rollbackProbe() {
     CGRA_ASSERT(probeActive);
     rollbackTo(probeBase);
     probeActive = false;
-    clearJournal();
   }
 
-  void clearJournal() {
-    jHomes.clear();
-    jVregs.clear();
-    jBusy.clear();
-    jPorts.clear();
-    jPreds.clear();
-    jConds.clear();
-    jLocs.clear();
+  // -- the only writers of the schedule under construction --------------------
+
+  /// Appends a scheduled op: claims the predication wire for its
+  /// predicate, marks its PE busy over its duration.
+  void addOp(ScheduledOp op) {
+    if (op.pred) claimPredSignal(op.start, *op.pred);
+    markBusy(op.pe, op.start, op.duration);
+    sched.ops.push_back(std::move(op));
+  }
+
+  /// Appends a C-Box op writing the next condition slot, marks the C-Box
+  /// write port on its cycle, and returns the slot.
+  unsigned addCBoxOp(CBoxOp op) {
+    op.writeSlot = nextCondSlot++;
+    cboxOpAt.mark(op.time);
+    sched.cboxOps.push_back(std::move(op));
+    return sched.cboxOps.back().writeSlot;
   }
 
   // -- resource helpers -------------------------------------------------------
@@ -335,7 +319,7 @@ struct RunState {
   void markBusy(PEId pe, unsigned from, unsigned dur) {
     // Every call site verifies the range free first, so the marked range is
     // disjoint from all earlier marks and clear() restores it exactly.
-    if (probeActive) jBusy.push_back(BusyMark{pe, from, dur});
+    record(Undo{Undo::Kind::Busy, pe, from, dur});
     peBusy[pe].mark(from, dur);
   }
 
@@ -345,15 +329,15 @@ struct RunState {
   }
 
   void claimOutPort(PEId pe, unsigned cycle, unsigned vreg) {
-    // Journal only first claims: re-claiming the same vreg on a cycle an
+    // Record only first claims: re-claiming the same vreg on a cycle an
     // earlier committed op already exposed must survive a rollback.
-    if (probeActive && outPort[pe].get(cycle) == nullptr)
-      jPorts.push_back(PortClaim{pe, cycle});
+    if (outPort[pe].get(cycle) == nullptr)
+      record(Undo{Undo::Kind::Port, pe, cycle});
     outPort[pe].claim(cycle, vreg);
   }
 
   unsigned freshVreg(PEId pe) {
-    if (probeActive) jVregs.push_back(pe);
+    record(Undo{Undo::Kind::Vreg, pe});
     return nextVreg[pe]++;
   }
 
@@ -364,7 +348,8 @@ struct RunState {
   }
 
   void claimPredSignal(unsigned cycle, const PredRef& ref) {
-    if (probeActive && predUse.get(cycle) == nullptr) jPreds.push_back(cycle);
+    if (predUse.get(cycle) == nullptr)
+      record(Undo{Undo::Kind::Pred, 0, cycle});
     predUse.claim(cycle, ref);
   }
 
@@ -372,7 +357,7 @@ struct RunState {
   void insertCondSlot(CondId c, const CondSlot& slot) {
     const bool inserted = condSlots.emplace(c, slot).second;
     CGRA_ASSERT(inserted);
-    if (probeActive) jConds.push_back(c);
+    record(Undo{Undo::Kind::Cond, c});
   }
 
   /// Assigns a variable's home register (§V-D heuristic: the PE that can
@@ -381,7 +366,7 @@ struct RunState {
   void assignHome(VarId var, PEId pe) {
     CGRA_ASSERT(!varHomes[var]);
     const unsigned vreg = freshVreg(pe);
-    if (probeActive) jHomes.push_back(var);
+    record(Undo{Undo::Kind::Home, var});
     varHomes[var] = Location{pe, vreg, 0, Location::kNoLimit};
     if (g.variable(var).liveIn)
       sched.liveIns.push_back(LiveBinding{var, pe, vreg});
@@ -486,13 +471,11 @@ struct RunState {
   void addLocation(const Operand& o, Location loc) {
     switch (o.kind()) {
       case Operand::Kind::Node:
-        if (probeActive)
-          jLocs.push_back(LocPush{Operand::Kind::Node, o.nodeId(), 0});
+        record(Undo{Undo::Kind::NodeLoc, o.nodeId()});
         nodeLocs[o.nodeId()].push_back(loc);
         break;
       case Operand::Kind::Variable:
-        if (probeActive)
-          jLocs.push_back(LocPush{Operand::Kind::Variable, o.varId(), 0});
+        record(Undo{Undo::Kind::VarLoc, o.varId()});
         varCopies[o.varId()].push_back(loc);
         break;
       case Operand::Kind::Immediate:
@@ -502,8 +485,7 @@ struct RunState {
   }
 
   void addConstLocation(std::int32_t value, Location loc) {
-    if (probeActive)
-      jLocs.push_back(LocPush{Operand::Kind::Immediate, 0, value});
+    record(Undo{Undo::Kind::ConstLoc, static_cast<std::uint32_t>(value)});
     constLocs[value].push_back(loc);
   }
 

@@ -157,6 +157,7 @@ struct Verifier {
         issue("interval of loop ", li.loop, ", which the CDFG lacks");
     if (!issues.empty()) return;
     checkNodeCoverage(g);
+    checkVarHomes(g);
     checkDependencies(g);
     checkPredication(g);
     checkStatusConsumption();
@@ -204,6 +205,50 @@ struct Verifier {
         nodeOps[id] = producer;
       else
         issue("node ", id, " not scheduled");
+    }
+  }
+
+  /// One home per variable; every live binding is its variable's home, once
+  /// per direction the CDFG transfers the variable; every pWRITE's op (a
+  /// fused one's: its producer's) writes the home. Decoded context images
+  /// carry no homes and skip this check.
+  void checkVarHomes(const Cdfg& g) {
+    if (s.varHomes.empty()) return;
+    std::vector<const LiveBinding*> homes(g.numVariables(), nullptr);
+    for (const LiveBinding& h : s.varHomes) {
+      if (h.var >= homes.size())
+        issue("home of variable ", h.var, ", which the CDFG lacks");
+      else if (std::exchange(homes[h.var], &h) != nullptr)
+        issue("variable ", h.var, " has two homes");
+    }
+    const auto isHome = [&](VarId v, PEId pe, unsigned vreg) {
+      const LiveBinding* h = v < homes.size() ? homes[v] : nullptr;
+      return h != nullptr && h->pe == pe && h->vreg == vreg;
+    };
+    for (const bool in : {true, false}) {
+      const char* what = in ? "live-in" : "live-out";
+      std::vector<unsigned> bindings(homes.size(), 0);
+      for (const LiveBinding& lb : in ? s.liveIns : s.liveOuts) {
+        if (isHome(lb.var, lb.pe, lb.vreg))
+          ++bindings[lb.var];
+        else
+          issue(what, " binding of variable ", lb.var, " is not its home");
+      }
+      for (VarId v = 0; v < homes.size(); ++v) {
+        const Variable& var = g.variable(v);
+        const unsigned want = (in ? var.liveIn : var.liveOut) ? 1 : 0;
+        if (homes[v] != nullptr && bindings[v] != want)
+          issue("variable ", v, " has ", bindings[v], " ", what,
+                " bindings, expected ", want);
+      }
+    }
+    for (NodeId id = 0; id < g.numNodes(); ++id) {
+      const Node& n = g.node(id);
+      const ScheduledOp* op = nodeOps[id];
+      if (!n.isPWrite() || op == nullptr) continue;
+      if (!op->writesDest || !isHome(n.var, op->pe, op->destVreg))
+        issue("pWRITE node ", id, " does not write the home of variable ",
+              n.var);
     }
   }
 

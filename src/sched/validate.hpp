@@ -33,7 +33,11 @@ namespace cgra {
 ///     branch per context; a PE output port exposes one register per cycle;
 ///  3. semantics (given `comp` and `graph`): every node is scheduled once
 ///     (a fused pWRITE rides on its producer's op) by an op that runs it,
-///     and inserted ops are MOVE/CONST; dependence edges hold (Flow, Output and Control: the
+///     and inserted ops are MOVE/CONST; when the schedule carries variable
+///     homes (decoded context images do not), each variable has at most
+///     one, every live-in/live-out binding is its variable's home, once per
+///     direction the CDFG transfers it, and every pWRITE's op writes it;
+///     dependence edges hold (Flow, Output and Control: the
 ///     consumer starts after the producer finishes; Anti: no earlier than
 ///     the reader); predicated commits (pWRITE, memory ops) carry
 ///     predication whenever their condition is not TRUE, and one

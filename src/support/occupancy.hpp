@@ -134,7 +134,7 @@ public:
 
   /// Empties one cycle's slot — the undo arm of a transactional placement
   /// probe. Only cycles the probe itself claimed (previously empty, recorded
-  /// in the probe journal) are released, so a shared claim made by an
+  /// in the probe undo log) are released, so a shared claim made by an
   /// earlier committed probe is never dropped.
   void release(unsigned cycle) {
     if (cycle < slots_.size()) slots_[cycle].reset();

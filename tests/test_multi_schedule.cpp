@@ -119,7 +119,7 @@ TEST(MultiSchedule, RepeatedInvocationsOfOneWindow) {
 
 TEST(MultiSchedule, PackedImagesRoundTripAndRun) {
   const PackedDomain d = makeDomain();
-  const ContextImages img = encodePacked(d.packed, d.comp);
+  const ContextImages img = encodePhysical(d.packed.merged, d.comp);
   EXPECT_EQ(img.length, d.packed.merged.length);
   const Schedule dec = decodeContexts(img, d.comp);
   const Simulator sim(d.comp, dec);

@@ -5,7 +5,7 @@
 // bookkeeping and the decision trace may record that the probe happened.
 // These tests pin the contract three ways: a constructed kernel where a
 // leaked home used to steer later placements, schedule-level invariants
-// over the random-kernel corpus, and a white-box journal round-trip.
+// over the random-kernel corpus, and a white-box undo-log round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -205,7 +205,7 @@ TEST(ProbeRollback, NoOrphanConditionSlots) {
 }
 
 TEST(ProbeRollback, JournalRestoresStateExactly) {
-  // White-box: every journaled mutator, exercised directly against a
+  // White-box: every recording mutator, exercised directly against a
   // hand-initialized RunState, must be undone bit-exactly by rollback.
   const Composition comp = makeMesh(4);
   Cdfg g;
@@ -240,7 +240,12 @@ TEST(ProbeRollback, JournalRestoresStateExactly) {
   st.addLocation(Operand::node(0), passes::Location{1, 0, 3});
   st.addLocation(Operand::variable(v), passes::Location{2, 1, 4});
   st.addConstLocation(42, passes::Location{0, 2, 1});
-  st.sched.ops.emplace_back();
+  ScheduledOp predicated;
+  predicated.pe = 3;
+  predicated.start = 6;
+  predicated.duration = 2;
+  predicated.pred = PredRef{2, true};
+  st.addOp(predicated);
   ++st.metrics.copiesInserted;
   st.rollbackProbe();
 
@@ -260,6 +265,51 @@ TEST(ProbeRollback, JournalRestoresStateExactly) {
   EXPECT_TRUE(st.nodeLocs[0].empty());
   EXPECT_TRUE(st.varCopies[v].empty());
   EXPECT_TRUE(st.constLocs[42].empty());
+  EXPECT_FALSE(st.peBusy[3].anyBusy(6, 2)) << "addOp's busy mark cleared";
+  EXPECT_EQ(st.predUse.get(6), nullptr) << "addOp's wire claim released";
+  EXPECT_TRUE(st.undoLog.empty());
+
+  // C-Box ops: the op, its slot, its write-port cycle and the condition it
+  // materializes all go with a rolled-back probe.
+  CBoxOp status;
+  status.time = 3;
+  ASSERT_EQ(st.addCBoxOp(status), 0u);
+  st.beginProbe();
+  CBoxOp combine;
+  combine.time = 5;
+  EXPECT_EQ(st.addCBoxOp(combine), 1u);
+  EXPECT_TRUE(st.cboxOpAt.test(5));
+  st.insertCondSlot(2, passes::CondSlot{PredRef{1, true}, 6});
+  st.rollbackProbe();
+  ASSERT_EQ(st.sched.cboxOps.size(), 1u);
+  EXPECT_EQ(st.sched.cboxOps[0].writeSlot, 0u);
+  EXPECT_EQ(st.nextCondSlot, 1u);
+  EXPECT_TRUE(st.condSlots.empty());
+  EXPECT_TRUE(st.cboxOpAt.test(3)) << "committed C-Box op keeps its cycle";
+  EXPECT_FALSE(st.cboxOpAt.test(5)) << "probe C-Box op frees its cycle";
+
+  // A nested savepoint rolled back inside a probe that then commits undoes
+  // only what came after the savepoint (the fusion path's speculative
+  // condition materialization).
+  st.beginProbe();
+  st.markBusy(1, 8, 1);
+  const passes::ProbeSavepoint inner = st.savepoint();
+  EXPECT_EQ(st.addCBoxOp(combine), 1u);
+  st.insertCondSlot(2, passes::CondSlot{PredRef{1, true}, 6});
+  st.claimPredSignal(7, PredRef{1, true});
+  st.markBusy(1, 9, 1);
+  st.rollbackTo(inner);
+  st.insertCondSlot(3, passes::CondSlot{PredRef{0, false}, 4});
+  st.commitProbe();
+  EXPECT_TRUE(st.peBusy[1].test(8)) << "outer mark committed";
+  EXPECT_FALSE(st.peBusy[1].test(9)) << "inner mark undone";
+  EXPECT_EQ(st.sched.cboxOps.size(), 1u);
+  EXPECT_EQ(st.nextCondSlot, 1u);
+  EXPECT_FALSE(st.cboxOpAt.test(5));
+  EXPECT_EQ(st.predUse.get(7), nullptr);
+  EXPECT_EQ(st.condSlots.count(2), 0u);
+  EXPECT_EQ(st.condSlots.count(3), 1u) << "post-rollback insert committed";
+  EXPECT_TRUE(st.undoLog.empty());
 
   // A committed probe keeps everything.
   st.beginProbe();

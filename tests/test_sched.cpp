@@ -472,6 +472,47 @@ TEST_F(ValidatorDetects, DroppedStatusConsumer) {
   EXPECT_TRUE(reports(bad, "never consumed"));
 }
 
+TEST_F(ValidatorDetects, MisboundVariableHome) {
+  // In-range register edits of a live-out variable's bindings and of the op
+  // that writes its home: only the CDFG's variables tell them apart.
+  ASSERT_FALSE(sched_.liveOuts.empty());
+  const LiveBinding home = sched_.liveOuts[0];
+  const unsigned regs = sched_.vregsPerPE.at(home.pe);
+  ASSERT_GE(regs, 2u);
+  const unsigned other = (home.vreg + 1) % regs;
+  const auto homeWriter = [&](Schedule& s) {
+    const auto it = std::find_if(
+        s.ops.begin(), s.ops.end(), [&](const ScheduledOp& op) {
+          return op.writesDest && op.pe == home.pe &&
+                 op.destVreg == home.vreg;
+        });
+    EXPECT_NE(it, s.ops.end());
+    return it;
+  };
+  const std::vector<std::pair<const char*, std::function<void(Schedule&)>>>
+      edits = {
+          {"is not its home", [&](Schedule& s) { s.liveOuts[0].vreg = other; }},
+          {"has two homes",
+           [](Schedule& s) { s.varHomes.push_back(s.varHomes.at(0)); }},
+          {"live-out bindings",
+           [](Schedule& s) { s.liveOuts.push_back(s.liveOuts[0]); }},
+          {"does not write the home",
+           [&](Schedule& s) { homeWriter(s)->destVreg = other; }},
+          {"does not write the home",
+           [&](Schedule& s) { homeWriter(s)->writesDest = false; }},
+      };
+  for (const auto& [what, edit] : edits) {
+    Schedule bad = sched_;
+    edit(bad);
+    EXPECT_EQ(layerCatching(bad), 3) << what;
+    EXPECT_TRUE(reports(bad, what)) << what;
+  }
+  // Decoded context images carry no homes: nothing to check them against.
+  Schedule decoded = sched_;
+  decoded.varHomes.clear();
+  EXPECT_EQ(layerCatching(decoded), 0);
+}
+
 TEST_F(ValidatorDetects, EscapedLoopOp) {
   // Append one idle context after the loop and move a loop op into it.
   const auto inLoop = std::find_if(

@@ -553,9 +553,11 @@ TEST(Service, SeededCacheFileMutationsAreVerifiedOrRecomputed) {
       EXPECT_EQ(served, fresh) << kernel << " mutant " << i;
     }
   }
-  // About half the edits break a rule the verifier checks. The others
-  // rename registers or condition slots, which it does not trace.
-  EXPECT_GE(rejected, 50u);
+  // Most edits break a rule the verifier checks, variable homes included.
+  // The others redraw the value already there, or rename operand
+  // registers, routed source PEs or C-Box write slots, whose register
+  // dataflow it does not trace.
+  EXPECT_GE(rejected, 119u);
 }
 
 TEST(Service, DeepKernelFileIsBadKernelAndTheSessionLivesOn) {

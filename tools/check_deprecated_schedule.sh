@@ -94,4 +94,28 @@ if [ -n "$verifier_offenders" ]; then
 fi
 
 echo "ok: schedules are checked by verifySchedule only"
+
+# Lint 4: one writer of the schedule under construction. Scheduler passes
+# append ops and C-Box ops only through RunState::addOp/addCBoxOp, which
+# claim the PE, the predication wire, the C-Box write port and the next
+# condition slot; every probe mutation is recorded in RunState's one undo
+# log, so the per-structure journals must not come back.
+writer_offenders=$({
+  grep -nHE \
+      'sched\.ops\.push_back|sched\.cboxOps\.push_back|nextCondSlot\+\+|peBusy\[[^]]*\]\.mark|cboxOpAt\.mark' \
+      src/sched/passes/*.cpp
+  grep -nHE 'jHomes|clearJournal' src/sched/passes/run_state.hpp
+} 2>/dev/null)
+
+if [ -n "$writer_offenders" ]; then
+  echo "error: a scheduler pass writes the schedule or a resource table"
+  echo "itself, or a per-structure probe journal is back. Append through"
+  echo "RunState::addOp/addCBoxOp and record probe mutations in its undo log"
+  echo "(src/sched/passes/run_state.hpp):"
+  echo
+  echo "$writer_offenders"
+  exit 1
+fi
+
+echo "ok: RunState is the only writer of the schedule under construction"
 exit 0
