@@ -1,6 +1,7 @@
 #include "ctx/contexts.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "sched/validate.hpp"
 
@@ -8,117 +9,191 @@ namespace cgra {
 
 namespace {
 
-/// Field widths for one PE's context encoding.
-struct PEFieldWidths {
+/// Field widths for one PE's context words, and the source list its
+/// source selector indexes.
+struct PEFields {
   unsigned opcode = 5;
   unsigned duration = 4;
   unsigned ownReg = 0;    ///< this PE's RF address
-  unsigned srcSel = 0;    ///< index into the PE's source list
+  unsigned srcSel = 0;    ///< index into `sources`
   unsigned routeReg = 0;  ///< RF address within any source PE
   unsigned predSlot = 0;
+  const std::vector<PEId>* sources = nullptr;
 };
 
-PEFieldWidths widthsFor(const Composition& comp, PEId pe) {
-  PEFieldWidths w;
-  w.ownReg = bitsFor(comp.pe(pe).regfileSize());
-  const auto& sources = comp.interconnect().sources(pe);
-  w.srcSel = bitsFor(std::max<std::size_t>(1, sources.size()));
+PEFields fieldsFor(const Composition& comp, PEId pe) {
+  PEFields f;
+  f.ownReg = bitsFor(comp.pe(pe).regfileSize());
+  f.sources = &comp.interconnect().sources(pe);
+  f.srcSel = bitsFor(std::max<std::size_t>(1, f.sources->size()));
   unsigned maxSrcRf = 1;
-  for (PEId q : sources)
+  for (PEId q : *f.sources)
     maxSrcRf = std::max(maxSrcRf, comp.pe(q).regfileSize());
-  w.routeReg = bitsFor(maxSrcRf);
-  w.predSlot = bitsFor(comp.cboxSlots());
-  return w;
+  f.routeReg = bitsFor(maxSrcRf);
+  f.predSlot = bitsFor(comp.cboxSlots());
+  return f;
 }
 
-unsigned sourceIndex(const Composition& comp, PEId pe, PEId src) {
-  const auto& sources = comp.interconnect().sources(pe);
-  for (unsigned i = 0; i < sources.size(); ++i)
-    if (sources[i] == src) return i;
-  throw Error("encode: PE " + std::to_string(src) + " is not a source of PE " +
-              std::to_string(pe));
-}
+// The word functions below (peWord, cboxWord, ccuWord) are the only
+// statement of each context word's layout. Each takes its entry as
+// `Entry*`: the Encoder passes a const entry, or null for an idle context,
+// and the Decoder passes a default entry that it fills in. Each returns
+// whether the context holds an entry. Coder::field returns the field's
+// raw bits; `limit` and `what` name the range the Decoder accepts.
 
-void encodeOp(BitPacker& bp, const ScheduledOp& op, const Composition& comp,
-              const PEFieldWidths& w) {
-  bp.writeBool(true);  // op present
-  bp.write(static_cast<unsigned>(op.op), w.opcode);
-  bp.write(op.duration, w.duration);
-  const unsigned nOperands = operandCount(op.op);
-  for (unsigned i = 0; i < nOperands; ++i) {
-    const OperandSource& src = op.src[i];
-    bp.write(static_cast<unsigned>(src.kind), 2);
+/// Packs a context word.
+class Encoder {
+public:
+  bool present(const void* entry) { return field(entry != nullptr, 1); }
+  template <class T>
+  std::uint64_t field(const T& v, unsigned width, std::uint64_t = 0,
+                      const char* = nullptr) {
+    std::uint64_t raw = static_cast<std::uint64_t>(v);
+    if constexpr (std::is_signed_v<T>)
+      raw = static_cast<std::make_unsigned_t<T>>(v);  // two's complement
+    bp.write(raw, width);
+    return raw;
+  }
+  template <class T>
+  bool optional(const std::optional<T>& v) {
+    return field(v.has_value(), 1);
+  }
+  template <class T>
+  void count(const std::vector<T>& v, unsigned width, std::size_t,
+             const char*) {
+    field(v.size(), width);
+  }
+  void select(PEId pe, const std::vector<PEId>& list, unsigned width) {
+    const auto it = std::find(list.begin(), list.end(), pe);
+    CGRA_ASSERT_MSG(it != list.end(),
+                    "route from PE " << pe << " over no link");
+    field(it - list.begin(), width);
+  }
+
+  BitPacker bp;
+};
+
+/// Unpacks a context word; throws cgra::Error when the word ends inside a
+/// field or a field holds no legal value.
+class Decoder {
+public:
+  explicit Decoder(const BitVector& word) : br(word) {}
+
+  bool present(const void*) {
+    bool present = false;
+    return field(present, 1);
+  }
+  template <class T>
+  std::uint64_t field(T& v, unsigned width, std::uint64_t limit = 0,
+                      const char* what = nullptr) {
+    if (br.remaining() < width)
+      throw Error("decode: context word ends inside a field");
+    const std::uint64_t raw = br.read(width);
+    if (what != nullptr && raw >= limit)
+      throw Error(std::string("decode: ") + what + " " + std::to_string(raw) +
+                  " out of range");
+    v = static_cast<T>(raw);
+    return raw;
+  }
+  template <class T>
+  bool optional(std::optional<T>& v) {
+    bool present = false;
+    if (field(present, 1)) v.emplace();
+    return present;
+  }
+  template <class T>
+  void count(std::vector<T>& v, unsigned width, std::size_t max,
+             const char* what) {
+    std::size_t n = 0;
+    field(n, width, max + 1, what);
+    v.resize(n);
+  }
+  void select(PEId& pe, const std::vector<PEId>& list, unsigned width) {
+    std::size_t i = 0;
+    field(i, width, list.size(), "source selector");
+    pe = list[i];
+  }
+
+private:
+  BitReader br;
+};
+
+/// PE context word: opcode, duration, each operand's kind and address,
+/// destination register, predicate.
+template <class Coder, class Entry>
+bool peWord(Coder& c, Entry* op, const PEFields& f) {
+  if (!c.present(op)) return false;
+  c.field(op->op, f.opcode, kNumOps, "opcode");
+  c.field(op->duration, f.duration);
+  for (unsigned i = 0; i < operandCount(op->op); ++i) {
+    auto& src = op->src[i];
+    c.field(src.kind, 2, 4, "operand kind");
     switch (src.kind) {
       case OperandSource::Kind::None: break;
       case OperandSource::Kind::Own:
-        bp.write(src.vreg, w.ownReg);
+        c.field(src.vreg, f.ownReg);
         break;
       case OperandSource::Kind::Route:
-        bp.write(sourceIndex(comp, op.pe, src.srcPE), w.srcSel);
-        bp.write(src.vreg, w.routeReg);
+        c.select(src.srcPE, *f.sources, f.srcSel);
+        c.field(src.vreg, f.routeReg);
         break;
       case OperandSource::Kind::Imm:
-        bp.write(static_cast<std::uint32_t>(src.imm), 32);
+        c.field(src.imm, 32);
         break;
     }
   }
-  bp.writeBool(op.writesDest);
-  if (op.writesDest) bp.write(op.destVreg, w.ownReg);
-  bp.writeBool(op.pred.has_value());
-  if (op.pred) {
-    bp.write(op.pred->slot, w.predSlot);
-    bp.writeBool(op.pred->polarity);
+  if (c.field(op->writesDest, 1)) c.field(op->destVreg, f.ownReg);
+  if (c.optional(op->pred)) {
+    c.field(op->pred->slot, f.predSlot);
+    c.field(op->pred->polarity, 1);
   }
+  return true;
 }
 
-ScheduledOp decodeOp(BitReader& br, PEId pe, unsigned time,
-                     const Composition& comp, const PEFieldWidths& w) {
-  ScheduledOp op;
-  op.pe = pe;
-  op.start = time;
-  op.op = static_cast<Op>(br.read(w.opcode));
-  op.duration = static_cast<unsigned>(br.read(w.duration));
-  const unsigned nOperands = operandCount(op.op);
-  for (unsigned i = 0; i < nOperands; ++i) {
-    OperandSource& src = op.src[i];
-    src.kind = static_cast<OperandSource::Kind>(br.read(2));
-    switch (src.kind) {
-      case OperandSource::Kind::None: break;
-      case OperandSource::Kind::Own:
-        src.vreg = static_cast<unsigned>(br.read(w.ownReg));
-        break;
-      case OperandSource::Kind::Route: {
-        const unsigned idx = static_cast<unsigned>(br.read(w.srcSel));
-        const auto& sources = comp.interconnect().sources(pe);
-        if (idx >= sources.size())
-          throw Error("decode: source selector out of range on PE " +
-                      std::to_string(pe));
-        src.srcPE = sources[idx];
-        src.vreg = static_cast<unsigned>(br.read(w.routeReg));
-        break;
-      }
-      case OperandSource::Kind::Imm:
-        src.imm = static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(br.read(32)));
-        break;
-    }
+/// C-Box context word: up to two inputs (status wire or stored slot, with
+/// polarity), the combining logic and the slot written.
+template <class Coder, class Entry>
+bool cboxWord(Coder& c, Entry* op, unsigned slotBits) {
+  if (!c.present(op)) return false;
+  c.count(op->inputs, 2, 2, "C-Box input count");
+  for (auto& in : op->inputs) {
+    c.field(in.kind, 1);  // Status 0, Stored 1
+    if (in.kind == CBoxOp::Input::Kind::Stored) c.field(in.slot, slotBits);
+    c.field(in.polarity, 1);
   }
-  op.writesDest = br.readBool();
-  if (op.writesDest) op.destVreg = static_cast<unsigned>(br.read(w.ownReg));
-  if (br.readBool()) {
-    PredRef pred;
-    pred.slot = static_cast<unsigned>(br.read(w.predSlot));
-    pred.polarity = br.readBool();
-    op.pred = pred;
-  }
-  op.emitsStatus = producesStatus(op.op);
-  return op;
+  c.field(op->logic, 2, 3, "C-Box logic");
+  c.field(op->writeSlot, slotBits);
+  return true;
 }
 
-BitVector padTo(const BitVector& bits, unsigned width) {
-  BitVector out = bits;
-  while (out.size() < width) out.pushBack(false);
-  return out;
+/// CCU context word: branch target and, when conditional, its predicate.
+template <class Coder, class Entry>
+bool ccuWord(Coder& c, Entry* b, unsigned targetBits, unsigned slotBits) {
+  if (!c.present(b)) return false;
+  c.field(b->target, targetBits);
+  if (c.field(b->conditional, 1)) {
+    c.field(b->pred.slot, slotBits);
+    c.field(b->pred.polarity, 1);
+  }
+  return true;
+}
+
+/// Encodes one memory of `length` contexts, `word(encoder, t)` packing
+/// context t, and pads every word to the widest.
+template <class Word>
+ContextMemory packMemory(unsigned length, const Word& word) {
+  ContextMemory mem;
+  mem.width = 1;
+  mem.words.reserve(length);
+  for (unsigned t = 0; t < length; ++t) {
+    Encoder enc;
+    word(enc, t);
+    mem.words.push_back(enc.bp.take());
+    mem.width =
+        std::max(mem.width, static_cast<unsigned>(mem.words.back().size()));
+  }
+  for (BitVector& w : mem.words) w.resize(mem.width);
+  return mem;
 }
 
 /// Encodes a schedule that passed layers 1-2 of verifySchedule.
@@ -130,7 +205,7 @@ ContextImages encodeVerified(const Schedule& sched, const Composition& comp) {
   img.physRegsUsed = sched.vregsPerPE;
   img.cboxSlotsUsed = sched.cboxSlotsUsed;
 
-  const unsigned cboxSlotBits = bitsFor(comp.cboxSlots());
+  const unsigned slotBits = bitsFor(comp.cboxSlots());
   const unsigned targetBits = bitsFor(std::max(1u, sched.length));
 
   // What each context holds, PE-major for the ops.
@@ -142,92 +217,45 @@ ContextImages encodeVerified(const Schedule& sched, const Composition& comp) {
   std::vector<const BranchOp*> branchAt(sched.length, nullptr);
   for (const BranchOp& b : sched.branches) branchAt[b.time] = &b;
 
-  // Per-PE contexts.
-  img.peContexts.resize(comp.numPEs());
-  img.peWidths.resize(comp.numPEs());
+  img.pes.reserve(comp.numPEs());
   for (PEId p = 0; p < comp.numPEs(); ++p) {
-    const PEFieldWidths w = widthsFor(comp, p);
-    std::vector<BitVector> raw(sched.length);
-    unsigned width = 1;
-    for (unsigned t = 0; t < sched.length; ++t) {
-      BitPacker bp;
-      if (const ScheduledOp* op = opAt[std::size_t{p} * sched.length + t])
-        encodeOp(bp, *op, comp, w);
-      else
-        bp.writeBool(false);  // idle context
-      raw[t] = bp.bits();
-      width = std::max(width, static_cast<unsigned>(raw[t].size()));
-    }
-    img.peWidths[p] = width;
-    img.peContexts[p].reserve(sched.length);
-    for (const BitVector& bits : raw)
-      img.peContexts[p].push_back(padTo(bits, width));
+    const PEFields f = fieldsFor(comp, p);
+    const ScheduledOp* const* ops = opAt.data() + std::size_t{p} * sched.length;
+    img.pes.push_back(packMemory(
+        sched.length, [&](Encoder& e, unsigned t) { peWord(e, ops[t], f); }));
   }
-
-  // C-Box contexts.
-  {
-    std::vector<BitVector> raw(sched.length);
-    unsigned width = 1;
-    for (unsigned t = 0; t < sched.length; ++t) {
-      BitPacker bp;
-      if (cboxAt[t] != nullptr) {
-        const CBoxOp& op = *cboxAt[t];
-        bp.writeBool(true);
-        bp.write(op.inputs.size(), 2);
-        for (const CBoxOp::Input& in : op.inputs) {
-          bp.writeBool(in.kind == CBoxOp::Input::Kind::Stored);
-          if (in.kind == CBoxOp::Input::Kind::Stored)
-            bp.write(in.slot, cboxSlotBits);
-          bp.writeBool(in.polarity);
-        }
-        bp.write(static_cast<unsigned>(op.logic), 2);
-        bp.write(op.writeSlot, cboxSlotBits);
-      } else {
-        bp.writeBool(false);
-      }
-      raw[t] = bp.bits();
-      width = std::max(width, static_cast<unsigned>(raw[t].size()));
-    }
-    img.cboxWidth = width;
-    for (const BitVector& bits : raw) img.cboxContexts.push_back(padTo(bits, width));
-  }
-
-  // CCU contexts.
-  {
-    std::vector<BitVector> raw(sched.length);
-    unsigned width = 1;
-    for (unsigned t = 0; t < sched.length; ++t) {
-      BitPacker bp;
-      if (branchAt[t] != nullptr) {
-        const BranchOp& b = *branchAt[t];
-        bp.writeBool(true);
-        bp.write(b.target, targetBits);
-        bp.writeBool(b.conditional);
-        if (b.conditional) {
-          bp.write(b.pred.slot, cboxSlotBits);
-          bp.writeBool(b.pred.polarity);
-        }
-      } else {
-        bp.writeBool(false);
-      }
-      raw[t] = bp.bits();
-      width = std::max(width, static_cast<unsigned>(raw[t].size()));
-    }
-    img.ccuWidth = width;
-    for (const BitVector& bits : raw) img.ccuContexts.push_back(padTo(bits, width));
-  }
-
+  img.cbox = packMemory(sched.length, [&](Encoder& e, unsigned t) {
+    cboxWord(e, cboxAt[t], slotBits);
+  });
+  img.ccu = packMemory(sched.length, [&](Encoder& e, unsigned t) {
+    ccuWord(e, branchAt[t], targetBits, slotBits);
+  });
   return img;
+}
+
+/// Rejects images whose memories do not fit `comp` and `img.length`.
+void checkShape(const ContextImages& img, const Composition& comp) {
+  if (img.pes.size() != comp.numPEs())
+    throw Error("decode: " + std::to_string(img.pes.size()) +
+                " PE memories for " + std::to_string(comp.numPEs()) + " PEs");
+  const auto fits = [&img](const ContextMemory& mem) {
+    return mem.words.size() == img.length &&
+           std::all_of(mem.words.begin(), mem.words.end(),
+                       [&mem](const BitVector& w) {
+                         return w.size() == mem.width;
+                       });
+  };
+  if (!std::all_of(img.pes.begin(), img.pes.end(), fits) || !fits(img.cbox) ||
+      !fits(img.ccu))
+    throw Error("decode: a context memory does not hold " +
+                std::to_string(img.length) + " words of its width");
 }
 
 }  // namespace
 
 std::size_t ContextImages::totalBits() const {
-  std::size_t bits = 0;
-  for (PEId p = 0; p < peContexts.size(); ++p)
-    bits += static_cast<std::size_t>(peWidths[p]) * peContexts[p].size();
-  bits += static_cast<std::size_t>(cboxWidth) * cboxContexts.size();
-  bits += static_cast<std::size_t>(ccuWidth) * ccuContexts.size();
+  std::size_t bits = cbox.bits() + ccu.bits();
+  for (const ContextMemory& mem : pes) bits += mem.bits();
   return bits;
 }
 
@@ -244,6 +272,7 @@ ContextImages encodePhysical(const Schedule& sched, const Composition& comp) {
 }
 
 Schedule decodeContexts(const ContextImages& img, const Composition& comp) {
+  checkShape(img, comp);
   Schedule out;
   out.length = img.length;
   out.liveIns = img.liveIns;
@@ -251,52 +280,33 @@ Schedule decodeContexts(const ContextImages& img, const Composition& comp) {
   out.vregsPerPE = img.physRegsUsed;
   out.cboxSlotsUsed = img.cboxSlotsUsed;
 
-  const unsigned cboxSlotBits = bitsFor(comp.cboxSlots());
+  const unsigned slotBits = bitsFor(comp.cboxSlots());
   const unsigned targetBits = bitsFor(std::max(1u, img.length));
 
   for (PEId p = 0; p < comp.numPEs(); ++p) {
-    const PEFieldWidths w = widthsFor(comp, p);
+    const PEFields f = fieldsFor(comp, p);
     for (unsigned t = 0; t < img.length; ++t) {
-      BitReader br(img.peContexts[p][t]);
-      if (!br.readBool()) continue;
-      out.ops.push_back(decodeOp(br, p, t, comp, w));
+      Decoder d(img.pes[p].words[t]);
+      ScheduledOp op;
+      if (!peWord(d, &op, f)) continue;
+      op.pe = p;
+      op.start = t;
+      op.emitsStatus = producesStatus(op.op);
+      out.ops.push_back(std::move(op));
     }
   }
-
   for (unsigned t = 0; t < img.length; ++t) {
-    BitReader br(img.cboxContexts[t]);
-    if (!br.readBool()) continue;
+    Decoder d(img.cbox.words[t]);
     CBoxOp op;
     op.time = t;
-    const unsigned n = static_cast<unsigned>(br.read(2));
-    for (unsigned i = 0; i < n; ++i) {
-      CBoxOp::Input in;
-      in.kind = br.readBool() ? CBoxOp::Input::Kind::Stored
-                              : CBoxOp::Input::Kind::Status;
-      if (in.kind == CBoxOp::Input::Kind::Stored)
-        in.slot = static_cast<unsigned>(br.read(cboxSlotBits));
-      in.polarity = br.readBool();
-      op.inputs.push_back(in);
-    }
-    op.logic = static_cast<CBoxOp::Logic>(br.read(2));
-    op.writeSlot = static_cast<unsigned>(br.read(cboxSlotBits));
-    out.cboxOps.push_back(op);
+    if (cboxWord(d, &op, slotBits)) out.cboxOps.push_back(std::move(op));
   }
-
   for (unsigned t = 0; t < img.length; ++t) {
-    BitReader br(img.ccuContexts[t]);
-    if (!br.readBool()) continue;
+    Decoder d(img.ccu.words[t]);
     BranchOp b;
     b.time = t;
-    b.target = static_cast<unsigned>(br.read(targetBits));
-    b.conditional = br.readBool();
-    if (b.conditional) {
-      b.pred.slot = static_cast<unsigned>(br.read(cboxSlotBits));
-      b.pred.polarity = br.readBool();
-    }
-    out.branches.push_back(b);
+    if (ccuWord(d, &b, targetBits, slotBits)) out.branches.push_back(b);
   }
-
   return out;
 }
 

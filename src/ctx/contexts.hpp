@@ -3,10 +3,12 @@
 // C-Box and CCU context streams. Field widths are minimized per PE from the
 // composition (the paper's "bit-mask"): register addresses use the PE's RF
 // depth, source selectors the PE's fan-in, condition slots the C-Box size.
-// Contexts are encoded field-sequentially and padded to the widest context
-// of their memory; decoding reverses the process exactly, which the test
-// suite exploits for bit-level round-trip checks and for running the
-// simulator on *decoded* images (context-accurate execution).
+// Each kind of context word (PE op, C-Box op, CCU branch) is laid out by
+// one coding function, which an Encoder runs to pack the word field by
+// field and a Decoder runs to unpack it, so the two directions cannot
+// drift apart. Every memory is padded to its widest word. The test suite
+// uses the exact inverse for bit-level round-trip checks and for running
+// the simulator on *decoded* images (context-accurate execution).
 #pragma once
 
 #include "ctx/regalloc.hpp"
@@ -15,17 +17,22 @@
 
 namespace cgra {
 
+/// One context memory: a word per context, each `width` bits wide.
+struct ContextMemory {
+  unsigned width = 0;
+  std::vector<BitVector> words;  ///< [cycle]
+
+  std::size_t bits() const { return std::size_t{width} * words.size(); }
+  bool operator==(const ContextMemory&) const = default;
+};
+
 /// Encoded context memories for one schedule on one composition.
 struct ContextImages {
   unsigned length = 0;  ///< contexts per memory
 
-  std::vector<std::vector<BitVector>> peContexts;  ///< [pe][cycle]
-  std::vector<BitVector> cboxContexts;             ///< [cycle]
-  std::vector<BitVector> ccuContexts;              ///< [cycle]
-
-  std::vector<unsigned> peWidths;  ///< padded width per PE memory
-  unsigned cboxWidth = 0;
-  unsigned ccuWidth = 0;
+  std::vector<ContextMemory> pes;  ///< [pe]
+  ContextMemory cbox;
+  ContextMemory ccu;
 
   // Invocation metadata (token-transferred in the real system, Fig. 6).
   std::vector<LiveBinding> liveIns;
@@ -50,7 +57,10 @@ ContextImages encodePhysical(const Schedule& physical, const Composition& comp);
 
 /// Decodes context images back into an executable schedule (physical
 /// registers). The result carries no loop metadata — exactly what the
-/// hardware knows — but runs identically on the simulator.
+/// hardware knows — but runs identically on the simulator. Throws
+/// cgra::Error when the images do not match `comp` (memory count, `length`
+/// words per memory, each word its memory's width) or a field is out of
+/// range.
 Schedule decodeContexts(const ContextImages& images, const Composition& comp);
 
 }  // namespace cgra

@@ -1,5 +1,7 @@
 #include "ctx/serialize.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <optional>
 #include <sstream>
 
@@ -7,37 +9,30 @@ namespace cgra {
 
 std::string contextWordToHex(const BitVector& bits) {
   static constexpr char kHexDigits[] = "0123456789abcdef";
-  const std::size_t digits = (bits.size() + 3) / 4;
-  std::string out(digits, '0');
-  // A nibble never straddles two 64-bit words, and the bits past size()
-  // are zero, so each digit is one shift and mask.
-  for (std::size_t d = 0; d < digits; ++d) {
-    const std::uint64_t word = bits.word(d / 16);
-    out[digits - 1 - d] = kHexDigits[(word >> (4 * (d % 16))) & 0xf];
-  }
+  std::string out((bits.size() + 3) / 4, '0');
+  BitReader br(bits);
+  for (std::size_t d = out.size(); d-- > 0;)
+    out[d] = kHexDigits[br.read(std::min<unsigned>(4, br.remaining()))];
   return out;
 }
 
 BitVector contextWordFromHex(const std::string& hex, unsigned width) {
-  const std::size_t digits = (width + 3) / 4;
-  if (hex.size() != digits)
+  if (hex.size() != (width + 3) / 4)
     throw Error("context word hex length " + std::to_string(hex.size()) +
                 " does not match width " + std::to_string(width));
-  BitVector bits(width);
-  for (unsigned i = 0; i < width; ++i) {
-    const char c = hex[digits - 1 - i / 4];
-    unsigned v;
-    if (c >= '0' && c <= '9')
-      v = static_cast<unsigned>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      v = static_cast<unsigned>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F')
-      v = static_cast<unsigned>(c - 'A' + 10);
-    else
+  BitPacker bp;
+  for (std::size_t d = hex.size(); d-- > 0;) {
+    unsigned v = 0;
+    if (std::from_chars(&hex[d], &hex[d] + 1, v, 16).ec != std::errc{})
       throw Error("invalid hex digit in context word");
-    if ((v >> (i % 4)) & 1u) bits.set(i, true);
+    const auto bits = static_cast<unsigned>(
+        std::min<std::size_t>(4, width - bp.bits().size()));
+    if ((v >> bits) != 0)
+      throw Error("context word hex sets bits above width " +
+                  std::to_string(width));
+    bp.write(v, bits);
   }
-  return bits;
+  return bp.take();
 }
 
 namespace {
@@ -47,36 +42,35 @@ namespace {
 
 /// One context memory. PE memories also carry `regs_used`, which sorts
 /// between the other two keys.
-json::Value memoryToJson(const std::vector<BitVector>& contexts,
-                         unsigned width,
+json::Value memoryToJson(const ContextMemory& mem,
                          std::optional<unsigned> regsUsed = std::nullopt) {
   json::Object obj;
   obj.reserve(3);
   json::Array words;
-  words.reserve(contexts.size());
-  for (const BitVector& ctx : contexts) words.emplace_back(contextWordToHex(ctx));
+  words.reserve(mem.words.size());
+  for (const BitVector& word : mem.words)
+    words.emplace_back(contextWordToHex(word));
   obj.append("contexts") = std::move(words);
   if (regsUsed) obj.append("regs_used") = static_cast<std::int64_t>(*regsUsed);
-  obj.append("width") = static_cast<std::int64_t>(width);
+  obj.append("width") = static_cast<std::int64_t>(mem.width);
   return obj;
 }
 
-std::vector<BitVector> memoryFromJson(const json::Value& v, unsigned& width,
-                                      unsigned expectedCount,
-                                      const std::string& what) {
+ContextMemory memoryFromJson(const json::Value& v, unsigned expectedCount,
+                             const std::string& what) {
   const json::Object& obj = v.asObject();
   const std::int64_t w = obj.at("width").asInt();
   if (w <= 0 || w > 4096) throw Error(what + ": width out of range");
-  width = static_cast<unsigned>(w);
+  ContextMemory mem;
+  mem.width = static_cast<unsigned>(w);
   const json::Array& words = obj.at("contexts").asArray();
   if (words.size() != expectedCount)
     throw Error(what + ": expected " + std::to_string(expectedCount) +
                 " contexts, got " + std::to_string(words.size()));
-  std::vector<BitVector> out;
-  out.reserve(words.size());
+  mem.words.reserve(words.size());
   for (const json::Value& word : words)
-    out.push_back(contextWordFromHex(word.asString(), width));
-  return out;
+    mem.words.push_back(contextWordFromHex(word.asString(), mem.width));
+  return mem;
 }
 
 json::Value bindingsToJson(const std::vector<LiveBinding>& bindings) {
@@ -110,20 +104,19 @@ std::vector<LiveBinding> bindingsFromJson(const json::Value& v) {
 json::Value contextImagesToJson(const ContextImages& images) {
   json::Object doc;
   doc.reserve(8);
-  doc.append("cbox_memory") = memoryToJson(images.cboxContexts, images.cboxWidth);
+  doc.append("cbox_memory") = memoryToJson(images.cbox);
   doc.append("cbox_slots_used") =
       static_cast<std::int64_t>(images.cboxSlotsUsed);
-  doc.append("ccu_memory") = memoryToJson(images.ccuContexts, images.ccuWidth);
+  doc.append("ccu_memory") = memoryToJson(images.ccu);
   doc.append("format") = "cgra-contexts-v1";
   doc.append("length") = static_cast<std::int64_t>(images.length);
   doc.append("live_ins") = bindingsToJson(images.liveIns);
   doc.append("live_outs") = bindingsToJson(images.liveOuts);
 
   json::Array pes;
-  pes.reserve(images.peContexts.size());
-  for (PEId p = 0; p < images.peContexts.size(); ++p)
-    pes.push_back(memoryToJson(images.peContexts[p], images.peWidths[p],
-                               images.physRegsUsed[p]));
+  pes.reserve(images.pes.size());
+  for (PEId p = 0; p < images.pes.size(); ++p)
+    pes.push_back(memoryToJson(images.pes[p], images.physRegsUsed[p]));
   doc.append("pe_memories") = std::move(pes);
   return doc;
 }
@@ -142,31 +135,26 @@ ContextImages contextImagesFromJson(const json::Value& doc) {
       static_cast<unsigned>(obj.at("cbox_slots_used").asInt());
 
   const json::Array& pes = obj.at("pe_memories").asArray();
-  img.peContexts.resize(pes.size());
-  img.peWidths.resize(pes.size());
-  img.physRegsUsed.resize(pes.size());
+  img.pes.reserve(pes.size());
+  img.physRegsUsed.reserve(pes.size());
   for (std::size_t p = 0; p < pes.size(); ++p) {
-    img.peContexts[p] = memoryFromJson(pes[p], img.peWidths[p], img.length,
-                                       "PE memory " + std::to_string(p));
-    img.physRegsUsed[p] =
-        static_cast<unsigned>(pes[p].asObject().at("regs_used").asInt());
+    img.pes.push_back(
+        memoryFromJson(pes[p], img.length, "PE memory " + std::to_string(p)));
+    img.physRegsUsed.push_back(
+        static_cast<unsigned>(pes[p].asObject().at("regs_used").asInt()));
   }
-  img.cboxContexts =
-      memoryFromJson(obj.at("cbox_memory"), img.cboxWidth, img.length,
-                     "C-Box memory");
-  img.ccuContexts = memoryFromJson(obj.at("ccu_memory"), img.ccuWidth,
-                                   img.length, "CCU memory");
+  img.cbox = memoryFromJson(obj.at("cbox_memory"), img.length, "C-Box memory");
+  img.ccu = memoryFromJson(obj.at("ccu_memory"), img.length, "CCU memory");
   img.liveIns = bindingsFromJson(obj.at("live_ins"));
   img.liveOuts = bindingsFromJson(obj.at("live_outs"));
   return img;
 }
 
-std::string toMemFile(const std::vector<BitVector>& contexts, unsigned width,
-                      const std::string& label) {
+std::string toMemFile(const ContextMemory& mem, const std::string& label) {
   std::ostringstream os;
-  os << "// " << label << ": " << contexts.size() << " contexts, " << width
-     << " bits each ($readmemh format)\n";
-  for (const BitVector& ctx : contexts) os << contextWordToHex(ctx) << '\n';
+  os << "// " << label << ": " << mem.words.size() << " contexts, "
+     << mem.width << " bits each ($readmemh format)\n";
+  for (const BitVector& word : mem.words) os << contextWordToHex(word) << '\n';
   return os.str();
 }
 

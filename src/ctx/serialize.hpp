@@ -24,12 +24,13 @@ ContextImages contextImagesFromJson(const json::Value& doc);
 
 /// Hex string of one context word, LSB-first bit order, zero-padded to the
 /// memory width (exposed for tests and for the Verilog $readmemh flow).
+/// contextWordFromHex throws cgra::Error on a length other than
+/// ceil(width / 4), a non-hex digit, or a set bit at or above `width`.
 std::string contextWordToHex(const BitVector& bits);
 BitVector contextWordFromHex(const std::string& hex, unsigned width);
 
 /// Emits a Verilog $readmemh-compatible memory file for one context memory
 /// (one hex word per line, comment header).
-std::string toMemFile(const std::vector<BitVector>& contexts, unsigned width,
-                      const std::string& label);
+std::string toMemFile(const ContextMemory& mem, const std::string& label);
 
 }  // namespace cgra

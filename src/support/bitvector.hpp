@@ -2,19 +2,23 @@
 //
 // Context memories in the generated CGRA are bit-mask packed (paper §IV-B:
 // "to minimize the width of each context, a bit-mask is created for each
-// context"). BitPacker/BitReader implement the field-by-field encoding that
-// the context generator and the context-level simulator share, so an
-// encode/decode round trip is testable bit-exactly.
+// context"). BitPacker appends and BitReader reads one whole fixed-width
+// field at a time, with shifts on the 64-bit storage words. The context
+// coder (ctx/contexts.cpp) states each context word's layout once and runs
+// it over either, so an encode/decode round trip is testable bit-exactly.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
 
 namespace cgra {
 
-/// Growable vector of bits with word-level storage.
+/// Growable vector of bits with word-level storage: bit i lives in word
+/// i / 64 at position i % 64, and the bits past size() are zero.
 class BitVector {
 public:
   BitVector() = default;
@@ -24,7 +28,6 @@ public:
   }
 
   std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
 
   bool get(std::size_t i) const {
     CGRA_ASSERT(i < size_);
@@ -32,23 +35,27 @@ public:
   }
 
   void set(std::size_t i, bool v) {
-    CGRA_ASSERT(i < size_);
-    const std::uint64_t mask = 1ull << (i % 64);
-    if (v)
-      words_[i / 64] |= mask;
-    else
-      words_[i / 64] &= ~mask;
+    if (get(i) != v) words_[i / 64] ^= 1ull << (i % 64);
   }
 
-  void pushBack(bool v) {
-    if (size_ % 64 == 0) words_.push_back(0);
-    ++size_;
-    set(size_ - 1, v);
+  void pushBack(bool v) { append(v, 1); }
+
+  /// Appends the low `width` bits of `value`, whose higher bits are zero.
+  void append(std::uint64_t value, unsigned width) {
+    if (width == 0) return;
+    const unsigned off = size_ % 64;
+    if (off == 0) words_.push_back(0);
+    words_.back() |= value << off;
+    if (off + width > 64) words_.push_back(value >> (64 - off));
+    size_ += width;
   }
 
-  /// Storage word `w`: bit i lives in word i / 64 at position i % 64, and
-  /// the bits past size() are zero.
-  std::uint64_t word(std::size_t w) const { return words_[w]; }
+  /// Grows with zero bits or shrinks to `n` bits.
+  void resize(std::size_t n) {
+    words_.resize((n + 63) / 64, 0);
+    size_ = n;
+    trimTail();
+  }
 
   /// Number of set bits.
   std::size_t popcount() const {
@@ -57,14 +64,13 @@ public:
     return n;
   }
 
-  bool operator==(const BitVector& other) const {
-    return size_ == other.size_ && words_ == other.words_;
-  }
+  bool operator==(const BitVector&) const = default;
 
 private:
+  friend class BitReader;
+
   void trimTail() {
-    if (size_ % 64 != 0 && !words_.empty())
-      words_.back() &= (1ull << (size_ % 64)) - 1;
+    if (size_ % 64 != 0) words_.back() &= (1ull << (size_ % 64)) - 1;
   }
 
   std::size_t size_ = 0;
@@ -76,16 +82,13 @@ class BitPacker {
 public:
   /// Appends the low `width` bits of `value`. `value` must fit.
   void write(std::uint64_t value, unsigned width) {
-    CGRA_ASSERT_MSG(width <= 64, "field width " << width);
-    CGRA_ASSERT_MSG(width == 64 || value < (1ull << width),
+    CGRA_ASSERT_MSG(width == 64 || (width < 64 && value >> width == 0),
                     "value " << value << " does not fit in " << width << " bits");
-    for (unsigned i = 0; i < width; ++i) bits_.pushBack((value >> i) & 1u);
+    bits_.append(value, width);
   }
 
-  void writeBool(bool v) { bits_.pushBack(v); }
-
   const BitVector& bits() const { return bits_; }
-  std::size_t sizeBits() const { return bits_.size(); }
+  BitVector take() { return std::move(bits_); }
 
 private:
   BitVector bits_;
@@ -97,17 +100,17 @@ public:
   explicit BitReader(const BitVector& bits) : bits_(&bits) {}
 
   std::uint64_t read(unsigned width) {
-    CGRA_ASSERT(width <= 64);
-    CGRA_ASSERT_MSG(pos_ + width <= bits_->size(), "bit stream exhausted");
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < width; ++i)
-      v |= static_cast<std::uint64_t>(bits_->get(pos_++)) << i;
-    return v;
+    CGRA_ASSERT_MSG(width <= 64 && width <= remaining(),
+                    "bit stream exhausted");
+    if (width == 0) return 0;
+    const unsigned off = pos_ % 64;
+    std::uint64_t v = bits_->words_[pos_ / 64] >> off;
+    if (off + width > 64) v |= bits_->words_[pos_ / 64 + 1] << (64 - off);
+    pos_ += width;
+    return width == 64 ? v : v & ((1ull << width) - 1);
   }
 
-  bool readBool() { return read(1) != 0; }
-  bool exhausted() const { return pos_ == bits_->size(); }
-  std::size_t position() const { return pos_; }
+  std::size_t remaining() const { return bits_->size() - pos_; }
 
 private:
   const BitVector* bits_;
@@ -116,9 +119,7 @@ private:
 
 /// Number of bits needed to encode values in [0, n-1]; at least 1.
 inline unsigned bitsFor(std::size_t n) {
-  unsigned w = 1;
-  while ((1ull << w) < n) ++w;
-  return w;
+  return n <= 2 ? 1 : static_cast<unsigned>(std::bit_width(n - 1));
 }
 
 }  // namespace cgra

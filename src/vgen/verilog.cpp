@@ -180,8 +180,8 @@ void emitPeModule(std::ostringstream& os, const Composition& comp, PEId pe) {
      << "  output wire        status\n"
      << ");\n";
 
-  // Context decode (fields follow the bit-mask layout of the context
-  // generator; see ctx/contexts.cpp).
+  // Context decode (fields follow the PE word layout of the context coder,
+  // peWord in ctx/contexts.cpp).
   os << "  wire        op_present = context_word[0];\n"
      << "  wire [4:0]  opcode     = context_word[5:1];\n"
      << "  wire [1:0]  sel_kind_a = context_word[7:6];\n"

@@ -3,6 +3,8 @@
 // round trips and simulation equivalence of decoded images.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
 #include <set>
 
 #include "apps/kernels.hpp"
@@ -10,6 +12,8 @@
 #include "ctx/contexts.hpp"
 #include "kir/interp.hpp"
 #include "kir/lower_cdfg.hpp"
+#include "kir/parser.hpp"
+#include "kir/passes/pipeline.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
 
@@ -105,34 +109,30 @@ TEST(RegAlloc, LoopExtendedLifetimePreventsFalseReuse) {
     EXPECT_EQ(value, golden.locals[var]);
 }
 
-TEST(Contexts, EncodeDecodeRoundTripFieldLevel) {
-  const Prepared p = prepare(apps::makeAdpcm(8, 1), makeMesh(9));
-  const RegAllocation alloc = allocateRegisters(p.schedule, p.comp);
-  const Schedule phys = applyAllocation(p.schedule, alloc);
-  const ContextImages img = generateContexts(p.schedule, p.comp);
-  const Schedule dec = decodeContexts(img, p.comp);
+/// Decodes the images of `virt` and compares every encoded field of every
+/// PE op, C-Box op and branch with the register-allocated schedule.
+void expectFieldLevelRoundTrip(const Schedule& virt, const Composition& comp) {
+  const Schedule phys = applyAllocation(virt, allocateRegisters(virt, comp));
+  const Schedule dec = decodeContexts(generateContexts(virt, comp), comp);
 
   EXPECT_EQ(dec.length, phys.length);
-  ASSERT_EQ(dec.ops.size(), phys.ops.size());
+  EXPECT_EQ(dec.liveIns.size(), phys.liveIns.size());
+  EXPECT_EQ(dec.liveOuts.size(), phys.liveOuts.size());
 
-  auto key = [](const ScheduledOp& op) {
-    return std::make_tuple(op.pe, op.start);
-  };
-  std::map<std::tuple<PEId, unsigned>, const ScheduledOp*> physOps;
-  for (const ScheduledOp& op : phys.ops) physOps[key(op)] = &op;
+  ASSERT_EQ(dec.ops.size(), phys.ops.size());
+  std::map<std::pair<PEId, unsigned>, const ScheduledOp*> physOps;
+  for (const ScheduledOp& op : phys.ops) physOps[{op.pe, op.start}] = &op;
   for (const ScheduledOp& op : dec.ops) {
-    const auto it = physOps.find(key(op));
+    const auto it = physOps.find({op.pe, op.start});
     ASSERT_NE(it, physOps.end());
     const ScheduledOp& ref = *it->second;
     EXPECT_EQ(op.op, ref.op);
     EXPECT_EQ(op.duration, ref.duration);
     EXPECT_EQ(op.writesDest, ref.writesDest);
-    if (op.writesDest) EXPECT_EQ(op.destVreg, ref.destVreg);
-    EXPECT_EQ(op.pred.has_value(), ref.pred.has_value());
-    if (op.pred) {
-      EXPECT_EQ(op.pred->slot, ref.pred->slot);
-      EXPECT_EQ(op.pred->polarity, ref.pred->polarity);
+    if (op.writesDest) {
+      EXPECT_EQ(op.destVreg, ref.destVreg);
     }
+    EXPECT_EQ(op.pred, ref.pred);
     for (unsigned i = 0; i < operandCount(op.op); ++i) {
       EXPECT_EQ(op.src[i].kind, ref.src[i].kind);
       if (op.src[i].kind == OperandSource::Kind::Own) {
@@ -148,10 +148,67 @@ TEST(Contexts, EncodeDecodeRoundTripFieldLevel) {
     }
   }
 
-  ASSERT_EQ(dec.branches.size(), phys.branches.size());
   ASSERT_EQ(dec.cboxOps.size(), phys.cboxOps.size());
-  EXPECT_EQ(dec.liveIns.size(), phys.liveIns.size());
-  EXPECT_EQ(dec.liveOuts.size(), phys.liveOuts.size());
+  std::map<unsigned, const CBoxOp*> physCBox;
+  for (const CBoxOp& op : phys.cboxOps) physCBox[op.time] = &op;
+  for (const CBoxOp& op : dec.cboxOps) {
+    const auto it = physCBox.find(op.time);
+    ASSERT_NE(it, physCBox.end());
+    const CBoxOp& ref = *it->second;
+    EXPECT_EQ(op.logic, ref.logic);
+    EXPECT_EQ(op.writeSlot, ref.writeSlot);
+    ASSERT_EQ(op.inputs.size(), ref.inputs.size());
+    for (std::size_t i = 0; i < op.inputs.size(); ++i) {
+      EXPECT_EQ(op.inputs[i].kind, ref.inputs[i].kind);
+      if (op.inputs[i].kind == CBoxOp::Input::Kind::Stored) {
+        EXPECT_EQ(op.inputs[i].slot, ref.inputs[i].slot);
+      }
+      EXPECT_EQ(op.inputs[i].polarity, ref.inputs[i].polarity);
+    }
+  }
+
+  ASSERT_EQ(dec.branches.size(), phys.branches.size());
+  std::map<unsigned, const BranchOp*> physBranches;
+  for (const BranchOp& b : phys.branches) physBranches[b.time] = &b;
+  for (const BranchOp& b : dec.branches) {
+    const auto it = physBranches.find(b.time);
+    ASSERT_NE(it, physBranches.end());
+    EXPECT_EQ(b.target, it->second->target);
+    EXPECT_EQ(b.conditional, it->second->conditional);
+    if (b.conditional) {
+      EXPECT_EQ(b.pred, it->second->pred);
+    }
+  }
+}
+
+TEST(Contexts, EncodeDecodeRoundTripFieldLevel) {
+  // Every bundled kernel (apps::allWorkloads() and examples/kernels/*.kir)
+  // on the 12 paper compositions at unroll 1 and 2.
+  std::vector<std::pair<std::string, kir::Function>> kernels;
+  for (apps::Workload& w : apps::allWorkloads())
+    kernels.emplace_back(w.name, std::move(w.fn));
+  for (const auto& entry : std::filesystem::directory_iterator(CGRA_KERNEL_DIR))
+    if (entry.path().extension() == ".kir")
+      kernels.emplace_back(entry.path().filename().string(),
+                           kir::parseKernelFile(entry.path().string()));
+  std::vector<Composition> comps;
+  for (unsigned n : meshSizes()) comps.push_back(makeMesh(n));
+  for (char c : irregularLabels()) comps.push_back(makeIrregular(c));
+
+  for (const auto& [name, fn] : kernels)
+    for (unsigned unroll : {1u, 2u}) {
+      kir::FrontendOptions fo;
+      fo.unrollFactor = unroll;
+      const Cdfg graph =
+          kir::lowerToCdfg(kir::runFrontendPipeline(fn, fo).fn).graph;
+      for (const Composition& comp : comps) {
+        SCOPED_TRACE(name + " " + comp.name() + " u" + std::to_string(unroll));
+        const ScheduleReport report =
+            Scheduler(comp).schedule(ScheduleRequest(graph));
+        ASSERT_TRUE(report.ok);  // every bundled pair maps
+        expectFieldLevelRoundTrip(report.schedule, comp);
+      }
+    }
 }
 
 TEST(Contexts, NegativeImmediatesSurviveEncoding) {
@@ -178,14 +235,13 @@ TEST(Contexts, NegativeImmediatesSurviveEncoding) {
 TEST(Contexts, WidthsAreMinimizedPerPE) {
   const Prepared p = prepare(apps::makeDotProduct(6, 1), makeMesh(6));
   const ContextImages img = generateContexts(p.schedule, p.comp);
-  ASSERT_EQ(img.peWidths.size(), p.comp.numPEs());
-  for (PEId pe = 0; pe < p.comp.numPEs(); ++pe) {
-    EXPECT_GE(img.peWidths[pe], 1u);
+  ASSERT_EQ(img.pes.size(), p.comp.numPEs());
+  for (const ContextMemory& mem : img.pes) {
+    EXPECT_GE(mem.width, 1u);
     // Idle-heavy PEs still pad to their own widest context, never wider
     // than a generous bound (op+3 operands with imm+dest+pred < 128 bits).
-    EXPECT_LT(img.peWidths[pe], 128u);
-    for (const BitVector& ctx : img.peContexts[pe])
-      EXPECT_EQ(ctx.size(), img.peWidths[pe]);
+    EXPECT_LT(mem.width, 128u);
+    for (const BitVector& ctx : mem.words) EXPECT_EQ(ctx.size(), mem.width);
   }
   EXPECT_GT(img.totalBits(), 0u);
 }

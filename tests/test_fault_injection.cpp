@@ -30,11 +30,20 @@ Baseline makeBaseline() {
 }
 
 /// Runs a (possibly corrupt) image set; returns true when execution
-/// completed, false when it was cleanly rejected. Crashes/UB fail the test
-/// harness itself (and the ASan build).
+/// completed, false when it was cleanly rejected. The decoder must reject
+/// with cgra::Error: an InternalError from it fails the test. Crashes/UB
+/// fail the test harness itself (and the ASan build).
 bool tryRun(const Baseline& base, const ContextImages& images) {
+  Schedule sched;
   try {
-    const Schedule sched = decodeContexts(images, base.comp);
+    sched = decodeContexts(images, base.comp);
+  } catch (const Error&) {
+    return false;  // clean rejection
+  } catch (const InternalError& e) {
+    ADD_FAILURE() << "decoder hit an invariant check: " << e.what();
+    return false;
+  }
+  try {
     std::map<VarId, std::int32_t> liveIns;
     for (const LiveBinding& lb : sched.liveIns)
       liveIns[lb.var] = base.workload.initialLocals[lb.var];
@@ -55,10 +64,9 @@ TEST(FaultInjection, SingleBitFlipsInPEContexts) {
   unsigned completed = 0, rejected = 0;
   for (PEId pe = 0; pe < base.comp.numPEs(); ++pe) {
     for (unsigned t = 0; t < base.images.length; ++t) {
-      const std::size_t width = base.images.peContexts[pe][t].size();
-      for (std::size_t bit = 0; bit < width; ++bit) {
+      for (std::size_t bit = 0; bit < base.images.pes[pe].width; ++bit) {
         ContextImages corrupt = base.images;
-        BitVector& word = corrupt.peContexts[pe][t];
+        BitVector& word = corrupt.pes[pe].words[t];
         word.set(bit, !word.get(bit));
         (tryRun(base, corrupt) ? completed : rejected) += 1;
       }
@@ -72,19 +80,42 @@ TEST(FaultInjection, SingleBitFlipsInPEContexts) {
 
 TEST(FaultInjection, SingleBitFlipsInCcuAndCboxContexts) {
   const Baseline base = makeBaseline();
-  for (unsigned t = 0; t < base.images.length; ++t) {
-    for (std::size_t bit = 0; bit < base.images.ccuContexts[t].size(); ++bit) {
-      ContextImages corrupt = base.images;
-      corrupt.ccuContexts[t].set(bit, !corrupt.ccuContexts[t].get(bit));
-      tryRun(base, corrupt);  // must not crash
-    }
-    for (std::size_t bit = 0; bit < base.images.cboxContexts[t].size(); ++bit) {
-      ContextImages corrupt = base.images;
-      corrupt.cboxContexts[t].set(bit, !corrupt.cboxContexts[t].get(bit));
-      tryRun(base, corrupt);  // must not crash
-    }
-  }
+  for (ContextMemory ContextImages::*mem :
+       {&ContextImages::ccu, &ContextImages::cbox})
+    for (unsigned t = 0; t < base.images.length; ++t)
+      for (std::size_t bit = 0; bit < (base.images.*mem).width; ++bit) {
+        ContextImages corrupt = base.images;
+        BitVector& word = (corrupt.*mem).words[t];
+        word.set(bit, !word.get(bit));
+        tryRun(base, corrupt);  // must not crash
+      }
   SUCCEED();
+}
+
+TEST(FaultInjection, MisshapenImagesRejected) {
+  const Baseline base = makeBaseline();
+  // Images for mesh4 decoded against mesh9: too few PE memories.
+  EXPECT_THROW(decodeContexts(base.images, makeMesh(9)), Error);
+  {
+    ContextImages bad = base.images;
+    bad.ccu.words.pop_back();
+    EXPECT_THROW(decodeContexts(bad, base.comp), Error);
+  }
+  {
+    ContextImages bad = base.images;
+    bad.pes[1].words[0].resize(bad.pes[1].width - 1);
+    EXPECT_THROW(decodeContexts(bad, base.comp), Error);
+  }
+  {
+    // A consistent but too narrow memory: every word ends inside a field.
+    ContextImages bad = base.images;
+    bad.cbox.width = 1;
+    for (BitVector& word : bad.cbox.words) {
+      word.resize(1);
+      word.set(0, true);
+    }
+    EXPECT_THROW(decodeContexts(bad, base.comp), Error);
+  }
 }
 
 TEST(FaultInjection, HostileScheduleFieldsRejected) {

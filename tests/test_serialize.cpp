@@ -44,6 +44,7 @@ TEST(HexWord, KnownValues) {
 TEST(HexWord, RejectsBadInput) {
   EXPECT_THROW(contextWordFromHex("xyz", 12), Error);
   EXPECT_THROW(contextWordFromHex("ab", 12), Error);  // wrong length
+  EXPECT_THROW(contextWordFromHex("f", 1), Error);    // bits above width
   // Upper-case hex accepted.
   const BitVector v = contextWordFromHex("AB", 8);
   EXPECT_EQ(contextWordToHex(v), "ab");
@@ -64,20 +65,13 @@ TEST(ContextJson, BitExactRoundTrip) {
   const ContextImages back = contextImagesFromJson(json::parse(doc.dump()));
 
   EXPECT_EQ(back.length, img.length);
-  EXPECT_EQ(back.peWidths, img.peWidths);
-  EXPECT_EQ(back.cboxWidth, img.cboxWidth);
-  EXPECT_EQ(back.ccuWidth, img.ccuWidth);
   EXPECT_EQ(back.physRegsUsed, img.physRegsUsed);
   EXPECT_EQ(back.cboxSlotsUsed, img.cboxSlotsUsed);
-  ASSERT_EQ(back.peContexts.size(), img.peContexts.size());
-  for (std::size_t p = 0; p < img.peContexts.size(); ++p)
-    for (std::size_t t = 0; t < img.length; ++t)
-      EXPECT_TRUE(back.peContexts[p][t] == img.peContexts[p][t])
-          << "PE " << p << " t" << t;
-  for (std::size_t t = 0; t < img.length; ++t) {
-    EXPECT_TRUE(back.cboxContexts[t] == img.cboxContexts[t]);
-    EXPECT_TRUE(back.ccuContexts[t] == img.ccuContexts[t]);
-  }
+  ASSERT_EQ(back.pes.size(), img.pes.size());
+  for (std::size_t p = 0; p < img.pes.size(); ++p)
+    EXPECT_TRUE(back.pes[p] == img.pes[p]) << "PE " << p;
+  EXPECT_TRUE(back.cbox == img.cbox);
+  EXPECT_TRUE(back.ccu == img.ccu);
   EXPECT_EQ(back.liveIns.size(), img.liveIns.size());
   EXPECT_EQ(back.liveOuts.size(), img.liveOuts.size());
   EXPECT_EQ(back.totalBits(), img.totalBits());
@@ -203,10 +197,11 @@ TEST(ContextJson, MaxWidthContextWordsRoundTrip) {
   const unsigned kMaxWidth = 4096;
   ContextImages img;
   img.length = 3;
-  img.peWidths = {kMaxWidth, 1u};
-  img.peContexts.resize(2);
-  img.cboxWidth = kMaxWidth;
-  img.ccuWidth = 17;
+  img.pes.resize(2);
+  img.pes[0].width = kMaxWidth;
+  img.pes[1].width = 1;
+  img.cbox.width = kMaxWidth;
+  img.ccu.width = 17;
   img.physRegsUsed = {128u, 1u};
   img.cboxSlotsUsed = 32;
   auto randomWord = [&rng](unsigned width) {
@@ -214,30 +209,23 @@ TEST(ContextJson, MaxWidthContextWordsRoundTrip) {
     for (unsigned b = 0; b < width; ++b) bits.set(b, rng.chance(1, 2));
     return bits;
   };
-  for (unsigned t = 0; t < img.length; ++t) {
-    img.peContexts[0].push_back(randomWord(kMaxWidth));
-    img.peContexts[1].push_back(randomWord(1));
-    img.cboxContexts.push_back(randomWord(kMaxWidth));
-    img.ccuContexts.push_back(randomWord(17));
-  }
+  for (unsigned t = 0; t < img.length; ++t)
+    for (ContextMemory* mem : {&img.pes[0], &img.pes[1], &img.cbox, &img.ccu})
+      mem->words.push_back(randomWord(mem->width));
 
   const ContextImages back =
       contextImagesFromJson(json::parse(contextImagesToJson(img).dump()));
-  ASSERT_EQ(back.peWidths, img.peWidths);
-  EXPECT_EQ(back.cboxWidth, img.cboxWidth);
-  for (unsigned t = 0; t < img.length; ++t) {
-    EXPECT_TRUE(back.peContexts[0][t] == img.peContexts[0][t]) << "t" << t;
-    EXPECT_TRUE(back.peContexts[1][t] == img.peContexts[1][t]) << "t" << t;
-    EXPECT_TRUE(back.cboxContexts[t] == img.cboxContexts[t]) << "t" << t;
-    EXPECT_TRUE(back.ccuContexts[t] == img.ccuContexts[t]) << "t" << t;
-  }
+  ASSERT_EQ(back.pes.size(), img.pes.size());
+  EXPECT_TRUE(back.pes[0] == img.pes[0]);
+  EXPECT_TRUE(back.pes[1] == img.pes[1]);
+  EXPECT_TRUE(back.cbox == img.cbox);
+  EXPECT_TRUE(back.ccu == img.ccu);
   EXPECT_EQ(back.totalBits(), img.totalBits());
 
   // One bit past the limit is rejected at parse time.
   ContextImages tooWide = img;
-  tooWide.peWidths[0] = kMaxWidth + 1;
-  for (unsigned t = 0; t < tooWide.length; ++t)
-    tooWide.peContexts[0][t] = randomWord(kMaxWidth + 1);
+  tooWide.pes[0].width = kMaxWidth + 1;
+  for (BitVector& word : tooWide.pes[0].words) word = randomWord(kMaxWidth + 1);
   EXPECT_THROW(
       contextImagesFromJson(json::parse(contextImagesToJson(tooWide).dump())),
       Error);
@@ -245,15 +233,14 @@ TEST(ContextJson, MaxWidthContextWordsRoundTrip) {
 
 TEST(MemFile, ReadmemhFormat) {
   const ContextImages img = makeImages();
-  const std::string mem =
-      toMemFile(img.peContexts[0], img.peWidths[0], "pe0 context memory");
+  const std::string mem = toMemFile(img.pes[0], "pe0 context memory");
   std::istringstream in(mem);
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(line.rfind("//", 0), 0u) << "comment header";
   unsigned words = 0;
   while (std::getline(in, line)) {
-    EXPECT_EQ(line.size(), (img.peWidths[0] + 3) / 4);
+    EXPECT_EQ(line.size(), (img.pes[0].width + 3) / 4);
     ++words;
   }
   EXPECT_EQ(words, img.length);

@@ -54,18 +54,18 @@ TEST(BitVector, EqualityIncludesSize) {
 TEST(BitPacker, RoundTripMixedFields) {
   BitPacker bp;
   bp.write(0x2A, 7);
-  bp.writeBool(true);
+  bp.write(1, 1);
   bp.write(0xDEADBEEFull, 32);
   bp.write(0, 1);
   bp.write(0x1FFFF, 17);
 
   BitReader br(bp.bits());
   EXPECT_EQ(br.read(7), 0x2Au);
-  EXPECT_TRUE(br.readBool());
+  EXPECT_EQ(br.read(1), 1u);
   EXPECT_EQ(br.read(32), 0xDEADBEEFull);
   EXPECT_EQ(br.read(1), 0u);
   EXPECT_EQ(br.read(17), 0x1FFFFu);
-  EXPECT_TRUE(br.exhausted());
+  EXPECT_EQ(br.remaining(), 0u);
 }
 
 TEST(BitPacker, RejectsOverwideValue) {
@@ -96,7 +96,7 @@ TEST_P(BitRoundTrip, RandomFieldSequences) {
   }
   BitReader br(bp.bits());
   for (const auto& [value, width] : fields) EXPECT_EQ(br.read(width), value);
-  EXPECT_TRUE(br.exhausted());
+  EXPECT_EQ(br.remaining(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitRoundTrip, ::testing::Values(1, 2, 3, 4, 5));

@@ -611,14 +611,12 @@ int cmdSchedule(const Args& args) {
     const std::string prefix = args.get("memfiles");
     for (PEId pe = 0; pe < comp.numPEs(); ++pe)
       writeOutput(prefix + "_pe" + std::to_string(pe) + ".mem",
-                  toMemFile(images.peContexts[pe], images.peWidths[pe],
+                  toMemFile(images.pes[pe],
                             "pe" + std::to_string(pe) + " context memory"));
     writeOutput(prefix + "_cbox.mem",
-                toMemFile(images.cboxContexts, images.cboxWidth,
-                          "C-Box context memory"));
+                toMemFile(images.cbox, "C-Box context memory"));
     writeOutput(prefix + "_ccu.mem",
-                toMemFile(images.ccuContexts, images.ccuWidth,
-                          "CCU context memory"));
+                toMemFile(images.ccu, "CCU context memory"));
   }
   if (args.has("verilog"))
     writeOutput(args.get("verilog"), generateVerilog(comp));

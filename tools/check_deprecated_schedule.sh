@@ -1,5 +1,11 @@
 #!/usr/bin/env bash
-# Lint: the deprecated Scheduler::schedule(const Cdfg&) shims were removed
+# Five lints over the tree: (1) the deprecated Scheduler::schedule
+# call sites and shims, (2) raw SimCounters field math in tools and
+# benches, (3) the removed schedule checkers, (4) writers of the schedule
+# under construction other than RunState, (5) a context word's layout
+# stated more than once.
+#
+# Lint 1: the deprecated Scheduler::schedule(const Cdfg&) shims were removed
 # with the pass-pipeline refactor. This check is now a hard failure on two
 # fronts: (1) no call site anywhere in the tree may use the legacy
 # Cdfg-taking spelling — every caller goes through the ScheduleRequest /
@@ -118,4 +124,29 @@ if [ -n "$writer_offenders" ]; then
 fi
 
 echo "ok: RunState is the only writer of the schedule under construction"
+
+# Lint 5: one layout per context word. peWord, cboxWord and ccuWord
+# (src/ctx/contexts.cpp) each state one word's fields once, for the Encoder
+# and the Decoder alike, and packMemory pads every memory; every memory of
+# ContextImages is one ContextMemory {width, words}. The mirrored
+# encode/decode pair, the per-word pad and the parallel width fields must
+# not come back.
+ctx_offenders=$({
+  grep -rnwE --include='*.cpp' --include='*.hpp' 'encodeOp|decodeOp|padTo' \
+      src/ctx
+  grep -rnwE --include='*.cpp' --include='*.hpp' \
+      'peWidths|cboxWidth|ccuWidth' src tools bench
+} 2>/dev/null)
+
+if [ -n "$ctx_offenders" ]; then
+  echo "error: a context word's layout is stated twice, or a memory is split"
+  echo "into parallel width and word fields. Describe each word once in"
+  echo "peWord/cboxWord/ccuWord, pad through packMemory, and keep every"
+  echo "memory a ContextMemory (src/ctx/contexts.hpp):"
+  echo
+  echo "$ctx_offenders"
+  exit 1
+fi
+
+echo "ok: each context word's layout is stated once"
 exit 0
