@@ -1,7 +1,5 @@
 #include "artifact/artifact.hpp"
 
-#include <cstdint>
-
 #include "ctx/serialize.hpp"
 #include "sched/validate.hpp"
 
@@ -9,405 +7,158 @@ namespace cgra::artifact {
 
 namespace {
 
-// -- small field helpers ----------------------------------------------------
+using json::layout;
+using json::Range;
+using json::upTo;
 
-std::int64_t getInt(const json::Object& o, const char* key) {
-  const json::Value* v = o.find(key);
-  if (v == nullptr || !v->isInt())
-    throw Error(std::string("artifact: missing/non-integer field '") + key +
-                "'");
-  return v->asInt();
-}
-
-unsigned getUnsigned(const json::Object& o, const char* key) {
-  const std::int64_t v = getInt(o, key);
-  if (v < 0 || v > 0xffffffffll)
-    throw Error(std::string("artifact: field '") + key + "' out of range");
-  return static_cast<unsigned>(v);
-}
-
-bool getBool(const json::Object& o, const char* key) {
-  const json::Value* v = o.find(key);
-  if (v == nullptr || !v->isBool())
-    throw Error(std::string("artifact: missing/non-bool field '") + key +
-                "'");
-  return v->asBool();
-}
-
-const std::string& getString(const json::Object& o, const char* key) {
-  const json::Value* v = o.find(key);
-  if (v == nullptr || !v->isString())
-    throw Error(std::string("artifact: missing/non-string field '") + key +
-                "'");
-  return v->asString();
-}
-
-const json::Array& getArray(const json::Object& o, const char* key) {
-  const json::Value* v = o.find(key);
-  if (v == nullptr || !v->isArray())
-    throw Error(std::string("artifact: missing/non-array field '") + key +
-                "'");
-  return v->asArray();
-}
-
-// -- schedule pieces --------------------------------------------------------
-//
-// Every builder appends its keys in ascending byte order, the order
-// json::sortKeys would produce, so a document is canonical as built and
-// needs no sort pass (tests: Artifact.BundledArtifactsAreBuiltCanonical and
+// Each record's layout, stated once for json::FieldEncoder (toJson) and
+// json::FieldDecoder (fromJson). Keys are visited in ascending byte order,
+// so a document is canonical as built and needs no sort pass (tests:
+// Artifact.BundledArtifactsAreBuiltCanonical and
 // Artifact.BundledArtifactBytesMatchGolden).
 
-/// Appends a fresh object to `arr` with room for `keys` entries.
-json::Object& appendObject(json::Array& arr, std::size_t keys) {
-  json::Object& o = arr.emplace_back(json::Object()).asObject();
-  o.reserve(keys);
-  return o;
-}
+constexpr auto kOperandSource = layout<4>([](auto& c, auto& s) {
+  c.field("imm", s.imm);
+  c.field("kind", s.kind, upTo(OperandSource::Kind::Imm));
+  c.field("srcPE", s.srcPE);
+  c.field("vreg", s.vreg);
+});
 
-void appendOperandSource(json::Array& arr, const OperandSource& s) {
-  json::Object& o = appendObject(arr, 4);
-  o.append("imm") = static_cast<std::int64_t>(s.imm);
-  o.append("kind") = static_cast<std::int64_t>(s.kind);
-  o.append("srcPE") = static_cast<std::int64_t>(s.srcPE);
-  o.append("vreg") = static_cast<std::int64_t>(s.vreg);
-}
+constexpr auto kPred = layout<2>([](auto& c, auto& p) {
+  c.field("polarity", p.polarity);
+  c.field("slot", p.slot);
+});
 
-OperandSource operandSourceFromJson(const json::Value& v) {
-  const json::Object& o = v.asObject();
-  OperandSource s;
-  const std::int64_t kind = getInt(o, "kind");
-  if (kind < 0 || kind > static_cast<std::int64_t>(OperandSource::Kind::Imm))
-    throw Error("artifact: operand source kind out of range");
-  s.kind = static_cast<OperandSource::Kind>(kind);
-  s.srcPE = static_cast<PEId>(getUnsigned(o, "srcPE"));
-  s.vreg = getUnsigned(o, "vreg");
-  const std::int64_t imm = getInt(o, "imm");
-  if (imm < INT32_MIN || imm > INT32_MAX)
-    throw Error("artifact: operand immediate out of range");
-  s.imm = static_cast<std::int32_t>(imm);
-  return s;
-}
+constexpr auto kOp = layout<11>([](auto& c, auto& op) {
+  c.field("destVreg", op.destVreg);
+  c.field("duration", op.duration);
+  c.field("emitsStatus", op.emitsStatus);
+  c.field("label", op.label);
+  // kNoNode (the inserted-MOVE/CONST marker) is 0xffffffff, in range.
+  c.field("node", op.node);
+  c.field("op", op.op, Range{0, kNumOps - 1});
+  c.field("pe", op.pe);
+  c.optional("pred", op.pred, kPred);
+  c.array("src", kOperandSource, op.src);
+  c.field("start", op.start);
+  c.field("writesDest", op.writesDest);
+});
 
-json::Value predToJson(const PredRef& p) {
-  json::Object o;
-  o.reserve(2);
-  o.append("polarity") = p.polarity;
-  o.append("slot") = static_cast<std::int64_t>(p.slot);
-  return o;
-}
+constexpr auto kCBoxInput = layout<3>([](auto& c, auto& in) {
+  c.field("kind", in.kind, upTo(CBoxOp::Input::Kind::Stored));
+  c.field("polarity", in.polarity);
+  c.field("slot", in.slot);
+});
 
-PredRef predFromJson(const json::Value& v) {
-  const json::Object& o = v.asObject();
-  PredRef p;
-  p.slot = getUnsigned(o, "slot");
-  p.polarity = getBool(o, "polarity");
-  return p;
-}
+constexpr auto kCBoxOp = layout<5>([](auto& c, auto& op) {
+  c.field("cond", op.cond);
+  c.array("inputs", kCBoxInput, op.inputs);
+  c.field("logic", op.logic, upTo(CBoxOp::Logic::Or));
+  c.field("time", op.time);
+  c.field("writeSlot", op.writeSlot);
+});
 
-json::Value bindingsToJson(const std::vector<LiveBinding>& bindings) {
-  json::Array arr;
-  arr.reserve(bindings.size());
-  for (const LiveBinding& b : bindings) {
-    json::Object& o = appendObject(arr, 3);
-    o.append("pe") = static_cast<std::int64_t>(b.pe);
-    o.append("var") = static_cast<std::int64_t>(b.var);
-    o.append("vreg") = static_cast<std::int64_t>(b.vreg);
+constexpr auto kBranch = layout<5>([](auto& c, auto& b) {
+  c.field("conditional", b.conditional);
+  c.field("loop", b.loop);
+  c.field("pred", b.pred, kPred);
+  c.field("target", b.target);
+  c.field("time", b.time);
+});
+
+constexpr auto kLoop = layout<3>([](auto& c, auto& l) {
+  c.field("end", l.end);
+  c.field("loop", l.loop);
+  c.field("start", l.start);
+});
+
+/// Every field of sched/schedule.hpp but the context budget. A decoded
+/// schedule passes layer 1 (bounds) of verifySchedule.
+constexpr auto kSchedule = layout<10>([](auto& c, auto& s) {
+  const auto binding = liveBindingLayout("vreg");
+  c.array("branches", kBranch, s.branches);
+  c.array("cboxOps", kCBoxOp, s.cboxOps);
+  c.field("cboxSlotsUsed", s.cboxSlotsUsed);
+  c.field("length", s.length);
+  c.array("liveIns", binding, s.liveIns);
+  c.array("liveOuts", binding, s.liveOuts);
+  c.array("loops", kLoop, s.loops);
+  c.array("ops", kOp, s.ops);
+  c.array("varHomes", binding, s.varHomes);
+  c.array("vregsPerPE", json::Scalar{}, s.vregsPerPE);
+  c.check([&s] { requireValidSchedule(s, "artifact: schedule"); });
+});
+
+/// A FailureReason as its name.
+struct ReasonName {
+  static const char* encode(FailureReason reason) {
+    return failureReasonName(reason);
   }
-  return arr;
-}
-
-std::vector<LiveBinding> bindingsFromJson(const json::Array& arr) {
-  std::vector<LiveBinding> out;
-  out.reserve(arr.size());
-  for (const json::Value& v : arr) {
-    const json::Object& o = v.asObject();
-    LiveBinding b;
-    b.var = static_cast<VarId>(getUnsigned(o, "var"));
-    b.pe = static_cast<PEId>(getUnsigned(o, "pe"));
-    b.vreg = getUnsigned(o, "vreg");
-    out.push_back(b);
+  static FailureReason decode(const std::string& name) {
+    for (std::size_t i = 0; i < kNumFailureReasons; ++i)
+      if (name == failureReasonName(static_cast<FailureReason>(i)))
+        return static_cast<FailureReason>(i);
+    throw Error("artifact: unknown failure reason '" + name + "'");
   }
-  return out;
-}
+};
+
+constexpr auto kFailure = layout<3>([](auto& c, auto& f) {
+  c.field("message", f.message);
+  c.field("node", f.node);
+  c.field("reason", f.reason, ReasonName{});
+});
+
+/// The `"stats"` block: five facts the schedule and the metrics already
+/// hold, kept in the format for its readers and checked on load.
+constexpr auto kStats = layout<5>([](auto& c, auto& a) {
+  c.expect("cboxSlotsUsed", a.schedule.cboxSlotsUsed);
+  c.expect("constsInserted", a.metrics.constsInserted);
+  c.expect("contextsUsed", a.schedule.length);
+  c.expect("copiesInserted", a.metrics.copiesInserted);
+  c.expect("fusedWrites", a.metrics.fusedWrites);
+});
+
+constexpr auto kArtifact = layout<8>([](auto& c, auto& a) {
+  c.lookahead("ok", a.ok);  // which keys follow depends on it
+  c.optional("contexts", a.contexts, kContextImagesLayout);
+  if (a.ok)
+    c.field("fingerprint", a.fingerprint, json::Decimal{});  // 64-bit safe
+  else
+    c.field("failure", a.failure, kFailure);
+  c.expect("format", kArtifactFormat);
+  c.field("key", a.key);
+  c.field("metrics", a.metrics, kCountersLayout);
+  c.field("ok", a.ok);
+  if (a.ok) {
+    c.field("schedule", a.schedule, kSchedule);
+    c.check([&a] {
+      if (a.schedule.fingerprint() != a.fingerprint)
+        throw Error("artifact: fingerprint mismatch (corrupt or tampered "
+                    "schedule payload)");
+    });
+  }
+  c.field("stats", a, kStats);
+});
 
 }  // namespace
 
 json::Value scheduleToJson(const Schedule& sched) {
-  json::Object doc;
-  doc.reserve(10);
-
-  json::Array branches;
-  branches.reserve(sched.branches.size());
-  for (const BranchOp& b : sched.branches) {
-    json::Object& o = appendObject(branches, 5);
-    o.append("conditional") = b.conditional;
-    o.append("loop") = static_cast<std::int64_t>(b.loop);
-    o.append("pred") = predToJson(b.pred);
-    o.append("target") = static_cast<std::int64_t>(b.target);
-    o.append("time") = static_cast<std::int64_t>(b.time);
-  }
-  doc.append("branches") = std::move(branches);
-
-  json::Array cbox;
-  cbox.reserve(sched.cboxOps.size());
-  for (const CBoxOp& c : sched.cboxOps) {
-    json::Object& o = appendObject(cbox, 5);
-    o.append("cond") = static_cast<std::int64_t>(c.cond);
-    json::Array inputs;
-    inputs.reserve(c.inputs.size());
-    for (const CBoxOp::Input& in : c.inputs) {
-      json::Object& i = appendObject(inputs, 3);
-      i.append("kind") = static_cast<std::int64_t>(in.kind);
-      i.append("polarity") = in.polarity;
-      i.append("slot") = static_cast<std::int64_t>(in.slot);
-    }
-    o.append("inputs") = std::move(inputs);
-    o.append("logic") = static_cast<std::int64_t>(c.logic);
-    o.append("time") = static_cast<std::int64_t>(c.time);
-    o.append("writeSlot") = static_cast<std::int64_t>(c.writeSlot);
-  }
-  doc.append("cboxOps") = std::move(cbox);
-  doc.append("cboxSlotsUsed") = static_cast<std::int64_t>(sched.cboxSlotsUsed);
-  doc.append("length") = static_cast<std::int64_t>(sched.length);
-  doc.append("liveIns") = bindingsToJson(sched.liveIns);
-  doc.append("liveOuts") = bindingsToJson(sched.liveOuts);
-
-  json::Array loops;
-  loops.reserve(sched.loops.size());
-  for (const LoopInterval& l : sched.loops) {
-    json::Object& o = appendObject(loops, 3);
-    o.append("end") = static_cast<std::int64_t>(l.end);
-    o.append("loop") = static_cast<std::int64_t>(l.loop);
-    o.append("start") = static_cast<std::int64_t>(l.start);
-  }
-  doc.append("loops") = std::move(loops);
-
-  json::Array ops;
-  ops.reserve(sched.ops.size());
-  for (const ScheduledOp& op : sched.ops) {
-    json::Object& o = appendObject(ops, 11);
-    o.append("destVreg") = static_cast<std::int64_t>(op.destVreg);
-    o.append("duration") = static_cast<std::int64_t>(op.duration);
-    o.append("emitsStatus") = op.emitsStatus;
-    o.append("label") = op.label;
-    // kNoNode (the inserted-MOVE/CONST marker) is 0xffffffff; the raw
-    // uint32 value round-trips through int64 unchanged.
-    o.append("node") = static_cast<std::int64_t>(op.node);
-    o.append("op") = static_cast<std::int64_t>(op.op);
-    o.append("pe") = static_cast<std::int64_t>(op.pe);
-    if (op.pred) o.append("pred") = predToJson(*op.pred);
-    json::Array src;
-    src.reserve(op.src.size());
-    for (const OperandSource& s : op.src) appendOperandSource(src, s);
-    o.append("src") = std::move(src);
-    o.append("start") = static_cast<std::int64_t>(op.start);
-    o.append("writesDest") = op.writesDest;
-  }
-  doc.append("ops") = std::move(ops);
-  doc.append("varHomes") = bindingsToJson(sched.varHomes);
-
-  json::Array vregs;
-  vregs.reserve(sched.vregsPerPE.size());
-  for (unsigned v : sched.vregsPerPE)
-    vregs.emplace_back(static_cast<std::int64_t>(v));
-  doc.append("vregsPerPE") = std::move(vregs);
-  return doc;
+  return json::encode(kSchedule, sched);
 }
 
-Schedule scheduleFromJson(const json::Value& docValue) {
-  if (!docValue.isObject()) throw Error("artifact: schedule is not an object");
-  const json::Object& doc = docValue.asObject();
+Schedule scheduleFromJson(const json::Value& doc) {
   Schedule sched;
-  sched.length = getUnsigned(doc, "length");
-  sched.cboxSlotsUsed = getUnsigned(doc, "cboxSlotsUsed");
-
-  for (const json::Value& v : getArray(doc, "ops")) {
-    const json::Object& o = v.asObject();
-    ScheduledOp op;
-    op.node = static_cast<NodeId>(getUnsigned(o, "node"));
-    const std::int64_t opcode = getInt(o, "op");
-    if (opcode < 0 || opcode >= static_cast<std::int64_t>(kNumOps))
-      throw Error("artifact: opcode out of range");
-    op.op = static_cast<Op>(opcode);
-    op.pe = static_cast<PEId>(getUnsigned(o, "pe"));
-    op.start = getUnsigned(o, "start");
-    op.duration = getUnsigned(o, "duration");
-    const json::Array& src = getArray(o, "src");
-    if (src.size() != op.src.size())
-      throw Error("artifact: op must carry exactly 3 operand sources");
-    for (std::size_t i = 0; i < src.size(); ++i)
-      op.src[i] = operandSourceFromJson(src[i]);
-    op.writesDest = getBool(o, "writesDest");
-    op.destVreg = getUnsigned(o, "destVreg");
-    if (const json::Value* pred = o.find("pred"); pred != nullptr)
-      op.pred = predFromJson(*pred);
-    op.emitsStatus = getBool(o, "emitsStatus");
-    op.label = getString(o, "label");
-    sched.ops.push_back(std::move(op));
-  }
-
-  for (const json::Value& v : getArray(doc, "cboxOps")) {
-    const json::Object& o = v.asObject();
-    CBoxOp c;
-    c.time = getUnsigned(o, "time");
-    for (const json::Value& iv : getArray(o, "inputs")) {
-      const json::Object& io = iv.asObject();
-      CBoxOp::Input in;
-      const std::int64_t kind = getInt(io, "kind");
-      if (kind < 0 ||
-          kind > static_cast<std::int64_t>(CBoxOp::Input::Kind::Stored))
-        throw Error("artifact: C-Box input kind out of range");
-      in.kind = static_cast<CBoxOp::Input::Kind>(kind);
-      in.slot = getUnsigned(io, "slot");
-      in.polarity = getBool(io, "polarity");
-      c.inputs.push_back(in);
-    }
-    const std::int64_t logic = getInt(o, "logic");
-    if (logic < 0 || logic > static_cast<std::int64_t>(CBoxOp::Logic::Or))
-      throw Error("artifact: C-Box logic out of range");
-    c.logic = static_cast<CBoxOp::Logic>(logic);
-    c.writeSlot = getUnsigned(o, "writeSlot");
-    c.cond = static_cast<CondId>(getUnsigned(o, "cond"));
-    sched.cboxOps.push_back(std::move(c));
-  }
-
-  for (const json::Value& v : getArray(doc, "branches")) {
-    const json::Object& o = v.asObject();
-    BranchOp b;
-    b.time = getUnsigned(o, "time");
-    b.target = getUnsigned(o, "target");
-    b.conditional = getBool(o, "conditional");
-    const json::Value* pred = o.find("pred");
-    if (pred == nullptr) throw Error("artifact: branch missing pred");
-    b.pred = predFromJson(*pred);
-    b.loop = static_cast<LoopId>(getUnsigned(o, "loop"));
-    sched.branches.push_back(b);
-  }
-
-  for (const json::Value& v : getArray(doc, "loops")) {
-    const json::Object& o = v.asObject();
-    LoopInterval l;
-    l.loop = static_cast<LoopId>(getUnsigned(o, "loop"));
-    l.start = getUnsigned(o, "start");
-    l.end = getUnsigned(o, "end");
-    sched.loops.push_back(l);
-  }
-
-  sched.liveIns = bindingsFromJson(getArray(doc, "liveIns"));
-  sched.liveOuts = bindingsFromJson(getArray(doc, "liveOuts"));
-  sched.varHomes = bindingsFromJson(getArray(doc, "varHomes"));
-  for (const json::Value& v : getArray(doc, "vregsPerPE")) {
-    if (!v.isInt() || v.asInt() < 0)
-      throw Error("artifact: vregsPerPE entry out of range");
-    sched.vregsPerPE.push_back(static_cast<unsigned>(v.asInt()));
-  }
-  requireValidSchedule(sched, "artifact: schedule");
+  json::decode(kSchedule, doc, "artifact", sched);
   return sched;
 }
 
-namespace {
-
-/// The `"stats"` block: five facts the schedule and the metrics already
-/// hold, kept in the format for its readers and checked on load.
-json::Object statsToJson(const Schedule& s, const SchedulerMetrics& m) {
-  json::Object o;
-  o.reserve(5);
-  o.append("cboxSlotsUsed") = static_cast<std::int64_t>(s.cboxSlotsUsed);
-  o.append("constsInserted") = static_cast<std::int64_t>(m.constsInserted);
-  o.append("contextsUsed") = static_cast<std::int64_t>(s.length);
-  o.append("copiesInserted") = static_cast<std::int64_t>(m.copiesInserted);
-  o.append("fusedWrites") = static_cast<std::int64_t>(m.fusedWrites);
-  return o;
-}
-
-SchedulerMetrics metricsFromJson(const json::Value& v) {
-  const json::Object& o = v.asObject();
-  SchedulerMetrics m;
-  auto u64 = [&o](const char* key) {
-    return static_cast<std::uint64_t>(getInt(o, key));
-  };
-  m.nodesScheduled = u64("nodesScheduled");
-  m.copiesInserted = u64("copiesInserted");
-  m.constsInserted = u64("constsInserted");
-  m.fusedWrites = u64("fusedWrites");
-  m.cboxOps = u64("cboxOps");
-  m.branches = u64("branches");
-  m.steps = u64("steps");
-  m.candidateIterations = u64("candidateIterations");
-  m.placementAttempts = u64("placementAttempts");
-  m.probeRejections = u64("probeRejections");
-  m.runs = u64("runs");
-  return m;
-}
-
-}  // namespace
-
 json::Value ScheduleArtifact::toJson() const {
-  // Keys in ascending order, like every builder above.
-  json::Object doc;
-  doc.reserve(8);
-  if (contexts) doc.append("contexts") = contextImagesToJson(*contexts);
-  if (ok) {
-    doc.append("fingerprint") = std::to_string(fingerprint);  // 64-bit safe
-  } else {
-    json::Object f;
-    f.reserve(3);
-    f.append("message") = failure.message;
-    f.append("node") = static_cast<std::int64_t>(failure.node);
-    f.append("reason") = failureReasonName(failure.reason);
-    doc.append("failure") = std::move(f);
-  }
-  doc.append("format") = kArtifactFormat;
-  doc.append("key") = key;
-  doc.append("metrics") = metrics.toJson(/*includeTimings=*/false);
-  doc.append("ok") = ok;
-  if (ok) doc.append("schedule") = scheduleToJson(schedule);
-  doc.append("stats") = statsToJson(schedule, metrics);
-  return doc;
+  return json::encode(kArtifact, *this);
 }
 
-ScheduleArtifact ScheduleArtifact::fromJson(const json::Value& docValue) {
-  if (!docValue.isObject()) throw Error("artifact: document is not an object");
-  const json::Object& doc = docValue.asObject();
-  if (getString(doc, "format") != kArtifactFormat)
-    throw Error("artifact: unknown format tag '" + getString(doc, "format") +
-                "'");
+ScheduleArtifact ScheduleArtifact::fromJson(const json::Value& doc) {
   ScheduleArtifact a;
-  a.key = getString(doc, "key");
-  a.ok = getBool(doc, "ok");
-  const json::Value* metrics = doc.find("metrics");
-  if (metrics == nullptr) throw Error("artifact: missing metrics");
-  a.metrics = metricsFromJson(*metrics);
-  if (a.ok) {
-    const json::Value* sched = doc.find("schedule");
-    if (sched == nullptr) throw Error("artifact: missing schedule");
-    a.schedule = scheduleFromJson(*sched);
-    const std::string& fp = getString(doc, "fingerprint");
-    a.fingerprint = std::stoull(fp);
-    if (a.schedule.fingerprint() != a.fingerprint)
-      throw Error("artifact: fingerprint mismatch (corrupt or tampered "
-                  "schedule payload)");
-  } else {
-    const json::Value* failure = doc.find("failure");
-    if (failure == nullptr) throw Error("artifact: missing failure");
-    const json::Object& f = failure->asObject();
-    const std::string& reason = getString(f, "reason");
-    a.failure.reason = FailureReason::Internal;
-    for (std::size_t i = 0; i < kNumFailureReasons; ++i)
-      if (reason == failureReasonName(static_cast<FailureReason>(i)))
-        a.failure.reason = static_cast<FailureReason>(i);
-    a.failure.message = getString(f, "message");
-    a.failure.node = static_cast<NodeId>(getUnsigned(f, "node"));
-  }
-  const json::Value* stats = doc.find("stats");
-  if (stats == nullptr || !stats->isObject())
-    throw Error("artifact: missing stats");
-  for (const auto& [name, value] : statsToJson(a.schedule, a.metrics))
-    if (getInt(stats->asObject(), name.c_str()) != value.asInt())
-      throw Error("artifact: stats field '" + name +
-                  "' disagrees with the schedule and metrics");
-  if (const json::Value* ctx = doc.find("contexts"); ctx != nullptr)
-    a.contexts = contextImagesFromJson(*ctx);
+  json::decode(kArtifact, doc, "artifact", a);
   return a;
 }
 

@@ -14,7 +14,9 @@
 // the original's, which runs identically on the Simulator and passes
 // verifySchedule (sched/validate.hpp) unchanged. Failed runs round-trip
 // too (negative caching): an unmappable job's typed FailureReason is as
-// deterministic as a successful schedule.
+// deterministic as a successful schedule. Each record of the document has
+// one layout (artifact.cpp), which toJson runs with json::FieldEncoder and
+// fromJson with json::FieldDecoder (json.hpp), so the two cannot drift.
 #pragma once
 
 #include <optional>
@@ -47,6 +49,7 @@ struct ScheduleArtifact : ScheduleReport {
   json::Value toJson() const;
 
   /// Parses and checks a document on its own: format tag, field shape,
+  /// each value's type and range (a fingerprint is canonical decimal),
   /// schedule bounds (layer 1 of verifySchedule), a `"stats"` block that
   /// agrees with the schedule and metrics, and — for successful artifacts —
   /// that the stored fingerprint matches the deserialized schedule's

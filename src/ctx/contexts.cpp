@@ -74,7 +74,7 @@ public:
 };
 
 /// Unpacks a context word; throws cgra::Error when the word ends inside a
-/// field or a field holds no legal value.
+/// field, a field holds no legal value, or (finish) a padding bit is set.
 class Decoder {
 public:
   explicit Decoder(const BitVector& word) : br(word) {}
@@ -112,6 +112,13 @@ public:
     std::size_t i = 0;
     field(i, width, list.size(), "source selector");
     pe = list[i];
+  }
+  /// Rejects a set bit after the last field: packMemory pads with zeros.
+  void finish() {
+    while (br.remaining() > 0)
+      if (br.read(static_cast<unsigned>(
+              std::min<std::size_t>(64, br.remaining()))) != 0)
+        throw Error("decode: context word sets a padding bit");
   }
 
 private:
@@ -288,7 +295,9 @@ Schedule decodeContexts(const ContextImages& img, const Composition& comp) {
     for (unsigned t = 0; t < img.length; ++t) {
       Decoder d(img.pes[p].words[t]);
       ScheduledOp op;
-      if (!peWord(d, &op, f)) continue;
+      const bool present = peWord(d, &op, f);
+      d.finish();
+      if (!present) continue;
       op.pe = p;
       op.start = t;
       op.emitsStatus = producesStatus(op.op);
@@ -299,13 +308,17 @@ Schedule decodeContexts(const ContextImages& img, const Composition& comp) {
     Decoder d(img.cbox.words[t]);
     CBoxOp op;
     op.time = t;
-    if (cboxWord(d, &op, slotBits)) out.cboxOps.push_back(std::move(op));
+    const bool present = cboxWord(d, &op, slotBits);
+    d.finish();
+    if (present) out.cboxOps.push_back(std::move(op));
   }
   for (unsigned t = 0; t < img.length; ++t) {
     Decoder d(img.ccu.words[t]);
     BranchOp b;
     b.time = t;
-    if (ccuWord(d, &b, targetBits, slotBits)) out.branches.push_back(b);
+    const bool present = ccuWord(d, &b, targetBits, slotBits);
+    d.finish();
+    if (present) out.branches.push_back(b);
   }
   return out;
 }

@@ -59,8 +59,8 @@ ContextImages encodePhysical(const Schedule& physical, const Composition& comp);
 /// registers). The result carries no loop metadata — exactly what the
 /// hardware knows — but runs identically on the simulator. Throws
 /// cgra::Error when the images do not match `comp` (memory count, `length`
-/// words per memory, each word its memory's width) or a field is out of
-/// range.
+/// words per memory, each word its memory's width), a field is out of
+/// range, or a bit after a word's last field is set.
 Schedule decodeContexts(const ContextImages& images, const Composition& comp);
 
 }  // namespace cgra

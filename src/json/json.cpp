@@ -573,4 +573,20 @@ bool isCanonical(const Value& value) {
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// Record layouts
+
+std::uint64_t Decimal::decode(const std::string& text) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || stop != end || (text.size() > 1 && text[0] == '0'))
+    throw Error("'" + text + "' is not a canonical unsigned 64-bit decimal");
+  return v;
+}
+
+void FieldDecoder::fail(const char* key, const char* problem) const {
+  throw Error(std::string(what_) + ": field '" + key + "' " + problem);
+}
+
 }  // namespace cgra::json

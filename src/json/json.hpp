@@ -7,14 +7,18 @@
 // null) and preserves object key insertion order so serialized compositions
 // stay human-diffable. `Writer` emits a document without building a tree;
 // `Value::dump` walks the tree into a Writer, so both share one formatter.
+// Persisted records (schedule artifacts, context images) state their
+// layout once, as a function that FieldEncoder and FieldDecoder both run.
 #pragma once
 
 #include <concepts>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -196,5 +200,267 @@ Value sortKeys(Value&& value);
 /// ascending: the order sortKeys produces, with no duplicates. Builders
 /// that append keys in canonical order are tested against it.
 bool isCanonical(const Value& value);
+
+// -- Record layouts ---------------------------------------------------------
+//
+// A record's JSON layout is written once, as a function over a coder:
+// FieldEncoder runs it to append the record's keys to an Object, and
+// FieldDecoder runs the same function to read them back, so the two
+// directions cannot drift apart. A layout visits its keys in ascending
+// byte order, the order sortKeys produces, so what it encodes is canonical
+// as built. Each visit names a key, the record's member and, optionally, a
+// codec:
+//  * Scalar (the default) or a Range: a bool, string, double, or an
+//    integer or enum within the Range and its C++ type;
+//  * a Layout: a nested record;
+//  * a text codec (a struct with `encode` and `decode`): a scalar written
+//    as a string.
+// FieldDecoder finds each key, checks the value's type and range, and
+// throws cgra::Error naming the document and the key.
+
+/// Inclusive bounds of an integer or enum member, within its C++ type.
+struct Range {
+  std::int64_t lo = INT64_MIN;
+  std::int64_t hi = INT64_MAX;
+};
+
+/// Codes a scalar member by its C++ type. An enum needs a Range instead.
+struct Scalar : Range {};
+
+/// The values 0..last of an enum.
+template <class E>
+constexpr Range upTo(E last) {
+  return {0, static_cast<std::int64_t>(last)};
+}
+
+/// A record's layout: `fields(coder, record...)` visits its keys. `Keys` is
+/// the most keys it writes, reserved up front by the encoder.
+template <std::size_t Keys, class Fields>
+struct Layout {
+  static constexpr std::size_t kKeys = Keys;
+  Fields fields;
+};
+
+template <std::size_t Keys, class Fields>
+constexpr Layout<Keys, Fields> layout(Fields fields) {
+  return {fields};
+}
+
+/// A 64-bit unsigned integer as decimal text (JSON integers are int64).
+/// decode accepts exactly what encode writes: no sign, space or leading
+/// zero.
+struct Decimal {
+  static std::string encode(std::uint64_t v) { return std::to_string(v); }
+  static std::uint64_t decode(const std::string& text);
+};
+
+namespace detail {
+
+template <class Codec>
+inline constexpr bool kIsLayout = false;
+template <std::size_t Keys, class Fields>
+inline constexpr bool kIsLayout<Layout<Keys, Fields>> = true;
+
+template <class Codec>
+inline constexpr bool kIsScalar = std::is_base_of_v<Range, Codec>;
+
+template <class T>
+inline constexpr bool kIsText = std::is_convertible_v<T, std::string_view>;
+
+}  // namespace detail
+
+/// Runs layouts forwards: appends each visited key to one Object.
+class FieldEncoder {
+public:
+  explicit FieldEncoder(Object& out) : out_(out) {}
+
+  template <class T, class Codec = Scalar>
+  void field(const char* key, const T& v, const Codec& codec = {}) {
+    put(out_.append(key), codec, v);
+  }
+  /// Writes `key` only when `v` holds a record.
+  template <class T, class Codec>
+  void optional(const char* key, const std::optional<T>& v,
+                const Codec& codec) {
+    if (v) field(key, *v, codec);
+  }
+  /// An array whose element i codes element i of each sequence (more than
+  /// one sequence: parallel vectors of one length).
+  template <class Codec, class Seq, class... More>
+  void array(const char* key, const Codec& codec, const Seq& seq,
+             const More&... more) {
+    CGRA_ASSERT(((more.size() == seq.size()) && ...));
+    Array arr;
+    arr.reserve(seq.size());
+    for (std::size_t i = 0; i < seq.size(); ++i)
+      put(arr.emplace_back(), codec, seq[i], more[i]...);
+    out_.append(key) = std::move(arr);
+  }
+  /// A value derived from other members: written here, compared on decode.
+  template <class T>
+  void expect(const char* key, const T& v) {
+    field(key, v);
+  }
+  /// A member the decoder needs before earlier keys; the encoder writes it
+  /// at its own place in key order.
+  template <class T, class Codec = Scalar>
+  void lookahead(const char*, const T&, const Codec& = {}) {}
+  /// A rule between decoded members; what is encoded already keeps it.
+  template <class Rule>
+  void check(const Rule&) {}
+
+private:
+  template <class Codec, class... T>
+  static void put(Value& slot, const Codec& codec, const T&... v) {
+    if constexpr (detail::kIsLayout<Codec>) {
+      slot = Object();
+      Object& o = slot.asObject();
+      o.reserve(Codec::kKeys);
+      FieldEncoder sub(o);
+      codec.fields(sub, v...);
+    } else if constexpr (detail::kIsScalar<Codec>) {
+      (scalar(slot, v), ...);
+    } else {
+      ((slot = codec.encode(v)), ...);
+    }
+  }
+
+  template <class T>
+  static void scalar(Value& slot, const T& v) {
+    if constexpr (std::is_same_v<T, bool> || std::is_floating_point_v<T>)
+      slot = v;
+    else if constexpr (detail::kIsText<T>)
+      slot = std::string(std::string_view(v));
+    else
+      slot = static_cast<std::int64_t>(v);
+  }
+
+  Object& out_;
+};
+
+/// Runs layouts backwards: reads each visited key of one Object, checking
+/// its type and range. `what` names the document in errors.
+class FieldDecoder {
+public:
+  FieldDecoder(const Object& in, const char* what) : in_(in), what_(what) {}
+
+  template <class T, class Codec = Scalar>
+  void field(const char* key, T& v, const Codec& codec = {}) const {
+    get(key, codec, require(key), v);
+  }
+  template <class T, class Codec>
+  void optional(const char* key, std::optional<T>& v,
+                const Codec& codec) const {
+    if (const Value* jv = in_.find(key)) get(key, codec, *jv, v.emplace());
+  }
+  template <class Codec, class Seq, class... More>
+  void array(const char* key, const Codec& codec, Seq& seq,
+             More&... more) const {
+    const Value& jv = require(key);
+    if (!jv.isArray()) fail(key, "is not an array");
+    const Array& arr = jv.asArray();
+    resize(key, seq, arr.size());
+    (resize(key, more, arr.size()), ...);
+    for (std::size_t i = 0; i < arr.size(); ++i)
+      get(key, codec, arr[i], seq[i], more[i]...);
+  }
+  template <class T>
+  void expect(const char* key, const T& want) const {
+    std::conditional_t<detail::kIsText<T>, std::string, T> got{};
+    field(key, got);
+    if (!(got == want)) fail(key, "disagrees with the rest of the document");
+  }
+  template <class T, class Codec = Scalar>
+  void lookahead(const char* key, T& v, const Codec& codec = {}) const {
+    field(key, v, codec);
+  }
+  /// Runs `rule`, which throws cgra::Error when the members break it.
+  template <class Rule>
+  void check(const Rule& rule) const {
+    rule();
+  }
+
+private:
+  const Value& require(const char* key) const {
+    const Value* jv = in_.find(key);
+    if (jv == nullptr) fail(key, "is missing");
+    return *jv;
+  }
+  [[noreturn]] void fail(const char* key, const char* problem) const;
+
+  template <class Seq>
+  void resize(const char* key, Seq& seq, std::size_t n) const {
+    if constexpr (requires { seq.resize(n); })
+      seq.resize(n);
+    else if (seq.size() != n)
+      fail(key, "has the wrong number of elements");
+  }
+
+  template <class Codec, class... T>
+  void get(const char* key, const Codec& codec, const Value& jv,
+           T&... v) const {
+    if constexpr (detail::kIsLayout<Codec>) {
+      if (!jv.isObject()) fail(key, "is not an object");
+      FieldDecoder sub(jv.asObject(), what_);
+      codec.fields(sub, v...);
+    } else if constexpr (detail::kIsScalar<Codec>) {
+      (scalar(key, codec, jv, v), ...);
+    } else {
+      if (!jv.isString()) fail(key, "is not a string");
+      ((v = codec.decode(jv.asString())), ...);
+    }
+  }
+
+  template <class Codec, class T>
+  void scalar(const char* key, const Codec& codec, const Value& jv,
+              T& v) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (!jv.isBool()) fail(key, "is not a bool");
+      v = jv.asBool();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (!jv.isString()) fail(key, "is not a string");
+      v = jv.asString();
+    } else if constexpr (std::is_floating_point_v<T>) {
+      if (!jv.isNumber()) fail(key, "is not a number");
+      v = jv.asDouble();
+    } else {
+      static_assert(std::is_integral_v<T> || std::is_same_v<Codec, Range>,
+                    "an enum member is coded with its Range");
+      using Int = typename std::conditional_t<std::is_enum_v<T>,
+                                              std::underlying_type<T>,
+                                              std::type_identity<T>>::type;
+      const Range range = codec;
+      if (!jv.isInt()) fail(key, "is not an integer");
+      const std::int64_t i = jv.asInt();
+      if (!std::in_range<Int>(i) || i < range.lo || i > range.hi)
+        fail(key, "is out of range");
+      v = static_cast<T>(i);
+    }
+  }
+
+  const Object& in_;
+  const char* what_;
+};
+
+/// The object `layout` writes for `records`.
+template <std::size_t Keys, class Fields, class... R>
+Value encode(const Layout<Keys, Fields>& layout, const R&... records) {
+  Object o;
+  o.reserve(Keys);
+  FieldEncoder c(o);
+  layout.fields(c, records...);
+  return o;
+}
+
+/// Reads `doc` into `records` with `layout`; throws cgra::Error naming
+/// `what` when `doc` does not fit it.
+template <std::size_t Keys, class Fields, class... R>
+void decode(const Layout<Keys, Fields>& layout, const Value& doc,
+            const char* what, R&... records) {
+  if (!doc.isObject())
+    throw Error(std::string(what) + ": document is not an object");
+  FieldDecoder c(doc.asObject(), what);
+  layout.fields(c, records...);
+}
 
 }  // namespace cgra::json

@@ -48,8 +48,26 @@ static_assert(std::is_sorted(std::begin(kFields), std::end(kFields),
                                return std::string_view(a.key) <
                                       std::string_view(b.key);
                              }));
+static_assert(decltype(kCountersLayout)::kKeys ==
+              std::count_if(std::begin(kFields), std::end(kFields),
+                            [](const Field& f) { return f.count != nullptr; }));
 
 }  // namespace
+
+template <class Coder, class Metrics>
+void metricsFields(Coder& c, Metrics& m, bool timings) {
+  for (const Field& f : kFields) {
+    if (f.count != nullptr)
+      c.field(f.key, m.*f.count);
+    else if (timings)
+      c.field(f.key, m.*f.time);
+  }
+}
+
+template void metricsFields(json::FieldEncoder&, const SchedulerMetrics&,
+                            bool);
+template void metricsFields(json::FieldDecoder&, SchedulerMetrics&,
+                            bool);
 
 void SchedulerMetrics::merge(const SchedulerMetrics& other) {
   for (const Field& f : kFields) {
@@ -68,12 +86,8 @@ void SchedulerMetrics::clearTimings() {
 json::Value SchedulerMetrics::toJson(bool includeTimings) const {
   json::Object o;
   o.reserve(std::size(kFields));
-  for (const Field& f : kFields) {
-    if (f.count != nullptr)
-      o.append(f.key) = this->*f.count;
-    else if (includeTimings)
-      o.append(f.key) = this->*f.time;
-  }
+  json::FieldEncoder c(o);
+  metricsFields(c, *this, includeTimings);
   return o;
 }
 

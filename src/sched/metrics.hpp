@@ -68,6 +68,17 @@ struct SchedulerMetrics {
   json::Value toJson(bool includeTimings = true) const;
 };
 
+/// The JSON layout of `m` (json.hpp): every counter and, with `timings`,
+/// every wall time, in ascending key order. toJson runs it with
+/// json::FieldEncoder, and artifacts read the counters back with
+/// json::FieldDecoder, the two coders metrics.cpp instantiates it for.
+template <class Coder, class Metrics>
+void metricsFields(Coder& c, Metrics& m, bool timings);
+
+/// The counters as one nested record, `toJson(false)`.
+inline constexpr auto kCountersLayout = json::layout<11>(
+    [](auto& c, auto& m) { metricsFields(c, m, /*timings=*/false); });
+
 /// Static quality of one PE within a schedule.
 struct PEQuality {
   PEId pe = 0;

@@ -167,6 +167,18 @@ TEST(Artifact, TamperedScheduleIsRejectedByFingerprint) {
   json::Object& op = sched["ops"].asArray().at(0).asObject();
   op["pe"] = op.at("pe").asInt() == 0 ? 1 : 0;
   EXPECT_THROW(artifact::ScheduleArtifact::fromJson(doc), Error);
+
+  // A fingerprint is the canonical decimal std::to_string writes; anything
+  // else is a typed error, not a value read from a prefix.
+  const std::string fp = std::to_string(art.fingerprint);
+  for (const std::string& text :
+       {std::string("x"), std::string(), std::string("99999999999999999999999"),
+        fp + "junk", " " + fp}) {
+    json::Value forged = json::parse(art.toJson().dump());
+    forged.asObject()["fingerprint"] = text;
+    EXPECT_THROW(artifact::ScheduleArtifact::fromJson(forged), Error)
+        << "'" << text << "'";
+  }
 }
 
 /// Edits that move one reference of a gcd-on-mesh4 schedule far outside the
@@ -298,6 +310,19 @@ TEST(Artifact, UnknownFormatTagIsRejected) {
   json::Value doc = json::parse(art.toJson().dump());
   doc.asObject()["format"] = "cgra-artifact-v999";
   EXPECT_THROW(artifact::ScheduleArtifact::fromJson(doc), Error);
+
+  // Nor does a negative counter load as a wrapped one, even when the
+  // "stats" block repeats it.
+  for (const auto& [counter, value] :
+       {std::pair{"copiesInserted", -1}, std::pair{"steps", -5}}) {
+    json::Value forged = json::parse(art.toJson().dump());
+    json::Object& o = forged.asObject();
+    o["metrics"].asObject()[counter] = value;
+    json::Object& stats = o["stats"].asObject();
+    if (stats.contains(counter)) stats[counter] = value;
+    EXPECT_THROW(artifact::ScheduleArtifact::fromJson(forged), Error)
+        << counter;
+  }
 }
 
 /// One artifact of the bundled-kernel set, labelled

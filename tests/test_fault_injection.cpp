@@ -19,6 +19,7 @@ struct Baseline {
   apps::Workload workload;
   Composition comp;
   ContextImages images;
+  std::uint64_t fingerprint = 0;  ///< of the decoded images
 };
 
 Baseline makeBaseline() {
@@ -26,7 +27,20 @@ Baseline makeBaseline() {
   const Composition comp = makeMesh(4);
   const kir::LoweringResult lowered = kir::lowerToCdfg(w.fn);
   const Schedule sched = Scheduler(comp).schedule(ScheduleRequest(lowered.graph)).orThrow().schedule;
-  return Baseline{std::move(w), comp, generateContexts(sched, comp)};
+  ContextImages images = generateContexts(sched, comp);
+  const std::uint64_t fingerprint = decodeContexts(images, comp).fingerprint();
+  return Baseline{std::move(w), comp, std::move(images), fingerprint};
+}
+
+/// True when the decoder rejects `images` with cgra::Error or decodes them
+/// to a schedule whose fingerprint differs from the baseline's: no flipped
+/// bit goes unseen, padding bits included.
+bool flipIsVisible(const Baseline& base, const ContextImages& images) {
+  try {
+    return decodeContexts(images, base.comp).fingerprint() != base.fingerprint;
+  } catch (const Error&) {
+    return true;
+  }
 }
 
 /// Runs a (possibly corrupt) image set; returns true when execution
@@ -68,6 +82,8 @@ TEST(FaultInjection, SingleBitFlipsInPEContexts) {
         ContextImages corrupt = base.images;
         BitVector& word = corrupt.pes[pe].words[t];
         word.set(bit, !word.get(bit));
+        EXPECT_TRUE(flipIsVisible(base, corrupt))
+            << "PE " << pe << " context " << t << " bit " << bit;
         (tryRun(base, corrupt) ? completed : rejected) += 1;
       }
     }
@@ -87,9 +103,10 @@ TEST(FaultInjection, SingleBitFlipsInCcuAndCboxContexts) {
         ContextImages corrupt = base.images;
         BitVector& word = (corrupt.*mem).words[t];
         word.set(bit, !word.get(bit));
+        EXPECT_TRUE(flipIsVisible(base, corrupt))
+            << "context " << t << " bit " << bit;
         tryRun(base, corrupt);  // must not crash
       }
-  SUCCEED();
 }
 
 TEST(FaultInjection, MisshapenImagesRejected) {

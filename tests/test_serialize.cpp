@@ -116,6 +116,20 @@ TEST(ContextJson, RejectsMalformedDocuments) {
   json::Value badWidth = doc;
   badWidth.asObject()["ccu_memory"].asObject()["width"] = -3;
   EXPECT_THROW(contextImagesFromJson(badWidth), Error);
+
+  // A negative count is out of its unsigned member's range, not wrapped.
+  json::Value badVar = doc;
+  badVar.asObject()["live_ins"].asArray().at(0).asObject()["var"] = -1;
+  EXPECT_THROW(contextImagesFromJson(badVar), Error);
+
+  json::Value badRegs = doc;
+  badRegs.asObject()["pe_memories"].asArray().at(0).asObject()["regs_used"] =
+      -7;
+  EXPECT_THROW(contextImagesFromJson(badRegs), Error);
+
+  json::Value badSlots = doc;
+  badSlots.asObject()["cbox_slots_used"] = -2;
+  EXPECT_THROW(contextImagesFromJson(badSlots), Error);
 }
 
 unsigned countPredicated(const Schedule& s) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Five lints over the tree: (1) the deprecated Scheduler::schedule
+# Six lints over the tree: (1) the deprecated Scheduler::schedule
 # call sites and shims, (2) raw SimCounters field math in tools and
 # benches, (3) the removed schedule checkers, (4) writers of the schedule
 # under construction other than RunState, (5) a context word's layout
-# stated more than once.
+# stated more than once, (6) an artifact record's layout stated more than
+# once.
 #
 # Lint 1: the deprecated Scheduler::schedule(const Cdfg&) shims were removed
 # with the pass-pipeline refactor. This check is now a hard failure on two
@@ -149,4 +150,27 @@ if [ -n "$ctx_offenders" ]; then
 fi
 
 echo "ok: each context word's layout is stated once"
+
+# Lint 6: one layout per artifact record. Each record of the artifact and
+# context-image documents is one layout function (src/artifact/artifact.cpp,
+# src/ctx/serialize.cpp) that json::FieldEncoder and json::FieldDecoder both
+# run, and the decoder checks every value's type and range. The mirrored
+# writer/reader helpers and the unchecked raw reads must not come back.
+record_offenders=$({
+  grep -rnwE --include='*.cpp' --include='*.hpp' \
+      'getInt|getUnsigned|getBool|getString|getArray|operandSourceFromJson|predFromJson|bindingsToJson|bindingsFromJson|metricsFromJson|memoryToJson|memoryFromJson' \
+      src/artifact src/ctx
+  grep -nHE '(\.|->)as(Int|Bool)\(' src/artifact/artifact.cpp src/ctx/serialize.cpp
+} 2>/dev/null)
+
+if [ -n "$record_offenders" ]; then
+  echo "error: an artifact record's layout is stated twice, or a field is"
+  echo "read without its type and range check. Describe each record once as"
+  echo "a layout over json::FieldEncoder/FieldDecoder (src/json/json.hpp):"
+  echo
+  echo "$record_offenders"
+  exit 1
+fi
+
+echo "ok: each artifact record's layout is stated once"
 exit 0
