@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <vector>
 
 #include "sched/validate.hpp"
@@ -124,17 +126,22 @@ std::shared_ptr<const ScheduleArtifact> ArtifactStore::lookup(
 
   // Disk probe outside the lock: parsing a large artifact must not serialize
   // other threads' lookups. The filesystem is the source of truth; the
-  // index may lag behind another process, so probe the file directly.
+  // index may lag behind another process, so probe the file directly. The
+  // file is opened once: one that is absent, or that another thread evicts
+  // before the open, is a miss; once open, its bytes stay readable.
   const std::string path = pathForKey(key);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++counters_.misses;
+    return nullptr;
+  }
   std::shared_ptr<ScheduleArtifact> loaded;
   try {
-    if (!sfs::exists(path)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.misses;
-      return nullptr;
-    }
+    std::ostringstream text;
+    text << in.rdbuf();
     loaded = std::make_shared<ScheduleArtifact>(
-        ScheduleArtifact::fromJson(json::parseFile(path)));
+        ScheduleArtifact::fromJson(json::parse(text.str())));
     if (loaded->key != key)
       throw Error("artifact: key field does not match filename");
     if (loaded->ok)

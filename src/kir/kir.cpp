@@ -546,85 +546,60 @@ FuncId Program::functionByName(const std::string& name) const {
 // FunctionBuilder
 
 ExprId FunctionBuilder::cint(std::int32_t v) {
-  Expr e;
-  e.kind = ExprKind::Const;
-  e.value = v;
-  return fn_.addExpr(e);
+  return fn_->addExpr({.kind = ExprKind::Const, .value = v});
 }
 
 ExprId FunctionBuilder::use(LocalId l) {
-  Expr e;
-  e.kind = ExprKind::Local;
-  e.local = l;
-  return fn_.addExpr(e);
+  return fn_->addExpr({.kind = ExprKind::Local, .local = l});
 }
 
 ExprId FunctionBuilder::bin(Op op, ExprId a, ExprId b) {
-  Expr e;
-  e.kind = ExprKind::Binary;
-  e.op = op;
-  e.lhs = a;
-  e.rhs = b;
-  return fn_.addExpr(e);
+  return fn_->addExpr({.kind = ExprKind::Binary, .op = op, .lhs = a, .rhs = b});
 }
 
 ExprId FunctionBuilder::neg(ExprId a) {
-  Expr e;
-  e.kind = ExprKind::Unary;
-  e.op = Op::INEG;
-  e.lhs = a;
-  return fn_.addExpr(e);
+  return fn_->addExpr({.kind = ExprKind::Unary, .op = Op::INEG, .lhs = a});
 }
 
 ExprId FunctionBuilder::cmp(Op op, ExprId a, ExprId b) {
-  Expr e;
-  e.kind = ExprKind::Compare;
-  e.op = op;
-  e.lhs = a;
-  e.rhs = b;
-  return fn_.addExpr(e);
+  return fn_->addExpr(
+      {.kind = ExprKind::Compare, .op = op, .lhs = a, .rhs = b});
 }
 
 ExprId FunctionBuilder::load(ExprId handle, ExprId index) {
-  Expr e;
-  e.kind = ExprKind::ArrayLoad;
-  e.lhs = handle;
-  e.rhs = index;
-  return fn_.addExpr(e);
+  return fn_->addExpr(
+      {.kind = ExprKind::ArrayLoad, .lhs = handle, .rhs = index});
+}
+
+ExprId FunctionBuilder::land(ExprId a, ExprId b) {
+  return fn_->addExpr({.kind = ExprKind::LogicalAnd, .lhs = a, .rhs = b});
+}
+
+ExprId FunctionBuilder::lor(ExprId a, ExprId b) {
+  return fn_->addExpr({.kind = ExprKind::LogicalOr, .lhs = a, .rhs = b});
 }
 
 StmtId FunctionBuilder::assign(LocalId target, ExprId value) {
-  Stmt s;
-  s.kind = StmtKind::Assign;
-  s.target = target;
-  s.value = value;
-  return fn_.addStmt(std::move(s));
+  return fn_->addStmt(
+      {.kind = StmtKind::Assign, .target = target, .value = value});
 }
 
 StmtId FunctionBuilder::arrayStore(ExprId handle, ExprId index, ExprId value) {
-  Stmt s;
-  s.kind = StmtKind::ArrayStore;
-  s.handle = handle;
-  s.index = index;
-  s.value = value;
-  return fn_.addStmt(std::move(s));
+  return fn_->addStmt({.kind = StmtKind::ArrayStore,
+                       .value = value,
+                       .handle = handle,
+                       .index = index});
 }
 
 StmtId FunctionBuilder::ifElse(ExprId cond, StmtId thenB, StmtId elseB) {
-  Stmt s;
-  s.kind = StmtKind::If;
-  s.cond = cond;
-  s.thenBlock = thenB;
-  s.elseBlock = elseB;
-  return fn_.addStmt(std::move(s));
+  return fn_->addStmt({.kind = StmtKind::If,
+                       .cond = cond,
+                       .thenBlock = thenB,
+                       .elseBlock = elseB});
 }
 
 StmtId FunctionBuilder::whileLoop(ExprId cond, StmtId body) {
-  Stmt s;
-  s.kind = StmtKind::While;
-  s.cond = cond;
-  s.body = body;
-  return fn_.addStmt(std::move(s));
+  return fn_->addStmt({.kind = StmtKind::While, .cond = cond, .body = body});
 }
 
 StmtId FunctionBuilder::forLoop(StmtId init, ExprId cond, StmtId step,
@@ -636,82 +611,56 @@ StmtId FunctionBuilder::forLoop(StmtId init, ExprId cond, StmtId step,
 
 StmtId FunctionBuilder::call(LocalId target, FuncId callee,
                              std::vector<ExprId> args) {
-  Stmt s;
-  s.kind = StmtKind::Call;
-  s.target = target;
-  s.callee = callee;
-  s.args = std::move(args);
-  return fn_.addStmt(std::move(s));
+  return fn_->addStmt({.kind = StmtKind::Call,
+                       .target = target,
+                       .callee = callee,
+                       .args = std::move(args)});
 }
 
 StmtId FunctionBuilder::block(std::vector<StmtId> stmts) {
-  Stmt s;
-  s.kind = StmtKind::Block;
-  s.stmts = std::move(stmts);
-  return fn_.addStmt(std::move(s));
-}
-
-ExprId FunctionBuilder::land(ExprId a, ExprId b) {
-  Expr e;
-  e.kind = ExprKind::LogicalAnd;
-  e.lhs = a;
-  e.rhs = b;
-  return fn_.addExpr(e);
-}
-
-ExprId FunctionBuilder::lor(ExprId a, ExprId b) {
-  Expr e;
-  e.kind = ExprKind::LogicalOr;
-  e.lhs = a;
-  e.rhs = b;
-  return fn_.addExpr(e);
+  return fn_->addStmt({.kind = StmtKind::Block, .stmts = std::move(stmts)});
 }
 
 StmtId FunctionBuilder::breakLoop() {
-  Stmt s;
-  s.kind = StmtKind::Break;
-  return fn_.addStmt(std::move(s));
+  return fn_->addStmt({.kind = StmtKind::Break});
 }
 
 StmtId FunctionBuilder::continueLoop() {
-  Stmt s;
-  s.kind = StmtKind::Continue;
-  return fn_.addStmt(std::move(s));
+  return fn_->addStmt({.kind = StmtKind::Continue});
 }
 
 StmtId FunctionBuilder::ret(ExprId value) {
-  Stmt s;
-  s.kind = StmtKind::Return;
-  s.value = value;
-  if (value != kNoExpr) {
-    LocalId result;
-    try {
-      result = fn_.localByName("result");
-    } catch (const Error&) {
-      result = fn_.addLocal("result", false);
-    }
-    s.target = result;
+  if (value == kNoExpr) return fn_->addStmt({.kind = StmtKind::Return});
+  LocalId result;
+  try {
+    result = fn_->localByName("result");
+  } catch (const Error&) {
+    result = fn_->addLocal("result", false);
   }
-  return fn_.addStmt(std::move(s));
+  return ret(result, value);
+}
+
+StmtId FunctionBuilder::ret(LocalId target, ExprId value) {
+  return fn_->addStmt(
+      {.kind = StmtKind::Return, .target = target, .value = value});
 }
 
 StmtId FunctionBuilder::switchStmt(ExprId scrutinee,
                                    std::vector<std::int32_t> values,
                                    std::vector<StmtId> blocks,
                                    StmtId defaultB) {
-  Stmt s;
-  s.kind = StmtKind::Switch;
-  s.cond = scrutinee;
-  s.caseValues = std::move(values);
-  s.stmts = std::move(blocks);
-  s.body = defaultB;
-  return fn_.addStmt(std::move(s));
+  return fn_->addStmt({.kind = StmtKind::Switch,
+                       .cond = scrutinee,
+                       .body = defaultB,
+                       .stmts = std::move(blocks),
+                       .caseValues = std::move(values)});
 }
 
 Function FunctionBuilder::finish(StmtId body) {
-  fn_.setBody(body);
-  fn_.validate();
-  return std::move(fn_);
+  CGRA_ASSERT(fn_ == &owned_);
+  fn_->setBody(body);
+  fn_->validate();
+  return std::move(*fn_);
 }
 
 }  // namespace cgra::kir

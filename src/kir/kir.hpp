@@ -88,9 +88,9 @@ struct Stmt {
   StmtId elseBlock = kNoStmt;        ///< If (may be kNoStmt)
   StmtId body = kNoStmt;             ///< While / Switch default (may be kNoStmt)
   FuncId callee = 0;                 ///< Call
-  std::vector<ExprId> args;          ///< Call
-  std::vector<StmtId> stmts;         ///< Block / Switch case arms
-  std::vector<std::int32_t> caseValues;  ///< Switch (parallel to stmts)
+  std::vector<ExprId> args{};              ///< Call
+  std::vector<StmtId> stmts{};             ///< Block / Switch case arms
+  std::vector<std::int32_t> caseValues{};  ///< Switch (parallel to stmts)
 };
 
 /// A local variable declaration.
@@ -166,18 +166,28 @@ private:
   std::vector<Function> funcs_;
 };
 
-/// Fluent construction helper for kernels.
+/// The node constructors: the one place that fills Expr and Stmt fields.
+/// Kernels, the parser, the random generator and every frontend pass build
+/// through it (the passes via the Cloner in kir/passes/pass_utils.hpp).
 ///
 ///   FunctionBuilder b("saxpy");
 ///   auto n = b.param("n"); auto a = b.param("a"); ...
 ///   b.loopFor(i, b.cint(0), b.lt(b.use(i), b.use(n)), ... );
 class FunctionBuilder {
 public:
-  explicit FunctionBuilder(std::string name) : fn_(std::move(name)) {}
+  /// Builds a new function; finish() hands it over.
+  explicit FunctionBuilder(std::string name)
+      : owned_(std::move(name)), fn_(&owned_) {}
+  /// Appends nodes and locals to an existing function.
+  explicit FunctionBuilder(Function& fn) : fn_(&fn) {}
+  FunctionBuilder(const FunctionBuilder&) = delete;
+  FunctionBuilder& operator=(const FunctionBuilder&) = delete;
 
   // Locals.
-  LocalId param(const std::string& name) { return fn_.addLocal(name, true); }
-  LocalId localVar(const std::string& name) { return fn_.addLocal(name, false); }
+  LocalId param(const std::string& name) { return fn_->addLocal(name, true); }
+  LocalId localVar(const std::string& name) {
+    return fn_->addLocal(name, false);
+  }
 
   // Expressions.
   ExprId cint(std::int32_t v);
@@ -220,18 +230,22 @@ public:
   /// `return;` (no value) or `return value;` — the latter assigns the local
   /// named "result", creating it on first use.
   StmtId ret(ExprId value = kNoExpr);
+  /// `return value;` assigning `target`.
+  StmtId ret(LocalId target, ExprId value);
   /// switch (scrutinee) { case values[i]: blocks[i] ... default: defaultB }.
   /// `values` and `blocks` are parallel; values must be distinct.
   StmtId switchStmt(ExprId scrutinee, std::vector<std::int32_t> values,
                     std::vector<StmtId> blocks, StmtId defaultB = kNoStmt);
 
-  /// Sets the body and returns the finished function.
+  /// Sets the body and returns the finished function (a builder that
+  /// appends to an existing function has nothing to hand over).
   Function finish(StmtId body);
 
-  Function& fn() { return fn_; }
+  Function& fn() { return *fn_; }
 
 private:
-  Function fn_;
+  Function owned_;
+  Function* fn_;
 };
 
 }  // namespace cgra::kir

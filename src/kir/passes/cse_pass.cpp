@@ -1,9 +1,9 @@
 #include "kir/passes/cse_pass.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "kir/passes/pass_utils.hpp"
 
@@ -47,57 +47,55 @@ bool hoistable(const Function& fn, ExprId id) {
   return k == ExprKind::Binary || k == ExprKind::Unary;
 }
 
-struct CseState {
-  Function& out;
-  const Function& src;
-  Cloner& cl;
-  unsigned tempCounter = 0;
+/// One statement list's CSE state while its statements are rebuilt.
+struct RunState {
+  std::map<LocalId, unsigned> versions;
+  unsigned runId = 0;
+  std::map<std::string, LocalId> hoisted;  ///< key → temp local
+
+  /// exprKey prefixed with the straight-line run index, so occurrences in
+  /// different runs (separated by control flow) never merge; empty when
+  /// the expression is not eligible.
+  std::string key(const Function& fn, ExprId id) const {
+    const std::string k = exprKey(fn, id, versions);
+    return k.empty() ? k : "R" + std::to_string(runId) + ":" + k;
+  }
 };
 
-/// CSE over one statement list (the children of a Block). Returns the new
-/// statement ids.
-std::vector<StmtId> cseRun(CseState& st, const std::vector<StmtId>& stmts);
+struct Cse {
+  const Function& src;
+  unsigned tempCounter = 0;
+  RunState* live = nullptr;  ///< the list being rebuilt, if any
 
-/// Recursively applies CSE inside nested structures of one statement.
-StmtId cseStmt(CseState& st, StmtId id) {
-  const Stmt& s = st.src.stmt(id);
-  switch (s.kind) {
-    case StmtKind::If: {
-      Stmt out;
-      out.kind = StmtKind::If;
-      out.cond = st.cl.cloneExpr(s.cond);
-      out.thenBlock = cseStmt(st, s.thenBlock);
-      out.elseBlock =
-          s.elseBlock == kNoStmt ? kNoStmt : cseStmt(st, s.elseBlock);
-      return st.out.addStmt(std::move(out));
-    }
-    case StmtKind::While: {
-      Stmt out;
-      out.kind = StmtKind::While;
-      out.cond = st.cl.cloneExpr(s.cond);
-      out.body = cseStmt(st, s.body);
-      return st.out.addStmt(std::move(out));
-    }
-    case StmtKind::Switch: {
-      Stmt out;
-      out.kind = StmtKind::Switch;
-      out.cond = st.cl.cloneExpr(s.cond);
-      out.caseValues = s.caseValues;
-      for (StmtId arm : s.stmts) out.stmts.push_back(cseStmt(st, arm));
-      out.body = s.body == kNoStmt ? kNoStmt : cseStmt(st, s.body);
-      return st.out.addStmt(std::move(out));
-    }
-    case StmtKind::Block: {
-      Stmt out;
-      out.kind = StmtKind::Block;
-      out.stmts = cseRun(st, s.stmts);
-      return st.out.addStmt(std::move(out));
-    }
-    default: return st.cl.cloneStmt(id);
+  bool isStraight(StmtId id) const {
+    const StmtKind k = src.stmt(id).kind;
+    return k == StmtKind::Assign || k == StmtKind::ArrayStore;
   }
-}
 
-std::vector<StmtId> cseRun(CseState& st, const std::vector<StmtId>& stmts) {
+  /// Expression hook: a hoisted subtree becomes a read of its temp.
+  ExprId reuse(ExprId id, Cloner& cl) const {
+    if (!live || live->hoisted.empty() || !hoistable(src, id)) return kNoExpr;
+    const auto it = live->hoisted.find(live->key(src, id));
+    return it == live->hoisted.end() ? kNoExpr : cl.build().use(it->second);
+  }
+
+  /// Statement hook: CSE runs over the children of every Block.
+  StmtId block(StmtId id, Cloner& cl) {
+    const Stmt& s = src.stmt(id);
+    if (s.kind != StmtKind::Block) return kNoStmt;
+    RunState st;
+    RunState* outer = std::exchange(live, &st);
+    std::vector<StmtId> stmts = run(s.stmts, st, cl);
+    live = outer;
+    return cl.build().block(std::move(stmts));
+  }
+
+  std::vector<StmtId> run(const std::vector<StmtId>& stmts, RunState& st,
+                          Cloner& cl);
+};
+
+std::vector<StmtId> Cse::run(const std::vector<StmtId>& stmts, RunState& st,
+                             Cloner& cl) {
   // Pass 1: count keys of hoistable subexpressions within straight-line runs
   // of Assign/ArrayStore. Control flow flushes the run.
   struct Info {
@@ -105,40 +103,28 @@ std::vector<StmtId> cseRun(CseState& st, const std::vector<StmtId>& stmts) {
     std::size_t firstStmt = 0;
     ExprId expr = kNoExpr;
   };
-  // Keys are prefixed with the straight-line run index so occurrences in
-  // different runs (separated by control flow) never merge.
   std::map<std::string, Info> table;
-  std::map<LocalId, unsigned> versions;
-  unsigned runId = 0;
 
   auto countExpr = [&](ExprId id, std::size_t stmtIdx, auto&& self) -> void {
-    const Expr& e = st.src.expr(id);
+    const Expr& e = src.expr(id);
     if (e.lhs != kNoExpr) self(e.lhs, stmtIdx, self);
     if (e.rhs != kNoExpr) self(e.rhs, stmtIdx, self);
-    if (!hoistable(st.src, id)) return;
-    const std::string key = exprKey(st.src, id, versions);
+    if (!hoistable(src, id)) return;
+    const std::string key = st.key(src, id);
     if (key.empty()) return;
-    auto [it, inserted] = table.try_emplace(
-        "R" + std::to_string(runId) + ":" + key, Info{0, stmtIdx, id});
-    ++it->second.count;
-    (void)inserted;
-  };
-
-  auto isStraight = [&](StmtId id) {
-    const StmtKind k = st.src.stmt(id).kind;
-    return k == StmtKind::Assign || k == StmtKind::ArrayStore;
+    ++table.try_emplace(key, Info{0, stmtIdx, id}).first->second.count;
   };
 
   for (std::size_t i = 0; i < stmts.size(); ++i) {
-    const Stmt& s = st.src.stmt(stmts[i]);
+    const Stmt& s = src.stmt(stmts[i]);
     if (!isStraight(stmts[i])) {
-      ++runId;
-      versions.clear();
+      ++st.runId;
+      st.versions.clear();
       continue;
     }
     if (s.kind == StmtKind::Assign) {
       countExpr(s.value, i, countExpr);
-      ++versions[s.target];
+      ++st.versions[s.target];
     } else {
       countExpr(s.handle, i, countExpr);
       countExpr(s.index, i, countExpr);
@@ -146,36 +132,11 @@ std::vector<StmtId> cseRun(CseState& st, const std::vector<StmtId>& stmts) {
     }
   }
 
-  // Keys worth hoisting.
-  std::map<std::string, LocalId> hoisted;  // key → temp local (assigned below)
-
   // Pass 2: rebuild statements; maintain versions again; emit temp
   // assignments right before the first statement using the key.
   std::vector<StmtId> result;
-  versions.clear();
-  runId = 0;
-
-  // Rewrites an expression, replacing hoisted subtrees by temp reads.
-  std::function<ExprId(ExprId)> rewrite = [&](ExprId id) -> ExprId {
-    const Expr& e = st.src.expr(id);
-    if (hoistable(st.src, id)) {
-      const std::string key =
-          "R" + std::to_string(runId) + ":" + exprKey(st.src, id, versions);
-      {
-        if (auto it = hoisted.find(key); it != hoisted.end()) {
-          Expr read;
-          read.kind = ExprKind::Local;
-          read.local = it->second;
-          return st.out.addExpr(read);
-        }
-      }
-    }
-    Expr out = e;
-    if (e.kind == ExprKind::Local) out.local = st.cl.localMap()[e.local];
-    if (e.lhs != kNoExpr) out.lhs = rewrite(e.lhs);
-    if (e.rhs != kNoExpr) out.rhs = rewrite(e.rhs);
-    return st.out.addExpr(out);
-  };
+  st.versions.clear();
+  st.runId = 0;
 
   // Emits hoists scheduled for statement index i (keys whose first
   // occurrence is i and count ≥ 2), smallest subexpressions first so larger
@@ -183,52 +144,38 @@ std::vector<StmtId> cseRun(CseState& st, const std::vector<StmtId>& stmts) {
   auto emitHoists = [&](std::size_t i) {
     std::vector<std::pair<std::string, Info>> due;
     for (const auto& [key, info] : table)
-      if (info.count >= 2 && info.firstStmt == i && !hoisted.contains(key))
+      if (info.count >= 2 && info.firstStmt == i && !st.hoisted.contains(key))
         due.emplace_back(key, info);
     std::sort(due.begin(), due.end(), [](const auto& a, const auto& b) {
       return a.first.size() < b.first.size();
     });
     for (const auto& [key, info] : due) {
       const LocalId temp =
-          st.out.addLocal("$cse" + std::to_string(st.tempCounter++), false);
-      Stmt assign;
-      assign.kind = StmtKind::Assign;
-      assign.target = temp;
-      assign.value = rewrite(info.expr);  // may reuse earlier hoists
-      result.push_back(st.out.addStmt(std::move(assign)));
-      hoisted[key] = temp;
+          cl.build().localVar("$cse" + std::to_string(tempCounter++));
+      // The hoisted value may reuse earlier hoists.
+      result.push_back(cl.build().assign(temp, cl.expr(info.expr)));
+      st.hoisted[key] = temp;
     }
   };
 
   for (std::size_t i = 0; i < stmts.size(); ++i) {
-    const Stmt& s = st.src.stmt(stmts[i]);
+    const Stmt& s = src.stmt(stmts[i]);
     if (!isStraight(stmts[i])) {
-      ++runId;
-      versions.clear();
-      hoisted.clear();
-      result.push_back(cseStmt(st, stmts[i]));
+      ++st.runId;
+      st.versions.clear();
+      st.hoisted.clear();
+      result.push_back(cl.stmt(stmts[i]));
       continue;
     }
     emitHoists(i);
+    result.push_back(cl.stmt(stmts[i]));
     if (s.kind == StmtKind::Assign) {
-      Stmt out;
-      out.kind = StmtKind::Assign;
-      out.target = st.cl.localMap()[s.target];
-      out.value = rewrite(s.value);
-      result.push_back(st.out.addStmt(std::move(out)));
-      ++versions[s.target];
+      ++st.versions[s.target];
       // Temps derived from the overwritten local are now stale.
-      std::erase_if(hoisted, [&](const auto& kv) {
+      std::erase_if(st.hoisted, [&](const auto& kv) {
         return kv.first.find("L" + std::to_string(s.target) + "v") !=
                std::string::npos;
       });
-    } else {
-      Stmt out;
-      out.kind = StmtKind::ArrayStore;
-      out.handle = rewrite(s.handle);
-      out.index = rewrite(s.index);
-      out.value = rewrite(s.value);
-      result.push_back(st.out.addStmt(std::move(out)));
     }
   }
   return result;
@@ -237,17 +184,10 @@ std::vector<StmtId> cseRun(CseState& st, const std::vector<StmtId>& stmts) {
 }  // namespace
 
 Function eliminateCommonSubexpressions(const Function& fn) {
-  Function out(fn.name());
-  std::vector<LocalId> map;
-  for (LocalId i = 0; i < fn.numLocals(); ++i) {
-    const LocalDecl& l = fn.local(i);
-    map.push_back(out.addLocal(l.name, l.isParameter));
-  }
-  Cloner cl(fn, out, std::move(map));
-  CseState st{out, fn, cl, 0};
-  out.setBody(cseStmt(st, fn.body()));
-  out.validate();
-  return out;
+  Cse cse{fn};
+  return rewriteFunction(
+      fn, [&](StmtId id, Cloner& cl) { return cse.block(id, cl); },
+      [&](ExprId id, Cloner& cl) { return cse.reuse(id, cl); });
 }
 
 }  // namespace cgra::kir

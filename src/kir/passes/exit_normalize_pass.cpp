@@ -1,7 +1,6 @@
 #include "kir/passes/exit_normalize_pass.hpp"
 
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -44,157 +43,70 @@ bool exitsAtLevel(const Function& fn, StmtId id, StmtKind kind) {
   }
 }
 
-/// True when the subtree contains a Return at any depth (return crosses
-/// loop levels).
-bool containsReturn(const Function& fn, StmtId id) {
-  const Stmt& s = fn.stmt(id);
-  if (s.kind == StmtKind::Return) return true;
-  switch (s.kind) {
-    case StmtKind::If:
-      return containsReturn(fn, s.thenBlock) ||
-             (s.elseBlock != kNoStmt && containsReturn(fn, s.elseBlock));
-    case StmtKind::While: return containsReturn(fn, s.body);
-    case StmtKind::Block:
-      for (StmtId c : s.stmts)
-        if (containsReturn(fn, c)) return true;
-      return false;
-    case StmtKind::Switch:
-      for (StmtId arm : s.stmts)
-        if (containsReturn(fn, arm)) return true;
-      return s.body != kNoStmt && containsReturn(fn, s.body);
-    default: return false;
-  }
-}
-
 struct ExitNormalizer {
   const Function& src;
-  Function& out;
-  Cloner& cl;
   LocalId retFlag = kNoLocal;
   unsigned loopCounter = 0;
-  std::vector<LoopCtx> loops;
+  std::vector<LoopCtx> loops{};
 
-  ExprId readLocal(LocalId l) {
-    Expr e;
-    e.kind = ExprKind::Local;
-    e.local = l;
-    return out.addExpr(e);
-  }
-
-  ExprId constant(std::int32_t v) {
-    Expr e;
-    e.kind = ExprKind::Const;
-    e.value = v;
-    return out.addExpr(e);
-  }
-
-  ExprId compare(Op op, ExprId a, ExprId b) {
-    Expr e;
-    e.kind = ExprKind::Compare;
-    e.op = op;
-    e.lhs = a;
-    e.rhs = b;
-    return out.addExpr(e);
-  }
-
-  ExprId binary(Op op, ExprId a, ExprId b) {
-    Expr e;
-    e.kind = ExprKind::Binary;
-    e.op = op;
-    e.lhs = a;
-    e.rhs = b;
-    return out.addExpr(e);
-  }
-
-  StmtId assignExpr(LocalId target, ExprId value) {
-    Stmt s;
-    s.kind = StmtKind::Assign;
-    s.target = target;
-    s.value = value;
-    return out.addStmt(std::move(s));
-  }
-
-  StmtId assignConst(LocalId target, std::int32_t v) {
-    return assignExpr(target, constant(v));
-  }
-
-  StmtId ifStmt(ExprId cond, StmtId thenB) {
-    Stmt s;
-    s.kind = StmtKind::If;
-    s.cond = cond;
-    s.thenBlock = thenB;
-    return out.addStmt(std::move(s));
-  }
-
-  StmtId block(std::vector<StmtId> stmts) {
-    Stmt s;
-    s.kind = StmtKind::Block;
-    s.stmts = std::move(stmts);
-    return out.addStmt(std::move(s));
+  /// The flags the rewrite of `id` may set at the current loop level.
+  unsigned flagsSetBy(StmtId id) const {
+    return (exitsAtLevel(src, id, StmtKind::Break) ? kBrk : 0u) |
+           (exitsAtLevel(src, id, StmtKind::Continue) ? kCnt : 0u) |
+           (containsStmtKind(src, id, StmtKind::Return) ? kRet : 0u);
   }
 
   /// Bitwise OR of the abort flags named by `mask` (all flags hold 0 or 1,
   /// so IOR is an exact disjunction).
-  ExprId flagsOr(unsigned mask) {
+  ExprId flagsOr(unsigned mask, FunctionBuilder& b) {
     std::vector<LocalId> flags;
     if (mask & kBrk) flags.push_back(loops.back().brk);
     if (mask & kCnt) flags.push_back(loops.back().cnt);
     if (mask & kRet) flags.push_back(retFlag);
     CGRA_ASSERT(!flags.empty());
-    ExprId acc = readLocal(flags[0]);
+    ExprId acc = b.use(flags[0]);
     for (std::size_t i = 1; i < flags.size(); ++i)
-      acc = binary(Op::IOR, acc, readLocal(flags[i]));
+      acc = b.bor(acc, b.use(flags[i]));
     return acc;
   }
 
-  ExprId flagsClear(unsigned mask) {
-    return compare(Op::IFEQ, flagsOr(mask), constant(0));
+  ExprId flagsClear(unsigned mask, FunctionBuilder& b) {
+    return b.eq(flagsOr(mask, b), b.cint(0));
   }
 
-  std::pair<StmtId, unsigned> transform(StmtId id);
-
-  /// Transforms a statement list; after any statement that may set a flag,
+  /// Rewrites a statement list; after any statement that may set a flag,
   /// the remaining statements are nested under `if (flags == 0)`.
-  std::pair<std::vector<StmtId>, unsigned> transformList(
-      const std::vector<StmtId>& children, std::size_t from) {
+  std::vector<StmtId> transformList(const std::vector<StmtId>& children,
+                                    std::size_t from, Cloner& cl) {
+    FunctionBuilder& b = cl.build();
     std::vector<StmtId> result;
-    unsigned mask = 0;
     for (std::size_t i = from; i < children.size(); ++i) {
-      auto [stmt, m] = transform(children[i]);
-      result.push_back(stmt);
-      mask |= m;
-      if (m != 0 && i + 1 < children.size()) {
-        auto [rest, mRest] = transformList(children, i + 1);
-        result.push_back(ifStmt(flagsClear(m), block(std::move(rest))));
-        return {std::move(result), mask | mRest};
+      result.push_back(cl.stmt(children[i]));
+      if (i + 1 == children.size()) break;
+      if (const unsigned m = flagsSetBy(children[i]); m != 0) {
+        std::vector<StmtId> rest = transformList(children, i + 1, cl);
+        result.push_back(b.ifElse(flagsClear(m, b), b.block(std::move(rest))));
+        return result;
       }
     }
-    return {std::move(result), mask};
+    return result;
   }
 
-  std::pair<StmtId, unsigned> transformLoop(const Stmt& s) {
+  StmtId transformLoop(const Stmt& s, Cloner& cl) {
     const bool needBrk = exitsAtLevel(src, s.body, StmtKind::Break);
     const bool needCnt = exitsAtLevel(src, s.body, StmtKind::Continue);
-    const bool needRet = containsReturn(src, s.body);
+    const bool needRet = containsStmtKind(src, s.body, StmtKind::Return);
+    if (!needBrk && !needCnt && !needRet) return kNoStmt;
 
-    if (!needBrk && !needCnt && !needRet) {
-      Stmt loop;
-      loop.kind = StmtKind::While;
-      loop.cond = cl.cloneExpr(s.cond);
-      loop.body = transform(s.body).first;
-      return {out.addStmt(std::move(loop)), 0};
-    }
-
+    FunctionBuilder& b = cl.build();
     const unsigned n = loopCounter++;
     LoopCtx ctx;
-    if (needBrk)
-      ctx.brk = out.addLocal("$brk" + std::to_string(n), false);
-    if (needCnt)
-      ctx.cnt = out.addLocal("$cnt" + std::to_string(n), false);
+    if (needBrk) ctx.brk = b.localVar("$brk" + std::to_string(n));
+    if (needCnt) ctx.cnt = b.localVar("$cnt" + std::to_string(n));
     loops.push_back(ctx);
-    const StmtId bodyS = transform(s.body).first;
+    const StmtId bodyS = cl.stmt(s.body);
     std::vector<StmtId> bodySeq;
-    if (needCnt) bodySeq.push_back(assignConst(ctx.cnt, 0));
+    if (needCnt) bodySeq.push_back(b.assign(ctx.cnt, b.cint(0)));
     bodySeq.push_back(bodyS);
 
     const unsigned exitMask =
@@ -202,109 +114,62 @@ struct ExitNormalizer {
     if (exitMask == 0) {
       // Only continue: the original condition still runs every iteration.
       loops.pop_back();
-      Stmt loop;
-      loop.kind = StmtKind::While;
-      loop.cond = cl.cloneExpr(s.cond);
-      loop.body = block(std::move(bodySeq));
-      return {out.addStmt(std::move(loop)), 0};
+      return b.whileLoop(cl.expr(s.cond), b.block(std::move(bodySeq)));
     }
 
     // Break or return may abort the loop: hoist the condition into $lcN and
     // only recompute it while the loop is live (a condition with array loads
     // must not be re-evaluated after an exit).
-    const LocalId lc = out.addLocal("$lc" + std::to_string(n), false);
+    const LocalId lc = b.localVar("$lc" + std::to_string(n));
     std::vector<StmtId> seq;
-    if (needBrk) seq.push_back(assignConst(ctx.brk, 0));
-    seq.push_back(assignExpr(lc, cl.cloneExpr(s.cond)));
+    if (needBrk) seq.push_back(b.assign(ctx.brk, b.cint(0)));
+    seq.push_back(b.assign(lc, cl.expr(s.cond)));
     bodySeq.push_back(
-        ifStmt(flagsClear(exitMask),
-               assignExpr(lc, cl.cloneExpr(s.cond))));
-    Stmt loop;
-    loop.kind = StmtKind::While;
-    loop.cond = binary(Op::IAND, flagsClear(exitMask),
-                       compare(Op::IFNE, readLocal(lc), constant(0)));
-    loop.body = block(std::move(bodySeq));
-    seq.push_back(out.addStmt(std::move(loop)));
+        b.ifElse(flagsClear(exitMask, b), b.assign(lc, cl.expr(s.cond))));
+    const ExprId live =
+        b.band(flagsClear(exitMask, b), b.ne(b.use(lc), b.cint(0)));
+    seq.push_back(b.whileLoop(live, b.block(std::move(bodySeq))));
     loops.pop_back();
-    return {block(std::move(seq)), needRet ? kRet : 0u};
+    return b.block(std::move(seq));
   }
 
-  std::pair<StmtId, unsigned> transformStmt(StmtId id) {
+  /// Statement hook: exits become flag writes, loops and blocks get guards.
+  StmtId transform(StmtId id, Cloner& cl) {
     const Stmt& s = src.stmt(id);
+    FunctionBuilder& b = cl.build();
     switch (s.kind) {
       case StmtKind::Break:
         CGRA_ASSERT(!loops.empty() && loops.back().brk != kNoLocal);
-        return {assignConst(loops.back().brk, 1), kBrk};
+        return b.assign(loops.back().brk, b.cint(1));
       case StmtKind::Continue:
         CGRA_ASSERT(!loops.empty() && loops.back().cnt != kNoLocal);
-        return {assignConst(loops.back().cnt, 1), kCnt};
+        return b.assign(loops.back().cnt, b.cint(1));
       case StmtKind::Return: {
         CGRA_ASSERT(retFlag != kNoLocal);
-        std::vector<StmtId> seq;
-        if (s.value != kNoExpr)
-          seq.push_back(assignExpr(cl.localMap()[s.target],
-                                   cl.cloneExpr(s.value)));
-        seq.push_back(assignConst(retFlag, 1));
-        if (seq.size() == 1) return {seq[0], kRet};
-        return {block(std::move(seq)), kRet};
+        const StmtId setRet = b.assign(retFlag, b.cint(1));
+        if (s.value == kNoExpr) return setRet;
+        const StmtId setResult = b.assign(cl.local(s.target), cl.expr(s.value));
+        return b.block({setResult, setRet});
       }
-      case StmtKind::If: {
-        auto [thenS, m1] = transform(s.thenBlock);
-        StmtId elseS = kNoStmt;
-        unsigned m2 = 0;
-        if (s.elseBlock != kNoStmt)
-          std::tie(elseS, m2) = transform(s.elseBlock);
-        Stmt ifS;
-        ifS.kind = StmtKind::If;
-        ifS.cond = cl.cloneExpr(s.cond);
-        ifS.thenBlock = thenS;
-        ifS.elseBlock = elseS;
-        return {out.addStmt(std::move(ifS)), m1 | m2};
-      }
-      case StmtKind::While: return transformLoop(s);
-      case StmtKind::Switch: {
-        // Normally lowered before this pass; handled for direct use.
-        Stmt sw;
-        sw.kind = StmtKind::Switch;
-        sw.cond = cl.cloneExpr(s.cond);
-        sw.caseValues = s.caseValues;
-        unsigned mask = 0;
-        for (StmtId arm : s.stmts) {
-          auto [armS, m] = transform(arm);
-          sw.stmts.push_back(armS);
-          mask |= m;
-        }
-        if (s.body != kNoStmt) {
-          auto [defS, m] = transform(s.body);
-          sw.body = defS;
-          mask |= m;
-        }
-        return {out.addStmt(std::move(sw)), mask};
-      }
-      case StmtKind::Block: {
-        auto [stmts, mask] = transformList(s.stmts, 0);
-        return {block(std::move(stmts)), mask};
-      }
-      default: return {cl.cloneStmt(id), 0};
+      case StmtKind::While: return transformLoop(s, cl);
+      case StmtKind::Block: return b.block(transformList(s.stmts, 0, cl));
+      default: return kNoStmt;
     }
   }
 };
-
-std::pair<StmtId, unsigned> ExitNormalizer::transform(StmtId id) {
-  return transformStmt(id);
-}
 
 }  // namespace
 
 Function normalizeExits(const Function& fn) {
   Function out(fn.name());
-  Cloner cl(fn, out, identityMap(fn, out));
-  ExitNormalizer norm{fn, out, cl};
-  if (containsStmtKind(fn, StmtKind::Return))
-    norm.retFlag = out.addLocal("$ret", false);
-  StmtId body = norm.transform(fn.body()).first;
+  ExitNormalizer norm{fn};
+  Cloner cl(fn, out, identityMap(fn, out),
+            [&](StmtId id, Cloner& c) { return norm.transform(id, c); });
+  FunctionBuilder& b = cl.build();
+  if (containsStmtKind(fn, StmtKind::Return)) norm.retFlag = b.localVar("$ret");
+  StmtId body = cl.stmt(fn.body());
   if (norm.retFlag != kNoLocal)
-    body = norm.block({norm.assignConst(norm.retFlag, 0), body});
+    body = b.block({b.assign(norm.retFlag, b.cint(0)), body});
   out.setBody(body);
   out.validate();
   return out;

@@ -16,11 +16,10 @@ Function inlineCallsImpl(const Program& program, const Function& fn,
     throw Error("inlineCalls: recursive call cycle through " + fn.name());
   active.insert(&fn);
 
-  Function out(fn.name());
-  std::vector<LocalId> map = identityMap(fn, out);
-
   unsigned inlineCounter = 0;
-  Cloner::CallHook hook = [&](const Stmt& s, Cloner& cl) -> StmtId {
+  Function out = rewriteFunction(fn, [&](StmtId id, Cloner& cl) -> StmtId {
+    const Stmt& s = fn.stmt(id);
+    if (s.kind != StmtKind::Call) return kNoStmt;
     Function flatCallee =
         inlineCallsImpl(program, program.function(s.callee), active);
     // A `return` in the callee must not escape into the caller's control
@@ -28,12 +27,12 @@ Function inlineCallsImpl(const Program& program, const Function& fn,
     if (containsStmtKind(flatCallee, StmtKind::Return))
       flatCallee = normalizeExits(flatCallee);
     // Fresh locals for the callee, suffixed to stay unique.
+    FunctionBuilder& b = cl.build();
     const std::string suffix =
         "$" + flatCallee.name() + std::to_string(inlineCounter++);
     std::vector<LocalId> calleeMap;
     for (LocalId i = 0; i < flatCallee.numLocals(); ++i)
-      calleeMap.push_back(
-          cl.dst().addLocal(flatCallee.local(i).name + suffix, false));
+      calleeMap.push_back(b.localVar(flatCallee.local(i).name + suffix));
 
     std::vector<StmtId> seq;
     // Bind arguments (argument expressions evaluate in the caller's frame).
@@ -43,39 +42,22 @@ Function inlineCallsImpl(const Program& program, const Function& fn,
         if (argIdx >= s.args.size())
           throw Error("inlineCalls: too few arguments for " +
                       flatCallee.name());
-        Stmt bind;
-        bind.kind = StmtKind::Assign;
-        bind.target = calleeMap[i];
-        bind.value = cl.cloneExpr(s.args[argIdx++]);
-        seq.push_back(cl.dst().addStmt(std::move(bind)));
+        seq.push_back(b.assign(calleeMap[i], cl.expr(s.args[argIdx++])));
       }
     if (argIdx != s.args.size())
       throw Error("inlineCalls: too many arguments for " + flatCallee.name());
 
     // Clone the (already call-free) callee body with renamed locals.
-    Cloner bodyCl(flatCallee, cl.dst(), calleeMap);
-    seq.push_back(bodyCl.cloneStmt(flatCallee.body()));
+    seq.push_back(
+        Cloner(flatCallee, b.fn(), calleeMap).stmt(flatCallee.body()));
 
     // Return value: the callee's "result" local.
-    Stmt ret;
-    ret.kind = StmtKind::Assign;
-    ret.target = cl.localMap()[s.target];
-    Expr read;
-    read.kind = ExprKind::Local;
-    read.local = calleeMap[flatCallee.localByName("result")];
-    ret.value = cl.dst().addExpr(read);
-    seq.push_back(cl.dst().addStmt(std::move(ret)));
-
-    Stmt blockS;
-    blockS.kind = StmtKind::Block;
-    blockS.stmts = std::move(seq);
-    return cl.dst().addStmt(std::move(blockS));
-  };
-
-  Cloner cl(fn, out, std::move(map), hook);
-  out.setBody(cl.cloneStmt(fn.body()));
+    seq.push_back(b.assign(
+        cl.local(s.target),
+        b.use(calleeMap[flatCallee.localByName("result")])));
+    return b.block(std::move(seq));
+  });
   active.erase(&fn);
-  out.validate();
   return out;
 }
 

@@ -3,90 +3,84 @@
 namespace cgra::kir {
 
 Cloner::Cloner(const Function& src, Function& dst,
-               std::vector<LocalId> localMap, CallHook onCall)
+               std::vector<LocalId> localMap, StmtHook onStmt, ExprHook onExpr)
     : src_(src),
-      dst_(dst),
+      build_(dst),
       localMap_(std::move(localMap)),
-      onCall_(std::move(onCall)) {}
+      onStmt_(std::move(onStmt)),
+      onExpr_(std::move(onExpr)) {}
 
-ExprId Cloner::cloneExpr(ExprId id) {
-  const Expr& e = src_.expr(id);
-  Expr out = e;
-  if (e.kind == ExprKind::Local) {
-    CGRA_ASSERT(e.local < localMap_.size());
-    out.local = localMap_[e.local];
-  }
-  if (out.lhs != kNoExpr) out.lhs = cloneExpr(e.lhs);
-  if (out.rhs != kNoExpr) out.rhs = cloneExpr(e.rhs);
-  return dst_.addExpr(out);
+StmtId Cloner::stmt(StmtId id) {
+  if (onStmt_)
+    if (const StmtId out = onStmt_(id, *this); out != kNoStmt) return out;
+  return copyStmt(id);
 }
 
-StmtId Cloner::cloneStmt(StmtId id) {
+ExprId Cloner::expr(ExprId id) {
+  if (onExpr_)
+    if (const ExprId out = onExpr_(id, *this); out != kNoExpr) return out;
+  return copyExpr(id);
+}
+
+ExprId Cloner::copyExpr(ExprId id) {
+  const Expr& e = src_.expr(id);
+  switch (e.kind) {
+    case ExprKind::Const: return build_.cint(e.value);
+    case ExprKind::Local: return build_.use(local(e.local));
+    case ExprKind::Unary: return build_.neg(expr(e.lhs));
+    default: break;
+  }
+  const ExprId lhs = expr(e.lhs);
+  const ExprId rhs = expr(e.rhs);
+  switch (e.kind) {
+    case ExprKind::Binary: return build_.bin(e.op, lhs, rhs);
+    case ExprKind::Compare: return build_.cmp(e.op, lhs, rhs);
+    case ExprKind::ArrayLoad: return build_.load(lhs, rhs);
+    case ExprKind::LogicalAnd: return build_.land(lhs, rhs);
+    case ExprKind::LogicalOr: return build_.lor(lhs, rhs);
+    default: CGRA_UNREACHABLE("bad expression kind");
+  }
+}
+
+StmtId Cloner::copyStmt(StmtId id) {
   const Stmt& s = src_.stmt(id);
   switch (s.kind) {
-    case StmtKind::Assign: {
-      Stmt out;
-      out.kind = StmtKind::Assign;
-      out.target = localMap_[s.target];
-      out.value = cloneExpr(s.value);
-      return dst_.addStmt(std::move(out));
-    }
+    case StmtKind::Assign: return build_.assign(local(s.target), expr(s.value));
     case StmtKind::ArrayStore: {
-      Stmt out;
-      out.kind = StmtKind::ArrayStore;
-      out.handle = cloneExpr(s.handle);
-      out.index = cloneExpr(s.index);
-      out.value = cloneExpr(s.value);
-      return dst_.addStmt(std::move(out));
+      const ExprId handle = expr(s.handle);
+      const ExprId index = expr(s.index);
+      return build_.arrayStore(handle, index, expr(s.value));
     }
     case StmtKind::If: {
-      Stmt out;
-      out.kind = StmtKind::If;
-      out.cond = cloneExpr(s.cond);
-      out.thenBlock = cloneStmt(s.thenBlock);
-      out.elseBlock = s.elseBlock == kNoStmt ? kNoStmt : cloneStmt(s.elseBlock);
-      return dst_.addStmt(std::move(out));
+      const ExprId cond = expr(s.cond);
+      const StmtId thenB = stmt(s.thenBlock);
+      return build_.ifElse(cond, thenB, optionalStmt(s.elseBlock));
     }
     case StmtKind::While: {
-      Stmt out;
-      out.kind = StmtKind::While;
-      out.cond = cloneExpr(s.cond);
-      out.body = cloneStmt(s.body);
-      return dst_.addStmt(std::move(out));
+      const ExprId cond = expr(s.cond);
+      return build_.whileLoop(cond, stmt(s.body));
     }
-    case StmtKind::Call:
-      if (!onCall_)
-        throw Error("pass cannot handle Call statements; inline first");
-      return onCall_(s, *this);
+    case StmtKind::Call: {
+      std::vector<ExprId> args;
+      for (ExprId a : s.args) args.push_back(expr(a));
+      return build_.call(local(s.target), s.callee, std::move(args));
+    }
     case StmtKind::Block: {
-      Stmt out;
-      out.kind = StmtKind::Block;
-      for (StmtId c : s.stmts) out.stmts.push_back(cloneStmt(c));
-      return dst_.addStmt(std::move(out));
+      std::vector<StmtId> stmts;
+      for (StmtId c : s.stmts) stmts.push_back(stmt(c));
+      return build_.block(std::move(stmts));
     }
-    case StmtKind::Break:
-    case StmtKind::Continue: {
-      Stmt out;
-      out.kind = s.kind;
-      return dst_.addStmt(std::move(out));
-    }
-    case StmtKind::Return: {
-      Stmt out;
-      out.kind = StmtKind::Return;
-      if (s.value != kNoExpr) {
-        out.value = cloneExpr(s.value);
-        out.target = localMap_[s.target];
-      }
-      return dst_.addStmt(std::move(out));
-    }
+    case StmtKind::Break: return build_.breakLoop();
+    case StmtKind::Continue: return build_.continueLoop();
+    case StmtKind::Return:
+      if (s.value == kNoExpr) return build_.ret();
+      return build_.ret(local(s.target), expr(s.value));
     case StmtKind::Switch: {
-      Stmt out;
-      out.kind = StmtKind::Switch;
-      out.cond = cloneExpr(s.cond);
-      out.caseValues = s.caseValues;
-      for (StmtId arm : s.stmts) out.stmts.push_back(cloneStmt(arm));
-      out.body = s.body == kNoStmt ? kNoStmt : cloneStmt(s.body);
-      return dst_.addStmt(std::move(out));
+      const ExprId cond = expr(s.cond);
+      std::vector<StmtId> arms;
+      for (StmtId arm : s.stmts) arms.push_back(stmt(arm));
+      return build_.switchStmt(cond, s.caseValues, std::move(arms),
+                               optionalStmt(s.body));
     }
   }
   CGRA_UNREACHABLE("bad statement kind");
@@ -102,23 +96,14 @@ std::vector<LocalId> identityMap(const Function& fn, Function& dst) {
   return map;
 }
 
-bool containsLoop(const Function& fn, StmtId id) {
-  const Stmt& s = fn.stmt(id);
-  switch (s.kind) {
-    case StmtKind::While: return true;
-    case StmtKind::If:
-      return containsLoop(fn, s.thenBlock) ||
-             (s.elseBlock != kNoStmt && containsLoop(fn, s.elseBlock));
-    case StmtKind::Block:
-      for (StmtId c : s.stmts)
-        if (containsLoop(fn, c)) return true;
-      return false;
-    case StmtKind::Switch:
-      for (StmtId arm : s.stmts)
-        if (containsLoop(fn, arm)) return true;
-      return s.body != kNoStmt && containsLoop(fn, s.body);
-    default: return false;
-  }
+Function rewriteFunction(const Function& fn, Cloner::StmtHook onStmt,
+                         Cloner::ExprHook onExpr) {
+  Function out(fn.name());
+  Cloner cl(fn, out, identityMap(fn, out), std::move(onStmt),
+            std::move(onExpr));
+  out.setBody(cl.stmt(fn.body()));
+  out.validate();
+  return out;
 }
 
 namespace {
@@ -181,12 +166,15 @@ void walkStmts(const Function& fn, StmtId id,
 
 }  // namespace
 
-bool containsStmtKind(const Function& fn, StmtKind kind) {
-  if (fn.body() == kNoStmt) return false;
+bool containsStmtKind(const Function& fn, StmtId root, StmtKind kind) {
   bool found = false;
-  walkStmts(fn, fn.body(),
+  walkStmts(fn, root,
             [&](const Stmt& s) { found = found || s.kind == kind; }, nullptr);
   return found;
+}
+
+bool containsStmtKind(const Function& fn, StmtKind kind) {
+  return fn.body() != kNoStmt && containsStmtKind(fn, fn.body(), kind);
 }
 
 bool containsExprKind(const Function& fn, ExprKind kind) {

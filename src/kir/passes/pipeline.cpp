@@ -7,6 +7,7 @@
 #include "kir/passes/inline_pass.hpp"
 #include "kir/passes/pass_utils.hpp"
 #include "kir/passes/shortcircuit_pass.hpp"
+#include "kir/passes/switch_lower_pass.hpp"
 #include "kir/passes/unroll_pass.hpp"
 
 namespace cgra::kir {
@@ -67,7 +68,7 @@ FrontendResult runFrontendPipeline(const Function& fn,
   // 3. Switch.
   {
     const bool run = containsStmtKind(result.fn, StmtKind::Switch);
-    if (run) result.fn = lowerSwitches(result.fn, options.switchStrategy);
+    if (run) result.fn = lowerSwitches(result.fn);
     record("switch-lower", run);
   }
 

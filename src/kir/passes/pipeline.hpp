@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "kir/kir.hpp"
-#include "kir/passes/switch_lower_pass.hpp"
 
 namespace cgra::kir {
 
@@ -34,7 +33,6 @@ inline constexpr unsigned kMaxUnrollFactor = 16;
 /// when its construct is present); the optimization stages (unroll, cse)
 /// are off by default. Unrolling covers innermost loops only.
 struct FrontendOptions {
-  SwitchStrategy switchStrategy = SwitchStrategy::Auto;
   unsigned unrollFactor = 1;    ///< < 2 disables; at most kMaxUnrollFactor
   bool cse = false;
   bool captureStages = false;   ///< record IR text after every stage

@@ -1,6 +1,7 @@
 #include "kir/passes/shortcircuit_pass.hpp"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kir/passes/pass_utils.hpp"
@@ -19,220 +20,98 @@ bool exprHasSc(const Function& fn, ExprId id) {
 
 struct ScLowerer {
   const Function& src;
-  Function& out;
-  Cloner& cl;
   unsigned tempCounter = 0;
-
-  ExprId readLocal(LocalId l) {
-    Expr e;
-    e.kind = ExprKind::Local;
-    e.local = l;
-    return out.addExpr(e);
-  }
-
-  ExprId constant(std::int32_t v) {
-    Expr e;
-    e.kind = ExprKind::Const;
-    e.value = v;
-    return out.addExpr(e);
-  }
-
-  ExprId compare(Op op, ExprId a, ExprId b) {
-    Expr e;
-    e.kind = ExprKind::Compare;
-    e.op = op;
-    e.lhs = a;
-    e.rhs = b;
-    return out.addExpr(e);
-  }
-
-  StmtId assignExpr(LocalId target, ExprId value) {
-    Stmt s;
-    s.kind = StmtKind::Assign;
-    s.target = target;
-    s.value = value;
-    return out.addStmt(std::move(s));
-  }
-
-  StmtId ifStmt(ExprId cond, StmtId thenB) {
-    Stmt s;
-    s.kind = StmtKind::If;
-    s.cond = cond;
-    s.thenBlock = thenB;
-    return out.addStmt(std::move(s));
-  }
-
-  StmtId block(std::vector<StmtId> stmts) {
-    Stmt s;
-    s.kind = StmtKind::Block;
-    s.stmts = std::move(stmts);
-    return out.addStmt(std::move(s));
-  }
+  /// Where the expression being rewritten emits its prelude statements.
+  std::vector<StmtId>* prelude = nullptr;
 
   /// Branch condition "x is truthy" — comparisons pass through, anything
   /// else is wrapped in `!= 0`.
-  ExprId truthy(ExprId x) {
-    if (out.expr(x).kind == ExprKind::Compare) return x;
-    return compare(Op::IFNE, x, constant(0));
+  static ExprId truthy(FunctionBuilder& b, ExprId x) {
+    if (b.fn().expr(x).kind == ExprKind::Compare) return x;
+    return b.ne(x, b.cint(0));
   }
 
-  ExprId falsy(ExprId x) { return compare(Op::IFEQ, x, constant(0)); }
+  static ExprId falsy(FunctionBuilder& b, ExprId x) {
+    return b.eq(x, b.cint(0));
+  }
 
-  /// Rewrites `id` (a src expression), appending prelude statements to
-  /// `seq`; returns the replacement dst expression.
-  ExprId lowerExpr(ExprId id, std::vector<StmtId>& seq) {
+  /// Rewrites `id` (a src expression) with its prelude going to `seq`.
+  ExprId lowerExprInto(ExprId id, std::vector<StmtId>& seq, Cloner& cl) {
+    std::vector<StmtId>* outer = std::exchange(prelude, &seq);
+    const ExprId out = cl.expr(id);
+    prelude = outer;
+    return out;
+  }
+
+  /// Expression hook: `&&` / `||` become a 0/1 temp set by nested ifs.
+  ExprId lowerExpr(ExprId id, Cloner& cl) {
     const Expr& e = src.expr(id);
-    switch (e.kind) {
-      case ExprKind::LogicalAnd: {
-        const LocalId t =
-            out.addLocal("$sc" + std::to_string(tempCounter++), false);
-        const ExprId a = lowerExpr(e.lhs, seq);
-        seq.push_back(assignExpr(t, constant(0)));
-        std::vector<StmtId> lazy;
-        const ExprId b = lowerExpr(e.rhs, lazy);
-        lazy.push_back(ifStmt(truthy(b), assignExpr(t, constant(1))));
-        seq.push_back(ifStmt(truthy(a), block(std::move(lazy))));
-        return readLocal(t);
-      }
-      case ExprKind::LogicalOr: {
-        const LocalId t =
-            out.addLocal("$sc" + std::to_string(tempCounter++), false);
-        const ExprId a = lowerExpr(e.lhs, seq);
-        seq.push_back(assignExpr(t, constant(1)));
-        std::vector<StmtId> lazy;
-        const ExprId b = lowerExpr(e.rhs, lazy);
-        lazy.push_back(ifStmt(falsy(b), assignExpr(t, constant(0))));
-        seq.push_back(ifStmt(falsy(a), block(std::move(lazy))));
-        return readLocal(t);
-      }
-      default: {
-        Expr outE = e;
-        if (e.kind == ExprKind::Local) outE.local = cl.localMap()[e.local];
-        if (e.lhs != kNoExpr) outE.lhs = lowerExpr(e.lhs, seq);
-        if (e.rhs != kNoExpr) outE.rhs = lowerExpr(e.rhs, seq);
-        return out.addExpr(outE);
-      }
-    }
+    const bool isAnd = e.kind == ExprKind::LogicalAnd;
+    if (!isAnd && e.kind != ExprKind::LogicalOr) return kNoExpr;
+    FunctionBuilder& b = cl.build();
+    // Each operand that fails to decide the result moves on to the next:
+    // a true one for `&&`, a false one for `||`.
+    const auto undecided = [&](ExprId x) {
+      return isAnd ? truthy(b, x) : falsy(b, x);
+    };
+    const LocalId t = b.localVar("$sc" + std::to_string(tempCounter++));
+    std::vector<StmtId>& seq = *prelude;
+    const ExprId lhs = cl.expr(e.lhs);
+    seq.push_back(b.assign(t, b.cint(isAnd ? 0 : 1)));
+    std::vector<StmtId> lazy;
+    const ExprId rhs = lowerExprInto(e.rhs, lazy, cl);
+    lazy.push_back(
+        b.ifElse(undecided(rhs), b.assign(t, b.cint(isAnd ? 1 : 0))));
+    seq.push_back(b.ifElse(undecided(lhs), b.block(std::move(lazy))));
+    return b.use(t);
   }
 
-  /// Appends the transformed statement(s) for `id` to `seq`.
-  void lowerStmt(StmtId id, std::vector<StmtId>& seq) {
+  /// Appends the rewrite of `id` to `seq`, its preludes first.
+  void lowerStmtInto(StmtId id, std::vector<StmtId>& seq, Cloner& cl) {
     const Stmt& s = src.stmt(id);
-    switch (s.kind) {
-      case StmtKind::Assign: {
-        const ExprId v = lowerExpr(s.value, seq);
-        seq.push_back(assignExpr(cl.localMap()[s.target], v));
-        return;
-      }
-      case StmtKind::ArrayStore: {
-        Stmt store;
-        store.kind = StmtKind::ArrayStore;
-        store.handle = lowerExpr(s.handle, seq);
-        store.index = lowerExpr(s.index, seq);
-        store.value = lowerExpr(s.value, seq);
-        seq.push_back(out.addStmt(std::move(store)));
-        return;
-      }
-      case StmtKind::If: {
-        const ExprId c = lowerExpr(s.cond, seq);
-        Stmt ifS;
-        ifS.kind = StmtKind::If;
-        ifS.cond = c;
-        ifS.thenBlock = lowerSingle(s.thenBlock);
-        ifS.elseBlock =
-            s.elseBlock == kNoStmt ? kNoStmt : lowerSingle(s.elseBlock);
-        seq.push_back(out.addStmt(std::move(ifS)));
-        return;
-      }
-      case StmtKind::While: {
-        if (!exprHasSc(src, s.cond)) {
-          std::vector<StmtId> condPre;  // stays empty: no sc in cond
-          const ExprId c = lowerExpr(s.cond, condPre);
-          CGRA_ASSERT(condPre.empty());
-          Stmt loop;
-          loop.kind = StmtKind::While;
-          loop.cond = c;
-          loop.body = lowerSingle(s.body);
-          seq.push_back(out.addStmt(std::move(loop)));
-          return;
-        }
-        // Lazy condition: re-evaluate at the top of every iteration.
-        std::vector<StmtId> bodySeq;
-        const ExprId c = lowerExpr(s.cond, bodySeq);
-        Stmt brk;
-        brk.kind = StmtKind::Break;
-        bodySeq.push_back(ifStmt(falsy(c), out.addStmt(std::move(brk))));
-        lowerStmt(s.body, bodySeq);
-        Stmt loop;
-        loop.kind = StmtKind::While;
-        loop.cond = compare(Op::IFNE, constant(1), constant(0));
-        loop.body = block(std::move(bodySeq));
-        seq.push_back(out.addStmt(std::move(loop)));
-        return;
-      }
-      case StmtKind::Switch: {
-        const ExprId scrut = lowerExpr(s.cond, seq);
-        Stmt sw;
-        sw.kind = StmtKind::Switch;
-        sw.cond = scrut;
-        sw.caseValues = s.caseValues;
-        for (StmtId arm : s.stmts) sw.stmts.push_back(lowerSingle(arm));
-        sw.body = s.body == kNoStmt ? kNoStmt : lowerSingle(s.body);
-        seq.push_back(out.addStmt(std::move(sw)));
-        return;
-      }
-      case StmtKind::Return: {
-        if (s.value == kNoExpr) {
-          seq.push_back(cl.cloneStmt(id));
-          return;
-        }
-        const ExprId v = lowerExpr(s.value, seq);
-        Stmt ret;
-        ret.kind = StmtKind::Return;
-        ret.target = cl.localMap()[s.target];
-        ret.value = v;
-        seq.push_back(out.addStmt(std::move(ret)));
-        return;
-      }
-      case StmtKind::Call: {
-        Stmt call;
-        call.kind = StmtKind::Call;
-        call.target = cl.localMap()[s.target];
-        call.callee = s.callee;
-        for (ExprId a : s.args) call.args.push_back(lowerExpr(a, seq));
-        seq.push_back(out.addStmt(std::move(call)));
-        return;
-      }
-      case StmtKind::Block: {
-        std::vector<StmtId> inner;
-        for (StmtId c : s.stmts) lowerStmt(c, inner);
-        seq.push_back(block(std::move(inner)));
-        return;
-      }
-      default:  // Break / Continue
-        seq.push_back(cl.cloneStmt(id));
-        return;
+    if (s.kind == StmtKind::Block || isLazyLoop(s)) {
+      seq.push_back(lowerStmt(id, cl));
+      return;
     }
+    std::vector<StmtId>* outer = std::exchange(prelude, &seq);
+    const StmtId out = cl.copyStmt(id);
+    prelude = outer;
+    seq.push_back(out);
   }
 
-  /// Transforms `id` into exactly one statement (wrapping preludes).
-  StmtId lowerSingle(StmtId id) {
+  bool isLazyLoop(const Stmt& s) const {
+    return s.kind == StmtKind::While && exprHasSc(src, s.cond);
+  }
+
+  /// Statement hook: rewrites `id` into exactly one statement (a block when
+  /// preludes precede it).
+  StmtId lowerStmt(StmtId id, Cloner& cl) {
+    const Stmt& s = src.stmt(id);
+    FunctionBuilder& b = cl.build();
     std::vector<StmtId> seq;
-    lowerStmt(id, seq);
-    if (seq.size() == 1) return seq[0];
-    return block(std::move(seq));
+    if (s.kind == StmtKind::Block) {
+      for (StmtId c : s.stmts) lowerStmtInto(c, seq, cl);
+      return b.block(std::move(seq));
+    }
+    if (isLazyLoop(s)) {
+      // Lazy condition: re-evaluate at the top of every iteration.
+      const ExprId c = lowerExprInto(s.cond, seq, cl);
+      seq.push_back(b.ifElse(falsy(b, c), b.breakLoop()));
+      lowerStmtInto(s.body, seq, cl);
+      return b.whileLoop(b.ne(b.cint(1), b.cint(0)), b.block(std::move(seq)));
+    }
+    lowerStmtInto(id, seq, cl);
+    return seq.size() == 1 ? seq[0] : b.block(std::move(seq));
   }
 };
 
 }  // namespace
 
 Function lowerShortCircuit(const Function& fn) {
-  Function out(fn.name());
-  Cloner cl(fn, out, identityMap(fn, out));
-  ScLowerer lowerer{fn, out, cl, 0};
-  out.setBody(lowerer.lowerSingle(fn.body()));
-  out.validate();
-  return out;
+  ScLowerer lowerer{fn};
+  return rewriteFunction(
+      fn, [&](StmtId id, Cloner& cl) { return lowerer.lowerStmt(id, cl); },
+      [&](ExprId id, Cloner& cl) { return lowerer.lowerExpr(id, cl); });
 }
 
 }  // namespace cgra::kir

@@ -1,7 +1,6 @@
 #include "kir/passes/switch_lower_pass.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -16,66 +15,18 @@ constexpr std::size_t kAutoBucketThreshold = 6;
 
 struct SwitchLowerer {
   const Function& src;
-  Function& out;
-  Cloner& cl;
   SwitchStrategy strategy;
   unsigned tempCounter = 0;
 
-  ExprId readLocal(LocalId l) {
-    Expr e;
-    e.kind = ExprKind::Local;
-    e.local = l;
-    return out.addExpr(e);
-  }
-
-  ExprId constant(std::int32_t v) {
-    Expr e;
-    e.kind = ExprKind::Const;
-    e.value = v;
-    return out.addExpr(e);
-  }
-
-  ExprId compare(Op op, ExprId a, ExprId b) {
-    Expr e;
-    e.kind = ExprKind::Compare;
-    e.op = op;
-    e.lhs = a;
-    e.rhs = b;
-    return out.addExpr(e);
-  }
-
-  StmtId assignConst(LocalId target, std::int32_t v) {
-    Stmt s;
-    s.kind = StmtKind::Assign;
-    s.target = target;
-    s.value = constant(v);
-    return out.addStmt(std::move(s));
-  }
-
-  StmtId ifStmt(ExprId cond, StmtId thenB, StmtId elseB = kNoStmt) {
-    Stmt s;
-    s.kind = StmtKind::If;
-    s.cond = cond;
-    s.thenBlock = thenB;
-    s.elseBlock = elseB;
-    return out.addStmt(std::move(s));
-  }
-
-  StmtId block(std::vector<StmtId> stmts) {
-    Stmt s;
-    s.kind = StmtKind::Block;
-    s.stmts = std::move(stmts);
-    return out.addStmt(std::move(s));
-  }
-
   /// Linear strategy: if (sw == v0) arm0 else if (sw == v1) arm1 ... else
   /// default — the ladder follows declaration order.
-  StmtId lowerLinear(const Stmt& s, LocalId sw, StmtId defaultArm) {
+  StmtId lowerLinear(const Stmt& s, LocalId sw, StmtId defaultArm,
+                     Cloner& cl) {
+    FunctionBuilder& b = cl.build();
     StmtId chain = defaultArm;  // may be kNoStmt
     for (std::size_t i = s.stmts.size(); i-- > 0;) {
-      const ExprId eq = compare(Op::IFEQ, readLocal(sw),
-                                constant(s.caseValues[i]));
-      chain = ifStmt(eq, lower(s.stmts[i]), chain);
+      const ExprId eq = b.eq(b.use(sw), b.cint(s.caseValues[i]));
+      chain = b.ifElse(eq, cl.stmt(s.stmts[i]), chain);
     }
     return chain;
   }
@@ -88,22 +39,25 @@ struct SwitchLowerer {
 
   StmtId lowerBucketTree(const Stmt& s, LocalId sw, LocalId hit,
                          const std::vector<std::size_t>& order,
-                         std::size_t lo, std::size_t hi) {
+                         std::size_t lo, std::size_t hi, Cloner& cl) {
+    FunctionBuilder& b = cl.build();
     if (hi - lo == 1) {
       const std::size_t armIdx = order[lo];
-      const ExprId eq = compare(Op::IFEQ, readLocal(sw),
-                                constant(s.caseValues[armIdx]));
-      if (hit == kNoHit) return ifStmt(eq, lower(s.stmts[armIdx]));
-      return ifStmt(eq, block({lower(s.stmts[armIdx]), assignConst(hit, 1)}));
+      const ExprId eq = b.eq(b.use(sw), b.cint(s.caseValues[armIdx]));
+      if (hit == kNoHit) return b.ifElse(eq, cl.stmt(s.stmts[armIdx]));
+      return b.ifElse(
+          eq, b.block({cl.stmt(s.stmts[armIdx]), b.assign(hit, b.cint(1))}));
     }
     const std::size_t mid = lo + (hi - lo) / 2;
-    const ExprId lt = compare(Op::IFLT, readLocal(sw),
-                              constant(s.caseValues[order[mid]]));
-    return ifStmt(lt, lowerBucketTree(s, sw, hit, order, lo, mid),
-                  lowerBucketTree(s, sw, hit, order, mid, hi));
+    const ExprId lt = b.lt(b.use(sw), b.cint(s.caseValues[order[mid]]));
+    return b.ifElse(lt, lowerBucketTree(s, sw, hit, order, lo, mid, cl),
+                    lowerBucketTree(s, sw, hit, order, mid, hi, cl));
   }
 
-  StmtId lowerSwitchStmt(const Stmt& s) {
+  StmtId lowerSwitch(StmtId id, Cloner& cl) {
+    const Stmt& s = src.stmt(id);
+    if (s.kind != StmtKind::Switch) return kNoStmt;
+    FunctionBuilder& b = cl.build();
     const bool bucket =
         strategy == SwitchStrategy::Bucket ||
         (strategy == SwitchStrategy::Auto &&
@@ -111,83 +65,48 @@ struct SwitchLowerer {
     const unsigned n = tempCounter++;
 
     // Evaluate the scrutinee exactly once.
-    const LocalId sw = out.addLocal("$sw" + std::to_string(n), false);
-    Stmt bind;
-    bind.kind = StmtKind::Assign;
-    bind.target = sw;
-    bind.value = cl.cloneExpr(s.cond);
-    std::vector<StmtId> seq{out.addStmt(std::move(bind))};
+    const LocalId sw = b.localVar("$sw" + std::to_string(n));
+    std::vector<StmtId> seq{b.assign(sw, cl.expr(s.cond))};
 
-    const StmtId defaultArm = s.body == kNoStmt ? kNoStmt : lower(s.body);
+    const StmtId defaultArm = s.body == kNoStmt ? kNoStmt : cl.stmt(s.body);
 
     if (s.stmts.empty()) {
       // Degenerate switch: only a default arm (or nothing at all).
       if (defaultArm != kNoStmt) seq.push_back(defaultArm);
-      return block(std::move(seq));
+      return b.block(std::move(seq));
     }
 
     if (!bucket) {
-      seq.push_back(lowerLinear(s, sw, defaultArm));
-      return block(std::move(seq));
+      seq.push_back(lowerLinear(s, sw, defaultArm, cl));
+      return b.block(std::move(seq));
     }
 
     std::vector<std::size_t> order(s.stmts.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return s.caseValues[a] < s.caseValues[b];
+    std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+      return s.caseValues[x] < s.caseValues[y];
     });
 
     if (defaultArm == kNoStmt) {
-      seq.push_back(lowerBucketTree(s, sw, kNoHit, order, 0, order.size()));
-      return block(std::move(seq));
+      seq.push_back(
+          lowerBucketTree(s, sw, kNoHit, order, 0, order.size(), cl));
+      return b.block(std::move(seq));
     }
-    const LocalId hit = out.addLocal("$swhit" + std::to_string(n), false);
-    seq.push_back(assignConst(hit, 0));
-    seq.push_back(lowerBucketTree(s, sw, hit, order, 0, order.size()));
-    seq.push_back(
-        ifStmt(compare(Op::IFEQ, readLocal(hit), constant(0)), defaultArm));
-    return block(std::move(seq));
-  }
-
-  StmtId lower(StmtId id) {
-    const Stmt& s = src.stmt(id);
-    switch (s.kind) {
-      case StmtKind::Switch: return lowerSwitchStmt(s);
-      case StmtKind::If: {
-        Stmt ifS;
-        ifS.kind = StmtKind::If;
-        ifS.cond = cl.cloneExpr(s.cond);
-        ifS.thenBlock = lower(s.thenBlock);
-        ifS.elseBlock = s.elseBlock == kNoStmt ? kNoStmt : lower(s.elseBlock);
-        return out.addStmt(std::move(ifS));
-      }
-      case StmtKind::While: {
-        Stmt loop;
-        loop.kind = StmtKind::While;
-        loop.cond = cl.cloneExpr(s.cond);
-        loop.body = lower(s.body);
-        return out.addStmt(std::move(loop));
-      }
-      case StmtKind::Block: {
-        Stmt blk;
-        blk.kind = StmtKind::Block;
-        for (StmtId c : s.stmts) blk.stmts.push_back(lower(c));
-        return out.addStmt(std::move(blk));
-      }
-      default: return cl.cloneStmt(id);
-    }
+    const LocalId hit = b.localVar("$swhit" + std::to_string(n));
+    seq.push_back(b.assign(hit, b.cint(0)));
+    seq.push_back(lowerBucketTree(s, sw, hit, order, 0, order.size(), cl));
+    seq.push_back(b.ifElse(b.eq(b.use(hit), b.cint(0)), defaultArm));
+    return b.block(std::move(seq));
   }
 };
 
 }  // namespace
 
 Function lowerSwitches(const Function& fn, SwitchStrategy strategy) {
-  Function out(fn.name());
-  Cloner cl(fn, out, identityMap(fn, out));
-  SwitchLowerer lowerer{fn, out, cl, strategy, 0};
-  out.setBody(lowerer.lower(fn.body()));
-  out.validate();
-  return out;
+  SwitchLowerer lowerer{fn, strategy};
+  return rewriteFunction(fn, [&](StmtId id, Cloner& cl) {
+    return lowerer.lowerSwitch(id, cl);
+  });
 }
 
 }  // namespace cgra::kir

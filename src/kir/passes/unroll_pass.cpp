@@ -1,95 +1,30 @@
 #include "kir/passes/unroll_pass.hpp"
 
-#include <functional>
-
 #include "kir/passes/pass_utils.hpp"
 
 namespace cgra::kir {
 
 Function unrollLoops(const Function& fn, unsigned factor, bool innermostOnly) {
-  if (factor < 2) {
-    Function out(fn.name());
-    Cloner cl(fn, out, identityMap(fn, out));
-    out.setBody(cl.cloneStmt(fn.body()));
-    return out;
-  }
-
-  Function out(fn.name());
-  auto map = identityMap(fn, out);
-
-  // Rebuild recursively; While nodes meeting the criterion get their body
-  // replicated `factor` times, each repetition after the first guarded by a
-  // fresh evaluation of the loop condition.
-  std::function<StmtId(StmtId, Cloner&)> rebuild = [&](StmtId id,
-                                                       Cloner& cl) -> StmtId {
+  // While nodes meeting the criterion get their body replicated `factor`
+  // times, each repetition after the first guarded by a fresh evaluation of
+  // the loop condition.
+  return rewriteFunction(fn, [&](StmtId id, Cloner& cl) -> StmtId {
     const Stmt& s = fn.stmt(id);
-    switch (s.kind) {
-      case StmtKind::While: {
-        const bool unrollThis = !innermostOnly || !containsLoop(fn, s.body);
-        if (!unrollThis) {
-          Stmt loop;
-          loop.kind = StmtKind::While;
-          loop.cond = cl.cloneExpr(s.cond);
-          loop.body = rebuild(s.body, cl);
-          return out.addStmt(std::move(loop));
-        }
-        // innermost copies first: if (c) { B } nested (factor-1) deep.
-        StmtId tail = kNoStmt;
-        for (unsigned rep = factor; rep >= 2; --rep) {
-          std::vector<StmtId> seq{rebuild(s.body, cl)};
-          if (tail != kNoStmt) seq.push_back(tail);
-          Stmt blockS;
-          blockS.kind = StmtKind::Block;
-          blockS.stmts = std::move(seq);
-          const StmtId blk = out.addStmt(std::move(blockS));
-          Stmt guard;
-          guard.kind = StmtKind::If;
-          guard.cond = cl.cloneExpr(s.cond);
-          guard.thenBlock = blk;
-          tail = out.addStmt(std::move(guard));
-        }
-        Stmt bodyS;
-        bodyS.kind = StmtKind::Block;
-        bodyS.stmts = {rebuild(s.body, cl), tail};
-        const StmtId newBody = out.addStmt(std::move(bodyS));
-        Stmt loop;
-        loop.kind = StmtKind::While;
-        loop.cond = cl.cloneExpr(s.cond);
-        loop.body = newBody;
-        return out.addStmt(std::move(loop));
-      }
-      case StmtKind::If: {
-        Stmt ifS;
-        ifS.kind = StmtKind::If;
-        ifS.cond = cl.cloneExpr(s.cond);
-        ifS.thenBlock = rebuild(s.thenBlock, cl);
-        ifS.elseBlock =
-            s.elseBlock == kNoStmt ? kNoStmt : rebuild(s.elseBlock, cl);
-        return out.addStmt(std::move(ifS));
-      }
-      case StmtKind::Switch: {
-        Stmt sw;
-        sw.kind = StmtKind::Switch;
-        sw.cond = cl.cloneExpr(s.cond);
-        sw.caseValues = s.caseValues;
-        for (StmtId arm : s.stmts) sw.stmts.push_back(rebuild(arm, cl));
-        sw.body = s.body == kNoStmt ? kNoStmt : rebuild(s.body, cl);
-        return out.addStmt(std::move(sw));
-      }
-      case StmtKind::Block: {
-        Stmt blockS;
-        blockS.kind = StmtKind::Block;
-        for (StmtId c : s.stmts) blockS.stmts.push_back(rebuild(c, cl));
-        return out.addStmt(std::move(blockS));
-      }
-      default: return cl.cloneStmt(id);
+    if (factor < 2 || s.kind != StmtKind::While ||
+        (innermostOnly && containsStmtKind(fn, s.body, StmtKind::While)))
+      return kNoStmt;
+    FunctionBuilder& b = cl.build();
+    // innermost copies first: if (c) { B } nested (factor-1) deep.
+    StmtId tail = kNoStmt;
+    for (unsigned rep = factor; rep >= 2; --rep) {
+      std::vector<StmtId> seq{cl.stmt(s.body)};
+      if (tail != kNoStmt) seq.push_back(tail);
+      const StmtId blk = b.block(std::move(seq));
+      tail = b.ifElse(cl.expr(s.cond), blk);
     }
-  };
-
-  Cloner cl(fn, out, std::move(map));
-  out.setBody(rebuild(fn.body(), cl));
-  out.validate();
-  return out;
+    const StmtId newBody = b.block({cl.stmt(s.body), tail});
+    return b.whileLoop(cl.expr(s.cond), newBody);
+  });
 }
 
 }  // namespace cgra::kir

@@ -919,6 +919,50 @@ TEST(ArtifactStore, EightThreadsHammerOneCacheDirectory) {
   }
 }
 
+TEST(ArtifactStore, FileEvictedDuringAProbeIsAMissNotInvalid) {
+  // The tsan preset runs this too. Four threads resolve six keys in turn,
+  // with no memory tier and a disk tier of two and a half artifacts: every
+  // repeat probes the disk while other threads' inserts evict files. A
+  // file evicted under a probe is a plain miss; `invalid` counts only
+  // files that open and then fail to parse or verify.
+  const TempDir dir("evict-race");
+  const Composition comp = makeMesh(4);
+  const Cdfg graph = kir::lowerToCdfg(apps::makeGcd(4, 6).fn).graph;
+  const artifact::ScheduleArtifact base =
+      makeArtifact(comp, graph, scheduleJobKey(comp, graph, {}));
+  const auto withKey = [&base](const std::string& key) {
+    artifact::ScheduleArtifact art = base;
+    art.key = key;
+    return art;
+  };
+  const std::size_t oneArtifact =
+      withKey(base.key + "-0").toJson().dump(0).size() + 1;
+
+  artifact::StoreOptions so;
+  so.directory = dir.str();
+  so.maxMemoryEntries = 0;
+  so.maxDiskBytes = 2 * oneArtifact + oneArtifact / 2;
+  artifact::ArtifactStore store(so);
+
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      for (unsigned i = 0; i < 150; ++i) {
+        const std::string key = base.key + "-" + std::to_string((t + i) % 6);
+        const auto got =
+            store.resolve(key, comp, graph, [&] { return withKey(key); })
+                .artifact;
+        ASSERT_NE(got, nullptr);
+        EXPECT_EQ(got->key, key);
+      }
+    });
+  for (std::thread& t : threads) t.join();
+
+  const artifact::StoreCounters c = store.counters();
+  EXPECT_GT(c.evictions, 0u);
+  EXPECT_EQ(c.invalid, 0u);
+}
+
 /// Runs `callers` threads that each resolve `key` at once and collects what
 /// they saw; `compute` is shared by all of them.
 struct ResolveRace {

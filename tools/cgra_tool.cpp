@@ -77,9 +77,6 @@ constexpr FlagSpec kFlagTable[] = {
     {"kernel-dir", true, false, "DIR",
      "directory the `suite` kernel token expands from (default "
      "examples/kernels)"},
-    {"switch-strategy", true, false, "NAME",
-     "switch lowering: auto|linear|bucket (default auto: bucket at >= 6 "
-     "cases)"},
     {"local", true, true, "NAME=V", "initial value of a kernel local"},
     {"array", true, true, "NAME=V1,V2,...",
      "heap array bound to a kernel parameter"},
@@ -394,21 +391,13 @@ std::vector<std::string> expandKernelList(const Args& args,
   return out;
 }
 
-/// Maps --unroll/--cse/--switch-strategy onto the frontend pipeline
+/// Maps --unroll/--cse onto the frontend pipeline
 /// configuration shared by schedule/simulate/sweep/explore/kir.
 kir::FrontendOptions frontendOptions(const Args& args) {
   kir::FrontendOptions fo;
   fo.cse = args.has("cse");
   fo.unrollFactor =
       args.getInt<unsigned>("unroll", 1, 0, kir::kMaxUnrollFactor);
-  const std::string strategy = args.get("switch-strategy", "auto");
-  if (strategy == "linear")
-    fo.switchStrategy = kir::SwitchStrategy::Linear;
-  else if (strategy == "bucket")
-    fo.switchStrategy = kir::SwitchStrategy::Bucket;
-  else if (strategy != "auto")
-    throw Error("unknown --switch-strategy \"" + strategy +
-                "\" (expected auto, linear or bucket)");
   return fo;
 }
 
@@ -1006,8 +995,7 @@ const CommandSpec kCommands[] = {
     {"describe", "print a composition's PE/interconnect report",
      {"comp"}, cmdDescribe},
     {"kir", "print the IR after every frontend-pipeline stage",
-     {"kernel", "kernel-file", "local", "array", "unroll", "cse",
-      "switch-strategy", "seed"},
+     {"kernel", "kernel-file", "local", "array", "unroll", "cse", "seed"},
      cmdKir},
     {"schedule", "map a kernel onto a composition and report the schedule",
      {"comp", "kernel", "kernel-file", "local", "array", "unroll", "cse",

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Six lints over the tree: (1) the deprecated Scheduler::schedule
+# Seven lints over the tree: (1) the deprecated Scheduler::schedule
 # call sites and shims, (2) raw SimCounters field math in tools and
 # benches, (3) the removed schedule checkers, (4) writers of the schedule
 # under construction other than RunState, (5) a context word's layout
 # stated more than once, (6) an artifact record's layout stated more than
-# once.
+# once, (7) a frontend pass filling KIR node fields by hand, or the
+# removed switch-strategy knob.
 #
 # Lint 1: the deprecated Scheduler::schedule(const Cdfg&) shims were removed
 # with the pass-pipeline refactor. This check is now a hard failure on two
@@ -173,4 +174,28 @@ if [ -n "$record_offenders" ]; then
 fi
 
 echo "ok: each artifact record's layout is stated once"
+
+# Lint 7: one set of KIR node constructors. Frontend passes build nodes
+# through FunctionBuilder (src/kir/kir.hpp) and copy them through the
+# Cloner (src/kir/passes/pass_utils.hpp); no pass sets a node's kind by
+# hand. The pipeline picks the switch lowering by case count, so the
+# switch-strategy option must not come back in the pipeline or the tools.
+kir_offenders=$({
+  grep -rnE --include='*.cpp' --include='*.hpp' \
+      '\.kind\s*=\s*(Expr|Stmt)Kind::' src/kir/passes
+  grep -nHE 'switchStrategy|switch-strategy' src/kir/passes/pipeline.* \
+      $(ls tools/* | grep -v '^tools/check_deprecated_schedule\.sh$')
+} 2>/dev/null)
+
+if [ -n "$kir_offenders" ]; then
+  echo "error: a frontend pass fills KIR node fields by hand, or the"
+  echo "switch-strategy option is back. Build nodes with FunctionBuilder,"
+  echo "copy them through the Cloner's hooks (src/kir/passes/pass_utils.hpp),"
+  echo "and leave the switch lowering to the case-count rule:"
+  echo
+  echo "$kir_offenders"
+  exit 1
+fi
+
+echo "ok: KIR nodes are built by FunctionBuilder only"
 exit 0

@@ -7,6 +7,7 @@
 #   tests/golden/explain_gcd_irregularD.txt    (decision transcript)
 #   tests/golden/random_kernel_fingerprints.txt (60-seed schedule corpus)
 #   tests/golden/kir_vm_accumulate.txt         (per-stage frontend IR dump)
+#   tests/golden/kir_stages_unroll2_cse.txt    (every kernel's stages, -u2 cse)
 #   tests/golden/kernel_suite_fingerprints.txt (examples/kernels schedules)
 #   tests/golden/artifact_digests.txt          (bundled artifact bytes)
 #
@@ -52,6 +53,8 @@ CGRA_REGEN_GOLDENS=1 "$pipeline_test" \
 echo "== frontend per-stage IR dump"
 "$tool" kir --kernel-file "$repo/examples/kernels/vm_accumulate.kir" \
   > "$golden/kir_vm_accumulate.txt" 2>&1
+"$repo/tools/dump_kir_stages.sh" "$tool" "$repo" \
+  > "$golden/kir_stages_unroll2_cse.txt"
 
 echo "== kernel-suite fingerprints"
 suite_test="$build/tests/test_kernel_suite"
