@@ -1,7 +1,5 @@
 #include "arch/interconnect.hpp"
 
-#include <algorithm>
-
 #include "support/assert.hpp"
 
 namespace cgra {
@@ -9,8 +7,9 @@ namespace cgra {
 void Interconnect::addLink(PEId from, PEId to) {
   CGRA_ASSERT(from < numPEs() && to < numPEs());
   if (from == to) return;  // a PE always reads its own RF; no link needed
-  auto& src = sources_[to];
-  if (std::find(src.begin(), src.end(), from) == src.end()) src.push_back(from);
+  std::uint8_t& linked = linked_[std::size_t{from} * numPEs() + to];
+  if (linked == 0) sources_[to].push_back(from);
+  linked = 1;
   pathsComputed_ = false;
 }
 
@@ -29,12 +28,6 @@ std::vector<PEId> Interconnect::sinks(PEId pe) const {
   for (PEId to = 0; to < numPEs(); ++to)
     if (hasLink(pe, to)) out.push_back(to);
   return out;
-}
-
-bool Interconnect::hasLink(PEId from, PEId to) const {
-  CGRA_ASSERT(from < numPEs() && to < numPEs());
-  const auto& src = sources_[to];
-  return std::find(src.begin(), src.end(), from) != src.end();
 }
 
 std::size_t Interconnect::numLinks() const {
@@ -78,24 +71,6 @@ void Interconnect::computeShortestPaths() {
       }
     }
   pathsComputed_ = true;
-}
-
-unsigned Interconnect::distance(PEId from, PEId to) const {
-  CGRA_ASSERT_MSG(pathsComputed_, "call computeShortestPaths() first");
-  CGRA_ASSERT(from < numPEs() && to < numPEs());
-  return dist_[static_cast<std::size_t>(from) * numPEs() + to];
-}
-
-std::vector<PEId> Interconnect::pathTo(PEId from, PEId to) const {
-  CGRA_ASSERT_MSG(pathsComputed_, "call computeShortestPaths() first");
-  if (distance(from, to) == kUnreachable) return {};
-  std::vector<PEId> path{from};
-  PEId cur = from;
-  while (cur != to) {
-    cur = nextHop_[static_cast<std::size_t>(cur) * numPEs() + to];
-    path.push_back(cur);
-  }
-  return path;
 }
 
 bool Interconnect::stronglyConnected() const {

@@ -4,13 +4,17 @@
 
 namespace cgra {
 
-bool PEDescriptor::supports(Op op) const {
-  if (isMemoryOp(op) && !hasDma_) return false;
-  // NOP, MOVE and CONST are structural abilities of every PE (context
-  // decode + RF write path), not ALU operators, so they are always present.
-  if (op == Op::NOP || op == Op::MOVE || op == Op::CONST) return true;
-  if (isMemoryOp(op)) return hasDma_;
-  return ops_.contains(op);
+void PEDescriptor::setHasDma(bool v) {
+  hasDma_ = v;
+  updateSupport(Op::DMA_LOAD);
+  updateSupport(Op::DMA_STORE);
+}
+
+void PEDescriptor::updateSupport(Op op) {
+  const unsigned bit = static_cast<unsigned>(op);
+  supported_.set(bit, isMemoryOp(op) ? hasDma_
+                                     : kStructuralOps.test(bit) ||
+                                           ops_.contains(op));
 }
 
 const OpImpl& PEDescriptor::impl(Op op) const {

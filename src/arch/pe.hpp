@@ -8,6 +8,7 @@
 // third RF read port for the index operand (paper §IV-A.1).
 #pragma once
 
+#include <bitset>
 #include <map>
 #include <optional>
 #include <string>
@@ -28,7 +29,9 @@ class PEDescriptor {
 public:
   PEDescriptor() = default;
   PEDescriptor(std::string name, unsigned regfileSize, bool hasDma)
-      : name_(std::move(name)), regfileSize_(regfileSize), hasDma_(hasDma) {}
+      : name_(std::move(name)), regfileSize_(regfileSize) {
+    setHasDma(hasDma);
+  }
 
   const std::string& name() const { return name_; }
   void setName(std::string n) { name_ = std::move(n); }
@@ -37,14 +40,24 @@ public:
   void setRegfileSize(unsigned n) { regfileSize_ = n; }
 
   bool hasDma() const { return hasDma_; }
-  void setHasDma(bool v) { hasDma_ = v; }
+  void setHasDma(bool v);
 
   /// Registers an operation implementation (replacing any existing one).
-  void addOp(Op op, OpImpl impl) { ops_[op] = impl; }
-  void addOp(Op op) { ops_[op] = OpImpl{defaultEnergy(op), defaultDuration(op)}; }
-  void removeOp(Op op) { ops_.erase(op); }
+  void addOp(Op op, OpImpl impl) {
+    ops_[op] = impl;
+    updateSupport(op);
+  }
+  void addOp(Op op) { addOp(op, OpImpl{defaultEnergy(op), defaultDuration(op)}); }
+  void removeOp(Op op) {
+    ops_.erase(op);
+    updateSupport(op);
+  }
 
-  bool supports(Op op) const;
+  /// Whether the PE can run `op`: one bit test (the schedule verifier
+  /// asks this for every op of every schedule it checks).
+  bool supports(Op op) const {
+    return supported_.test(static_cast<unsigned>(op));
+  }
   /// Implementation parameters; throws cgra::Error if unsupported.
   const OpImpl& impl(Op op) const;
   /// Latency of the op in this PE; throws if unsupported.
@@ -64,10 +77,24 @@ public:
                                   bool hasDma, bool blockMultiplier = true);
 
 private:
+  /// NOP, MOVE and CONST are structural abilities of every PE (context
+  /// decode + RF write path), not ALU operators, so every PE supports them.
+  static constexpr std::bitset<kNumOps> kStructuralOps{
+      (1ull << static_cast<unsigned>(Op::NOP)) |
+      (1ull << static_cast<unsigned>(Op::MOVE)) |
+      (1ull << static_cast<unsigned>(Op::CONST))};
+
+  /// Re-derives `op`'s bit of `supported_` from `ops_` and `hasDma_`.
+  void updateSupport(Op op);
+
   std::string name_;
   unsigned regfileSize_ = 32;
   bool hasDma_ = false;
   std::map<Op, OpImpl> ops_;
+  /// Bit `op` set iff the PE supports it: the structural ops always, a DMA
+  /// op iff the PE has a DMA interface (whatever `ops_` lists), any other
+  /// op iff `ops_` lists it. Kept by setHasDma, addOp and removeOp.
+  std::bitset<kNumOps> supported_ = kStructuralOps;
 };
 
 }  // namespace cgra

@@ -214,7 +214,10 @@ json::Value artifactResponse(const json::Value& id,
   o["cached"] = cached;
   if (art.ok) {
     o["contexts"] = static_cast<std::int64_t>(art.schedule.length);
-    o["fingerprint"] = std::to_string(art.schedule.fingerprint());
+    // The artifact's stored fingerprint: fromReport computes it and
+    // fromJson rejects a document whose schedule does not match it, so the
+    // schedule is not hashed again per answer.
+    o["fingerprint"] = std::to_string(art.fingerprint);
     if (wantArtifact) {
       // Ship the full document, with context images attached so the
       // consumer can deploy without linking the toolflow.

@@ -47,46 +47,6 @@ LoopId Cdfg::addLoop(Loop loop) {
   return static_cast<LoopId>(loops_.size() - 1);
 }
 
-const Node& Cdfg::node(NodeId id) const {
-  CGRA_ASSERT(id < nodes_.size());
-  return nodes_[id];
-}
-
-Node& Cdfg::node(NodeId id) {
-  CGRA_ASSERT(id < nodes_.size());
-  return nodes_[id];
-}
-
-const Variable& Cdfg::variable(VarId id) const {
-  CGRA_ASSERT(id < vars_.size());
-  return vars_[id];
-}
-
-const Loop& Cdfg::loop(LoopId id) const {
-  CGRA_ASSERT(id < loops_.size());
-  return loops_[id];
-}
-
-Loop& Cdfg::loop(LoopId id) {
-  CGRA_ASSERT(id < loops_.size());
-  return loops_[id];
-}
-
-const Condition& Cdfg::condition(CondId id) const {
-  CGRA_ASSERT(id < conds_.size());
-  return conds_[id];
-}
-
-const std::vector<Edge>& Cdfg::inEdges(NodeId id) const {
-  CGRA_ASSERT(id < in_.size());
-  return in_[id];
-}
-
-const std::vector<Edge>& Cdfg::outEdges(NodeId id) const {
-  CGRA_ASSERT(id < out_.size());
-  return out_[id];
-}
-
 std::vector<LoopId> Cdfg::loopAncestry(LoopId l) const {
   std::vector<LoopId> out;
   while (l != kRootLoop) {
@@ -186,7 +146,7 @@ std::vector<NodeId> Cdfg::rootNodes() const {
   return out;
 }
 
-void Cdfg::validate() const {
+std::vector<double> Cdfg::validate() const {
   // Operand and id ranges.
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     const Node& n = nodes_[id];
@@ -276,7 +236,7 @@ void Cdfg::validate() const {
 
   // Acyclicity (longestPathWeights asserts internally; surface as Error).
   try {
-    (void)longestPathWeights();
+    return longestPathWeights();
   } catch (const InternalError&) {
     throw Error("dependency graph contains a cycle");
   }

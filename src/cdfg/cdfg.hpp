@@ -164,17 +164,43 @@ public:
   std::size_t numLoops() const { return loops_.size(); }
   std::size_t numConditions() const { return conds_.size(); }
 
-  const Node& node(NodeId id) const;
-  Node& node(NodeId id);
-  const Variable& variable(VarId id) const;
-  const Loop& loop(LoopId id) const;
-  Loop& loop(LoopId id);
-  const Condition& condition(CondId id) const;
+  // Defined here, not out of line: the scheduler's probes read nodes,
+  // edges and conditions tens of millions of times per sweep.
+  const Node& node(NodeId id) const {
+    CGRA_ASSERT(id < nodes_.size());
+    return nodes_[id];
+  }
+  Node& node(NodeId id) {
+    CGRA_ASSERT(id < nodes_.size());
+    return nodes_[id];
+  }
+  const Variable& variable(VarId id) const {
+    CGRA_ASSERT(id < vars_.size());
+    return vars_[id];
+  }
+  const Loop& loop(LoopId id) const {
+    CGRA_ASSERT(id < loops_.size());
+    return loops_[id];
+  }
+  Loop& loop(LoopId id) {
+    CGRA_ASSERT(id < loops_.size());
+    return loops_[id];
+  }
+  const Condition& condition(CondId id) const {
+    CGRA_ASSERT(id < conds_.size());
+    return conds_[id];
+  }
   const std::vector<Edge>& edges() const { return edges_; }
 
   /// Incoming / outgoing dependency edges of a node.
-  const std::vector<Edge>& inEdges(NodeId id) const;
-  const std::vector<Edge>& outEdges(NodeId id) const;
+  const std::vector<Edge>& inEdges(NodeId id) const {
+    CGRA_ASSERT(id < in_.size());
+    return in_[id];
+  }
+  const std::vector<Edge>& outEdges(NodeId id) const {
+    CGRA_ASSERT(id < out_.size());
+    return out_[id];
+  }
 
   /// Loops from `l` up to (excluding) the root, innermost first.
   std::vector<LoopId> loopAncestry(LoopId l) const;
@@ -205,8 +231,10 @@ public:
   /// operand references in range, acyclic dependency graph, loop tree well
   /// formed, conditions reference status producers, pWRITE targets exist,
   /// every loop's controlling node inside the loop, node conditions
-  /// consistent with loop body conditions.
-  void validate() const;
+  /// consistent with loop body conditions. The acyclicity check computes
+  /// longestPathWeights(); validate returns that result, so a caller that
+  /// needs both (the scheduler) runs the pass once.
+  std::vector<double> validate() const;
 
   /// GraphViz rendering in the style of Fig. 11 (loops as clusters, control
   /// edges dashed red, loop-carried variable dependencies with weight 1).

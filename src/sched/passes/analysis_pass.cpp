@@ -27,7 +27,6 @@ void initState(RunState& st) {
   const std::size_t numNodes = st.g.numNodes();
   const unsigned numPEs = st.comp.numPEs();
 
-  st.priorities = st.g.longestPathWeights();
   st.attraction.assign(numNodes * numPEs, 0.0);
   st.nodeStart.assign(numNodes, 0);
   st.nodeFinish.assign(numNodes, 0);
@@ -61,14 +60,23 @@ void initState(RunState& st) {
   st.varHomes.assign(st.g.numVariables(), std::nullopt);
   st.varCopies.assign(st.g.numVariables(), {});
   st.nodeLocs.assign(numNodes, {});
+  st.condSlots.assign(st.g.numConditions(), std::nullopt);
+  st.rawSlots.assign(numNodes, std::nullopt);
 
-  // Subtree node lists per loop (loop-compatibility checks).
-  st.loopSubtree.assign(st.g.numLoops(), {});
-  for (NodeId id = 0; id < numNodes; ++id)
-    for (LoopId l = st.g.node(id).loop;; l = st.g.loop(l).parent) {
+  // Subtree node lists per loop (loop-compatibility checks), and which
+  // loops write each variable: a pWRITE writes its variable in its own
+  // loop and in every loop around it.
+  const std::size_t numLoops = st.g.numLoops();
+  st.loopSubtree.assign(numLoops, {});
+  st.varWritten.assign(st.g.numVariables() * numLoops, 0);
+  for (NodeId id = 0; id < numNodes; ++id) {
+    const Node& n = st.g.node(id);
+    for (LoopId l = n.loop;; l = st.g.loop(l).parent) {
       st.loopSubtree[l].push_back(id);
+      if (n.isPWrite()) st.varWritten[n.var * numLoops + l] = 1;
       if (l == kRootLoop) break;
     }
+  }
 
   st.loopStack.push_back(OpenLoop{kRootLoop, 0});
 }

@@ -1,6 +1,7 @@
 // Priority/analysis pass: mappability screening and run-state
-// initialization (longest-path priorities §V-F, the dependence frontier,
-// capped per-cycle resource maps, per-loop subtree lists, and the per-node
+// initialization (the dependence frontier over the longest-path priorities
+// of §V-F, capped per-cycle resource maps, per-loop subtree lists, the
+// variable × loop write table, the condition-slot tables, and the per-node
 // fusable-writer and PE-order tables).
 #pragma once
 
@@ -10,7 +11,8 @@ namespace cgra::passes {
 
 /// Populates the RunState for a fresh run. Throws Unmappable when the
 /// kernel contains an operation no PE of the composition supports.
-/// `st.limit` and `st.costModel` must already be set.
+/// `st.limit`, `st.costModel` and `st.priorities` (the longest-path
+/// weights `Cdfg::validate` returns) must already be set.
 void runAnalysisPass(const ArchModel& model, RunState& st);
 
 }  // namespace cgra::passes

@@ -11,14 +11,13 @@ std::optional<PredRef> ensureCondition(const ArchModel& model, RunState& st,
   // charges every nanosecond to CBox exactly once either way.
   PassScope scope(st.passTimer, PassId::CBox);
   CGRA_ASSERT(c != kCondTrue);
-  if (const auto it = st.condSlots.find(c); it != st.condSlots.end())
-    return it->second.ready <= deadline ? std::optional(it->second.ref)
-                                        : std::nullopt;
+  if (const std::optional<CondSlot>& done = st.condSlots[c])
+    return done->ready <= deadline ? std::optional(done->ref) : std::nullopt;
 
   const Condition& cond = st.g.condition(c);
-  const auto rawIt = st.rawSlots.find(cond.statusNode);
-  if (rawIt == st.rawSlots.end()) return std::nullopt;  // CMP not scheduled yet
-  const CondSlot& raw = rawIt->second;
+  const std::optional<CondSlot>& rawSlot = st.rawSlots[cond.statusNode];
+  if (!rawSlot) return std::nullopt;  // CMP not scheduled yet
+  const CondSlot& raw = *rawSlot;
 
   if (cond.parent == kCondTrue) {
     // TRUE ∧ literal: read the raw status slot with the literal polarity.
@@ -32,7 +31,7 @@ std::optional<PredRef> ensureCondition(const ArchModel& model, RunState& st,
   if (deadline == 0) return std::nullopt;
   const auto parentRef = ensureCondition(model, st, cond.parent, deadline - 1);
   if (!parentRef) return std::nullopt;
-  const unsigned parentReady = st.condSlots.at(cond.parent).ready;
+  const unsigned parentReady = st.condSlots[cond.parent]->ready;
 
   const unsigned lo = std::max(parentReady, raw.ready);
   for (unsigned u = lo; u + 1 <= deadline; ++u) {

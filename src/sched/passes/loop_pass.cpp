@@ -13,7 +13,7 @@ namespace {
 void openLoopEffects(RunState& st, LoopId child) {
   const unsigned cap = st.t == 0 ? 0 : st.t - 1;
   for (VarId v = 0; v < st.g.numVariables(); ++v)
-    if (st.g.varWrittenInLoop(v, child))
+    if (st.loopWrites(child, v))
       for (Location& copy : st.varCopies[v])
         copy.validUntil = std::min(copy.validUntil, cap);
 }
@@ -57,7 +57,7 @@ void tryCloseLoops(const ArchModel& model, RunState& st) {
     // bounded by the context ceiling (a saturated branch unit yields
     // nullopt instead of growing the map indefinitely).
     const auto b = st.branchAt.firstFreeAtOrAfter(
-        std::max(lastCycle, st.condSlots.at(bodyCond).ready));
+        std::max(lastCycle, st.condSlots[bodyCond]->ready));
     // The branch must land strictly before the current step so outer
     // candidates can never share the back-branch context.
     if (!b || *b > st.t - 1) return;

@@ -60,11 +60,11 @@ ScheduleReport runPipeline(const ArchModel& model, const Composition& comp,
   ScheduleReport report;
   const PassTimer::Start runStart = PassTimer::start();
 
-  // Malformed graphs are programmer errors: validate() throws past the
-  // report path on purpose.
-  g.validate();
-
   RunState st(comp, opts, g, trace);
+  // Malformed graphs are programmer errors: validate() throws past the
+  // report path on purpose. Its acyclicity pass computes the longest-path
+  // weights, which are the run's priorities.
+  st.priorities = g.validate();
   st.limit = opts.maxContexts ? opts.maxContexts : comp.contextMemoryLength();
   st.costModel = &attractionCostModel();
 

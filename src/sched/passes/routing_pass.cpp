@@ -2,7 +2,6 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace cgra::passes {
 
@@ -97,14 +96,14 @@ std::optional<OperandSource> copyTowards(const ArchModel& model, RunState& st,
   const unsigned minCycle = st.copyMinCycle(o);
   const std::string label = "copy";
   Location cur = *best;
-  std::vector<PEId> path = ic.pathTo(cur.pe, pe);
-  CGRA_ASSERT(path.size() >= 2);
+  CGRA_ASSERT(cur.pe != pe);
 
-  // Copy hop by hop up to pe's neighbour; the final access is routed.
-  // When routing at cycle t fails (port conflict), copy into pe itself.
-  for (std::size_t hop = 1; hop + 1 < path.size(); ++hop) {
-    const auto next = scheduleMove(model, st, cur, path[hop], minCycle, t,
-                                   label);
+  // Copy hop by hop along the next-hop table up to pe's neighbour; the
+  // final access is routed. When routing at cycle t fails (port
+  // conflict), copy into pe itself.
+  for (PEId hop = ic.nextHop(cur.pe, pe); hop != pe;
+       hop = ic.nextHop(cur.pe, pe)) {
+    const auto next = scheduleMove(model, st, cur, hop, minCycle, t, label);
     if (!next) return std::nullopt;
     cur = *next;
     st.addLocation(o, cur);
@@ -165,7 +164,7 @@ std::optional<OperandSource> resolveOperand(const ArchModel& model,
   // findOwn / findRouted / copyTowards. The list is only appended to after
   // the helpers finish reading it (copyTowards copies its pick by value
   // before inserting hops), so sharing the snapshot is behavior-identical.
-  const LocationList& locs = *st.locationsFor(o);
+  const LocationList& locs = st.locationsFor(o);
 
   if (o.kind() == Operand::Kind::Immediate) {
     // ALU operands come from registers: materialize the constant on the

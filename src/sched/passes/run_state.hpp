@@ -15,13 +15,19 @@
 // claim the resources those ops occupy. Every mutation a placement probe
 // may have to take back records its inverse in one undo log, so a rejected
 // probe rolls back in one newest-first pass.
+//
+// Every lookup a placement probe repeats is O(1): the analysis pass fills
+// flat per-run tables (variable × loop writes, condition and raw status
+// slots indexed by id, per-node PE orders) so no probe rescans the CDFG,
+// searches a tree map or allocates a path; link tests and next hops are
+// table reads in the ArchModel's interconnect.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -90,7 +96,7 @@ struct Undo {
     Busy,      ///< peBusy[key] was marked over [cycle, cycle + len)
     Port,      ///< outPort[key] was first claimed at cycle
     Pred,      ///< the predication wire was first claimed at cycle
-    Cond,      ///< condSlots[key] was inserted
+    Cond,      ///< condSlots[key] was set
     NodeLoc,   ///< nodeLocs[key] was pushed
     VarLoc,    ///< varCopies[key] was pushed
     ConstLoc,  ///< constLocs[int32(key)] was pushed
@@ -157,6 +163,8 @@ struct RunState {
 
   // -- per-node bookkeeping ---------------------------------------------------
 
+  /// Per node, its longest-path weight (§V-F), as Cdfg::validate returns
+  /// it.
   std::vector<double> priorities;
   /// Per node and PE, the §V-G attraction: flat numNodes × numPEs rows.
   std::vector<double> attraction;
@@ -197,7 +205,7 @@ struct RunState {
   std::vector<std::optional<Location>> varHomes;
   std::vector<LocationList> varCopies;
   std::vector<LocationList> nodeLocs;
-  std::map<std::int32_t, LocationList> constLocs;
+  std::unordered_map<std::int32_t, LocationList> constLocs;
   LocationList scratchLocs;
 
   // -- reusable hot-loop scratch buffers --------------------------------------
@@ -208,11 +216,19 @@ struct RunState {
 
   // -- conditions and loops ---------------------------------------------------
 
-  std::map<CondId, CondSlot> condSlots;
-  std::map<NodeId, CondSlot> rawSlots;
+  /// Per condition (indexed by CondId), its materialized slot once
+  /// ensureCondition built it.
+  std::vector<std::optional<CondSlot>> condSlots;
+  /// Per comparison node (indexed by NodeId), the slot its raw status was
+  /// stored in once the node was placed.
+  std::vector<std::optional<CondSlot>> rawSlots;
 
   std::vector<OpenLoop> loopStack;
   std::vector<std::vector<NodeId>> loopSubtree;
+  /// Flat numVariables × numLoops table, variable-major: 1 when some node
+  /// of the loop (or of a loop nested in it) pWRITEs the variable. Filled
+  /// once per run by the analysis pass; read through loopWrites().
+  std::vector<std::uint8_t> varWritten;
 
   // -- transactional placement probes -----------------------------------------
   //
@@ -263,7 +279,7 @@ struct RunState {
         case Undo::Kind::Busy: peBusy[u.key].clear(u.cycle, u.len); break;
         case Undo::Kind::Port: outPort[u.key].release(u.cycle); break;
         case Undo::Kind::Pred: predUse.release(u.cycle); break;
-        case Undo::Kind::Cond: condSlots.erase(u.key); break;
+        case Undo::Kind::Cond: condSlots[u.key].reset(); break;
         case Undo::Kind::NodeLoc: nodeLocs[u.key].pop_back(); break;
         case Undo::Kind::VarLoc: varCopies[u.key].pop_back(); break;
         case Undo::Kind::ConstLoc:
@@ -355,8 +371,8 @@ struct RunState {
 
   /// Caches a materialized condition; the insert is undone on rollback.
   void insertCondSlot(CondId c, const CondSlot& slot) {
-    const bool inserted = condSlots.emplace(c, slot).second;
-    CGRA_ASSERT(inserted);
+    CGRA_ASSERT(!condSlots[c]);
+    condSlots[c] = slot;
     record(Undo{Undo::Kind::Cond, c});
   }
 
@@ -378,6 +394,11 @@ struct RunState {
   }
 
   LoopId currentLoop() const { return loopStack.back().loop; }
+
+  /// True when some node inside loop `l` (or nested deeper) pWRITEs `var`.
+  bool loopWrites(LoopId l, VarId var) const {
+    return varWritten[std::size_t{var} * g.numLoops() + l] != 0;
+  }
 
   // -- per-node rows of the numNodes × numPEs tables --------------------------
 
@@ -432,27 +453,27 @@ struct RunState {
 
   // -- value locations --------------------------------------------------------
 
-  LocationList* locationsFor(const Operand& o) {
+  /// Where the operand's value can be read from. A variable's list (home
+  /// first, if assigned, then copies) is assembled in `scratchLocs`; node
+  /// results and constants return their stored lists.
+  const LocationList& locationsFor(const Operand& o) {
+    static const LocationList kNone;
     switch (o.kind()) {
       case Operand::Kind::Node:
-        return &nodeLocs[o.nodeId()];
-      case Operand::Kind::Variable: {
-        // Home first (if assigned), then copies.
+        return nodeLocs[o.nodeId()];
+      case Operand::Kind::Variable:
         scratchLocs.clear();
         if (varHomes[o.varId()])
           scratchLocs.push_back(*varHomes[o.varId()]);
         for (const Location& l : varCopies[o.varId()])
           scratchLocs.push_back(l);
-        return &scratchLocs;
-      }
+        return scratchLocs;
       case Operand::Kind::Immediate: {
-        scratchLocs.clear();
         const auto it = constLocs.find(o.imm());
-        if (it != constLocs.end()) scratchLocs = it->second;
-        return &scratchLocs;
+        return it != constLocs.end() ? it->second : kNone;
       }
     }
-    return nullptr;
+    CGRA_UNREACHABLE("unknown operand kind");
   }
 
   /// Lowest cycle at which a copy of this operand may be created so that it
@@ -462,7 +483,7 @@ struct RunState {
     unsigned minCycle = 0;
     for (const OpenLoop& ol : loopStack) {
       if (ol.loop == kRootLoop) continue;
-      if (g.varWrittenInLoop(o.varId(), ol.loop))
+      if (loopWrites(ol.loop, o.varId()))
         minCycle = std::max(minCycle, ol.start);
     }
     return minCycle;

@@ -1,11 +1,14 @@
 // Exactness of the scheduler's per-run tables. The analysis pass fills a
-// fusable-writer table and a PE-order table once per run, and the cost
-// model re-ranks a node's PE order only when a placement changes its
-// attraction row. These tests drive the pass pipeline by hand over every
-// bundled kernel × the 12 paper compositions × unroll 1 and 2, and check
-// both tables against the on-demand computations they replace: the
-// fusable pWRITE derived per node, and a fresh stable sort of each node's
-// attraction row after every placement.
+// fusable-writer table, a variable × loop write table and a PE-order table
+// once per run, and the cost model re-ranks a node's PE order only when a
+// placement changes its attraction row. These tests drive the pass
+// pipeline by hand over every bundled kernel × the 12 paper compositions ×
+// unroll 1 and 2, and check each table against the on-demand computation
+// it replaces: the fusable pWRITE derived per node, the CDFG's
+// varWrittenInLoop scan, and a fresh stable sort of each node's attraction
+// row after every placement. The composition tables the probes read (the
+// interconnect's link and next-hop tables, each PE's op-support bits) are
+// checked against the source lists and op maps they summarize.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -137,6 +140,7 @@ DrivenRun driveRun(const Composition& comp, const SchedulerOptions& opts,
   RunState st(comp, opts, g, nullptr);
   st.limit = opts.maxContexts ? opts.maxContexts : comp.contextMemoryLength();
   st.costModel = &costModel;
+  st.priorities = g.validate();
   DrivenRun run;
   try {
     runAnalysisPass(*model, st);
@@ -198,6 +202,28 @@ TEST_P(PassTables, FusableWritersMatchDerivation) {
   }
 }
 
+TEST_P(PassTables, VarWrittenTableMatchesCdfgScan) {
+  const auto comps = paperCompositions();
+  unsigned long written = 0;
+  for (const Cdfg& g : graphs())
+    for (const Composition& comp : comps)
+      driveRun(comp, SchedulerOptions{}, g, attractionCostModel(),
+               [&](const RunState& st) {
+                 ASSERT_EQ(st.varWritten.size(),
+                           g.numVariables() * g.numLoops());
+                 ASSERT_EQ(st.condSlots.size(), g.numConditions());
+                 ASSERT_EQ(st.rawSlots.size(), g.numNodes());
+                 for (VarId v = 0; v < g.numVariables(); ++v)
+                   for (LoopId l = 0; l < g.numLoops(); ++l) {
+                     EXPECT_EQ(st.loopWrites(l, v), g.varWrittenInLoop(v, l))
+                         << comp.name() << " variable " << v << " loop "
+                         << l;
+                     written += st.loopWrites(l, v);
+                   }
+               });
+  EXPECT_GT(written, 0u);
+}
+
 TEST_P(PassTables, PEOrderMatchesFreshSortAfterEveryPlacement) {
   const auto comps = paperCompositions();
   for (const Cdfg& g : graphs())
@@ -223,6 +249,81 @@ TEST_P(PassTables, PEOrderMatchesFreshSortAfterEveryPlacement) {
         EXPECT_GT(checked.ties.byIndex, 0u);
       }
     }
+}
+
+TEST(ArchTables, LinksMatchSourceLists) {
+  for (const Composition& comp : paperCompositions()) {
+    const Interconnect& ic = comp.interconnect();
+    const auto model = ArchModel::get(comp);
+    for (PEId to = 0; to < comp.numPEs(); ++to)
+      for (PEId from = 0; from < comp.numPEs(); ++from) {
+        const bool listed =
+            std::ranges::find(ic.sources(to), from) != ic.sources(to).end();
+        EXPECT_EQ(ic.hasLink(from, to), listed)
+            << comp.name() << " " << from << " -> " << to;
+        EXPECT_EQ(model->interconnect().hasLink(from, to), listed);
+      }
+  }
+}
+
+TEST(ArchTables, NextHopWalksReachTheTargetInDistanceHops) {
+  unsigned long walks = 0;
+  for (const Composition& comp : paperCompositions()) {
+    const Interconnect& ic = comp.interconnect();
+    for (PEId a = 0; a < comp.numPEs(); ++a)
+      for (PEId b = 0; b < comp.numPEs(); ++b) {
+        if (ic.distance(a, b) == kUnreachable) continue;
+        unsigned hops = 0;
+        for (PEId cur = a; cur != b && hops <= comp.numPEs(); ++hops) {
+          const PEId next = ic.nextHop(cur, b);
+          EXPECT_TRUE(ic.hasLink(cur, next)) << comp.name();
+          cur = next;
+        }
+        EXPECT_EQ(hops, ic.distance(a, b))
+            << comp.name() << " " << a << " -> " << b;
+        ++walks;
+      }
+  }
+  EXPECT_GT(walks, 0u);
+}
+
+/// supports() as the rule states it: NOP, MOVE and CONST on every PE, the
+/// DMA ops on PEs with a DMA interface, everything else as `ops()` lists.
+bool supportRule(const PEDescriptor& pe, Op op) {
+  if (isMemoryOp(op)) return pe.hasDma();
+  if (op == Op::NOP || op == Op::MOVE || op == Op::CONST) return true;
+  return pe.ops().contains(op);
+}
+
+TEST(ArchTables, SupportBitsMatchTheOpMaps) {
+  const auto expectRule = [](const PEDescriptor& pe, const std::string& what) {
+    for (unsigned i = 0; i < kNumOps; ++i) {
+      const Op op = static_cast<Op>(i);
+      EXPECT_EQ(pe.supports(op), supportRule(pe, op))
+          << what << " " << opName(op);
+    }
+  };
+  for (const Composition& comp : paperCompositions())
+    for (PEId p = 0; p < comp.numPEs(); ++p)
+      expectRule(comp.pe(p), comp.name() + " PE " + std::to_string(p));
+
+  // Every mutator keeps the bits: removing an ALU op, listing a DMA op on
+  // a PE without DMA, and switching the DMA interface on and off.
+  PEDescriptor pe = PEDescriptor::fullInteger("alu", 32, /*hasDma=*/false);
+  pe.removeOp(Op::IADD);
+  pe.removeOp(Op::MOVE);
+  pe.addOp(Op::DMA_LOAD);
+  expectRule(pe, "edited");
+  EXPECT_FALSE(pe.supports(Op::IADD));
+  EXPECT_TRUE(pe.supports(Op::MOVE));
+  EXPECT_FALSE(pe.supports(Op::DMA_LOAD));
+  pe.setHasDma(true);
+  expectRule(pe, "dma on");
+  EXPECT_TRUE(pe.supports(Op::DMA_STORE));
+  pe.setHasDma(false);
+  pe.addOp(Op::IADD);
+  expectRule(pe, "dma off");
+  EXPECT_TRUE(pe.supports(Op::IADD));
 }
 
 std::string kernelName(const ::testing::TestParamInfo<std::size_t>& info) {

@@ -316,6 +316,43 @@ TEST(Service, AttachesDeserializableArtifactsOnRequest) {
       << "attached artifacts carry deployable context images";
 }
 
+TEST(Service, ComputedMemoryAndDiskAnswersCarryTheScheduleFingerprint) {
+  // A response's fingerprint is the stored artifact's own field, which
+  // fromReport sets and fromJson checks against the schedule. Each way an
+  // answer is made must carry the fingerprint of the schedule it ships.
+  const std::string line =
+      "{\"id\":1,\"comp\":\"mesh9\",\"kernel\":\"adpcm\","
+      "\"artifact\":true}\n";
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  const TempDir dir("fingerprints");
+  artifact::StoreOptions so;
+  so.directory = dir.str();
+  const auto check = [&](artifact::ArtifactStore& store, bool cached,
+                         const char* what) {
+    const std::vector<json::Value> responses =
+        runService(line, store, options);
+    ASSERT_EQ(responses.size(), 1u) << what;
+    const json::Object& o = responses[0].asObject();
+    ASSERT_TRUE(o.at("ok").asBool()) << what;
+    EXPECT_EQ(o.at("cached").asBool(), cached) << what;
+    const artifact::ScheduleArtifact art =
+        artifact::ScheduleArtifact::fromJson(o.at("artifact"));
+    EXPECT_EQ(o.at("fingerprint").asString(),
+              std::to_string(art.schedule.fingerprint()))
+        << what;
+  };
+  {
+    artifact::ArtifactStore store(so);
+    check(store, false, "computed");
+    check(store, true, "memory hit");
+    EXPECT_EQ(store.counters().memoryHits, 1u);
+  }
+  artifact::ArtifactStore reopened(so);
+  check(reopened, true, "disk hit");
+  EXPECT_EQ(reopened.counters().diskHits, 1u);
+}
+
 TEST(Service, KernelFilesRunTheFrontendPipeline) {
   // string_search.kir uses break, so it only lowers after the frontend
   // normalization pipeline — the same one `cgra-tool schedule` runs.

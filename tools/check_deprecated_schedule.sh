@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Seven lints over the tree: (1) the deprecated Scheduler::schedule
+# Eight lints over the tree: (1) the deprecated Scheduler::schedule
 # call sites and shims, (2) raw SimCounters field math in tools and
 # benches, (3) the removed schedule checkers, (4) writers of the schedule
 # under construction other than RunState, (5) a context word's layout
 # stated more than once, (6) an artifact record's layout stated more than
 # once, (7) a frontend pass filling KIR node fields by hand, or the
-# removed switch-strategy knob.
+# removed switch-strategy knob, (8) a CDFG scan, tree map or path vector
+# on the scheduler passes' probe path.
 #
 # Lint 1: the deprecated Scheduler::schedule(const Cdfg&) shims were removed
 # with the pass-pipeline refactor. This check is now a hard failure on two
@@ -198,4 +199,24 @@ if [ -n "$kir_offenders" ]; then
 fi
 
 echo "ok: KIR nodes are built by FunctionBuilder only"
+
+# Lint 8: constant-time lookups on the placement probe path. The analysis
+# pass fills per-run tables (RunState::varWritten, the condition-slot
+# vectors) and the interconnect answers next hops from its Floyd–Warshall
+# table, so no scheduler pass rescans the CDFG for loop writes, keeps a
+# tree map, or builds a path vector per probe.
+probe_offenders=$(grep -rnE --include='*.cpp' --include='*.hpp' \
+    'varWrittenInLoop\(|pathTo\(|std::map<' src/sched/passes 2>/dev/null)
+
+if [ -n "$probe_offenders" ]; then
+  echo "error: a scheduler pass rescans the CDFG, keeps a std::map or builds"
+  echo "a path vector on the probe path. Read RunState::loopWrites, the flat"
+  echo "condition-slot tables and Interconnect::nextHop instead"
+  echo "(src/sched/passes/run_state.hpp):"
+  echo
+  echo "$probe_offenders"
+  exit 1
+fi
+
+echo "ok: the scheduler passes' probe lookups are table reads"
 exit 0
