@@ -1,12 +1,18 @@
 // Unit tests for the host substrate: heap semantics, token-machine cost
 // accounting and error handling, and the hardware-profiler analog
-// (back-edge counts of a baseline run).
+// (back-edge counts of a baseline run), and the golden bytecode of every
+// bundled kernel.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
 
 #include "apps/kernels.hpp"
 #include "host/profiler.hpp"
 #include "host/token_machine.hpp"
 #include "kir/lower_bytecode.hpp"
+#include "kir/passes/pipeline.hpp"
+#include "support/sha256.hpp"
 
 namespace cgra {
 namespace {
@@ -162,6 +168,47 @@ TEST(Profiler, ThresholdFiltersColdBranches) {
   const auto all = profile(apps::makeGcd(12, 8), /*threshold=*/1, run);
   ASSERT_EQ(all.size(), 1u);
   expectRegion(all[0], 0, 15, 2);
+}
+
+TEST(TokenMachine, BundledKernelBytecodeMatchesGolden) {
+  // Pins the baseline side of Table II: one line per bundled kernel at
+  // unroll 1 and 2, after the frontend pipeline, giving the instruction
+  // count, the SHA-256 of the disassembly and the token-machine cycles on
+  // the kernel's own inputs. Regenerate with CGRA_REGEN_GOLDENS=1
+  // (tools/regen_goldens.sh) only when the lowering or the cost model
+  // changes on purpose.
+  const std::string path =
+      std::string(CGRA_GOLDEN_DIR) + "/bytecode_baseline.txt";
+  std::vector<std::string> lines;
+  for (const apps::Workload& w : apps::allWorkloads()) {
+    for (const unsigned unroll : {1u, 2u}) {
+      const kir::Function fn =
+          kir::runFrontendPipeline(w.fn, {.unrollFactor = unroll}).fn;
+      const BytecodeFunction bc = kir::lowerToBytecode(fn);
+      HostMemory heap = w.heap;
+      const TokenRunResult run = TokenMachine().run(bc, w.initialLocals, heap);
+      lines.push_back(w.name + " u" + std::to_string(unroll) + " " +
+                      std::to_string(bc.code.size()) + " " +
+                      Sha256::hexOf(disassemble(bc)) + " " +
+                      std::to_string(run.cycles));
+    }
+  }
+
+  if (std::getenv("CGRA_REGEN_GOLDENS") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
+    for (const std::string& line : lines) out << line << "\n";
+    return;
+  }
+
+  std::ifstream golden(path);
+  ASSERT_TRUE(golden.is_open()) << "missing " << path;
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(golden, line);)
+    if (!line.empty()) expected.push_back(line);
+  ASSERT_EQ(lines.size(), expected.size());
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    EXPECT_EQ(lines[i], expected[i]);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #   tests/golden/kir_stages_unroll2_cse.txt    (every kernel's stages, -u2 cse)
 #   tests/golden/kernel_suite_fingerprints.txt (examples/kernels schedules)
 #   tests/golden/artifact_digests.txt          (bundled artifact bytes)
+#   tests/golden/bytecode_baseline.txt         (bundled kernels' bytecode)
 #
 # Run ONLY when a commit intentionally changes scheduler behavior, and
 # regenerate in that same commit (note it in CHANGES.md). Usage:
@@ -67,6 +68,12 @@ artifact_test="$build/tests/test_artifact"
 [ -x "$artifact_test" ] || { echo "error: $artifact_test not built" >&2; exit 1; }
 CGRA_REGEN_GOLDENS=1 "$artifact_test" \
   --gtest_filter='Artifact.BundledArtifactBytesMatchGolden' >/dev/null
+
+echo "== bundled kernel bytecode"
+host_test="$build/tests/test_host"
+[ -x "$host_test" ] || { echo "error: $host_test not built" >&2; exit 1; }
+CGRA_REGEN_GOLDENS=1 "$host_test" \
+  --gtest_filter='TokenMachine.BundledKernelBytecodeMatchesGolden' >/dev/null
 
 echo "regenerated goldens in $golden:"
 git -C "$repo" status --short -- tests/golden
