@@ -1,63 +1,83 @@
 #include "host/bytecode.hpp"
 
+#include <array>
 #include <sstream>
 
 #include "support/assert.hpp"
 
 namespace cgra {
 
-const char* bcName(Bc op) {
-  switch (op) {
-    case Bc::ICONST: return "iconst";
-    case Bc::ILOAD: return "iload";
-    case Bc::ISTORE: return "istore";
-    case Bc::IADD: return "iadd";
-    case Bc::ISUB: return "isub";
-    case Bc::IMUL: return "imul";
-    case Bc::INEG: return "ineg";
-    case Bc::IAND: return "iand";
-    case Bc::IOR: return "ior";
-    case Bc::IXOR: return "ixor";
-    case Bc::ISHL: return "ishl";
-    case Bc::ISHR: return "ishr";
-    case Bc::IUSHR: return "iushr";
-    case Bc::IALOAD: return "iaload";
-    case Bc::IASTORE: return "iastore";
-    case Bc::GOTO: return "goto";
-    case Bc::INVOKE_CGRA: return "invoke_cgra";
-    case Bc::IF_ICMPEQ: return "if_icmpeq";
-    case Bc::IF_ICMPNE: return "if_icmpne";
-    case Bc::IF_ICMPLT: return "if_icmplt";
-    case Bc::IF_ICMPGE: return "if_icmpge";
-    case Bc::IF_ICMPGT: return "if_icmpgt";
-    case Bc::IF_ICMPLE: return "if_icmple";
-    case Bc::HALT: return "halt";
-  }
-  CGRA_UNREACHABLE("bad opcode");
-}
-
 namespace {
 
-bool hasArg(Bc op) {
-  switch (op) {
-    case Bc::ICONST:
-    case Bc::ILOAD:
-    case Bc::ISTORE:
-    case Bc::GOTO:
-    case Bc::INVOKE_CGRA:
-    case Bc::IF_ICMPEQ:
-    case Bc::IF_ICMPNE:
-    case Bc::IF_ICMPLT:
-    case Bc::IF_ICMPGE:
-    case Bc::IF_ICMPGT:
-    case Bc::IF_ICMPLE:
-      return true;
-    default:
-      return false;
-  }
+struct BcInfo {
+  const char* name;
+  BcArg arg;
+  Op op;  ///< the Op the instruction evaluates; Op::NOP when none
+};
+
+/// The instruction set, one row per Bc in enum order: the one place that
+/// maps between bytecodes and Ops. The IF_ICMP rows come in negated pairs
+/// (eq/ne, lt/ge, gt/le), which branchFor relies on.
+constexpr auto kBcTable = std::to_array<BcInfo>({
+    {"iconst", BcArg::Value, Op::NOP},
+    {"iload", BcArg::Value, Op::NOP},
+    {"istore", BcArg::Value, Op::NOP},
+    {"iadd", BcArg::None, Op::IADD},
+    {"isub", BcArg::None, Op::ISUB},
+    {"imul", BcArg::None, Op::IMUL},
+    {"ineg", BcArg::None, Op::INEG},
+    {"iand", BcArg::None, Op::IAND},
+    {"ior", BcArg::None, Op::IOR},
+    {"ixor", BcArg::None, Op::IXOR},
+    {"ishl", BcArg::None, Op::ISHL},
+    {"ishr", BcArg::None, Op::ISHR},
+    {"iushr", BcArg::None, Op::IUSHR},
+    {"iaload", BcArg::None, Op::NOP},
+    {"iastore", BcArg::None, Op::NOP},
+    {"goto", BcArg::Target, Op::NOP},
+    {"if_icmpeq", BcArg::Target, Op::IFEQ},
+    {"if_icmpne", BcArg::Target, Op::IFNE},
+    {"if_icmplt", BcArg::Target, Op::IFLT},
+    {"if_icmpge", BcArg::Target, Op::IFGE},
+    {"if_icmpgt", BcArg::Target, Op::IFGT},
+    {"if_icmple", BcArg::Target, Op::IFLE},
+    {"invoke_cgra", BcArg::Value, Op::NOP},
+    {"halt", BcArg::None, Op::NOP},
+});
+
+static_assert(kBcTable.size() == static_cast<std::size_t>(Bc::HALT) + 1,
+              "one row per opcode");
+static_assert(static_cast<unsigned>(Bc::IF_ICMPEQ) % 2 == 0,
+              "branchFor pairs IF_ICMP rows by index");
+
+const BcInfo& info(Bc op) {
+  CGRA_ASSERT(static_cast<std::size_t>(op) < kBcTable.size());
+  return kBcTable[static_cast<std::size_t>(op)];
+}
+
+/// The first instruction of `arg` kind that evaluates `op`.
+Bc find(Op op, BcArg arg) {
+  if (op != Op::NOP)
+    for (std::size_t i = 0; i < kBcTable.size(); ++i)
+      if (kBcTable[i].op == op && kBcTable[i].arg == arg)
+        return static_cast<Bc>(i);
+  throw Error(std::string("no bytecode evaluates ") + opName(op));
 }
 
 }  // namespace
+
+const char* bcName(Bc op) { return info(op).name; }
+
+BcArg bcArg(Bc op) { return info(op).arg; }
+
+Op bcOp(Bc op) { return info(op).op; }
+
+Bc bcFor(Op op) { return find(op, BcArg::None); }
+
+Bc branchFor(Op cmp, bool taken) {
+  const auto b = static_cast<unsigned>(find(cmp, BcArg::Target));
+  return static_cast<Bc>(taken ? b : b ^ 1u);
+}
 
 std::string disassemble(const BytecodeFunction& fn) {
   std::ostringstream os;
@@ -66,7 +86,7 @@ std::string disassemble(const BytecodeFunction& fn) {
   for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
     const BcInstr& in = fn.code[pc];
     os << "  " << pc << ": " << bcName(in.op);
-    if (hasArg(in.op)) os << ' ' << in.arg;
+    if (bcArg(in.op) != BcArg::None) os << ' ' << in.arg;
     os << '\n';
   }
   return os.str();

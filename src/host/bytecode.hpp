@@ -7,12 +7,18 @@
 // — close to the corresponding Java bytecodes — so the KIR frontend can
 // lower the *same kernel* both to the CGRA scheduler (via the CDFG) and to
 // this baseline, making the speedup comparison of Table II meaningful.
+//
+// One table in bytecode.cpp states each opcode's name, what its argument
+// means and the Op it evaluates; the lowering (kir/lower_bytecode.cpp), the
+// token machine and the accelerated host's assembler read it through the
+// lookups below instead of switching on opcodes.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "arch/operation.hpp"
 #include "host/memory.hpp"
 
 namespace cgra {
@@ -63,8 +69,30 @@ struct BytecodeFunction {
   std::vector<BcInstr> code;
 };
 
+/// What an instruction's argument means.
+enum class BcArg : std::uint8_t {
+  None,    ///< no argument
+  Value,   ///< a constant, a local index or a kernel id
+  Target,  ///< a jump target (a pc)
+};
+
 /// Human-readable opcode name.
 const char* bcName(Bc op);
+
+/// What `op`'s argument means.
+BcArg bcArg(Bc op);
+
+/// The Op that `op` evaluates: the arithmetic op, or the comparison a
+/// compare-and-branch tests; Op::NOP for every other instruction.
+Op bcOp(Bc op);
+
+/// The instruction that evaluates arithmetic op `op`; throws cgra::Error
+/// when there is none.
+Bc bcFor(Op op);
+
+/// The compare-and-branch that jumps when comparison `cmp` holds, or, with
+/// `taken == false`, when it fails; throws cgra::Error for a non-comparison.
+Bc branchFor(Op cmp, bool taken = true);
 
 /// Disassembles to one instruction per line.
 std::string disassemble(const BytecodeFunction& fn);

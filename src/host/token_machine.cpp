@@ -62,18 +62,7 @@ TokenRunResult TokenMachine::run(const BytecodeFunction& fn,
       case Bc::IUSHR: {
         const std::int32_t b = pop();
         const std::int32_t a = pop();
-        Op op;
-        switch (in.op) {
-          case Bc::IADD: op = Op::IADD; break;
-          case Bc::ISUB: op = Op::ISUB; break;
-          case Bc::IAND: op = Op::IAND; break;
-          case Bc::IOR: op = Op::IOR; break;
-          case Bc::IXOR: op = Op::IXOR; break;
-          case Bc::ISHL: op = Op::ISHL; break;
-          case Bc::ISHR: op = Op::ISHR; break;
-          default: op = Op::IUSHR; break;
-        }
-        stack.push_back(evalArith(op, a, b));
+        stack.push_back(evalArith(bcOp(in.op), a, b));
         result.cycles += costs_.aluOp;
         break;
       }
@@ -123,16 +112,7 @@ TokenRunResult TokenMachine::run(const BytecodeFunction& fn,
       case Bc::IF_ICMPLE: {
         const std::int32_t b = pop();
         const std::int32_t a = pop();
-        Op op;
-        switch (in.op) {
-          case Bc::IF_ICMPEQ: op = Op::IFEQ; break;
-          case Bc::IF_ICMPNE: op = Op::IFNE; break;
-          case Bc::IF_ICMPLT: op = Op::IFLT; break;
-          case Bc::IF_ICMPGE: op = Op::IFGE; break;
-          case Bc::IF_ICMPGT: op = Op::IFGT; break;
-          default: op = Op::IFLE; break;
-        }
-        if (evalCompare(op, a, b)) jump(in.arg);
+        if (evalCompare(bcOp(in.op), a, b)) jump(in.arg);
         result.cycles += costs_.branchOp;
         break;
       }

@@ -1,5 +1,6 @@
 #include "kir/kir.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -162,46 +163,23 @@ void printExpr(const Function& fn, ExprId id, std::ostream& os) {
   switch (e.kind) {
     case ExprKind::Const: os << e.value; break;
     case ExprKind::Local: os << fn.local(e.local).name; break;
-    case ExprKind::Binary: {
-      const char* sym = opName(e.op);
-      switch (e.op) {
-        case Op::IADD: sym = "+"; break;
-        case Op::ISUB: sym = "-"; break;
-        case Op::IMUL: sym = "*"; break;
-        case Op::IAND: sym = "&"; break;
-        case Op::IOR: sym = "|"; break;
-        case Op::IXOR: sym = "^"; break;
-        case Op::ISHL: sym = "<<"; break;
-        case Op::ISHR: sym = ">>"; break;
-        case Op::IUSHR: sym = ">>>"; break;
-        default: break;
-      }
-      os << '(';
-      printExpr(fn, e.lhs, os);
-      os << ' ' << sym << ' ';
-      printExpr(fn, e.rhs, os);
-      os << ')';
-      break;
-    }
     case ExprKind::Unary:
       os << "(-";
       printExpr(fn, e.lhs, os);
       os << ')';
       break;
-    case ExprKind::Compare: {
-      const char* sym = "?";
-      switch (e.op) {
-        case Op::IFEQ: sym = "=="; break;
-        case Op::IFNE: sym = "!="; break;
-        case Op::IFLT: sym = "<"; break;
-        case Op::IFGE: sym = ">="; break;
-        case Op::IFGT: sym = ">"; break;
-        case Op::IFLE: sym = "<="; break;
-        default: break;
-      }
+    case ExprKind::Binary:
+    case ExprKind::Compare:
+    case ExprKind::LogicalAnd:
+    case ExprKind::LogicalOr: {
+      const auto row = std::ranges::find_if(kBinaryOperators, [&](const auto& o) {
+        return o.kind == e.kind && o.op == e.op;
+      });
       os << '(';
       printExpr(fn, e.lhs, os);
-      os << ' ' << sym << ' ';
+      os << ' '
+         << (row != kBinaryOperators.end() ? row->spelling : opName(e.op))
+         << ' ';
       printExpr(fn, e.rhs, os);
       os << ')';
       break;
@@ -211,14 +189,6 @@ void printExpr(const Function& fn, ExprId id, std::ostream& os) {
       os << '[';
       printExpr(fn, e.rhs, os);
       os << ']';
-      break;
-    case ExprKind::LogicalAnd:
-    case ExprKind::LogicalOr:
-      os << '(';
-      printExpr(fn, e.lhs, os);
-      os << (e.kind == ExprKind::LogicalAnd ? " && " : " || ");
-      printExpr(fn, e.rhs, os);
-      os << ')';
       break;
   }
 }
@@ -553,30 +523,17 @@ ExprId FunctionBuilder::use(LocalId l) {
   return fn_->addExpr({.kind = ExprKind::Local, .local = l});
 }
 
-ExprId FunctionBuilder::bin(Op op, ExprId a, ExprId b) {
-  return fn_->addExpr({.kind = ExprKind::Binary, .op = op, .lhs = a, .rhs = b});
+ExprId FunctionBuilder::binary(ExprKind kind, Op op, ExprId a, ExprId b) {
+  return fn_->addExpr({.kind = kind, .op = op, .lhs = a, .rhs = b});
 }
 
 ExprId FunctionBuilder::neg(ExprId a) {
   return fn_->addExpr({.kind = ExprKind::Unary, .op = Op::INEG, .lhs = a});
 }
 
-ExprId FunctionBuilder::cmp(Op op, ExprId a, ExprId b) {
-  return fn_->addExpr(
-      {.kind = ExprKind::Compare, .op = op, .lhs = a, .rhs = b});
-}
-
 ExprId FunctionBuilder::load(ExprId handle, ExprId index) {
   return fn_->addExpr(
       {.kind = ExprKind::ArrayLoad, .lhs = handle, .rhs = index});
-}
-
-ExprId FunctionBuilder::land(ExprId a, ExprId b) {
-  return fn_->addExpr({.kind = ExprKind::LogicalAnd, .lhs = a, .rhs = b});
-}
-
-ExprId FunctionBuilder::lor(ExprId a, ExprId b) {
-  return fn_->addExpr({.kind = ExprKind::LogicalOr, .lhs = a, .rhs = b});
 }
 
 StmtId FunctionBuilder::assign(LocalId target, ExprId value) {

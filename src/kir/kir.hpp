@@ -20,9 +20,11 @@
 // kernel generator and tests; kernels themselves are written as KIR text.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/operation.hpp"
@@ -49,6 +51,40 @@ enum class ExprKind : std::uint8_t {
   LogicalAnd,  ///< lhs && rhs — short-circuit: rhs evaluated only if lhs != 0
   LogicalOr,   ///< lhs || rhs — short-circuit: rhs evaluated only if lhs == 0
 };
+
+/// A KIR binary operator: its source spelling, its precedence level (0
+/// binds loosest) and the node it builds. LogicalAnd/LogicalOr carry no Op
+/// (Op::NOP).
+struct BinaryOperator {
+  std::string_view spelling;
+  unsigned level;
+  ExprKind kind;
+  Op op;
+};
+
+/// Every KIR binary operator, loosest level first; every level groups to
+/// the left. The lexer, the parser's precedence climbing and the printer
+/// read this table, so an operator is spelled here and nowhere else.
+/// Unary `-` and `!` bind tighter than any level (kir/parser.cpp).
+inline constexpr auto kBinaryOperators = std::to_array<BinaryOperator>({
+    {"||", 0, ExprKind::LogicalOr, Op::NOP},
+    {"&&", 1, ExprKind::LogicalAnd, Op::NOP},
+    {"|", 2, ExprKind::Binary, Op::IOR},
+    {"^", 3, ExprKind::Binary, Op::IXOR},
+    {"&", 4, ExprKind::Binary, Op::IAND},
+    {"==", 5, ExprKind::Compare, Op::IFEQ},
+    {"!=", 5, ExprKind::Compare, Op::IFNE},
+    {"<", 6, ExprKind::Compare, Op::IFLT},
+    {"<=", 6, ExprKind::Compare, Op::IFLE},
+    {">", 6, ExprKind::Compare, Op::IFGT},
+    {">=", 6, ExprKind::Compare, Op::IFGE},
+    {"<<", 7, ExprKind::Binary, Op::ISHL},
+    {">>", 7, ExprKind::Binary, Op::ISHR},
+    {">>>", 7, ExprKind::Binary, Op::IUSHR},
+    {"+", 8, ExprKind::Binary, Op::IADD},
+    {"-", 8, ExprKind::Binary, Op::ISUB},
+    {"*", 9, ExprKind::Binary, Op::IMUL},
+});
 
 struct Expr {
   ExprKind kind = ExprKind::Const;
@@ -192,7 +228,11 @@ public:
   // Expressions.
   ExprId cint(std::int32_t v);
   ExprId use(LocalId l);
-  ExprId bin(Op op, ExprId a, ExprId b);
+  /// A two-operand node of kind Binary, Compare, LogicalAnd or LogicalOr.
+  ExprId binary(ExprKind kind, Op op, ExprId a, ExprId b);
+  ExprId bin(Op op, ExprId a, ExprId b) {
+    return binary(ExprKind::Binary, op, a, b);
+  }
   ExprId add(ExprId a, ExprId b) { return bin(Op::IADD, a, b); }
   ExprId sub(ExprId a, ExprId b) { return bin(Op::ISUB, a, b); }
   ExprId mul(ExprId a, ExprId b) { return bin(Op::IMUL, a, b); }
@@ -203,7 +243,9 @@ public:
   ExprId shr(ExprId a, ExprId b) { return bin(Op::ISHR, a, b); }
   ExprId ushr(ExprId a, ExprId b) { return bin(Op::IUSHR, a, b); }
   ExprId neg(ExprId a);
-  ExprId cmp(Op op, ExprId a, ExprId b);
+  ExprId cmp(Op op, ExprId a, ExprId b) {
+    return binary(ExprKind::Compare, op, a, b);
+  }
   ExprId eq(ExprId a, ExprId b) { return cmp(Op::IFEQ, a, b); }
   ExprId ne(ExprId a, ExprId b) { return cmp(Op::IFNE, a, b); }
   ExprId lt(ExprId a, ExprId b) { return cmp(Op::IFLT, a, b); }
@@ -213,8 +255,12 @@ public:
   ExprId load(ExprId handle, ExprId index);
   /// Short-circuit logical operators (normalized away by the frontend
   /// pipeline before CDFG lowering).
-  ExprId land(ExprId a, ExprId b);
-  ExprId lor(ExprId a, ExprId b);
+  ExprId land(ExprId a, ExprId b) {
+    return binary(ExprKind::LogicalAnd, Op::NOP, a, b);
+  }
+  ExprId lor(ExprId a, ExprId b) {
+    return binary(ExprKind::LogicalOr, Op::NOP, a, b);
+  }
 
   // Statements (return the StmtId; compose with block()).
   StmtId assign(LocalId target, ExprId value);

@@ -47,23 +47,11 @@ private:
         emitExpr(e.lhs);
         emit(Bc::INEG);
         break;
-      case ExprKind::Binary: {
+      case ExprKind::Binary:
         emitExpr(e.lhs);
         emitExpr(e.rhs);
-        switch (e.op) {
-          case Op::IADD: emit(Bc::IADD); break;
-          case Op::ISUB: emit(Bc::ISUB); break;
-          case Op::IMUL: emit(Bc::IMUL); break;
-          case Op::IAND: emit(Bc::IAND); break;
-          case Op::IOR: emit(Bc::IOR); break;
-          case Op::IXOR: emit(Bc::IXOR); break;
-          case Op::ISHL: emit(Bc::ISHL); break;
-          case Op::ISHR: emit(Bc::ISHR); break;
-          case Op::IUSHR: emit(Bc::IUSHR); break;
-          default: throw Error("lowerToBytecode: bad binary op");
-        }
+        emit(bcFor(e.op));
         break;
-      }
       case ExprKind::Compare: {
         // Materialize the 0/1 value via a branch, like javac would.
         emitExpr(e.lhs);
@@ -111,30 +99,6 @@ private:
     }
   }
 
-  static Bc branchFor(Op op) {
-    switch (op) {
-      case Op::IFEQ: return Bc::IF_ICMPEQ;
-      case Op::IFNE: return Bc::IF_ICMPNE;
-      case Op::IFLT: return Bc::IF_ICMPLT;
-      case Op::IFGE: return Bc::IF_ICMPGE;
-      case Op::IFGT: return Bc::IF_ICMPGT;
-      case Op::IFLE: return Bc::IF_ICMPLE;
-      default: throw Error("lowerToBytecode: bad compare op");
-    }
-  }
-
-  static Bc invertedBranchFor(Op op) {
-    switch (op) {
-      case Op::IFEQ: return Bc::IF_ICMPNE;
-      case Op::IFNE: return Bc::IF_ICMPEQ;
-      case Op::IFLT: return Bc::IF_ICMPGE;
-      case Op::IFGE: return Bc::IF_ICMPLT;
-      case Op::IFGT: return Bc::IF_ICMPLE;
-      case Op::IFLE: return Bc::IF_ICMPGT;
-      default: throw Error("lowerToBytecode: bad compare op");
-    }
-  }
-
   /// Emits a conditional jump taken when `cond` is FALSE; returns the
   /// instruction index to patch with the jump target.
   std::size_t emitCondJumpIfFalse(ExprId cond) {
@@ -142,7 +106,7 @@ private:
     if (e.kind == ExprKind::Compare) {
       emitExpr(e.lhs);
       emitExpr(e.rhs);
-      return emit(invertedBranchFor(e.op), 0);
+      return emit(branchFor(e.op, /*taken=*/false), 0);
     }
     // Generic integer condition: false when == 0.
     emitExpr(cond);

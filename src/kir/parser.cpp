@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace cgra::kir {
@@ -17,17 +18,15 @@ enum class Tok : std::uint8_t {
   KwKernel, KwVar, KwIf, KwElse, KwWhile,
   KwBreak, KwContinue, KwReturn, KwSwitch, KwCase, KwDefault,
   LParen, RParen, LBrace, RBrace, LBracket, RBracket,
-  Comma, Semi, Colon, Assign,
-  OrOr, AndAnd, Pipe, Caret, Amp,
-  EqEq, NotEq, Lt, Le, Gt, Ge,
-  Shl, Shr, Ushr,
-  Plus, Minus, Star, Bang,
+  Comma, Semi, Colon, Assign, Bang,
+  Operator,  ///< a kBinaryOperators spelling
 };
 
 struct Token {
   Tok kind = Tok::End;
   std::string text;
   std::int32_t value = 0;
+  const BinaryOperator* op = nullptr;  ///< Operator
   int line = 1, col = 1;
 };
 
@@ -141,21 +140,17 @@ private:
       tok_.value = static_cast<std::int32_t>(static_cast<std::uint32_t>(v));
       return;
     }
-    auto two = [&](char a, char b) { return c == a && next() == b; };
-    if (two('|', '|')) { bump(); bump(); tok_.kind = Tok::OrOr; return; }
-    if (two('&', '&')) { bump(); bump(); tok_.kind = Tok::AndAnd; return; }
-    if (two('=', '=')) { bump(); bump(); tok_.kind = Tok::EqEq; return; }
-    if (two('!', '=')) { bump(); bump(); tok_.kind = Tok::NotEq; return; }
-    if (two('<', '=')) { bump(); bump(); tok_.kind = Tok::Le; return; }
-    if (two('>', '=')) { bump(); bump(); tok_.kind = Tok::Ge; return; }
-    if (c == '>' && next() == '>' && pos_ + 2 < src_.size() &&
-        src_[pos_ + 2] == '>') {
-      bump(); bump(); bump();
-      tok_.kind = Tok::Ushr;
+    // The longest spelling wins, so `>>>` is not read as `>>` `>`.
+    const std::string_view rest = std::string_view(src_).substr(pos_);
+    for (const BinaryOperator& o : kBinaryOperators)
+      if (rest.starts_with(o.spelling) &&
+          (!tok_.op || o.spelling.size() > tok_.op->spelling.size()))
+        tok_.op = &o;
+    if (tok_.op) {
+      for (std::size_t i = 0; i < tok_.op->spelling.size(); ++i) bump();
+      tok_.kind = Tok::Operator;
       return;
     }
-    if (two('<', '<')) { bump(); bump(); tok_.kind = Tok::Shl; return; }
-    if (two('>', '>')) { bump(); bump(); tok_.kind = Tok::Shr; return; }
     bump();
     switch (c) {
       case '(': tok_.kind = Tok::LParen; return;
@@ -168,14 +163,6 @@ private:
       case ';': tok_.kind = Tok::Semi; return;
       case ':': tok_.kind = Tok::Colon; return;
       case '=': tok_.kind = Tok::Assign; return;
-      case '|': tok_.kind = Tok::Pipe; return;
-      case '^': tok_.kind = Tok::Caret; return;
-      case '&': tok_.kind = Tok::Amp; return;
-      case '<': tok_.kind = Tok::Lt; return;
-      case '>': tok_.kind = Tok::Gt; return;
-      case '+': tok_.kind = Tok::Plus; return;
-      case '-': tok_.kind = Tok::Minus; return;
-      case '*': tok_.kind = Tok::Star; return;
       case '!': tok_.kind = Tok::Bang; return;
       default: fail(std::string("unexpected character '") + c + "'");
     }
@@ -373,7 +360,7 @@ private:
         const Token at = lex_.take();
         if (defaultB != kNoStmt) fail(at, "'case' after 'default'");
         bool negate = false;
-        if (lex_.peek().kind == Tok::Minus) {
+        if (isMinus(lex_.peek())) {
           lex_.take();
           negate = true;
         }
@@ -412,7 +399,7 @@ private:
 
   ExprId parseExpr() {
     const Token start = lex_.peek();
-    return checkTreeDepth(parseOrOr(), start);
+    return checkTreeDepth(parseBinary(0), start);
   }
 
   /// Rejects expression trees deeper than kMaxNestingDepth. The binary
@@ -437,116 +424,32 @@ private:
     return e;
   }
 
-  ExprId parseOrOr() {
-    ExprId lhs = parseAndAnd();
-    while (lex_.peek().kind == Tok::OrOr) {
-      lex_.take();
-      // Short-circuit: the operands keep their raw form; LogicalOr itself
-      // normalizes to 0/1 and skips the rhs when the lhs decides.
-      lhs = builder_->lor(lhs, parseAndAnd());
-    }
-    return lhs;
+  static bool isMinus(const Token& t) {
+    return t.kind == Tok::Operator && t.op->spelling == "-";
   }
 
-  ExprId parseAndAnd() {
-    ExprId lhs = parseBitOr();
-    while (lex_.peek().kind == Tok::AndAnd) {
-      lex_.take();
-      lhs = builder_->land(lhs, parseBitOr());
-    }
-    return lhs;
-  }
-
-  ExprId parseBitOr() {
-    ExprId lhs = parseBitXor();
-    while (lex_.peek().kind == Tok::Pipe) {
-      lex_.take();
-      lhs = builder_->bor(lhs, parseBitXor());
-    }
-    return lhs;
-  }
-
-  ExprId parseBitXor() {
-    ExprId lhs = parseBitAnd();
-    while (lex_.peek().kind == Tok::Caret) {
-      lex_.take();
-      lhs = builder_->bxor(lhs, parseBitAnd());
-    }
-    return lhs;
-  }
-
-  ExprId parseBitAnd() {
-    ExprId lhs = parseEquality();
-    while (lex_.peek().kind == Tok::Amp) {
-      lex_.take();
-      lhs = builder_->band(lhs, parseEquality());
-    }
-    return lhs;
-  }
-
-  ExprId parseEquality() {
-    ExprId lhs = parseRelational();
-    while (true) {
-      const Tok k = lex_.peek().kind;
-      if (k == Tok::EqEq) {
-        lex_.take();
-        lhs = builder_->eq(lhs, parseRelational());
-      } else if (k == Tok::NotEq) {
-        lex_.take();
-        lhs = builder_->ne(lhs, parseRelational());
-      } else {
-        return lhs;
-      }
-    }
-  }
-
-  ExprId parseRelational() {
-    ExprId lhs = parseShift();
-    while (true) {
-      const Tok k = lex_.peek().kind;
-      if (k == Tok::Lt) { lex_.take(); lhs = builder_->lt(lhs, parseShift()); }
-      else if (k == Tok::Le) { lex_.take(); lhs = builder_->le(lhs, parseShift()); }
-      else if (k == Tok::Gt) { lex_.take(); lhs = builder_->gt(lhs, parseShift()); }
-      else if (k == Tok::Ge) { lex_.take(); lhs = builder_->ge(lhs, parseShift()); }
-      else return lhs;
-    }
-  }
-
-  ExprId parseShift() {
-    ExprId lhs = parseAdditive();
-    while (true) {
-      const Tok k = lex_.peek().kind;
-      if (k == Tok::Shl) { lex_.take(); lhs = builder_->shl(lhs, parseAdditive()); }
-      else if (k == Tok::Shr) { lex_.take(); lhs = builder_->shr(lhs, parseAdditive()); }
-      else if (k == Tok::Ushr) { lex_.take(); lhs = builder_->ushr(lhs, parseAdditive()); }
-      else return lhs;
-    }
-  }
-
-  ExprId parseAdditive() {
-    ExprId lhs = parseMultiplicative();
-    while (true) {
-      const Tok k = lex_.peek().kind;
-      if (k == Tok::Plus) { lex_.take(); lhs = builder_->add(lhs, parseMultiplicative()); }
-      else if (k == Tok::Minus) { lex_.take(); lhs = builder_->sub(lhs, parseMultiplicative()); }
-      else return lhs;
-    }
-  }
-
-  ExprId parseMultiplicative() {
+  /// Precedence climbing over kBinaryOperators: parses unary operands
+  /// joined by operators of `minLevel` or tighter. Each operand is built
+  /// before its operator and the right operand takes only tighter levels,
+  /// so every level groups to the left. `&&`/`||` keep their operands raw;
+  /// the short-circuit node normalizes to 0/1 and skips the rhs when the
+  /// lhs decides.
+  ExprId parseBinary(unsigned minLevel) {
     ExprId lhs = parseUnary();
-    while (lex_.peek().kind == Tok::Star) {
-      lex_.take();
-      lhs = builder_->mul(lhs, parseUnary());
+    while (lex_.peek().kind == Tok::Operator &&
+           lex_.peek().op->level >= minLevel) {
+      const BinaryOperator& o = *lex_.take().op;
+      lhs = builder_->binary(o.kind, o.op, lhs, parseBinary(o.level + 1));
     }
     return lhs;
   }
 
   ExprId parseUnary() {
-    const Tok k = lex_.peek().kind;
-    if (k != Tok::Minus && k != Tok::Bang) return parsePrimary();
+    const Token& t = lex_.peek();
+    const bool minus = isMinus(t);
+    if (!minus && t.kind != Tok::Bang) return parsePrimary();
     const Nest nest(*this);
-    if (k == Tok::Minus) {
+    if (minus) {
       lex_.take();
       // Fold -literal directly so INT_MIN is expressible.
       if (lex_.peek().kind == Tok::Int) {

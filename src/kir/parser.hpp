@@ -3,25 +3,35 @@
 // tools/cgra_tool.cpp --kernel-file) or embedded as text (the bundled
 // kernels, src/apps/kernels.cpp).
 //
-// Grammar (C-like precedence; integers are 32-bit two's complement):
+// Grammar (docs/KERNEL_LANGUAGE.md; integers are 32-bit two's complement):
 //
-//   kernel     := "kernel" IDENT "(" [IDENT ("," IDENT)*] ")" block
-//   block      := "{" stmt* "}"
-//   stmt       := "var" IDENT ["=" expr] ";"          declare local
-//               | IDENT "=" expr ";"                  assign
-//               | IDENT "[" expr "]" "=" expr ";"     array store
-//               | "if" "(" expr ")" block ["else" (block | ifstmt)]
-//               | "while" "(" expr ")" block
-//   expr       := logical-or with C precedence:
-//                 || && | ^ & ==/!= </<=/>/>= <</>>/>>> +- * unary(- !)
-//               | IDENT | IDENT "[" expr "]" | INT | "(" expr ")"
+//   kernel  := "kernel" IDENT "(" [IDENT ("," IDENT)*] ")" block
+//   block   := "{" stmt* "}"
+//   stmt    := "var" IDENT ["=" expr] ";"         declare local
+//            | IDENT "=" expr ";"                 assign
+//            | IDENT "[" expr "]" "=" expr ";"    array store
+//            | "if" "(" expr ")" block ["else" (block | if-stmt)]
+//            | "while" "(" expr ")" block
+//            | "break" ";" | "continue" ";"       innermost loop
+//            | "return" [expr] ";"                expr assigns `result`
+//            | "switch" "(" expr ")" "{" case* ["default" ":" block] "}"
+//   case    := "case" ["-"] INT ":" block         no fall-through
+//   expr    := unary (OPERATOR unary)*
+//   unary   := "-" unary | "!" unary | primary
+//   primary := IDENT | IDENT "[" expr "]" | INT | "(" expr ")"
+//
+// OPERATOR is any spelling of kBinaryOperators (kir/kir.hpp), which also
+// gives its precedence level; one precedence-climbing loop reads it, and
+// every level groups to the left. Unary operators bind tighter than all
+// of them.
 //
 // Notes on semantics: `var x;` without an initializer emits no statement,
 // so x keeps its host value (0 unless bound) and is live-in if read before
-// written; `||`/`&&` are non-short-circuit (both sides evaluate;
-// operands are normalized to 0/1 — this matches the CGRA's speculative
-// execution, where both sides execute anyway); `!e` is `e == 0`;
-// `>>` is arithmetic, `>>>` logical shift right.
+// written; `||`/`&&` short-circuit (the rhs runs only when the lhs does not
+// decide) and yield 0/1; `!e` is `e == 0`; `-INT` folds to a constant, so
+// -2147483648 is expressible; `>>` is arithmetic, `>>>` logical shift
+// right; an if/while condition that is not a comparison, `&&` or `||`
+// means `expr != 0`.
 #pragma once
 
 #include <cstddef>

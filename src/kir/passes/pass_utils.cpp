@@ -32,14 +32,8 @@ ExprId Cloner::copyExpr(ExprId id) {
   }
   const ExprId lhs = expr(e.lhs);
   const ExprId rhs = expr(e.rhs);
-  switch (e.kind) {
-    case ExprKind::Binary: return build_.bin(e.op, lhs, rhs);
-    case ExprKind::Compare: return build_.cmp(e.op, lhs, rhs);
-    case ExprKind::ArrayLoad: return build_.load(lhs, rhs);
-    case ExprKind::LogicalAnd: return build_.land(lhs, rhs);
-    case ExprKind::LogicalOr: return build_.lor(lhs, rhs);
-    default: CGRA_UNREACHABLE("bad expression kind");
-  }
+  if (e.kind == ExprKind::ArrayLoad) return build_.load(lhs, rhs);
+  return build_.binary(e.kind, e.op, lhs, rhs);
 }
 
 StmtId Cloner::copyStmt(StmtId id) {

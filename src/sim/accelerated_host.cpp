@@ -54,19 +54,8 @@ BytecodeFunction AcceleratedHost::assemble(const std::vector<Stage>& stages,
       out.numLocals = std::max<unsigned>(out.numLocals, part.numLocals);
       for (BcInstr in : part.code) {
         if (in.op == Bc::HALT) continue;  // stages fall through
-        switch (in.op) {
-          case Bc::GOTO:
-          case Bc::IF_ICMPEQ:
-          case Bc::IF_ICMPNE:
-          case Bc::IF_ICMPLT:
-          case Bc::IF_ICMPGE:
-          case Bc::IF_ICMPGT:
-          case Bc::IF_ICMPLE:
-            in.arg += offset;  // branch targets are stage-relative
-            break;
-          default:
-            break;
-        }
+        // Branch targets are stage-relative.
+        if (bcArg(in.op) == BcArg::Target) in.arg += offset;
         out.code.push_back(in);
       }
       // A stage's trailing HALT may be branched to; those targets now point

@@ -51,6 +51,53 @@ TEST(Parser, PrecedenceMatchesC) {
   EXPECT_EQ(evalKernel("kernel f(a) { var r = !a; }", {0}, "r"), 1);
 }
 
+/// The binary operator levels, loosest first, written out here rather than
+/// read from kBinaryOperators.
+const std::vector<std::vector<std::string>> kLevels = {
+    {"||"},          {"&&"},          {"|"},
+    {"^"},           {"&"},           {"==", "!="},
+    {"<", "<=", ">", ">="},           {"<<", ">>", ">>>"},
+    {"+", "-"},      {"*"},
+};
+
+/// The right-hand side of `r = ...;` as the printer writes it.
+std::string printedResult(const std::string& expr) {
+  const std::string printed =
+      parseKernel("kernel f(a, b, c) { var r = " + expr + "; }").toString();
+  const std::size_t at = printed.find("r = ");
+  if (at == std::string::npos) return printed;
+  return printed.substr(at + 4, printed.find(';', at) - at - 4);
+}
+
+TEST(Parser, AdjacentLevelsGroupByPrecedence) {
+  for (std::size_t level = 0; level + 1 < kLevels.size(); ++level) {
+    for (const std::string& lo : kLevels[level]) {
+      for (const std::string& hi : kLevels[level + 1]) {
+        EXPECT_EQ(printedResult("a " + lo + " b " + hi + " c"),
+                  "(a " + lo + " (b " + hi + " c))");
+        EXPECT_EQ(printedResult("a " + hi + " b " + lo + " c"),
+                  "((a " + hi + " b) " + lo + " c)");
+      }
+    }
+  }
+}
+
+TEST(Parser, OneLevelGroupsLeft) {
+  for (const std::vector<std::string>& level : kLevels)
+    for (const std::string& x : level)
+      for (const std::string& y : level)
+        EXPECT_EQ(printedResult("a " + x + " b " + y + " c"),
+                  "((a " + x + " b) " + y + " c)");
+}
+
+TEST(Parser, UnaryBindsTighterThanMultiply) {
+  EXPECT_EQ(printedResult("-a * b"), "((-a) * b)");
+  EXPECT_EQ(printedResult("a * -b"), "(a * (-b))");
+  EXPECT_EQ(printedResult("!a * b"), "((a == 0) * b)");
+  EXPECT_EQ(printedResult("a * !b"), "(a * (b == 0))");
+  EXPECT_EQ(printedResult("-2147483648"), "-2147483648");
+}
+
 TEST(Parser, ShiftVariants) {
   EXPECT_EQ(evalKernel("kernel f(a) { var r = a >> 1; }", {-8}, "r"), -4);
   EXPECT_EQ(evalKernel("kernel f(a) { var r = a >>> 1; }", {-8}, "r"),

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Eight lints over the tree: (1) the deprecated Scheduler::schedule
+# Nine lints over the tree: (1) the deprecated Scheduler::schedule
 # call sites and shims, (2) raw SimCounters field math in tools and
 # benches, (3) the removed schedule checkers, (4) writers of the schedule
 # under construction other than RunState, (5) a context word's layout
 # stated more than once, (6) an artifact record's layout stated more than
 # once, (7) a frontend pass filling KIR node fields by hand, or the
 # removed switch-strategy knob, (8) a CDFG scan, tree map or path vector
-# on the scheduler passes' probe path.
+# on the scheduler passes' probe path, (9) a per-level expression parse
+# function, or an Op/Bc mapping outside the bytecode table.
 #
 # Lint 1: the deprecated Scheduler::schedule(const Cdfg&) shims were removed
 # with the pass-pipeline refactor. This check is now a hard failure on two
@@ -219,4 +220,32 @@ if [ -n "$probe_offenders" ]; then
 fi
 
 echo "ok: the scheduler passes' probe lookups are table reads"
+
+# Lint 9: each operator is spelled once. kBinaryOperators (src/kir/kir.hpp)
+# drives the lexer, the parser's one precedence-climbing loop and the
+# printer; the bytecode table in src/host/bytecode.cpp is the only mapping
+# between Bc and Op, read by the lowering, the token machine and the
+# accelerated host. The per-level parse functions and case-by-case Op/Bc
+# switches must not come back.
+operator_offenders=$({
+  grep -nHE \
+      'parse(OrOr|AndAnd|BitOr|BitXor|BitAnd|Equality|Relational|Shift|Additive|Multiplicative)\(' \
+      src/kir/parser.cpp
+  grep -rnE --include='*.cpp' --include='*.hpp' \
+      'case Op::[A-Z_]+:.*Bc::|case Bc::[A-Z_]+:.*Op::' \
+      src tools bench examples tests |
+    grep -v '^src/host/bytecode\.cpp:'
+} 2>/dev/null)
+
+if [ -n "$operator_offenders" ]; then
+  echo "error: an operator's precedence or its Op/Bc mapping is stated"
+  echo "outside its table. Parse through the precedence-climbing loop over"
+  echo "kBinaryOperators (src/kir/kir.hpp), and map between Bc and Op with"
+  echo "bcOp/bcFor/branchFor (src/host/bytecode.hpp):"
+  echo
+  echo "$operator_offenders"
+  exit 1
+fi
+
+echo "ok: each operator is spelled once, in its table"
 exit 0
