@@ -118,7 +118,10 @@ constexpr auto kStats = layout<5>([](auto& c, auto& a) {
   c.expect("fusedWrites", a.metrics.fusedWrites);
 });
 
-constexpr auto kArtifact = layout<8>([](auto& c, auto& a) {
+}  // namespace
+
+template <class Coder, class Artifact>
+void artifactFields(Coder& c, Artifact& a) {
   c.lookahead("ok", a.ok);  // which keys follow depends on it
   c.optional("contexts", a.contexts, kContextImagesLayout);
   if (a.ok)
@@ -138,9 +141,10 @@ constexpr auto kArtifact = layout<8>([](auto& c, auto& a) {
     });
   }
   c.field("stats", a, kStats);
-});
+}
 
-}  // namespace
+template void artifactFields(json::FieldEncoder&, const ScheduleArtifact&);
+template void artifactFields(json::FieldDecoder&, ScheduleArtifact&);
 
 json::Value scheduleToJson(const Schedule& sched) {
   return json::encode(kSchedule, sched);
@@ -153,12 +157,12 @@ Schedule scheduleFromJson(const json::Value& doc) {
 }
 
 json::Value ScheduleArtifact::toJson() const {
-  return json::encode(kArtifact, *this);
+  return json::encode(kArtifactLayout, *this);
 }
 
 ScheduleArtifact ScheduleArtifact::fromJson(const json::Value& doc) {
   ScheduleArtifact a;
-  json::decode(kArtifact, doc, "artifact", a);
+  json::decode(kArtifactLayout, doc, "artifact", a);
   return a;
 }
 

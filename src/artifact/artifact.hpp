@@ -66,6 +66,16 @@ struct ScheduleArtifact : ScheduleReport {
                                      const ScheduleReport& report);
 };
 
+/// Visits the keys of an artifact document in ascending order; defined for
+/// json::FieldEncoder and json::FieldDecoder.
+template <class Coder, class Artifact>
+void artifactFields(Coder& c, Artifact& a);
+
+/// The artifact document as a nested record (`"artifact": true` wire
+/// responses attach it).
+inline constexpr auto kArtifactLayout =
+    json::layout<8>([](auto& c, auto& a) { artifactFields(c, a); });
+
 /// Bit-exact Schedule serialization (every field of sched/schedule.hpp).
 /// Exposed separately for tests and external tooling. scheduleFromJson
 /// rejects a schedule that fails layer 1 (bounds) of verifySchedule.

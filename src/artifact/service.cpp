@@ -7,11 +7,10 @@
 #include <deque>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -54,86 +53,105 @@ const char* wireErrorCode(WireError code) {
   CGRA_UNREACHABLE("bad WireError");
 }
 
-json::Value ServiceStats::toJson() const {
-  json::Object o;
-  o["requests"] = requests;
-  o["parseErrors"] = parseErrors;
-  o["internalErrors"] = internalErrors;
-  o["scheduled"] = scheduled;
-  o["cacheHits"] = cacheHits;
-  o["deduped"] = deduped;
-  o["statsRequests"] = statsRequests;
-  o["shedOverload"] = shedOverload;
-  o["shedShutdown"] = shedShutdown;
-  o["connectionsAccepted"] = connectionsAccepted;
-  o["connectionsRefused"] = connectionsRefused;
-  o["connectionsClosed"] = connectionsClosed;
-  o["maxQueueDepth"] = maxQueueDepth;
-  o["latencyCount"] = latencyCount;
-  o["latencyP50Us"] = latencyP50Us;
-  o["latencyP99Us"] = latencyP99Us;
-  o["latencyMeanUs"] = latencyMeanUs;
-  o["controlLatencyCount"] = controlLatencyCount;
-  o["controlLatencyP50Us"] = controlLatencyP50Us;
-  o["controlLatencyP99Us"] = controlLatencyP99Us;
-  o["controlLatencyMeanUs"] = controlLatencyMeanUs;
-  return json::sortKeys(json::Value(std::move(o)));
-}
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using json::layout;
 
-/// One parsed schedule request. Mirrors the relevant `cgra-tool schedule`
-/// flags; see service.hpp for the line format.
-struct Request {
-  json::Value id;  ///< echoed verbatim in the response (any JSON value)
-  std::string comp;
-  std::string kernel;      ///< bundled kernel name
-  std::string kernelFile;  ///< or a KIR file path (wins when both set)
-  kir::FrontendOptions frontend;  ///< "unroll" and "cse"
-  unsigned maxContexts = 0;
-  bool wantArtifact = false;
+// Each wire record's layout, stated once (json.hpp). Every layout but the
+// response visits its keys in ascending byte order, so what it writes is
+// sorted as built.
+
+constexpr auto kServiceStats = layout<21>([](auto& c, auto& s) {
+  c.field("cacheHits", s.cacheHits);
+  c.field("connectionsAccepted", s.connectionsAccepted);
+  c.field("connectionsClosed", s.connectionsClosed);
+  c.field("connectionsRefused", s.connectionsRefused);
+  c.field("controlLatencyCount", s.controlLatencyCount);
+  c.field("controlLatencyMeanUs", s.controlLatencyMeanUs);
+  c.field("controlLatencyP50Us", s.controlLatencyP50Us);
+  c.field("controlLatencyP99Us", s.controlLatencyP99Us);
+  c.field("deduped", s.deduped);
+  c.field("internalErrors", s.internalErrors);
+  c.field("latencyCount", s.latencyCount);
+  c.field("latencyMeanUs", s.latencyMeanUs);
+  c.field("latencyP50Us", s.latencyP50Us);
+  c.field("latencyP99Us", s.latencyP99Us);
+  c.field("maxQueueDepth", s.maxQueueDepth);
+  c.field("parseErrors", s.parseErrors);
+  c.field("requests", s.requests);
+  c.field("scheduled", s.scheduled);
+  c.field("shedOverload", s.shedOverload);
+  c.field("shedShutdown", s.shedShutdown);
+  c.field("statsRequests", s.statsRequests);
+});
+
+/// The `error` object of a failed answer.
+struct WireFailure {
+  const char* code = nullptr;  ///< wireErrorCode
+  std::string message;
+  std::optional<std::string> reason;  ///< unmappable: the FailureReason
 };
 
-Request parseRequest(const json::Value& doc, bool includeArtifact) {
-  if (!doc.isObject()) throw Error("request must be a JSON object");
-  const json::Object& o = doc.asObject();
-  Request r;
-  r.wantArtifact = includeArtifact;
-  if (const json::Value* v = o.find("id")) r.id = *v;
-  if (const json::Value* v = o.find("comp")) r.comp = v->asString();
-  if (r.comp.empty()) throw Error("request misses \"comp\"");
-  if (const json::Value* v = o.find("kernel")) r.kernel = v->asString();
-  if (const json::Value* v = o.find("kernelFile"))
-    r.kernelFile = v->asString();
-  if (r.kernel.empty() && r.kernelFile.empty())
-    throw Error("request misses \"kernel\" (or \"kernelFile\")");
-  // Counts are range-checked before any work is done: a negative would
-  // wrap, and an unbounded unroll factor is unbounded frontend work.
-  const auto count = [](const json::Value& v, const char* field,
-                        std::int64_t max) {
-    const std::int64_t n = v.asInt();
-    if (n < 0 || n > max)
-      throw Error("\"" + std::string(field) + "\" must be in [0, " +
-                  std::to_string(max) + "], got " + std::to_string(n));
-    return static_cast<unsigned>(n);
-  };
-  if (const json::Value* v = o.find("unroll"))
-    r.frontend.unrollFactor = count(*v, "unroll", kir::kMaxUnrollFactor);
-  if (const json::Value* v = o.find("cse")) r.frontend.cse = v->asBool();
-  if (const json::Value* v = o.find("maxContexts"))
-    r.maxContexts =
-        count(*v, "maxContexts", std::numeric_limits<unsigned>::max());
-  if (const json::Value* v = o.find("artifact"))
-    r.wantArtifact = v->asBool();
+constexpr auto kWireFailure = layout<3>([](auto& c, auto& f) {
+  c.field("code", f.code);
+  c.field("message", f.message);
+  c.optional("reason", f.reason, json::Scalar{});
+});
+
+/// One answer on the wire; members left empty are not written.
+struct Response {
+  json::Value id;
+  std::optional<std::string> key;
+  bool ok = false;
+  std::optional<bool> cached;
+  std::optional<unsigned> contexts;
+  std::optional<std::uint64_t> fingerprint;
+  std::optional<ScheduleArtifact> artifact;  ///< with its context images
+  std::optional<WireFailure> error;
+  std::optional<std::string> metrics;
+  std::optional<json::Value> stats;
+};
+
+/// The one layout that keeps wire protocol v1's key order rather than
+/// ascending order: every response the service has sent is a subsequence
+/// of it.
+constexpr auto kResponse = layout<8>([](auto& c, auto& r) {
+  c.expect("v", kWireVersion);
+  c.field("id", r.id, json::Raw{});
+  c.optional("key", r.key, json::Scalar{});
+  c.field("ok", r.ok);
+  c.optional("cached", r.cached, json::Scalar{});
+  c.optional("contexts", r.contexts, json::Scalar{});
+  c.optional("fingerprint", r.fingerprint, json::Decimal{});
+  c.optional("artifact", r.artifact, kArtifactLayout);
+  c.optional("error", r.error, kWireFailure);
+  c.optional("metrics", r.metrics, json::Scalar{});
+  c.optional("stats", r.stats, json::Raw{});
+});
+
+Response errorResponse(json::Value id, WireError code, std::string message) {
+  Response r;
+  r.id = std::move(id);
+  r.error = WireFailure{wireErrorCode(code), std::move(message), {}};
   return r;
+}
+
+std::string wireLine(const Response& r) {
+  return json::encode(kResponse, r).dump(0);
+}
+
+/// The id of a request line that may not decode, so its error answer can
+/// still echo it; null when there is none.
+json::Value requestId(const json::Value& doc) {
+  const json::Value* id = doc.isObject() ? doc.asObject().find("id") : nullptr;
+  return id != nullptr ? *id : json::Value();
 }
 
 /// Loads the requested kernel and runs it through the same frontend
 /// normalization pipeline as `cgra-tool schedule`, so served KIR files may
 /// use break/continue/return, switch and && / ||.
-Cdfg resolveGraph(const Request& r) {
+Cdfg resolveGraph(const WireRequest& r) {
   const auto lower = [&r](const kir::Function& fn) {
     return kir::lowerToCdfg(kir::runFrontendPipeline(fn, r.frontend).fn).graph;
   };
@@ -159,7 +177,7 @@ struct RequestSpans {
   std::uint64_t queueUs = 0;     ///< admitted → worker pickup
   std::uint64_t storeUs = 0;     ///< job key + store resolve, less scheduleUs
   std::uint64_t scheduleUs = 0;  ///< scheduler run (cold requests only)
-  std::uint64_t serializeUs = 0; ///< response JSON dump
+  std::uint64_t serializeUs = 0; ///< response JSON encode and dump
   std::uint64_t serviceUs = 0;   ///< worker pickup → response ready
   const char* outcome = "internal";  ///< access-log outcome (DESIGN.md §13)
   bool cacheHit = false;
@@ -174,6 +192,61 @@ struct Slot {
   std::string line;   ///< serialized response
   RequestSpans spans;
 };
+
+/// One access-log line (DESIGN.md §13): the session, the request's spans
+/// and the two spans known once its answer leaves the window.
+constexpr auto kAccessLine = layout<14>(
+    [](auto& c, const auto& conn, const RequestSpans& sp,
+       std::uint64_t writeUs, std::uint64_t totalUs) {
+      c.field("admitUs", sp.admitUs);
+      c.field("cacheHit", sp.cacheHit);
+      c.field("conn", conn.id);
+      c.field("id", sp.id, json::Raw{});
+      c.field("key", sp.keyPrefix);
+      c.field("outcome", sp.outcome);
+      c.field("peer", conn.fd >= 0 ? "socket" : "stream");
+      c.field("queueUs", sp.queueUs);
+      c.field("scheduleUs", sp.scheduleUs);
+      c.field("serializeUs", sp.serializeUs);
+      c.field("serviceUs", sp.serviceUs);
+      c.field("storeUs", sp.storeUs);
+      c.field("totalUs", totalUs);
+      c.field("writeUs", writeUs);
+    });
+
+/// A live session's entry in the stats document.
+constexpr auto kSession = layout<6>([](auto& c, const auto& conn) {
+  c.field("id", conn->id);
+  c.field("inflight", conn->inflight);
+  c.field("kind", conn->fd >= 0 ? "socket" : "stream");
+  c.field("requests", conn->requests);
+  c.field("responses", conn->responses.load(std::memory_order_relaxed));
+  c.field("shed", conn->shed);
+});
+
+/// The rollup of already-reaped sessions: with it, the per-connection
+/// requests/responses/shed of the stats document (live + closed) add up
+/// to the service totals exactly.
+constexpr auto kClosedSessions = layout<4>([](auto& c, const auto& service) {
+  c.field("connections", service.mConnsClosed.value());
+  c.field("requests", service.closedRequests);
+  c.field("responses", service.closedResponses);
+  c.field("shed", service.closedShed);
+});
+
+/// The {"stats":true} document. `service` is read under its mutex, the
+/// same lock every per-connection and total request count is bumped
+/// under.
+constexpr auto kStatsDocument = layout<6>(
+    [](auto& c, const auto& service, const auto& sessions,
+       const ServiceStats& stats, const StoreCounters& store) {
+      c.field("closed", service, kClosedSessions);
+      c.array("connections", kSession, sessions);
+      c.field("draining", service.drainingNow());
+      c.field("queueDepth", service.pendingJobs);
+      c.field("service", stats, kServiceStats);
+      c.field("store", store, kStoreCountersLayout);
+    });
 
 /// Append-only JSONL access log shared by every worker and the IO thread.
 /// Its own mutex — never the service's hot-path lock — serializes lines;
@@ -203,61 +276,42 @@ private:
   std::ofstream out_;
 };
 
-json::Value artifactResponse(const json::Value& id,
-                             const ScheduleArtifact& art, bool cached,
-                             bool wantArtifact, const Composition& comp) {
-  json::Object o;
-  o["v"] = kWireVersion;
-  o["id"] = id;
-  o["key"] = art.key;
-  o["ok"] = art.ok;
-  o["cached"] = cached;
-  if (art.ok) {
-    o["contexts"] = static_cast<std::int64_t>(art.schedule.length);
-    // The artifact's stored fingerprint: fromReport computes it and
-    // fromJson rejects a document whose schedule does not match it, so the
-    // schedule is not hashed again per answer.
-    o["fingerprint"] = std::to_string(art.fingerprint);
-    if (wantArtifact) {
-      // Ship the full document, with context images attached so the
-      // consumer can deploy without linking the toolflow.
-      ScheduleArtifact withCtx = art;
-      withCtx.contexts = generateContexts(art.schedule, comp);
-      o["artifact"] = withCtx.toJson();
-    }
-  } else {
-    json::Object e;
-    e["code"] = wireErrorCode(WireError::Unmappable);
-    e["message"] = art.failure.message;
-    e["reason"] = failureReasonName(art.failure.reason);
-    o["error"] = json::Value(std::move(e));
+Response artifactResponse(json::Value id, const ScheduleArtifact& art,
+                          bool cached, bool wantArtifact,
+                          const Composition& comp) {
+  Response r;
+  r.id = std::move(id);
+  r.key = art.key;
+  r.ok = art.ok;
+  r.cached = cached;
+  if (!art.ok) {
+    r.error = WireFailure{wireErrorCode(WireError::Unmappable),
+                          art.failure.message,
+                          failureReasonName(art.failure.reason)};
+    return r;
   }
-  return json::Value(std::move(o));
+  r.contexts = art.schedule.length;
+  // The artifact's stored fingerprint: fromReport computes it and fromJson
+  // rejects a document whose schedule does not match it, so the schedule
+  // is not hashed again per answer.
+  r.fingerprint = art.fingerprint;
+  if (wantArtifact) {
+    // Ship the full document, with context images attached so the
+    // consumer can deploy without linking the toolflow.
+    r.artifact = art;
+    r.artifact->contexts = generateContexts(art.schedule, comp);
+  }
+  return r;
 }
 
-json::Value errorResponse(const json::Value& id, WireError code,
-                          const std::string& message) {
-  json::Object e;
-  e["code"] = wireErrorCode(code);
-  e["message"] = message;
-  json::Object o;
-  o["v"] = kWireVersion;
-  o["id"] = id;
-  o["ok"] = false;
-  o["error"] = json::Value(std::move(e));
-  return json::Value(std::move(o));
-}
-
-/// Best-effort id extraction for responses to requests that are never
-/// parsed in full (shed paths): a malformed line sheds with a null id.
+/// Best-effort id of a line that is never decoded in full (shed paths): a
+/// malformed line sheds with a null id.
 json::Value bestEffortId(const std::string& line) {
   try {
-    const json::Value doc = json::parse(line);
-    if (doc.isObject())
-      if (const json::Value* v = doc.asObject().find("id")) return *v;
+    return requestId(json::parse(line));
   } catch (...) {
+    return json::Value();
   }
-  return json::Value();
 }
 
 bool isBlank(const std::string& line) {
@@ -265,6 +319,19 @@ bool isBlank(const std::string& line) {
 }
 
 }  // namespace
+
+void WireRequest::validate() const {
+  if (stats || metrics) return;
+  if (comp.empty()) throw Error("request misses \"comp\"");
+  if (kernel.empty() && kernelFile.empty())
+    throw Error("request misses \"kernel\" (or \"kernelFile\")");
+  if (!kernel.empty() && !kernelFile.empty())
+    throw Error("request names both \"kernel\" and \"kernelFile\"");
+}
+
+json::Value ServiceStats::toJson() const {
+  return json::encode(kServiceStats, *this);
+}
 
 // ---------------------------------------------------------------------------
 // Service implementation.
@@ -377,7 +444,8 @@ struct Service::Impl {
   AtomicHistogram& hSchedule =
       registry.histogram("cgra_schedule_us", "Scheduler run, cold jobs (us)");
   AtomicHistogram& hSerialize =
-      registry.histogram("cgra_serialize_us", "Response JSON dump (us)");
+      registry.histogram("cgra_serialize_us",
+                         "Response JSON encode and dump (us)");
   AtomicHistogram& hWrite = registry.histogram(
       "cgra_write_us", "Response ready to wire/stream handoff (us)");
 
@@ -473,22 +541,7 @@ struct Service::Impl {
     const std::uint64_t writeUs = totalUs > accounted ? totalUs - accounted : 0;
     hWrite.record(writeUs);
     if (!accessLog.enabled()) return;
-    json::Object o;
-    o["conn"] = c.id;
-    o["peer"] = c.fd >= 0 ? "socket" : "stream";
-    o["id"] = sp.id;
-    o["key"] = sp.keyPrefix;
-    o["outcome"] = sp.outcome;
-    o["cacheHit"] = sp.cacheHit;
-    o["admitUs"] = sp.admitUs;
-    o["queueUs"] = sp.queueUs;
-    o["storeUs"] = sp.storeUs;
-    o["scheduleUs"] = sp.scheduleUs;
-    o["serializeUs"] = sp.serializeUs;
-    o["serviceUs"] = sp.serviceUs;
-    o["writeUs"] = writeUs;
-    o["totalUs"] = totalUs;
-    accessLog.write(json::sortKeys(json::Value(std::move(o))).dump(0));
+    accessLog.write(json::encode(kAccessLine, c, sp, writeUs, totalUs).dump(0));
   }
 
   /// Streams every completed response at the front of a stream session's
@@ -688,7 +741,7 @@ struct Service::Impl {
         sp.outcome = answer.outcome;
         sp.id = bestEffortId(line);
         std::string out =
-            errorResponse(sp.id, answer.code, answer.message).dump(0);
+            wireLine(errorResponse(sp.id, answer.code, answer.message));
         sp.serviceUs = usBetween(tStart, Clock::now());
         finishSlot(conn, slot, std::move(out), /*admitted=*/false);
       });
@@ -704,16 +757,15 @@ struct Service::Impl {
     sp.queueUs = usBetween(sp.admitted, tStart);
     std::string out;
     try {
-      const json::Value resp = computeResponse(line, sp);
+      const Response resp = computeResponse(line, sp);
       const Clock::time_point tSer = Clock::now();
-      out = resp.dump(0);
+      out = wireLine(resp);
       sp.serializeUs = usBetween(tSer, Clock::now());
     } catch (...) {
       mInternalErrors.inc();
       sp.outcome = "internal";
-      out = errorResponse(json::Value(), WireError::Internal,
-                          "internal error")
-                .dump(0);
+      out = wireLine(
+          errorResponse(json::Value(), WireError::Internal, "internal error"));
     }
     const Clock::time_point tDone = Clock::now();
     sp.serviceUs = usBetween(tStart, tDone);
@@ -731,46 +783,37 @@ struct Service::Impl {
     finishSlot(conn, slot, std::move(out), /*admitted=*/true);
   }
 
-  json::Value computeResponse(const std::string& line, RequestSpans& sp) {
-    json::Value id;
+  Response computeResponse(const std::string& line, RequestSpans& sp) {
     // A rejected request's access-log outcome is its wire code.
     const auto reject = [&](WireError code, const std::exception& e) {
       mParseErrors.inc();
       sp.outcome = wireErrorCode(code);
-      return errorResponse(id, code, e.what());
+      return errorResponse(sp.id, code, e.what());
     };
-    json::Value doc;
+    WireRequest req;
+    req.wantArtifact = options.includeArtifact;
     try {
-      doc = json::parse(line);
+      const json::Value doc = json::parse(line);
+      sp.id = requestId(doc);
+      json::decode(kRequestLayout, doc, "request", req);
+      req.validate();
     } catch (const std::exception& e) {
       return reject(WireError::Parse, e);
     }
-    if (doc.isObject())
-      if (const json::Value* v = doc.asObject().find("id")) id = *v;
-    sp.id = id;
-    for (const char* control : {"stats", "metrics"}) {
-      const json::Value* v =
-          doc.isObject() ? doc.asObject().find(control) : nullptr;
-      if (v == nullptr || !v->isBool() || !v->asBool()) continue;
-      const bool stats = std::string_view(control) == "stats";
-      (stats ? mStatsRequests : mMetricsRequests).inc();
+    if (req.stats || req.metrics) {
+      (req.stats ? mStatsRequests : mMetricsRequests).inc();
       sp.control = true;
-      sp.outcome = control;
-      json::Object o;
-      o["v"] = kWireVersion;
-      o["id"] = id;
-      o["ok"] = true;
-      o[control] =
-          stats ? statsJson() : json::Value(registry.renderPrometheus());
-      return json::Value(std::move(o));
+      sp.outcome = req.stats ? "stats" : "metrics";
+      Response r;
+      r.id = sp.id;
+      r.ok = true;
+      if (req.stats)
+        r.stats = statsJson();
+      else
+        r.metrics = registry.renderPrometheus();
+      return r;
     }
 
-    Request req;
-    try {
-      req = parseRequest(doc, options.includeArtifact);
-    } catch (const std::exception& e) {
-      return reject(WireError::Parse, e);
-    }
     Composition comp;
     Cdfg graph;
     WireError stage = WireError::UnknownComp;
@@ -818,11 +861,12 @@ struct Service::Impl {
       if (sp.cacheHit)
         (source == ArtifactStore::Source::Joined ? mDeduped : mCacheHits).inc();
       sp.outcome = art->ok ? "ok" : "unmappable";
-      return artifactResponse(id, *art, sp.cacheHit, req.wantArtifact, comp);
+      return artifactResponse(sp.id, *art, sp.cacheHit, req.wantArtifact,
+                              comp);
     } catch (const std::exception& e) {
       mInternalErrors.inc();
       sp.outcome = "internal";
-      return errorResponse(id, WireError::Internal, e.what());
+      return errorResponse(sp.id, WireError::Internal, e.what());
     }
   }
 
@@ -859,42 +903,12 @@ struct Service::Impl {
   }
 
   json::Value statsJson() const {
-    json::Object o;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      const ServiceStats s = statsLocked();
-      o["service"] = s.toJson();
-      o["queueDepth"] = static_cast<std::uint64_t>(pendingJobs);
-      o["draining"] = drainingNow();
-      json::Array conns_json;
-      auto connEntry = [](const Conn& c) {
-        json::Object e;
-        e["id"] = c.id;
-        e["kind"] = c.fd >= 0 ? "socket" : "stream";
-        e["requests"] = c.requests;
-        e["responses"] = c.responses.load(std::memory_order_relaxed);
-        e["inflight"] = static_cast<std::uint64_t>(c.inflight);
-        e["shed"] = c.shed;
-        return json::Value(std::move(e));
-      };
-      for (const ConnPtr& c : conns) conns_json.push_back(connEntry(*c));
-      for (const ConnPtr& c : streamConns) conns_json.push_back(connEntry(*c));
-      o["connections"] = json::Value(std::move(conns_json));
-      // Rollup of already-reaped sessions: with it, sum of per-connection
-      // requests/responses/shed in this document (live + closed) equals
-      // the service totals exactly — snapshots are taken under mu, the
-      // same lock every per-connection and total request count is bumped
-      // under.
-      json::Object closed;
-      closed["connections"] = s.connectionsClosed;
-      closed["requests"] = closedRequests;
-      closed["responses"] = closedResponses;
-      closed["shed"] = closedShed;
-      o["closed"] = json::Value(std::move(closed));
-    }
-    const StoreCounters sc = store.counters();
-    o["store"] = sc.toJson();
-    return json::sortKeys(json::Value(std::move(o)));
+    const StoreCounters storeCounters = store.counters();
+    std::lock_guard<std::mutex> lock(mu);
+    std::vector<ConnPtr> sessions = conns;
+    sessions.insert(sessions.end(), streamConns.begin(), streamConns.end());
+    return json::encode(kStatsDocument, *this, sessions, statsLocked(),
+                        storeCounters);
   }
 
   // -- stream sessions ------------------------------------------------------
@@ -1015,9 +1029,8 @@ struct Service::Impl {
     if (refuse) {
       // One short line always fits the fresh socket's send buffer.
       const std::string line =
-          errorResponse(json::Value(), WireError::Overloaded,
-                        "too many clients, connection refused")
-              .dump(0) +
+          wireLine(errorResponse(json::Value(), WireError::Overloaded,
+                                 "too many clients, connection refused")) +
           "\n";
       [[maybe_unused]] const ssize_t n =
           ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);

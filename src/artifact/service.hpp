@@ -63,6 +63,7 @@
 
 #include "artifact/store.hpp"
 #include "json/json.hpp"
+#include "kir/passes/pipeline.hpp"
 
 namespace cgra::artifact {
 
@@ -88,6 +89,43 @@ enum class WireError : std::uint8_t {
 };
 
 const char* wireErrorCode(WireError code);
+
+/// One request line, decoded. Mirrors the relevant `cgra-tool schedule`
+/// flags; the wire table is in DESIGN.md §12.
+struct WireRequest {
+  json::Value id;  ///< echoed verbatim in the response (any JSON value)
+  std::string comp;
+  std::string kernel;      ///< bundled kernel name
+  std::string kernelFile;  ///< or a KIR file path, never both
+  kir::FrontendOptions frontend;  ///< "unroll" and "cse"
+  unsigned maxContexts = 0;
+  bool wantArtifact = false;
+  bool stats = false;    ///< answer the stats document instead
+  bool metrics = false;  ///< answer the Prometheus exposition instead
+
+  /// Throws cgra::Error unless the request asks for stats or metrics, or
+  /// names a composition and exactly one of `kernel` and `kernelFile`.
+  void validate() const;
+};
+
+/// The request's layout (json.hpp). Every key keeps its default when
+/// absent, and a key it does not name is a `parse` error, so what it
+/// encodes is the request's canonical form. Counts are range-checked
+/// before any work is done: a negative would wrap, and an unbounded unroll
+/// factor is unbounded frontend work.
+inline constexpr auto kRequestLayout = json::layout<10>([](auto& c, auto& r) {
+  c.defaulted("artifact", r.wantArtifact);
+  c.defaulted("comp", r.comp);
+  c.defaulted("cse", r.frontend.cse);
+  c.defaulted("id", r.id, json::Raw{});
+  c.defaulted("kernel", r.kernel);
+  c.defaulted("kernelFile", r.kernelFile);
+  c.defaulted("maxContexts", r.maxContexts);
+  c.defaulted("metrics", r.metrics);
+  c.defaulted("stats", r.stats);
+  c.defaulted("unroll", r.frontend.unrollFactor,
+              json::Range{0, kir::kMaxUnrollFactor});
+});
 
 struct ServiceOptions {
   /// Worker threads for cache misses; 0 selects hardware concurrency.
@@ -131,7 +169,7 @@ struct ServiceStats {
   std::uint64_t scheduled = 0;    ///< jobs actually run on the scheduler
   std::uint64_t cacheHits = 0;    ///< answered straight from the store
   std::uint64_t deduped = 0;      ///< joined an identical in-flight job
-  std::uint64_t statsRequests = 0;          ///< {"stats":true} requests
+  std::uint64_t statsRequests = 0;  ///< {"stats":true} and {"metrics":true}
   std::uint64_t shedOverload = 0;           ///< requests shed `overloaded`
   std::uint64_t shedShutdown = 0;           ///< requests shed `shutdown`
   std::uint64_t connectionsAccepted = 0;    ///< sessions opened (any kind)

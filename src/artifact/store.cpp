@@ -13,19 +13,6 @@ namespace cgra::artifact {
 
 namespace sfs = std::filesystem;
 
-json::Value StoreCounters::toJson() const {
-  json::Object o;
-  o["hits"] = hits;
-  o["memoryHits"] = memoryHits;
-  o["diskHits"] = diskHits;
-  o["misses"] = misses;
-  o["inserts"] = inserts;
-  o["evictions"] = evictions;
-  o["invalid"] = invalid;
-  o["hitRatePct"] = hitRate() * 100.0;
-  return json::sortKeys(json::Value(std::move(o)));
-}
-
 ArtifactStore::ArtifactStore(StoreOptions options)
     : options_(std::move(options)) {
   if (options_.directory.empty()) return;

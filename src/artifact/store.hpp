@@ -64,9 +64,21 @@ struct StoreCounters {
                ? 0.0
                : static_cast<double>(hits) / static_cast<double>(lookups);
   }
-
-  json::Value toJson() const;
 };
+
+/// The counters' JSON layout (json.hpp), the hit rate as a percentage; the
+/// stats document of the compile service carries it as `"store"`.
+inline constexpr auto kStoreCountersLayout =
+    json::layout<8>([](auto& c, auto& s) {
+      c.field("diskHits", s.diskHits);
+      c.field("evictions", s.evictions);
+      c.expect("hitRatePct", s.hitRate() * 100.0);
+      c.field("hits", s.hits);
+      c.field("inserts", s.inserts);
+      c.field("invalid", s.invalid);
+      c.field("memoryHits", s.memoryHits);
+      c.field("misses", s.misses);
+    });
 
 class ArtifactStore {
 public:

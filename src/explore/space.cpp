@@ -65,32 +65,34 @@ void sortUniqueInRange(std::vector<PEId>& ids, unsigned n) {
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 }
 
-unsigned asUnsignedField(const json::Value& v, const std::string& key) {
-  const std::int64_t raw = v.asInt();
-  if (raw < 0 || raw > (1 << 20))
-    throw Error("explore space: \"" + key + "\" out of range");
-  return static_cast<unsigned>(raw);
-}
+/// Bounds every count and PE id of a genotype or space document.
+constexpr json::Range kCount{0, 1 << 20};
 
-std::vector<unsigned> asUnsignedList(const json::Value& v,
-                                     const std::string& key) {
-  std::vector<unsigned> out;
-  for (const json::Value& e : v.asArray()) out.push_back(asUnsignedField(e, key));
-  return out;
-}
+// Every key keeps its default when absent, so a document names only the
+// knobs it changes.
+constexpr auto kGenotype = json::layout<8>([](auto& c, auto& g) {
+  c.defaulted("cboxSlots", g.cboxSlots, kCount);
+  c.defaulted("cols", g.cols, kCount);
+  c.defaulted("contextLength", g.contextLength, kCount);
+  c.defaulted("dmaPEs", g.dmaPEs, kCount);
+  c.defaulted("mulPEs", g.mulPEs, kCount);
+  c.defaulted("rfSize", g.rfSize, kCount);
+  c.defaulted("rows", g.rows, kCount);
+  c.defaulted("topology", g.topology);
+});
 
-std::vector<PEId> asIdList(const json::Value& v, const std::string& key) {
-  std::vector<PEId> out;
-  for (const json::Value& e : v.asArray())
-    out.push_back(static_cast<PEId>(asUnsignedField(e, key)));
-  return out;
-}
-
-json::Value idListToJson(const std::vector<PEId>& ids) {
-  json::Array arr;
-  for (PEId id : ids) arr.emplace_back(static_cast<std::int64_t>(id));
-  return arr;
-}
+constexpr auto kSpace = json::layout<10>([](auto& c, auto& s) {
+  c.defaulted("allowHeteroMul", s.allowHeteroMul);
+  c.defaulted("cboxSlots", s.cboxChoices, kCount);
+  c.defaulted("contextLengths", s.contextLengths, kCount);
+  c.defaulted("maxCols", s.maxCols, kCount);
+  c.defaulted("maxDmaPEs", s.maxDmaPEs, kCount);
+  c.defaulted("maxRows", s.maxRows, kCount);
+  c.defaulted("minCols", s.minCols, kCount);
+  c.defaulted("minRows", s.minRows, kCount);
+  c.defaulted("rfSizes", s.rfSizes, kCount);
+  c.defaulted("topologies", s.topologies);
+});
 
 }  // namespace
 
@@ -109,41 +111,11 @@ Composition Genotype::materialize() const {
   return makeTopology(key(), topology, rows, cols, opts, dmaPEs, mulPEs);
 }
 
-json::Value Genotype::toJson() const {
-  json::Object obj;
-  obj["topology"] = topology;
-  obj["rows"] = static_cast<std::int64_t>(rows);
-  obj["cols"] = static_cast<std::int64_t>(cols);
-  obj["rfSize"] = static_cast<std::int64_t>(rfSize);
-  obj["cboxSlots"] = static_cast<std::int64_t>(cboxSlots);
-  obj["contextLength"] = static_cast<std::int64_t>(contextLength);
-  obj["dmaPEs"] = idListToJson(dmaPEs);
-  obj["mulPEs"] = idListToJson(mulPEs);
-  return obj;
-}
+json::Value Genotype::toJson() const { return json::encode(kGenotype, *this); }
 
 Genotype Genotype::fromJson(const json::Value& v) {
   Genotype g;
-  for (const auto& [key, value] : v.asObject()) {
-    if (key == "topology")
-      g.topology = value.asString();
-    else if (key == "rows")
-      g.rows = asUnsignedField(value, key);
-    else if (key == "cols")
-      g.cols = asUnsignedField(value, key);
-    else if (key == "rfSize")
-      g.rfSize = asUnsignedField(value, key);
-    else if (key == "cboxSlots")
-      g.cboxSlots = asUnsignedField(value, key);
-    else if (key == "contextLength")
-      g.contextLength = asUnsignedField(value, key);
-    else if (key == "dmaPEs")
-      g.dmaPEs = asIdList(value, key);
-    else if (key == "mulPEs")
-      g.mulPEs = asIdList(value, key);
-    else
-      throw Error("explore genotype: unknown key \"" + key + "\"");
-  }
+  json::decode(kGenotype, v, "explore genotype", g);
   if (!isKnownTopology(g.topology))
     throw Error("explore genotype: unknown topology \"" + g.topology + "\"");
   return g;
@@ -267,59 +239,12 @@ bool CompositionSpace::contains(const Genotype& g) const {
 }
 
 json::Value CompositionSpace::toJson() const {
-  json::Object obj;
-  json::Array topo;
-  for (const std::string& t : topologies) topo.emplace_back(t);
-  obj["topologies"] = std::move(topo);
-  obj["minRows"] = static_cast<std::int64_t>(minRows);
-  obj["maxRows"] = static_cast<std::int64_t>(maxRows);
-  obj["minCols"] = static_cast<std::int64_t>(minCols);
-  obj["maxCols"] = static_cast<std::int64_t>(maxCols);
-  auto list = [](const std::vector<unsigned>& vs) {
-    json::Array arr;
-    for (unsigned v : vs) arr.emplace_back(static_cast<std::int64_t>(v));
-    return arr;
-  };
-  obj["rfSizes"] = list(rfSizes);
-  obj["cboxSlots"] = list(cboxChoices);
-  obj["contextLengths"] = list(contextLengths);
-  obj["maxDmaPEs"] = static_cast<std::int64_t>(maxDmaPEs);
-  obj["allowHeteroMul"] = allowHeteroMul;
-  return obj;
+  return json::encode(kSpace, *this);
 }
 
 CompositionSpace CompositionSpace::fromJson(const json::Value& v) {
   CompositionSpace s;
-  for (const auto& [key, value] : v.asObject()) {
-    if (key == "topologies") {
-      s.topologies.clear();
-      for (const json::Value& t : value.asArray())
-        s.topologies.push_back(t.asString());
-    } else if (key == "minRows") {
-      s.minRows = asUnsignedField(value, key);
-    } else if (key == "maxRows") {
-      s.maxRows = asUnsignedField(value, key);
-    } else if (key == "minCols") {
-      s.minCols = asUnsignedField(value, key);
-    } else if (key == "maxCols") {
-      s.maxCols = asUnsignedField(value, key);
-    } else if (key == "rfSizes") {
-      s.rfSizes = asUnsignedList(value, key);
-    } else if (key == "cboxSlots") {
-      s.cboxChoices = asUnsignedList(value, key);
-    } else if (key == "contextLengths") {
-      s.contextLengths = asUnsignedList(value, key);
-    } else if (key == "maxDmaPEs") {
-      s.maxDmaPEs = asUnsignedField(value, key);
-    } else if (key == "allowHeteroMul") {
-      s.allowHeteroMul = value.asBool();
-    } else {
-      throw Error("explore space: unknown key \"" + key +
-                  "\" (topologies, minRows, maxRows, minCols, maxCols, "
-                  "rfSizes, cboxSlots, contextLengths, maxDmaPEs, "
-                  "allowHeteroMul)");
-    }
-  }
+  json::decode(kSpace, v, "explore space", s);
   s.validate();
   return s;
 }

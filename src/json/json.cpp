@@ -585,6 +585,16 @@ std::uint64_t Decimal::decode(const std::string& text) {
   return v;
 }
 
+void FieldDecoder::rejectUnvisited() const {
+  if (found_.size() == in_.size()) return;  // every entry found by a visit
+  for (const auto& [key, value] : in_) {
+    if (std::find(found_.begin(), found_.end(), &value) != found_.end())
+      continue;
+    const char* kind = in_.find(key) == &value ? "unknown" : "repeated";
+    throw Error(std::string(what_) + ": " + kind + " key \"" + key + '"');
+  }
+}
+
 void FieldDecoder::fail(const char* key, const char* problem) const {
   throw Error(std::string(what_) + ": field '" + key + "' " + problem);
 }

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "support/assert.hpp"
+#include "support/small_vector.hpp"
 
 namespace cgra::json {
 
@@ -208,15 +209,19 @@ bool isCanonical(const Value& value);
 // FieldDecoder runs the same function to read them back, so the two
 // directions cannot drift apart. A layout visits its keys in ascending
 // byte order, the order sortKeys produces, so what it encodes is canonical
-// as built. Each visit names a key, the record's member and, optionally, a
-// codec:
+// as built. The one exception is the wire response (artifact/service.cpp),
+// which keeps the key order of wire protocol v1. Each visit names a key,
+// the record's member and, optionally, a codec:
 //  * Scalar (the default) or a Range: a bool, string, double, or an
 //    integer or enum within the Range and its C++ type;
 //  * a Layout: a nested record;
+//  * Raw: a json::Value member, any JSON value, kept as it is;
 //  * a text codec (a struct with `encode` and `decode`): a scalar written
 //    as a string.
 // FieldDecoder finds each key, checks the value's type and range, and
-// throws cgra::Error naming the document and the key.
+// throws cgra::Error naming the document and the key. Keys are strict: an
+// object holding a key its layout does not visit is rejected with
+// `<what>: unknown key "<k>"`, at every level of every document read.
 
 /// Inclusive bounds of an integer or enum member, within its C++ type.
 struct Range {
@@ -246,6 +251,9 @@ constexpr Layout<Keys, Fields> layout(Fields fields) {
   return {fields};
 }
 
+/// Codes a json::Value member as itself: any JSON value, not checked.
+struct Raw {};
+
 /// A 64-bit unsigned integer as decimal text (JSON integers are int64).
 /// decode accepts exactly what encode writes: no sign, space or leading
 /// zero.
@@ -267,6 +275,11 @@ inline constexpr bool kIsScalar = std::is_base_of_v<Range, Codec>;
 template <class T>
 inline constexpr bool kIsText = std::is_convertible_v<T, std::string_view>;
 
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T, class A>
+inline constexpr bool kIsVector<std::vector<T, A>> = true;
+
 }  // namespace detail
 
 /// Runs layouts forwards: appends each visited key to one Object.
@@ -277,6 +290,15 @@ public:
   template <class T, class Codec = Scalar>
   void field(const char* key, const T& v, const Codec& codec = {}) {
     put(out_.append(key), codec, v);
+  }
+  /// A member that keeps its value when the decoder finds `key` absent;
+  /// always written. A vector member is an array of `codec`.
+  template <class T, class Codec = Scalar>
+  void defaulted(const char* key, const T& v, const Codec& codec = {}) {
+    if constexpr (detail::kIsVector<T>)
+      array(key, codec, v);
+    else
+      field(key, v, codec);
   }
   /// Writes `key` only when `v` holds a record.
   template <class T, class Codec>
@@ -320,6 +342,8 @@ private:
       codec.fields(sub, v...);
     } else if constexpr (detail::kIsScalar<Codec>) {
       (scalar(slot, v), ...);
+    } else if constexpr (std::is_same_v<Codec, Raw>) {
+      ((slot = v), ...);
     } else {
       ((slot = codec.encode(v)), ...);
     }
@@ -345,34 +369,38 @@ public:
   FieldDecoder(const Object& in, const char* what) : in_(in), what_(what) {}
 
   template <class T, class Codec = Scalar>
-  void field(const char* key, T& v, const Codec& codec = {}) const {
+  void field(const char* key, T& v, const Codec& codec = {}) {
     get(key, codec, require(key), v);
   }
+  template <class T, class Codec = Scalar>
+  void defaulted(const char* key, T& v, const Codec& codec = {}) {
+    const Value* jv = take(key);
+    if (jv == nullptr) return;
+    if constexpr (detail::kIsVector<T>)
+      elements(key, codec, *jv, v);
+    else
+      get(key, codec, *jv, v);
+  }
   template <class T, class Codec>
-  void optional(const char* key, std::optional<T>& v,
-                const Codec& codec) const {
-    if (const Value* jv = in_.find(key)) get(key, codec, *jv, v.emplace());
+  void optional(const char* key, std::optional<T>& v, const Codec& codec) {
+    if (const Value* jv = take(key)) get(key, codec, *jv, v.emplace());
   }
   template <class Codec, class Seq, class... More>
-  void array(const char* key, const Codec& codec, Seq& seq,
-             More&... more) const {
-    const Value& jv = require(key);
-    if (!jv.isArray()) fail(key, "is not an array");
-    const Array& arr = jv.asArray();
-    resize(key, seq, arr.size());
-    (resize(key, more, arr.size()), ...);
-    for (std::size_t i = 0; i < arr.size(); ++i)
-      get(key, codec, arr[i], seq[i], more[i]...);
+  void array(const char* key, const Codec& codec, Seq& seq, More&... more) {
+    elements(key, codec, require(key), seq, more...);
   }
   template <class T>
-  void expect(const char* key, const T& want) const {
+  void expect(const char* key, const T& want) {
     std::conditional_t<detail::kIsText<T>, std::string, T> got{};
     field(key, got);
     if (!(got == want)) fail(key, "disagrees with the rest of the document");
   }
+  /// Reads `key` ahead of its place; the visit at its place counts it.
   template <class T, class Codec = Scalar>
-  void lookahead(const char* key, T& v, const Codec& codec = {}) const {
-    field(key, v, codec);
+  void lookahead(const char* key, T& v, const Codec& codec = {}) {
+    const Value* jv = in_.find(key);
+    if (jv == nullptr) fail(key, "is missing");
+    get(key, codec, *jv, v);
   }
   /// Runs `rule`, which throws cgra::Error when the members break it.
   template <class Rule>
@@ -380,9 +408,19 @@ public:
     rule();
   }
 
+  /// Throws cgra::Error naming the first key of the object that no visit
+  /// found: an unknown key, or a repeat of a known one.
+  void rejectUnvisited() const;
+
 private:
-  const Value& require(const char* key) const {
+  /// Finds `key` and counts it as visited; nullptr when absent.
+  const Value* take(const char* key) {
     const Value* jv = in_.find(key);
+    if (jv != nullptr) found_.push_back(jv);
+    return jv;
+  }
+  const Value& require(const char* key) {
+    const Value* jv = take(key);
     if (jv == nullptr) fail(key, "is missing");
     return *jv;
   }
@@ -396,6 +434,17 @@ private:
       fail(key, "has the wrong number of elements");
   }
 
+  template <class Codec, class Seq, class... More>
+  void elements(const char* key, const Codec& codec, const Value& jv,
+                Seq& seq, More&... more) const {
+    if (!jv.isArray()) fail(key, "is not an array");
+    const Array& arr = jv.asArray();
+    resize(key, seq, arr.size());
+    (resize(key, more, arr.size()), ...);
+    for (std::size_t i = 0; i < arr.size(); ++i)
+      get(key, codec, arr[i], seq[i], more[i]...);
+  }
+
   template <class Codec, class... T>
   void get(const char* key, const Codec& codec, const Value& jv,
            T&... v) const {
@@ -403,8 +452,11 @@ private:
       if (!jv.isObject()) fail(key, "is not an object");
       FieldDecoder sub(jv.asObject(), what_);
       codec.fields(sub, v...);
+      sub.rejectUnvisited();
     } else if constexpr (detail::kIsScalar<Codec>) {
       (scalar(key, codec, jv, v), ...);
+    } else if constexpr (std::is_same_v<Codec, Raw>) {
+      ((v = jv), ...);
     } else {
       if (!jv.isString()) fail(key, "is not a string");
       ((v = codec.decode(jv.asString())), ...);
@@ -440,6 +492,7 @@ private:
 
   const Object& in_;
   const char* what_;
+  SmallVector<const Value*, 16> found_;  ///< the visited keys' values
 };
 
 /// The object `layout` writes for `records`.
@@ -461,6 +514,7 @@ void decode(const Layout<Keys, Fields>& layout, const Value& doc,
     throw Error(std::string(what) + ": document is not an object");
   FieldDecoder c(doc.asObject(), what);
   layout.fields(c, records...);
+  c.rejectUnvisited();
 }
 
 }  // namespace cgra::json

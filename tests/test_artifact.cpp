@@ -325,6 +325,37 @@ TEST(Artifact, UnknownFormatTagIsRejected) {
   }
 }
 
+TEST(Artifact, KeysTheLayoutDoesNotNameAreRejected) {
+  // A bundled kernel's artifact, context images attached, loads back as it
+  // is; one key added at the top level or inside a schedule op is a typed
+  // error naming it, not a field silently dropped.
+  const Composition comp = makeMesh(9);
+  const Cdfg graph = kir::lowerToCdfg(apps::workload("adpcm").fn).graph;
+  artifact::ScheduleArtifact art = artifact::ScheduleArtifact::fromReport(
+      "k", scheduleKernel(comp, graph));
+  ASSERT_TRUE(art.ok);
+  art.contexts = generateContexts(art.schedule, comp);
+  const json::Value doc = art.toJson();
+  const auto error = [](const json::Value& forged) -> std::string {
+    try {
+      artifact::ScheduleArtifact::fromJson(forged);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error(doc), "");
+
+  json::Value top = doc;
+  top.asObject()["note"] = "hand edit";
+  EXPECT_EQ(error(top), "artifact: unknown key \"note\"");
+
+  json::Value inOp = doc;
+  inOp.asObject()["schedule"].asObject()["ops"].asArray()[0].asObject()
+      ["spare"] = 0;
+  EXPECT_EQ(error(inOp), "artifact: unknown key \"spare\"");
+}
+
 /// One artifact of the bundled-kernel set, labelled
 /// "<kernel> <composition> u<unroll> <outcome>".
 struct BundledArtifact {

@@ -137,7 +137,24 @@ TEST(ExploreSpace, JsonRoundTripAndUnknownKeyRejection) {
 
   json::Object obj = space.toJson().asObject();
   obj["rfsizes"] = json::Array{};  // typo'd key must fail loudly
-  EXPECT_THROW(CompositionSpace::fromJson(obj), Error);
+  try {
+    CompositionSpace::fromJson(obj);
+    ADD_FAILURE() << "a typo'd space key must be rejected";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "explore space: unknown key \"rfsizes\"");
+  }
+
+  // A genotype document too: it round-trips, an absent key keeps its
+  // default, and an unknown key is an error naming it.
+  Genotype g;
+  g.topology = "ring";
+  g.cols = 5;
+  g.dmaPEs = {1, 3};
+  g.mulPEs = {2};
+  EXPECT_EQ(Genotype::fromJson(g.toJson()).key(), g.key());
+  EXPECT_EQ(Genotype::fromJson(json::parse(R"({"cols": 5})")).key(),
+            "mesh2x5-rf128-cb32-cx256-d0-mall");
+  EXPECT_THROW(Genotype::fromJson(json::parse(R"({"colls": 5})")), Error);
 }
 
 TEST(ExploreSpace, ValidateRejectsDegenerateSpaces) {

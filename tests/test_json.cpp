@@ -1,8 +1,8 @@
 // Unit tests for the JSON substrate: full-grammar parsing, error reporting
 // with line/column, the nesting-depth limit, serialization round trips,
 // number formatting, key sorting, the canonical-order check, and the
-// order-preserving object semantics the composition files rely on, and the
-// push-style Writer against Value::dump.
+// order-preserving object semantics the composition files rely on, the
+// push-style Writer against Value::dump, and record layouts' strict keys.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -346,6 +346,76 @@ TEST(JsonWriter, MisuseIsAnInternalError) {
   EXPECT_THROW(Writer().beginObject().key("a").endObject(), InternalError);
   EXPECT_THROW(Writer().beginArray().endObject(), InternalError);
   EXPECT_THROW(Writer().endArray(), InternalError);
+}
+
+struct Inner {
+  int a = 0;
+};
+
+struct Outer {
+  bool b = false;
+  Inner in;
+};
+
+constexpr auto kInner = layout<1>([](auto& c, auto& r) { c.field("a", r.a); });
+
+constexpr auto kOuter = layout<2>([](auto& c, auto& r) {
+  c.field("b", r.b);
+  c.field("in", r.in, kInner);
+});
+
+/// The error decoding `text` with kOuter raises; "" when it decodes.
+std::string outerError(const std::string& text) {
+  Outer r;
+  try {
+    decode(kOuter, parse(text), "outer doc", r);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JsonLayout, RejectsKeysTheLayoutDoesNotVisitAtEveryLevel) {
+  EXPECT_EQ(outerError(R"({"b": true, "in": {"a": 3}})"), "");
+  EXPECT_EQ(outerError(R"({"b": true, "extra": 1, "in": {"a": 3}})"),
+            "outer doc: unknown key \"extra\"");
+  EXPECT_EQ(outerError(R"({"b": true, "in": {"a": 3, "inner": []}})"),
+            "outer doc: unknown key \"inner\"");
+  EXPECT_EQ(outerError(R"({"b": true, "b": false, "in": {"a": 3}})"),
+            "outer doc: repeated key \"b\"");
+  EXPECT_EQ(outerError(R"({"b": true, "in": {"a": "3"}})"),
+            "outer doc: field 'a' is not an integer");
+}
+
+TEST(JsonLayout, DefaultedMembersKeepTheirValueWhenAbsent) {
+  struct Rec {
+    Value id;
+    std::vector<unsigned> list{1, 2};
+    unsigned n = 7;
+  };
+  constexpr auto kRec = layout<3>([](auto& c, auto& r) {
+    c.defaulted("id", r.id, Raw{});
+    c.defaulted("list", r.list, Range{0, 9});
+    c.defaulted("n", r.n);
+  });
+  Rec r;
+  decode(kRec, parse("{}"), "rec", r);
+  EXPECT_TRUE(r.id.isNull());
+  EXPECT_EQ(r.list, (std::vector<unsigned>{1, 2}));
+  EXPECT_EQ(r.n, 7u);
+
+  decode(kRec, parse(R"({"n": 3, "list": [4], "id": {"k": [1, null]}})"),
+         "rec", r);
+  EXPECT_EQ(r.list, std::vector<unsigned>{4});
+  EXPECT_EQ(r.n, 3u);
+  EXPECT_EQ(encode(kRec, r).dump(0),
+            R"({"id":{"k":[1,null]},"list":[4],"n":3})")
+      << "a defaulted member is always written";
+
+  Rec bad;
+  EXPECT_THROW(decode(kRec, parse(R"({"list": [10]})"), "rec", bad), Error);
+  EXPECT_THROW(decode(kRec, parse(R"({"n": -1})"), "rec", bad), Error);
+  EXPECT_THROW(decode(kRec, parse(R"({"m": 1})"), "rec", bad), Error);
 }
 
 }  // namespace

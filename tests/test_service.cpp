@@ -211,6 +211,104 @@ TEST(Service, OutOfRangeCountsAreParseErrorsAndTheSessionLivesOn) {
   EXPECT_TRUE(responses[3].asObject().at("ok").asBool());
 }
 
+/// The `error.message` of each answer to `lines`, after checking that
+/// every answer is a `parse` error.
+std::vector<std::string> parseMessages(const std::string& lines) {
+  artifact::ArtifactStore store;
+  artifact::ServiceOptions options;
+  options.threads = 1;
+  std::vector<std::string> messages;
+  for (const json::Value& r : runService(lines, store, options)) {
+    EXPECT_EQ(errorCode(r), "parse") << r.dump(0);
+    messages.push_back(
+        r.asObject().at("error").asObject().at("message").asString());
+  }
+  return messages;
+}
+
+TEST(Service, EachRequestFieldWithAWrongTypeIsAParseErrorNamingIt) {
+  // `id` is any JSON value and has no wrong type; every other field of the
+  // request's layout is checked, and the answer names the key.
+  const std::pair<const char*, const char*> cases[] = {
+      {"artifact", R"({"artifact":1,"comp":"mesh4","kernel":"gcd"})"},
+      {"comp", R"({"comp":5,"kernel":"gcd"})"},
+      {"cse", R"({"comp":"mesh4","cse":1,"kernel":"gcd"})"},
+      {"kernel", R"({"comp":"mesh4","kernel":["gcd"]})"},
+      {"kernelFile", R"({"comp":"mesh4","kernelFile":7})"},
+      {"maxContexts", R"({"comp":"mesh4","kernel":"gcd","maxContexts":"16"})"},
+      {"metrics", R"({"metrics":"yes"})"},
+      {"stats", R"({"stats":1})"},
+      {"unroll", R"({"comp":"mesh4","kernel":"gcd","unroll":"2"})"},
+  };
+  std::string lines;
+  for (const auto& [key, line] : cases) lines += std::string(line) + "\n";
+  const std::vector<std::string> messages = parseMessages(lines);
+  ASSERT_EQ(messages.size(), std::size(cases));
+  for (std::size_t i = 0; i < messages.size(); ++i)
+    EXPECT_NE(messages[i].find(std::string("'") + cases[i].first + "'"),
+              std::string::npos)
+        << messages[i];
+}
+
+TEST(Service, MisspeltAndUnknownKeysAreParseErrorsNamingThem) {
+  // A misspelt key used to be ignored: "unrol":2 answered the unroll-1
+  // schedule. Control requests are decoded by the same layout.
+  const std::vector<std::string> messages = parseMessages(
+      "{\"comp\":\"mesh9\",\"kernel\":\"adpcm\",\"unrol\":2}\n"
+      "{\"comp\":\"mesh4\",\"kernelfile\":\"k.kir\"}\n"
+      "{\"comp\":\"mesh4\",\"kernel\":\"gcd\",\"maxcontexts\":4}\n"
+      "{\"stats\":true,\"verbose\":true}\n");
+  const char* keys[] = {"unrol", "kernelfile", "maxcontexts", "verbose"};
+  ASSERT_EQ(messages.size(), std::size(keys));
+  for (std::size_t i = 0; i < messages.size(); ++i)
+    EXPECT_EQ(messages[i],
+              std::string("request: unknown key \"") + keys[i] + "\"");
+}
+
+TEST(Service, KernelAndKernelFileTogetherAreAParseError) {
+  // Neither silently wins over the other.
+  const std::vector<std::string> messages = parseMessages(
+      "{\"comp\":\"mesh4\",\"kernel\":\"gcd\",\"kernelFile\":\"k.kir\"}\n");
+  ASSERT_EQ(messages.size(), 1u);
+  EXPECT_NE(messages[0].find("both"), std::string::npos) << messages[0];
+}
+
+/// The canonical encoding of one request line.
+std::string canonicalRequest(const std::string& line,
+                             artifact::WireRequest& req) {
+  json::decode(artifact::kRequestLayout, json::parse(line), "request", req);
+  return json::encode(artifact::kRequestLayout, req).dump(0);
+}
+
+TEST(Service, RequestLayoutHasOneCanonicalEncoding) {
+  artifact::WireRequest first;
+  const std::string canonical = canonicalRequest(
+      R"({"id":[7,"x"],"comp":"mesh9","kernel":"adpcm","unroll":2,)"
+      R"("cse":true,"maxContexts":16,"artifact":true})",
+      first);
+  artifact::WireRequest second;
+  EXPECT_EQ(canonicalRequest(canonical, second), canonical)
+      << "decode, encode, decode is a fixed point";
+  EXPECT_EQ(second.id.dump(0), first.id.dump(0));
+  EXPECT_EQ(second.comp, "mesh9");
+  EXPECT_EQ(second.kernel, "adpcm");
+  EXPECT_EQ(second.kernelFile, "");
+  EXPECT_EQ(second.frontend.unrollFactor, 2u);
+  EXPECT_TRUE(second.frontend.cse);
+  EXPECT_EQ(second.maxContexts, 16u);
+  EXPECT_TRUE(second.wantArtifact);
+  EXPECT_FALSE(second.stats);
+  EXPECT_FALSE(second.metrics);
+
+  artifact::WireRequest reordered;
+  EXPECT_EQ(canonicalRequest(" { \"artifact\" : true, \"maxContexts\": 16,\n"
+                             "\"cse\":true, \"unroll\":2, \"kernel\":\"adpcm\","
+                             " \"comp\": \"mesh9\", \"id\": [ 7, \"x\" ] }",
+                             reordered),
+            canonical)
+      << "key order and whitespace do not reach the canonical form";
+}
+
 TEST(Service, FailedPublishAnswersEveryWaitingRequest) {
   // The store's directory vanishes after open, so the first request's
   // publish throws while identical requests wait on its flight. Every one

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Nine lints over the tree: (1) the deprecated Scheduler::schedule
+# Ten lints over the tree: (1) the deprecated Scheduler::schedule
 # call sites and shims, (2) raw SimCounters field math in tools and
 # benches, (3) the removed schedule checkers, (4) writers of the schedule
 # under construction other than RunState, (5) a context word's layout
@@ -7,7 +7,9 @@
 # once, (7) a frontend pass filling KIR node fields by hand, or the
 # removed switch-strategy knob, (8) a CDFG scan, tree map or path vector
 # on the scheduler passes' probe path, (9) a per-level expression parse
-# function, or an Op/Bc mapping outside the bytecode table.
+# function, or an Op/Bc mapping outside the bytecode table, (10) a wire or
+# explore record built as a hand-made tree, sorted afterwards, or checked
+# for unknown keys by hand.
 #
 # Lint 1: the deprecated Scheduler::schedule(const Cdfg&) shims were removed
 # with the pass-pipeline refactor. This check is now a hard failure on two
@@ -248,4 +250,27 @@ if [ -n "$operator_offenders" ]; then
 fi
 
 echo "ok: each operator is spelled once, in its table"
+
+# Lint 10: one layout per wire and explore record. The request, response,
+# error, stats and access-log records (src/artifact/service.cpp), the store
+# counters (src/artifact/store.hpp) and the explore genotype and space
+# (src/explore/space.cpp) are each one layout run by json::FieldEncoder and
+# json::FieldDecoder, which rejects every key a layout does not visit. A
+# hand-built tree, a sort pass or a hand-written unknown-key check must not
+# come back in those files.
+wire_offenders=$(grep -nHE 'json::Object|sortKeys|unknown key' \
+    src/artifact/service.cpp src/artifact/store.cpp src/explore/space.cpp \
+    2>/dev/null)
+
+if [ -n "$wire_offenders" ]; then
+  echo "error: a wire or explore record is built by hand, sorted afterwards"
+  echo "or checked for unknown keys by hand. State it once as a layout over"
+  echo "json::FieldEncoder/FieldDecoder (src/json/json.hpp), whose decoder"
+  echo "rejects the keys a layout does not visit:"
+  echo
+  echo "$wire_offenders"
+  exit 1
+fi
+
+echo "ok: each wire and explore record's layout is stated once"
 exit 0
